@@ -127,8 +127,12 @@ def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _instance(args):
+def _instance(args, min_order: int = 1):
     inst = zoo.construct_family(args.group)
+    if inst.order is not None and inst.order < min_order:
+        raise SpecSemanticError(
+            f"spectra, Cheeger constants and walks need a group of order at least {min_order}; {inst.label} has order {inst.order}"
+        )
     return inst.group, inst.gens
 
 
@@ -152,30 +156,27 @@ def _cmd_diam(args):
 
 
 def _cmd_spectrum(args):
-    group, gens = _instance(args)
+    group, gens = _instance(args, min_order=2)
     rep = spectral.lambda1(group, gens, tol=args.tol, workers=args.workers)
     return True, rep.to_dict(), None
 
 
 def _cmd_cheeger(args):
-    group, gens = _instance(args)
+    group, gens = _instance(args, min_order=2)
     rep = spectral.cheeger(group, gens, exact_cap=args.exact_cap, workers=args.workers)
     return True, rep.to_dict(), None
 
 
 def _cmd_mix(args):
-    group, gens = _instance(args)
-    curves = mixing.convolution_curve(group, gens, workers=args.workers)
-    rep = mixing.mixing_times(group, gens, curves=curves)
+    group, gens = _instance(args, min_order=2)
+    ctx = spectral.build_context(group, gens)
+    curves = mixing.convolution_curve(group, gens, ctx=ctx)
+    rep = mixing.mixing_times(group, gens, ctx=ctx, curves=curves)
     rows = curves.csv_rows()
     if args.p is not None:
         keep = {"1": "d1", "2": "d2", "inf": "dinf"}[args.p]
         rows = [{"n": r["n"], keep: r[keep]} for r in rows]
     return True, rep.to_dict(), rows
-
-
-def _parse_l(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 def _cmd_nilprog(args):
@@ -185,7 +186,9 @@ def _cmd_nilprog(args):
     if args.action == "gencomms":
         gc = nilprog.generalised_commutators(args.r, args.s)
         return True, {"r": args.r, "s": args.s, "size": gc.size, "entries": [e.text() for e in gc.entries], "convention": gc.convention}, None
-    L = _parse_l(args.L)
+    L = args.L
+    if len(L) != args.r:
+        raise SpecSemanticError(f"-L needs one side length per generator, {args.r} for -r {args.r}; got {len(L)}")
     if args.action == "nest":
         rep = nilprog.verify_nesting(args.r, args.s, L, workers=args.workers)
         return rep.holds, rep.to_dict(), None
@@ -265,13 +268,13 @@ def _suite_powers(args):
 
 
 def _suite_spectral(args):
-    group, gens = _instance(args)
+    group, gens = _instance(args, min_order=2)
     rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=args.exact_cap, workers=args.workers)
     return rep.ok, rep.to_dict()
 
 
 def _suite_mixing(args):
-    group, gens = _instance(args)
+    group, gens = _instance(args, min_order=2)
     rep = mixing.verify_basic_mixing(group, gens, workers=args.workers)
     return rep.ok, rep.to_dict()
 
@@ -338,10 +341,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _side_lengths(text: str) -> tuple[int, ...]:
+    try:
+        L = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(L) < 0:
+        raise argparse.ArgumentTypeError(f"side lengths must be at least 0, got {text}")
+    return L
+
+
 def _add_common(p):
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; every engine runs on one thread")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p.add_argument("--seed", type=int, default=0, help="randomized property tests only; engine output is seed-independent")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -351,9 +386,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grow", help="ball growth profile")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("-r", "--radius", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("-r", "--radius", type=_int_at_least(0), default=None)
+    p.add_argument("--eps", type=_positive_float, default=None)
+    p.add_argument("--delta", type=_positive_float, default=None)
     _add_common(p)
 
     p = sub.add_parser("diam", help="exact diameter")
@@ -362,7 +397,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="extremal Laplacian eigenvalues")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     _add_common(p)
 
     p = sub.add_parser("cheeger", help="Cheeger constant (exact below the cap)")
@@ -377,10 +412,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nilprog", help="commutator bases and progression checks")
     p.add_argument("action", choices=("basis", "gencomms", "nest", "proper", "powers"))
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-L", default="1,1")
-    p.add_argument("-n", type=int, default=2)
+    p.add_argument("-r", type=_int_at_least(1), required=True)
+    p.add_argument("-s", type=_int_at_least(1), required=True)
+    p.add_argument("-L", type=_side_lengths, default="1,1")
+    p.add_argument("-n", type=_int_at_least(1), default=2)
     p.add_argument("-M", type=int, default=None)
     _add_common(p)
 

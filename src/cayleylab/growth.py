@@ -3,18 +3,21 @@
 The BFS here is the single source of truth for every cardinality in the
 package: spheres and balls are exact integer counts, deduplicated on canonical
 bytes, and the element order it produces (sphere by sphere, canonical-byte
-order within a sphere) indexes every vector quantity downstream.  Output is
-bit-identical for any worker count because layer expansion is a pure function
-of the frontier and merges are canonically ordered.
+order within a sphere) indexes every vector quantity downstream.  The BFS runs
+on one thread, and its output is a pure function of the group and the
+generating set.  It computes s*x for every generator s and every element x it
+expands, and a complete ball keeps the index of each product in its successor
+table, so the Cayley graph is enumerated once per ball and never again.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, order_cap
 
@@ -54,7 +57,10 @@ class Ball:
     """BFS enumeration of S^0, S^1, ... : elements, codes, distances, sphere sizes.
 
     ``complete`` means the BFS closed (the last sphere is the full boundary);
-    ``truncated`` means expansion stopped at max_radius or the cap first.
+    ``truncated`` means expansion stopped at max_radius or the cap first.  A
+    complete ball carries ``successors``, an int64 array of shape (k, size)
+    whose entry [i, j] is the index of gens.elements[i] * elements[j]; a
+    truncated ball carries None, since its last sphere was never expanded.
     """
 
     group: Group
@@ -65,6 +71,7 @@ class Ball:
     complete: bool
     truncated: bool
     capped: bool = False
+    successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -87,16 +94,6 @@ class Ball:
         return out
 
 
-def _expand_chunk(group: Group, gens: GeneratingSet, chunk: list) -> list[tuple[bytes, object]]:
-    out = []
-    mul, enc = group.mul, group.encode
-    for x in chunk:
-        for s in gens.elements:
-            y = mul(s, x)
-            out.append((enc(y), y))
-    return out
-
-
 def enumerate_ball(
     group: Group,
     gens: GeneratingSet,
@@ -104,57 +101,60 @@ def enumerate_ball(
     workers: int = 1,
     cap: Optional[int] = None,
 ) -> Ball:
-    """BFS the ball around the identity out to max_radius (or closure)."""
+    """BFS the ball around the identity out to max_radius (or closure).
+
+    ``workers`` is accepted for compatibility and ignored: mul and encode are
+    pure Python, so threads sharing the interpreter lock gave no speed-up.
+    """
     if max_radius is None and group.order is None:
         raise ResourceRefusal(f"{group.name} is infinite: closure enumeration needs max_radius")
     limit = order_cap(cap)
+    mul, enc = group.mul, group.encode
     e = group.identity()
-    ecode = group.encode(e)
+    ecode = enc(e)
     elements: list = [e]
     codes: list[bytes] = [ecode]
-    seen: set[bytes] = {ecode}
+    index: dict[bytes, int] = {ecode: 0}
     spheres = [1]
     frontier: list = [e]
+    rows: list[np.ndarray] = []  # per expanded sphere: successor indices, one row per element
     truncated = False
     capped = False
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        while frontier:
-            if max_radius is not None and len(spheres) - 1 >= max_radius:
-                truncated = True
-                break
-            if pool is not None and len(frontier) >= 4 * workers:
-                chunks = [frontier[i::workers] for i in range(workers)]
-                results = pool.map(lambda ch: _expand_chunk(group, gens, ch), chunks)
-                candidates: dict[bytes, object] = {}
-                for res in results:
-                    for code, y in res:
-                        if code not in seen:
-                            candidates[code] = y
-            else:
-                candidates = {}
-                for code, y in _expand_chunk(group, gens, frontier):
-                    if code not in seen:
-                        candidates[code] = y
-            if not candidates:
-                break
-            if len(elements) + len(candidates) > limit:
-                truncated = True
-                capped = True
-                break
-            layer = sorted(candidates.items())
-            frontier = []
-            for code, y in layer:
-                seen.add(code)
-                codes.append(code)
-                elements.append(y)
-                frontier.append(y)
-            spheres.append(len(layer))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while frontier:
+        if max_radius is not None and len(spheres) - 1 >= max_radius:
+            truncated = True
+            break
+        products: list[bytes] = []
+        candidates: dict[bytes, object] = {}
+        for x in frontier:
+            for s in gens.elements:
+                y = mul(s, x)
+                code = enc(y)
+                products.append(code)
+                if code not in index:
+                    candidates[code] = y
+        if len(elements) + len(candidates) > limit:
+            truncated = True
+            capped = True
+            break
+        # the new sphere is sorted before its indices exist, so products
+        # that land in it are resolved only after the loop below
+        next_frontier = []
+        for code, y in sorted(candidates.items()):
+            index[code] = len(codes)
+            codes.append(code)
+            elements.append(y)
+            next_frontier.append(y)
+        succ = np.fromiter(map(index.__getitem__, products), dtype=np.int64, count=len(products))
+        rows.append(succ.reshape(len(frontier), gens.k))
+        if not candidates:
+            break
+        spheres.append(len(candidates))
+        frontier = next_frontier
     complete = not truncated
-    return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), complete, truncated, capped)
+    # one contiguous row per generator, so each permutation is a fast gather index
+    successors = np.concatenate(rows).T.copy() if complete else None
+    return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), complete, truncated, capped, successors)
 
 
 @dataclass(frozen=True)

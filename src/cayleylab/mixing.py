@@ -16,9 +16,9 @@ falsifies the lower-bound facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class WalkCurves:
     d1: np.ndarray
     d2: np.ndarray
     dinf: np.ndarray
+    last: Optional[np.ndarray] = field(default=None, repr=False, compare=False)  # the walk vector at the last step
 
     @property
     def steps(self) -> int:
@@ -91,12 +92,11 @@ class WalkCurves:
         ]
 
 
-def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool) -> WalkCurves:
+def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Optional[WalkCurves] = None) -> WalkCurves:
+    """Walk out to step n_max, from the point mass or onward from start's last step."""
     n = ctx.n
     k = ctx.k
     uniform = 1.0 / n
-    v = np.zeros(n)
-    v[0] = 1.0
     d1, d2, dinf = [], [], []
     thresh_inf = (1.0 / n) / 10.0 - TIE_EPS
 
@@ -108,8 +108,15 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool) -> WalkCurv
         dinf.append(float(aw.max()))
         return dinf[-1]
 
-    record()
-    for step in range(1, n_max + 1):
+    if start is None:
+        v = np.zeros(n)
+        v[0] = 1.0
+        record()
+        first = 1
+    else:
+        v = start.last
+        first = start.steps + 1
+    for step in range(first, n_max + 1):
         acc = np.zeros(n)
         for p in ctx.perms:
             acc += v[p]
@@ -122,7 +129,10 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool) -> WalkCurv
         # so once it has crossed, all three crossings are in the record
         if stop_when_mixed and last_inf <= thresh_inf:
             break
-    return WalkCurves(n, k, ctx.diameter, np.array(d1), np.array(d2), np.array(dinf))
+    curves = [np.array(d) for d in (d1, d2, dinf)]
+    if start is not None:
+        curves = [np.concatenate([old, new]) for old, new in zip((start.d1, start.d2, start.dinf), curves)]
+    return WalkCurves(n, k, ctx.diameter, *curves, last=v)
 
 
 def convolution_curve(
@@ -131,12 +141,20 @@ def convolution_curve(
     n_max: Optional[int] = None,
     workers: int = 1,
     ctx: Optional[CayleyContext] = None,
+    extend_to: Optional[Callable[[WalkCurves], int]] = None,
 ) -> WalkCurves:
-    """Distance curves out to n_max steps (default: the provable T2 horizon)."""
+    """Distance curves out to n_max steps (default: the provable T2 horizon).
+
+    With extend_to, the walk then continues from where it stopped out to
+    step extend_to(curves), so no step is walked twice.
+    """
     if ctx is None:
         ctx = build_context(group, gens, workers=workers)
     horizon = n_max if n_max is not None else default_n_max(ctx.k, ctx.diameter, ctx.n)
-    return _run_walk(ctx, horizon, stop_when_mixed=n_max is None)
+    curves = _run_walk(ctx, horizon, stop_when_mixed=n_max is None)
+    if extend_to is not None:
+        curves = _run_walk(ctx, extend_to(curves), stop_when_mixed=False, start=curves)
+    return curves
 
 
 @dataclass(frozen=True)
@@ -257,13 +275,13 @@ def verify_basic_mixing(
     ctx = build_context(group, gens, workers=workers)
     spec = lambda1(group, gens, ctx=ctx)
     hypothesis_ok = spec.lambda1 <= 2.0 + 1e-12
-    curves = convolution_curve(group, gens, ctx=ctx)
+
+    def squaring_horizon(walked: WalkCurves) -> int:
+        # extend so that item (4) sees pairs (n, 2n) past the T2 crossing
+        return max(2 * (walked.crossing(2) or 0), walked.crossing("inf") or 0, 2 * ctx.diameter, 16)
+
+    curves = convolution_curve(group, gens, ctx=ctx, extend_to=squaring_horizon)
     report = mixing_times(group, gens, ctx=ctx, curves=curves, spectral=spec)
-    # extend so that item (4) sees pairs (n, 2n) past the T2 crossing
-    target = max(curves.steps, 2 * (report.T2 or 0), report.Tinf or 0, 2 * ctx.diameter, 16)
-    if target > curves.steps:
-        curves = convolution_curve(group, gens, n_max=target, ctx=ctx)
-        report = mixing_times(group, gens, ctx=ctx, curves=curves, spectral=spec)
 
     n_steps = curves.steps
     norms = {p: curves.norm_mu_g(p) for p in (1, 2, "inf")}

@@ -451,7 +451,7 @@ def enumerate_progression(spec: ProgressionSpec, workers: int = 1, work_cap: int
     group = spec.group
     meter = _WorkMeter(work_cap)
     if spec.kind == "nilprogression":
-        out = _enumerate_words(spec, meter, workers)
+        out = _enumerate_words(spec, meter)
         items = sorted(out.items())
         return ProgressionSet(spec, tuple(v for _, v in items), frozenset(out), None)
     factors, box, convention = _factors_for(spec)
@@ -460,7 +460,7 @@ def enumerate_progression(spec: ProgressionSpec, workers: int = 1, work_cap: int
     return ProgressionSet(spec, tuple(v for _, v in items), frozenset(out), box, convention)
 
 
-def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter, workers: int = 1) -> dict:
+def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> dict:
     """All words over the x_i and inverses with per-letter budgets, evaluated and deduped."""
     group = spec.group
     gens = list(spec.generators)

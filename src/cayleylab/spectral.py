@@ -7,7 +7,7 @@ still counts it.  The edge boundary of A counts pairs (x, s) with x in A and
 sx outside A, so every crossing edge is counted once from its A-side endpoint.
 
 Exact Cheeger constants come from an exhaustive vectorized subset scan (only
-feasible for tiny groups); otherwise the report carries a certified interval
+feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the report carries a certified interval
 [lambda1/(2k), min(sweep cut, sqrt(2 lambda1))] and chain checks against an
 interval may come out "indeterminate", never falsely pass.
 """
@@ -20,9 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle
 from .growth import Ball, GrowthProfile, enumerate_ball
@@ -43,10 +40,13 @@ __all__ = [
     "coset_gap",
     "DENSE_CAP",
     "EXACT_CHEEGER_CAP",
+    "EXACT_SCAN_BUDGET",
 ]
 
 DENSE_CAP = 4096
 EXACT_CHEEGER_CAP = 22
+EXACT_SCAN_BUDGET = 1 << 30  # bytes the exhaustive Cheeger scan may allocate
+_SCAN_BYTES_PER_SUBSET = 80  # masks, boundary counts and one pass's temporaries (measured peak: 74)
 SLACK = 1e-9
 
 
@@ -93,7 +93,9 @@ class CayleyContext:
         mat[rows, rows] += self.k - 1  # identity self-loop cancels one unit of degree
         return mat
 
-    def sparse_laplacian(self) -> scipy.sparse.csr_matrix:
+    def sparse_laplacian(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse
+
         n = self.n
         rows = np.concatenate([np.arange(n)] * max(1, len(self.nonid_perms())))
         cols = np.concatenate(self.nonid_perms()) if self.nonid_perms() else np.arange(n)
@@ -119,25 +121,14 @@ class CayleyContext:
 
 
 def build_context(group: Group, gens: GeneratingSet, workers: int = 1, cap: Optional[int] = None) -> CayleyContext:
+    """The closed BFS ball with its successor table as the generator permutations."""
     ball = enumerate_ball(group, gens, workers=workers, cap=cap)
     if ball.truncated:
         raise ResourceRefusal("group too large to enumerate")
     if group.order is not None and ball.size < group.order:
         raise ResourceRefusal(f"generating set reaches only {ball.size} of {group.order} elements (disconnected graph)")
-    index = ball.index()
-    perms = []
-    id_code = group.encode(group.identity())
-    identity_gen = -1
-    for gi, s in enumerate(gens.elements):
-        if gens.codes[gi] == id_code:
-            identity_gen = gi
-        arr = np.empty(ball.size, dtype=np.int64)
-        for i, x in enumerate(ball.elements):
-            arr[i] = index[group.encode(group.mul(s, x))]
-        perms.append(arr)
-    if identity_gen < 0:
-        raise ValueError("generating set does not contain the identity")
-    return CayleyContext(group, gens, ball, tuple(perms), identity_gen)
+    identity_gen = gens.codes.index(group.encode(group.identity()))
+    return CayleyContext(group, gens, ball, tuple(ball.successors), identity_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +169,8 @@ class SpectralReport:
 
 
 def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
+    import scipy.linalg
+
     mat = ctx.dense_laplacian()
     n = ctx.n
     vals, vecs = scipy.linalg.eigh(mat, subset_by_index=(0, 1))
@@ -186,6 +179,8 @@ def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
 
 
 def _iterative_extremes(ctx: CayleyContext, tol: float) -> tuple[float, float, np.ndarray]:
+    import scipy.sparse.linalg
+
     n = ctx.n
     lap = ctx.sparse_laplacian()
     shift = 2.0 * ctx.k + 1.0
@@ -268,8 +263,14 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
 
 def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
     n = ctx.n
-    if n > 63:
-        raise ResourceRefusal("exact Cheeger scan limited to 63 vertices")
+    # refuse before allocating; the budget also keeps n far below the 64-bit mask width
+    need = _SCAN_BYTES_PER_SUBSET << (n - 1)
+    if need > EXACT_SCAN_BUDGET:
+        most = (EXACT_SCAN_BUDGET // _SCAN_BYTES_PER_SUBSET).bit_length()
+        raise ResourceRefusal(
+            f"exact Cheeger scan of {n} vertices would allocate about {need / 2**30:.1f} GiB for 2^{n - 1} subsets;"
+            f" the {EXACT_SCAN_BUDGET >> 20} MiB budget allows at most {most} vertices"
+        )
     nonid = ctx.nonid_perms()
     # subsets containing vertex 0 cover all partitions by complement symmetry
     masks = (np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
@@ -573,6 +574,8 @@ def coset_gap(
         next_label += 1
     if next_label != index:
         raise OracleError(f"{sub.name}: coset labelling found {next_label} classes, expected {index}")
+
+    import scipy.linalg
 
     lap = ctx.dense_laplacian()
     proj = np.eye(n)

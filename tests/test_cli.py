@@ -1,7 +1,13 @@
 """Command-line surface: verbs, exit codes, deterministic serialization."""
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import cayleylab
 from cayleylab import cli
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
 
@@ -41,6 +47,56 @@ def test_usage_errors_exit_two(capsys):
 
 def test_resource_refusal_exit_three(capsys):
     assert run(["diam", "-g", "cyclic:20000000"]) == EXIT_REFUSAL
+
+
+# each bad input must exit 2 (usage) or 3 (refusal) naming the limit it broke
+BAD_INPUTS = [
+    (["spectrum", "-g", "cyclic:1"], EXIT_USAGE, "order at least 2"),
+    (["cheeger", "-g", "cyclic:1"], EXIT_USAGE, "order at least 2"),
+    (["mix", "-g", "cyclic:1"], EXIT_USAGE, "order at least 2"),
+    (["verify", "spectral", "-g", "cyclic:1"], EXIT_USAGE, "order at least 2"),
+    (["verify", "mixing", "-g", "cyclic:1"], EXIT_USAGE, "order at least 2"),
+    (["nilprog", "nest", "-r", "2", "-s", "2", "-L", "1,x"], EXIT_USAGE, "comma-separated integers"),
+    (["nilprog", "nest", "-r", "2", "-s", "2", "-L=-1,1"], EXIT_USAGE, "at least 0"),
+    (["nilprog", "proper", "-r", "2", "-s", "2", "-L", "1"], EXIT_USAGE, "2 for -r 2"),
+    (["nilprog", "powers", "-r", "2", "-s", "2", "-n", "0"], EXIT_USAGE, "at least 1"),
+    (["nilprog", "basis", "-r", "0", "-s", "2"], EXIT_USAGE, "at least 1"),
+    (["grow", "-g", "cyclic:12", "-r", "-1"], EXIT_USAGE, "at least 0"),
+    (["grow", "-g", "cyclic:12", "--eps", "2", "--delta", "-1"], EXIT_USAGE, "positive"),
+    (["grow", "-g", "cyclic:12", "--eps", "nan", "--delta", "0.5"], EXIT_USAGE, "positive"),
+    (["spectrum", "-g", "cyclic:12", "--tol", "0"], EXIT_USAGE, "positive"),
+    (["grow", "-g", "cyclic:12", "--seed", "3"], EXIT_USAGE, "unrecognized arguments"),
+    # the scan would need 2^29 subsets (about 40 GiB): refused before allocating
+    (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
+    (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),
+]
+
+
+@pytest.mark.parametrize("argv, code, limit", BAD_INPUTS, ids=[" ".join(a) for a, _, _ in BAD_INPUTS])
+def test_bad_input_exits_naming_the_limit(argv, code, limit, capsys):
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert limit in err
+
+
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(cayleylab.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_growth_commands_do_not_import_scipy():
+    probe = (
+        "import sys, cayleylab.cli\n"
+        "assert cayleylab.cli.run(['grow', '-g', 'cyclic:12']) == 0\n"
+        "sys.exit('scipy' in sys.modules)\n"
+    )
+    assert _python(["-c", probe]).returncode == 0
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = _python(["-m", "cayleylab", "diam", "-g", "cyclic:12"])
+    assert proc.returncode == 0 and proc.stdout == "6\n"
 
 
 def test_fault_injection_exits_one(monkeypatch, capsys):

@@ -152,6 +152,18 @@ def test_growth_deterministic_across_workers():
         assert len(blobs) == 1
 
 
+def test_only_complete_balls_carry_successors():
+    g = build_group("cyclic:100")
+    s = g.generating_set()
+    full = enumerate_ball(g, s)
+    assert full.complete and full.successors.shape == (s.k, 100)
+    assert enumerate_ball(g, s, max_radius=5).successors is None
+    capped = enumerate_ball(g, s, cap=10)
+    assert capped.capped and capped.successors is None
+    f = build_group("freenil:r=2,s=2")
+    assert enumerate_ball(f, f.generating_set(), max_radius=3).successors is None
+
+
 def test_ball_order_is_sphere_major_canonical():
     g = build_group("cyclic:12")
     ball = enumerate_ball(g, g.generating_set())

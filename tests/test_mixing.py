@@ -96,6 +96,21 @@ def test_walk_stays_stochastic_for_1000_steps():
     assert curves.steps == 1000
 
 
+def test_extended_walk_equals_walk_from_scratch():
+    g = build_group("lamplighter:3")
+    ctx = build_context(g, g.generating_set())
+    mixed = convolution_curve(g, ctx.gens, ctx=ctx)
+    target = 3 * mixed.steps
+    scratch = convolution_curve(g, ctx.gens, n_max=target, ctx=ctx)
+    extended = convolution_curve(g, ctx.gens, ctx=ctx, extend_to=lambda walked: target)
+    assert extended.steps == scratch.steps == target
+    for p in (1, 2, "inf"):
+        assert np.array_equal(extended.curve(p), scratch.curve(p))
+    assert np.array_equal(extended.last, scratch.last)
+    short = convolution_curve(g, ctx.gens, ctx=ctx, extend_to=lambda walked: 1)
+    assert short.steps == mixed.steps and np.array_equal(short.d1, mixed.d1)
+
+
 def test_basic_mixing_pass_small_groups():
     for spec in ("cyclic:12", "lamplighter:4", "ut:dim=3,p=3"):
         g = build_group(spec)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cayleylab.groups import OracleError, SubgroupOracle, build_group, symmetrize
+from cayleylab.growth import enumerate_ball
 from cayleylab.spectral import (
     build_context,
     cheeger,
@@ -21,6 +22,50 @@ from cayleylab.zoo import standard_zoo
 
 def cycle_gap(n: int) -> float:
     return 2 - 2 * math.cos(2 * math.pi / n)
+
+
+def mul_encode_context(group, gens):
+    """Reference context: the closed ball plus a separate mul/encode pass over it."""
+    ball = enumerate_ball(group, gens)
+    index = ball.index()
+    id_code = group.encode(group.identity())
+    perms = []
+    identity_gen = -1
+    for gi, s in enumerate(gens.elements):
+        if gens.codes[gi] == id_code:
+            identity_gen = gi
+        arr = np.empty(ball.size, dtype=np.int64)
+        for i, x in enumerate(ball.elements):
+            arr[i] = index[group.encode(group.mul(s, x))]
+        perms.append(arr)
+    return group, gens, ball, tuple(perms), identity_gen
+
+
+def random_generating_sets():
+    """A random symmetric generating set of three raw elements on a few small groups."""
+    rng = random.Random(2015)
+    for spec in ("cyclic:18", "abelian:4,6", "ut:dim=3,p=5", "lamplighter:4", "symfp:n=2,p=3,variant=L"):
+        g = build_group(spec)
+        pool = enumerate_ball(g, g.generating_set()).elements
+        while True:
+            gens = symmetrize(g, rng.sample(pool, 3))
+            if enumerate_ball(g, gens).size == g.order:
+                yield spec, g, gens
+                break
+
+
+def test_bfs_permutations_match_mul_encode_reference():
+    cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=5000)]
+    cases += list(random_generating_sets())
+    assert len(cases) > 25
+    for label, g, gens in cases:
+        ctx = build_context(g, gens)
+        group, ref_gens, ball, perms, identity_gen = mul_encode_context(g, gens)
+        assert (ctx.group, ctx.gens, ctx.ball, ctx.identity_gen) == (group, ref_gens, ball, identity_gen), label
+        assert len(ctx.perms) == len(perms) == gens.k, label
+        for got, want in zip(ctx.perms, perms):
+            assert got.dtype == want.dtype and np.array_equal(got, want), label
+        assert ctx.ball.successors.shape == (gens.k, ctx.n), label
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20])
