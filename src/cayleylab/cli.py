@@ -172,6 +172,8 @@ def _cmd_mix(args):
     ctx = spectral.build_context(group, gens)
     curves = mixing.convolution_curve(group, gens, ctx=ctx)
     rep = mixing.mixing_times(group, gens, ctx=ctx, curves=curves)
+    if args.format != "csv":
+        return True, rep.to_dict(), None
     rows = curves.csv_rows()
     if args.p is not None:
         keep = {"1": "d1", "2": "d2", "inf": "dinf"}[args.p]
@@ -478,3 +480,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

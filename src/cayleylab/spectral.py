@@ -6,10 +6,21 @@ Laplacian Delta f(x) = sum_{s in S} (f(x) - f(sx)), while the degree k = |S|
 still counts it.  The edge boundary of A counts pairs (x, s) with x in A and
 sx outside A, so every crossing edge is counted once from its A-side endpoint.
 
+Solvers: lambda1 with method="auto" runs dense eigh on graphs of at most
+DENSE_CAP (256) vertices, and always below 8 vertices; above the cap it runs
+Lanczos (scipy eigsh) on the sparse Laplacian, with the constant vector
+shifted above the spectrum.  method="dense" and method="iterative" force one
+path; the dense one is the oracle the tests hold the iterative one to.
+coset_gap has only a dense path and refuses above COSET_GAP_CAP (4096).
+
 Exact Cheeger constants come from an exhaustive vectorized subset scan (only
-feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the report carries a certified interval
-[lambda1/(2k), min(sweep cut, sqrt(2 lambda1))] and chain checks against an
-interval may come out "indeterminate", never falsely pass.
+feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the
+report carries the certified interval [lambda1/2, min(sweep cut,
+sqrt(2 (k-1) lambda1))].  The graph is (k-1)-regular and h is not normalized
+by the degree, so these are the two Cheeger inequalities in this convention;
+the sweep cut is a real cut, so it bounds h from above whichever lambda1
+eigenvector it sorts by.  Chain checks against an interval may come out
+"indeterminate", never falsely pass.
 """
 
 from __future__ import annotations
@@ -39,11 +50,13 @@ __all__ = [
     "CosetGapReport",
     "coset_gap",
     "DENSE_CAP",
+    "COSET_GAP_CAP",
     "EXACT_CHEEGER_CAP",
     "EXACT_SCAN_BUDGET",
 ]
 
-DENSE_CAP = 4096
+DENSE_CAP = 256  # largest graph lambda1 solves densely unless told otherwise
+COSET_GAP_CAP = 4096  # coset_gap has no iterative path
 EXACT_CHEEGER_CAP = 22
 EXACT_SCAN_BUDGET = 1 << 30  # bytes the exhaustive Cheeger scan may allocate
 _SCAN_BYTES_PER_SUBSET = 80  # masks, boundary counts and one pass's temporaries (measured peak: 74)
@@ -169,13 +182,10 @@ class SpectralReport:
 
 
 def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
-    import scipy.linalg
-
-    mat = ctx.dense_laplacian()
-    n = ctx.n
-    vals, vecs = scipy.linalg.eigh(mat, subset_by_index=(0, 1))
-    top = scipy.linalg.eigh(mat, subset_by_index=(n - 1, n - 1), eigvals_only=True)
-    return float(vals[1]), float(top[0]), vecs[:, 1]
+    # the full divide-and-conquer solve: LAPACK's index-subset routines (evr, evx) fail
+    # on the two-cluster spectrum {0, n} of the complete graph, e.g. S = G on Z/8
+    vals, vecs = np.linalg.eigh(ctx.dense_laplacian())
+    return float(vals[1]), float(vals[-1]), vecs[:, 1]
 
 
 def _iterative_extremes(ctx: CayleyContext, tol: float) -> tuple[float, float, np.ndarray]:
@@ -202,19 +212,21 @@ def lambda1(
     gens: GeneratingSet,
     tol: float = 1e-9,
     method: str = "auto",
-    dense_cap: int = DENSE_CAP,
     workers: int = 1,
     ctx: Optional[CayleyContext] = None,
 ) -> SpectralReport:
-    """Smallest nonzero Laplacian eigenvalue (and the largest one)."""
+    """Smallest nonzero Laplacian eigenvalue (and the largest one).
+
+    method is "auto" (dense up to DENSE_CAP vertices, iterative above),
+    "dense" or "iterative"; graphs below 8 vertices are always solved densely.
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise ValueError(f"unknown eigensolver method {method!r}")
     if ctx is None:
         ctx = build_context(group, gens, workers=workers)
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
-    use_dense = method == "dense" or (method == "auto" and ctx.n <= dense_cap) or ctx.n < 8
-    if method == "iterative" and ctx.n >= 8:
-        use_dense = False
-    if use_dense:
+    if ctx.n < 8 or method == "dense" or (method == "auto" and ctx.n <= DENSE_CAP):
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
@@ -337,8 +349,8 @@ def cheeger(
     if spectral is None:
         spectral = lambda1(group, gens, ctx=ctx)
     sweep, cut_size, cut_boundary = _sweep_cut(ctx, spectral.fiedler)
-    h_lower = spectral.lambda1 / (2 * ctx.k)
-    h_upper = min(float(sweep), math.sqrt(2 * spectral.lambda1))
+    h_lower = spectral.lambda1 / 2
+    h_upper = min(float(sweep), math.sqrt(2 * (ctx.k - 1) * spectral.lambda1))
     return CheegerReport("bounded", h_lower, h_upper, None, cut_size, cut_boundary)
 
 
@@ -427,11 +439,12 @@ def verify_spectral_inequalities(
     lam = (spec.lambda1, spec.lambda1)
     h = (ch.h_lower, ch.h_upper)
     h_sq_half = (h[0] ** 2 / 2, h[1] ** 2 / 2)
+    h_sq_over_2d = (h_sq_half[0] / (k - 1), h_sq_half[1] / (k - 1))  # h^2 / (2 (k-1)): the graph is (k-1)-regular
     two_k_h = (2 * k * h[0], 2 * k * h[1])
     log_order = math.log(n)
     checks = (
         _check("diameter_lower", (1 / (8 * gamma**2),) * 2, h_sq_half),
-        _check("cheeger_lower", h_sq_half, lam),
+        _check("cheeger_lower", h_sq_over_2d, lam),
         _check("buser_upper", lam, two_k_h),
         _check("diameter_upper", two_k_h, (8 * k**2 * log_order / gamma,) * 2),
         _check("expansion_vs_diameter", h, (4 * k * log_order / gamma,) * 2),
@@ -527,7 +540,7 @@ def coset_gap(
     group: Group,
     gens: GeneratingSet,
     sub: SubgroupOracle,
-    dense_cap: int = DENSE_CAP,
+    dense_cap: int = COSET_GAP_CAP,
     workers: int = 1,
 ) -> CosetGapReport:
     """Minimal Rayleigh quotient over functions with zero mean on every coset gH.

@@ -99,6 +99,11 @@ def test_python_dash_m_runs_the_command_line():
     assert proc.returncode == 0 and proc.stdout == "6\n"
 
 
+def test_python_dash_m_runs_the_cli_module():
+    proc = _python(["-m", "cayleylab.cli", "diam", "-g", "cyclic:12"])
+    assert proc.returncode == 0 and proc.stdout == "6\n"
+
+
 def test_fault_injection_exits_one(monkeypatch, capsys):
     from cayleylab.zoo import LggReport
 
@@ -121,6 +126,19 @@ def test_mix_csv_curves(capsys):
     assert run(["mix", "-g", "cyclic:8", "--format", "csv"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,d1,d2,dinf"
+
+
+def test_mix_builds_curve_rows_only_for_csv(monkeypatch, capsys):
+    built = []
+    rows = cli.mixing.WalkCurves.csv_rows
+    monkeypatch.setattr(cli.mixing.WalkCurves, "csv_rows", lambda self: built.append(1) or rows(self))
+    for fmt in ("json", "table"):
+        assert run(["mix", "-g", "cyclic:8", "--format", fmt]) == EXIT_OK
+    assert built == []
+    capsys.readouterr()
+    assert run(["mix", "-g", "cyclic:8", "--format", "csv", "--p", "2"]) == EXIT_OK
+    assert built == [1]
+    assert capsys.readouterr().out.splitlines()[0] == "n,d2"
 
 
 def test_zoo_list_runs(capsys):

@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayleylab.groups import OracleError, SubgroupOracle, build_group, symmetrize
+from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import enumerate_ball
 from cayleylab.spectral import (
+    COSET_GAP_CAP,
+    DENSE_CAP,
+    SpectralReport,
     build_context,
     cheeger,
     coset_gap,
@@ -17,7 +20,7 @@ from cayleylab.spectral import (
     rayleigh_probe,
     verify_spectral_inequalities,
 )
-from cayleylab.zoo import standard_zoo
+from cayleylab.zoo import construct_family, standard_zoo
 
 
 def cycle_gap(n: int) -> float:
@@ -86,6 +89,34 @@ def test_solvers_agree_on_small_zoo():
         assert abs(dense.lambda1 - iterative.lambda1) < 1e-8, inst.label
 
 
+def test_iterative_matches_dense_oracle_above_the_cap():
+    cases = [inst for inst in standard_zoo(max_order=5000) if inst.order > DENSE_CAP]
+    assert len(cases) == 9  # ut:7, ut:11, ut:4,3, lamplighter:6 and 8, symfp:3,7 L and Gprime, symfp:4,5 Gprime and G
+    cases += [construct_family(f"cyclic:{n}") for n in (257, 512, 768)]
+    for inst in cases:
+        ctx = build_context(inst.group, inst.gens)
+        auto = lambda1(inst.group, inst.gens, ctx=ctx)
+        dense = lambda1(inst.group, inst.gens, ctx=ctx, method="dense")
+        assert (auto.solver, dense.solver) == ("iterative", "dense"), inst.label
+        assert abs(auto.lambda1 - dense.lambda1) <= 1e-9 * dense.lambda1, inst.label
+        assert abs(auto.lambda_max - dense.lambda_max) <= 1e-9 * dense.lambda_max, inst.label
+
+
+@pytest.mark.parametrize("n, solver", [(256, "dense"), (257, "iterative"), (300, "iterative"), (512, "iterative")])
+def test_cycle_gap_on_both_sides_of_the_dense_cap(n, solver):
+    # the cycle's gap is tiny and doubly degenerate: the hard case for Lanczos
+    g = build_group(f"cyclic:{n}")
+    rep = lambda1(g, g.generating_set())
+    assert (DENSE_CAP, rep.solver) == (256, solver)
+    assert abs(rep.lambda1 - cycle_gap(n)) <= 1e-9 * cycle_gap(n)
+
+
+def test_unknown_solver_method_rejected():
+    g = build_group("cyclic:12")
+    with pytest.raises(ValueError):
+        lambda1(g, g.generating_set(), method="lanczos")
+
+
 def test_complete_generating_set_gap():
     g = build_group("cyclic:5")
     s = symmetrize(g, [1, 2, 3, 4])
@@ -110,6 +141,70 @@ def test_cheeger_bounded_interval_brackets_truth():
     bounded = cheeger(g, s, exact_cap=4)
     assert bounded.mode == "bounded"
     assert bounded.h_lower - 1e-12 <= float(exact.exact_value) <= bounded.h_upper + 1e-12
+
+
+SMALL_SPECS = [f"cyclic:{n}" for n in range(2, 23)] + [
+    "abelian:2,2",
+    "abelian:2,2,2",
+    "abelian:3,3",
+    "abelian:2,8",
+    "abelian:4,4",
+    "abelian:3,6",
+    "abelian:2,10",
+    "ut:dim=3,p=2",
+    "lamplighter:2",
+    "symfp:n=2,p=3,variant=L",
+    "symfp:n=2,p=3,variant=Gprime",
+    "product(symfp:n=2,p=3,variant=Gprime)x(cyclic:3)",
+    "product(ut:dim=3,p=2)x(cyclic:2)",
+]
+
+
+def small_cayley_graphs():
+    """Connected Cayley graphs with |G| <= 22: S = G, and random symmetric S of 1 to 3 raw elements."""
+    rng = random.Random(1506)
+    for spec in SMALL_SPECS:
+        g = build_group(spec)
+        assert g.order <= 22, spec
+        pool = enumerate_ball(g, g.generating_set()).elements
+        yield f"{spec} S=G", g, symmetrize(g, pool), True
+        for _ in range(2 if g.order <= 18 else 1):
+            while True:
+                gens = symmetrize(g, rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+                if enumerate_ball(g, gens).size == g.order:
+                    yield f"{spec} S={sorted(gens.codes)}", g, gens, False
+                    break
+
+
+def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
+    rng = np.random.default_rng(1506)
+    graphs = 0
+    for label, g, gens, complete in small_cayley_graphs():
+        graphs += 1
+        n = g.order
+        # the exhaustive scan of a complete graph takes seconds from 20 vertices on,
+        # and there h = ceil(n/2): a half of the vertices against the rest
+        exact = verify_spectral_inequalities(g, gens, exact_cap=18 if complete else 22)
+        if exact.h_mode == "exact":
+            assert exact.all_hold, (label, exact.to_dict())
+            h = exact.h_interval[0]
+        else:
+            h = math.ceil(n / 2)
+        if complete:
+            assert h == math.ceil(n / 2), label
+        bounded = verify_spectral_inequalities(g, gens, exact_cap=0)
+        assert bounded.ok, (label, bounded.to_dict())
+        assert bounded.h_interval[0] - 1e-9 <= h <= bounded.h_interval[1] + 1e-9, (label, h, bounded.h_interval)
+        # the sweep cut must bracket h whichever lambda1 eigenvector it sorts by
+        ctx = build_context(g, gens)
+        vals, vecs = np.linalg.eigh(ctx.dense_laplacian())
+        eigenspace = vecs[:, np.abs(vals - vals[1]) < 1e-8]
+        for _ in range(3):
+            fiedler = eigenspace @ rng.normal(size=eigenspace.shape[1])
+            spec = SpectralReport(float(vals[1]), float(vals[-1]), ctx.k, "dense", 0.0, 1e-9, fiedler)
+            rep = cheeger(g, gens, exact_cap=0, ctx=ctx, spectral=spec)
+            assert rep.h_lower - 1e-9 <= h <= rep.h_upper + 1e-9, (label, h, rep.h_lower, rep.h_upper)
+    assert graphs > 80
 
 
 def test_boundary_symmetry_random_subsets():
@@ -200,6 +295,12 @@ def test_coset_gap_lamp_subgroup():
     assert not rep.degenerate
     assert rep.gap >= rep.bound - 1e-9
     assert rep.index == 6
+
+
+def test_coset_gap_refuses_above_its_dense_cap():
+    g = build_group(f"cyclic:{COSET_GAP_CAP + 1}")
+    with pytest.raises(ResourceRefusal, match="capped at 4096"):
+        coset_gap(g, g.generating_set(), SubgroupOracle(lambda x: True, name="G"))
 
 
 def test_coset_gap_trivial_subgroup_degenerate():
