@@ -7,6 +7,19 @@ double precision with a fixed generator order.  Norms follow the counting
 measure on the group: ||mu_G||_1 = 1, ||mu_G||_2 = |G|^(-1/2),
 ||mu_G||_inf = 1/|G|.
 
+The walk runs in blocks.  Each step is one gather of the stacked (k, |G|)
+successor table, one sum over the generators in their fixed order and one
+divide by k, written into the next row of a block of 1 MiB (or one row of |G|
+doubles, if that is larger).  Besides the block, the walk holds the (k, |G|)
+gather buffer and, while the norms run, one temporary the size of the block.
+The check that every step stays on the simplex, the three distances and the
+stop at the first mixed step then run once per pass over the block as row
+reductions.  The passes fill 1, 2, 4, ... rows until they fill the block, so
+a walk that stops when mixed computes fewer extra steps than it kept.
+This is the same per-step arithmetic as a loop of acc += v[perm_s], so the
+curves and the last vector are bit-identical to it; the tests keep that
+loop as the oracle.
+
 Mixing times use the 1/10 threshold with ties pushed later: a crossing is
 declared only when the distance is below the threshold by more than 1e-12,
 so float noise can only make reported times conservative (later), which never
@@ -42,6 +55,7 @@ __all__ = [
 
 TIE_EPS = 1e-12
 SLACK = 1e-9
+_BLOCK_BYTES = 1 << 20  # the walk's block of steps; a single step when one vector is larger
 
 
 def default_n_max(k: int, gamma: int, order: int) -> int:
@@ -92,47 +106,66 @@ class WalkCurves:
         ]
 
 
+def _distances(block: np.ndarray, uniform: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise d1, d2 and dinf of walk vectors against the uniform measure."""
+    w = block - uniform
+    d2 = np.sqrt(np.vecdot(w, w))  # vecdot rounds as w @ w does, row by row
+    np.abs(w, out=w)
+    return w.sum(axis=1), d2, w.max(axis=1)
+
+
 def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Optional[WalkCurves] = None) -> WalkCurves:
-    """Walk out to step n_max, from the point mass or onward from start's last step."""
+    """Walk out to step n_max, from the point mass or onward from start's last step.
+
+    Steps are written row by row into a block of _BLOCK_BYTES (at least one
+    row), filling 1, 2, 4, ... rows of it on successive passes; the simplex
+    check, the norms and the stop test then run once per pass.
+    """
     n = ctx.n
     k = ctx.k
     uniform = 1.0 / n
-    d1, d2, dinf = [], [], []
-    thresh_inf = (1.0 / n) / 10.0 - TIE_EPS
-
-    def record() -> float:
-        w = v - uniform
-        aw = np.abs(w)
-        d1.append(float(aw.sum()))
-        d2.append(float(math.sqrt(float(w @ w))))
-        dinf.append(float(aw.max()))
-        return dinf[-1]
-
+    thresh_inf = uniform / 10.0 - TIE_EPS
     if start is None:
         v = np.zeros(n)
         v[0] = 1.0
-        record()
-        first = 1
+        parts = [[d] for d in _distances(v[None, :], uniform)]
+        step = 1
     else:
         v = start.last
-        first = start.steps + 1
-    for step in range(first, n_max + 1):
-        acc = np.zeros(n)
-        for p in ctx.perms:
-            acc += v[p]
-        v = acc / k
-        total = float(v.sum())
-        if not (abs(total - 1.0) <= 1e-12 and float(v.min()) >= -1e-15):
-            raise RuntimeError(f"walk left the simplex at step {step}: sum={total}, min={float(v.min())}")
-        last_inf = record()
+        parts = [[start.d1], [start.d2], [start.dinf]]
+        step = start.steps + 1
+    table = np.stack(ctx.perms)
+    divisor = float(k)  # a float divisor skips a conversion per call and rounds as / k does
+    gathered = np.empty((k, n))
+    block = np.empty((max(1, _BLOCK_BYTES // (8 * n)), n))
+    size = 1  # doubles up to the block, so a stop overshoots by fewer steps than were walked
+    while step <= n_max:
+        rows = block[: min(size, n_max + 1 - step)]
+        size = min(2 * size, len(block))
+        for row in rows:
+            v.take(table, out=gathered, mode="clip")  # indices are in range; "clip" skips a buffered copy
+            np.add.reduce(gathered, axis=0, out=row)  # adds the generators in order, as acc += v[p] did
+            np.divide(row, divisor, out=row)
+            v = row
+        distances = _distances(rows, uniform)
         # the infinity norm dominates the others relative to its threshold,
         # so once it has crossed, all three crossings are in the record
-        if stop_when_mixed and last_inf <= thresh_inf:
+        crossed = np.flatnonzero(distances[2] <= thresh_inf) if stop_when_mixed else np.empty(0, dtype=np.intp)
+        if crossed.size:
+            rows = rows[: crossed[0] + 1]
+            v = rows[-1]
+        totals = rows.sum(axis=1)
+        lows = rows.min(axis=1)
+        left = np.flatnonzero(~((np.abs(totals - 1.0) <= 1e-12) & (lows >= -1e-15)))
+        if left.size:
+            i = left[0]
+            raise RuntimeError(f"walk left the simplex at step {step + i}: sum={float(totals[i])}, min={float(lows[i])}")
+        for part, d in zip(parts, distances):
+            part.append(d[: len(rows)])
+        step += len(rows)
+        if crossed.size:
             break
-    curves = [np.array(d) for d in (d1, d2, dinf)]
-    if start is not None:
-        curves = [np.concatenate([old, new]) for old, new in zip((start.d1, start.d2, start.dinf), curves)]
-    return WalkCurves(n, k, ctx.diameter, *curves, last=v)
+    return WalkCurves(n, k, ctx.diameter, *(np.concatenate(part) for part in parts), last=v.copy())
 
 
 def convolution_curve(

@@ -19,8 +19,9 @@ report carries the certified interval [lambda1/2, min(sweep cut,
 sqrt(2 (k-1) lambda1))].  The graph is (k-1)-regular and h is not normalized
 by the degree, so these are the two Cheeger inequalities in this convention;
 the sweep cut is a real cut, so it bounds h from above whichever lambda1
-eigenvector it sorts by.  Chain checks against an interval may come out
-"indeterminate", never falsely pass.
+eigenvector it sorts by.  It scores every prefix of the eigenvector order by
+its smaller side, so it tries both ends of the order.  Chain checks against
+an interval may come out "indeterminate", never falsely pass.
 """
 
 from __future__ import annotations
@@ -309,23 +310,31 @@ def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
 
 
 def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, int]:
-    """Best prefix cut of the Fiedler order: (ratio, |A|, |boundary|)."""
+    """Best cut between a prefix and a suffix of the Fiedler order: (ratio, smaller side, |boundary|).
+
+    S is symmetric, so a prefix and its complement have the same boundary and
+    each of the n - 1 cuts is scored by its smaller side; both ends of the
+    order are tried.  Ties go to the shortest prefix.
+    """
     n = ctx.n
-    order = sorted(range(n), key=lambda i: (fiedler[i], ctx.ball.codes[i]))
+    values = fiedler.tolist()
+    order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
     nonid = ctx.nonid_perms()
-    neighbors = [[int(p[i]) for p in nonid] for i in range(n)]
-    in_a = [False] * n
-    boundary = 0
-    best: Optional[tuple[Fraction, int, int]] = None
-    for j, v in enumerate(order, start=1):
-        for y in neighbors[v]:
-            boundary += -1 if in_a[y] else 1
-        in_a[v] = True
-        if j <= n // 2:
-            ratio = Fraction(boundary, j)
-            if best is None or ratio < best[0]:
-                best = (ratio, j, boundary)
-    return best
+    # the pair (x, s) crosses the cut after prefix j exactly when position[x] < j <= position[sx]
+    tails = np.tile(position, len(nonid))
+    heads = np.concatenate([position[p] for p in nonid])
+    forward = tails < heads
+    starts = np.bincount(tails[forward] + 1, minlength=n + 1)
+    ends = np.bincount(heads[forward] + 1, minlength=n + 1)
+    boundary = np.cumsum(starts - ends)[1:n]
+    sizes = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
+    ratios = boundary / sizes
+    # rounding is monotone, so every exact minimum has the least float ratio;
+    # min keeps the first of equal Fractions
+    best = min(np.flatnonzero(ratios == ratios.min()), key=lambda j: Fraction(int(boundary[j]), int(sizes[j])))
+    return Fraction(int(boundary[best]), int(sizes[best])), int(sizes[best]), int(boundary[best])
 
 
 def cheeger(

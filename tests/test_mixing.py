@@ -1,5 +1,6 @@
 """Random-walk curves, mixing times, the nine basic facts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from cayleylab.groups import build_group, symmetrize
 from cayleylab.mixing import (
+    TIE_EPS,
+    WalkCurves,
     convolution_curve,
     exact_calibration,
     mixing_times,
@@ -15,6 +18,54 @@ from cayleylab.mixing import (
 )
 from cayleylab.spectral import build_context, lambda1
 from cayleylab.zoo import standard_zoo
+
+
+def step_loop_walk(ctx, n_max, stop_when_mixed, start=None):
+    """The walk one step at a time: the oracle the blocked kernel must match bit for bit."""
+    n = ctx.n
+    k = ctx.k
+    uniform = 1.0 / n
+    d1, d2, dinf = [], [], []
+    thresh_inf = (1.0 / n) / 10.0 - TIE_EPS
+
+    def record() -> float:
+        w = v - uniform
+        aw = np.abs(w)
+        d1.append(float(aw.sum()))
+        d2.append(float(math.sqrt(float(w @ w))))
+        dinf.append(float(aw.max()))
+        return dinf[-1]
+
+    if start is None:
+        v = np.zeros(n)
+        v[0] = 1.0
+        record()
+        first = 1
+    else:
+        v = start.last
+        first = start.steps + 1
+    for step in range(first, n_max + 1):
+        acc = np.zeros(n)
+        for p in ctx.perms:
+            acc += v[p]
+        v = acc / k
+        total = float(v.sum())
+        if not (abs(total - 1.0) <= 1e-12 and float(v.min()) >= -1e-15):
+            raise RuntimeError(f"walk left the simplex at step {step}: sum={total}, min={float(v.min())}")
+        last_inf = record()
+        if stop_when_mixed and last_inf <= thresh_inf:
+            break
+    curves = [np.array(d) for d in (d1, d2, dinf)]
+    if start is not None:
+        curves = [np.concatenate([old, new]) for old, new in zip((start.d1, start.d2, start.dinf), curves)]
+    return WalkCurves(n, k, ctx.diameter, *curves, last=v)
+
+
+def assert_same_walk(got, want):
+    assert got.steps == want.steps
+    for p in (1, 2, "inf"):
+        assert np.array_equal(got.curve(p), want.curve(p)), p
+    assert np.array_equal(got.last, want.last)
 
 
 def abelian_l2_oracle(moduli, gens_residues, k, n_steps):
@@ -71,16 +122,9 @@ def test_walk_symmetry_under_inversion():
     ctx = build_context(g, s)
     index = ctx.ball.index()
     inv_map = np.array([index[g.encode(g.inv(x))] for x in ctx.ball.elements])
-    n = ctx.n
-    v = np.zeros(n)
-    v[0] = 1.0
-    for step in range(1, 21):
-        acc = np.zeros(n)
-        for p in ctx.perms:
-            acc += v[p]
-        v = acc / ctx.k
-        if step in (1, 5, 20):
-            assert float(np.max(np.abs(v - v[inv_map]))) < 1e-12
+    for steps in (1, 5, 20):
+        v = convolution_curve(g, s, n_max=steps, ctx=ctx).last
+        assert float(np.max(np.abs(v - v[inv_map]))) < 1e-12
 
 
 def test_item5_at_zero_steps():
@@ -109,6 +153,7 @@ def test_extended_walk_equals_walk_from_scratch():
     assert np.array_equal(extended.last, scratch.last)
     short = convolution_curve(g, ctx.gens, ctx=ctx, extend_to=lambda walked: 1)
     assert short.steps == mixed.steps and np.array_equal(short.d1, mixed.d1)
+    assert_same_walk(short, step_loop_walk(ctx, 1, stop_when_mixed=False, start=mixed))
 
 
 def test_basic_mixing_pass_small_groups():
@@ -166,3 +211,49 @@ def test_mixing_invariants_across_zoo_sample():
         for p in (1, 2, "inf"):
             arr = curves.curve(p)
             assert float(np.max(np.diff(arr))) <= 1e-12
+
+
+def test_blocked_walk_matches_step_loop_on_zoo():
+    for inst in standard_zoo(max_order=5000):
+        ctx = build_context(inst.group, inst.gens)
+        short = convolution_curve(inst.group, inst.gens, n_max=7, ctx=ctx)
+        assert_same_walk(short, step_loop_walk(ctx, 7, stop_when_mixed=False))
+        mixed = convolution_curve(inst.group, inst.gens, ctx=ctx)
+        oracle = step_loop_walk(ctx, mixed.steps, stop_when_mixed=True)
+        assert_same_walk(mixed, oracle)
+        assert mixed.dinf[-1] <= mixed.norm_mu_g("inf") / 10 - TIE_EPS  # the stop cut the walk, not the horizon
+        extended = convolution_curve(inst.group, inst.gens, ctx=ctx, extend_to=lambda walked: walked.steps + 300)
+        assert_same_walk(extended, step_loop_walk(ctx, mixed.steps + 300, stop_when_mixed=False, start=oracle))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:300", "cyclic:512"])
+def test_blocked_walk_matches_step_loop_over_many_blocks(spec):
+    g = build_group(spec)
+    ctx = build_context(g, g.generating_set())
+    mixed = convolution_curve(g, ctx.gens, ctx=ctx)
+    assert mixed.steps > 8 * (1 << 20) // (8 * ctx.n)  # at least eight blocks of 1 MiB
+    assert_same_walk(mixed, step_loop_walk(ctx, mixed.steps, stop_when_mixed=True))
+
+
+def test_walk_off_the_simplex_raises_at_step_one():
+    g = build_group("cyclic:16")
+    ctx = build_context(g, g.generating_set())
+    broken = dataclasses.replace(ctx, perms=(np.zeros(ctx.n, dtype=np.int64),) + ctx.perms[1:])
+    with pytest.raises(RuntimeError, match=r"left the simplex at step 1:"):
+        convolution_curve(g, ctx.gens, n_max=50, ctx=broken)
+
+
+def test_walk_off_the_simplex_names_the_step_of_the_loop():
+    # one successor redirected: mass leaks only once the walk has spread to vertex 32
+    g = build_group("cyclic:64")
+    ctx = build_context(g, g.generating_set())
+    row = next(i for i, p in enumerate(ctx.perms) if p[32] != 33)
+    perms = [p.copy() for p in ctx.perms]
+    perms[row][32] = 33
+    broken = dataclasses.replace(ctx, perms=tuple(perms))
+    with pytest.raises(RuntimeError, match="left the simplex") as want:
+        step_loop_walk(broken, 10**6, stop_when_mixed=True)
+    assert int(str(want.value).split("at step ")[1].split(":")[0]) > 16
+    with pytest.raises(RuntimeError) as got:
+        convolution_curve(g, ctx.gens, ctx=broken)
+    assert str(got.value) == str(want.value)

@@ -12,6 +12,7 @@ from cayleylab.growth import enumerate_ball
 from cayleylab.spectral import (
     COSET_GAP_CAP,
     DENSE_CAP,
+    EXACT_CHEEGER_CAP,
     SpectralReport,
     build_context,
     cheeger,
@@ -20,6 +21,7 @@ from cayleylab.spectral import (
     rayleigh_probe,
     verify_spectral_inequalities,
 )
+from cayleylab.spectral import _sweep_cut
 from cayleylab.zoo import construct_family, standard_zoo
 
 
@@ -205,6 +207,43 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
             rep = cheeger(g, gens, exact_cap=0, ctx=ctx, spectral=spec)
             assert rep.h_lower - 1e-9 <= h <= rep.h_upper + 1e-9, (label, h, rep.h_lower, rep.h_upper)
     assert graphs > 80
+
+
+def one_sided_sweep_cut(ctx, fiedler):
+    """Prefixes of the Fiedler order up to n/2 only, one vertex at a time: the sweep the two-sided one replaced."""
+    n = ctx.n
+    order = sorted(range(n), key=lambda i: (fiedler[i], ctx.ball.codes[i]))
+    neighbors = [[int(p[i]) for p in ctx.nonid_perms()] for i in range(n)]
+    in_a = [False] * n
+    boundary = 0
+    best = None
+    for j, v in enumerate(order, start=1):
+        for y in neighbors[v]:
+            boundary += -1 if in_a[y] else 1
+        in_a[v] = True
+        if j <= n // 2:
+            ratio = Fraction(boundary, j)
+            if best is None or ratio < best[0]:
+                best = (ratio, j, boundary)
+    return best
+
+
+def test_two_sided_sweep_never_exceeds_the_one_sided_sweep():
+    improved = []
+    for inst in standard_zoo(max_order=5000):
+        ctx = build_context(inst.group, inst.gens)
+        if ctx.n <= EXACT_CHEEGER_CAP:
+            continue
+        fiedler = lambda1(inst.group, inst.gens, ctx=ctx).fiedler
+        new = _sweep_cut(ctx, fiedler)
+        old = one_sided_sweep_cut(ctx, fiedler)
+        assert new[0] <= old[0], inst.group.name
+        assert new[1] <= ctx.n // 2 and new[0] == Fraction(new[2], new[1])
+        if new[0] == old[0]:
+            assert new == old, inst.group.name  # ties keep the one-sided witness
+        else:
+            improved.append(inst.group.name)
+    assert improved
 
 
 def test_boundary_symmetry_random_subsets():
