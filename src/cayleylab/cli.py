@@ -138,7 +138,7 @@ def _instance(args, min_order: int = 1):
 
 def _cmd_grow(args):
     group, gens = _instance(args)
-    profile = growth.ball_growth(group, gens, max_radius=args.radius, workers=args.workers)
+    profile = growth.ball_growth(group, gens, max_radius=args.radius)
     report = profile.to_dict()
     if profile.diameter is not None:
         report["doubling"] = growth.doubling_scan(profile).to_dict()
@@ -151,19 +151,19 @@ def _cmd_grow(args):
 
 def _cmd_diam(args):
     group, gens = _instance(args)
-    gamma = growth.diameter(group, gens, workers=args.workers)
+    gamma = growth.diameter(group, gens)
     return True, {"group": group.name, "diameter": gamma}, None
 
 
 def _cmd_spectrum(args):
     group, gens = _instance(args, min_order=2)
-    rep = spectral.lambda1(group, gens, tol=args.tol, workers=args.workers)
+    rep = spectral.lambda1(group, gens, tol=args.tol)
     return True, rep.to_dict(), None
 
 
 def _cmd_cheeger(args):
     group, gens = _instance(args, min_order=2)
-    rep = spectral.cheeger(group, gens, exact_cap=args.exact_cap, workers=args.workers)
+    rep = spectral.cheeger(group, gens, exact_cap=args.exact_cap)
     return True, rep.to_dict(), None
 
 
@@ -192,11 +192,11 @@ def _cmd_nilprog(args):
     if len(L) != args.r:
         raise SpecSemanticError(f"-L needs one side length per generator, {args.r} for -r {args.r}; got {len(L)}")
     if args.action == "nest":
-        rep = nilprog.verify_nesting(args.r, args.s, L, workers=args.workers)
+        rep = nilprog.verify_nesting(args.r, args.s, L)
         return rep.holds, rep.to_dict(), None
     if args.action == "proper":
         spec = nilprog.progression_spec("nilpotent", args.r, args.s, L)
-        rep = nilprog.verify_properness(spec, workers=args.workers)
+        rep = nilprog.verify_properness(spec)
         return True, rep.to_dict(), None
     if args.action == "powers":
         rep = nilprog.verify_power_laws(args.r, args.s, L, args.n, M=args.M)
@@ -210,7 +210,10 @@ def _cmd_zoo(args):
         rows = zoo.zoo_listing()
         return True, rows, rows
     if args.action == "lgg":
-        rep = zoo.verify_lgg(args.n, args.p, workers=args.workers)
+        pair = _lgg_pair(args)
+        if pair is None:
+            raise SpecSemanticError("zoo lgg needs -n and -p")
+        rep = zoo.verify_lgg(*pair)
         return rep.ok, rep.to_dict(), None
     raise ValueError(args.action)
 
@@ -222,7 +225,7 @@ def _cmd_zoo(args):
 
 def _suite_growth(args):
     group, gens = _instance(args)
-    profile = growth.ball_growth(group, gens, workers=args.workers)
+    profile = growth.ball_growth(group, gens)
     balls = profile.ball_sizes
     gamma = profile.diameter
     checks = []
@@ -245,7 +248,7 @@ def _suite_nesting(args):
     reports = []
     ok = True
     for r, s, L in _NESTING_GRID:
-        rep = nilprog.verify_nesting(r, s, L, workers=args.workers)
+        rep = nilprog.verify_nesting(r, s, L)
         reports.append(rep.to_dict())
         ok = ok and rep.holds
     return ok, {"suite": "nesting", "grid": reports}
@@ -271,22 +274,30 @@ def _suite_powers(args):
 
 def _suite_spectral(args):
     group, gens = _instance(args, min_order=2)
-    rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=args.exact_cap, workers=args.workers)
+    rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=args.exact_cap)
     return rep.ok, rep.to_dict()
 
 
 def _suite_mixing(args):
     group, gens = _instance(args, min_order=2)
-    rep = mixing.verify_basic_mixing(group, gens, workers=args.workers)
+    rep = mixing.verify_basic_mixing(group, gens)
     return rep.ok, rep.to_dict()
 
 
+def _lgg_pair(args) -> Optional[tuple[int, int]]:
+    """The tower named by -n and -p, or None when neither is given."""
+    if (args.n is None) != (args.p is None):
+        raise SpecSemanticError(f"{args.verb} lgg needs -n and -p together; got only {'-n' if args.p is None else '-p'}")
+    return None if args.n is None else (args.n, args.p)
+
+
 def _suite_lgg(args):
-    pairs = ((args.n, args.p),) if args.n and args.p else ((3, 7), (4, 5))
+    pair = _lgg_pair(args)
+    pairs = (pair,) if pair else ((3, 7), (4, 5))
     reports = []
     ok = True
     for n, p in pairs:
-        rep = zoo.verify_lgg(n, p, workers=args.workers)
+        rep = zoo.verify_lgg(n, p)
         reports.append(rep.to_dict())
         ok = ok and rep.ok
     return ok, {"suite": "lgg", "towers": reports}
@@ -301,7 +312,7 @@ def _suite_commdepth(args):
         x, y = group.raw_generators()
         spec = nilprog.progression_spec("nilprogression", 2, 2, (1, 1), group, [x, y])
         pset = nilprog.enumerate_progression(spec)
-        rep = nilprog.commutator_depth(group, pset, workers=args.workers)
+        rep = nilprog.commutator_depth(group, pset)
         d = rep.to_dict()
         d["ceiling"] = 10 * math.sqrt(rep.gamma)
         d["within_ceiling"] = rep.m <= 10 * math.sqrt(rep.gamma)
@@ -377,7 +388,6 @@ def _side_lengths(text: str) -> tuple[int, ...]:
 
 
 def _add_common(p):
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; every engine runs on one thread")
     p.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p.add_argument("-o", "--output", default=None)
 
@@ -418,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("-s", type=_int_at_least(1), required=True)
     p.add_argument("-L", type=_side_lengths, default="1,1")
     p.add_argument("-n", type=_int_at_least(1), default=2)
-    p.add_argument("-M", type=int, default=None)
+    p.add_argument("-M", type=_int_at_least(0), default=None)
     _add_common(p)
 
     p = sub.add_parser("zoo", help="family catalogue and tower diameters")

@@ -271,8 +271,8 @@ def _parse_spec_at(text: str, base: int) -> tuple[GroupSpec, int]:
 class Group:
     """Handle for one concrete group: identity/mul/inv plus canonical encoding.
 
-    Immutable after construction; all operations are pure, so handles are safe
-    to share across any number of workers.
+    Immutable after construction; all operations are pure, so a result depends
+    only on the arguments.
     """
 
     name: str = "group"
@@ -542,7 +542,7 @@ class SymFpGroup(Group):
             return prime
         gp = SymFpGroup(self.n, self.p, "Gprime")
         sprime = symmetrize(gp, prime)
-        oracle = SubgroupOracle(self.contains, name=self.name, index_hint=2)
+        oracle = SubgroupOracle(self.contains, name=self.name)
         return list(reidemeister_schreier(gp, sprime, oracle).generators.elements)
 
     def describe(self, a) -> str:
@@ -850,11 +850,10 @@ def balanced_lift(x: int, p: int) -> int:
 
 @dataclass
 class SubgroupOracle:
-    """Membership predicate for a subgroup, with an optional index hint."""
+    """Membership predicate for a subgroup."""
 
     contains: Callable[[object], bool]
     name: str = "subgroup"
-    index_hint: Optional[int] = None
 
     def validate(self, group: Group, sample: Iterable = ()) -> None:
         if not self.contains(group.identity()):

@@ -98,13 +98,12 @@ def enumerate_ball(
     group: Group,
     gens: GeneratingSet,
     max_radius: Optional[int] = None,
-    workers: int = 1,
     cap: Optional[int] = None,
 ) -> Ball:
     """BFS the ball around the identity out to max_radius (or closure).
 
-    ``workers`` is accepted for compatibility and ignored: mul and encode are
-    pure Python, so threads sharing the interpreter lock gave no speed-up.
+    ``cap`` bounds the number of elements (default: the order cap); a sphere
+    that would cross it stops the BFS with a capped, truncated ball.
     """
     if max_radius is None and group.order is None:
         raise ResourceRefusal(f"{group.name} is infinite: closure enumeration needs max_radius")
@@ -227,26 +226,19 @@ class GrowthProfile:
         return rows
 
 
-def ball_growth(
-    group: Group,
-    gens: GeneratingSet,
-    max_radius: Optional[int] = None,
-    workers: int = 1,
-    cap: Optional[int] = None,
-) -> GrowthProfile:
+def ball_growth(group: Group, gens: GeneratingSet, max_radius: Optional[int] = None) -> GrowthProfile:
     """Exact sphere sizes up to min(max_radius, diameter)."""
-    ball = enumerate_ball(group, gens, max_radius=max_radius, workers=workers, cap=cap)
+    ball = enumerate_ball(group, gens, max_radius=max_radius)
     return GrowthProfile(ball.sphere_sizes, group.order, gens.k, ball.truncated)
 
 
-def diameter(group: Group, gens: GeneratingSet, workers: int = 1, expected_order: Optional[int] = None) -> int:
+def diameter(group: Group, gens: GeneratingSet) -> int:
     """Exact diameter; raises NonGeneratingError if S closes on a proper subgroup."""
-    profile = ball_growth(group, gens, workers=workers)
+    profile = ball_growth(group, gens)
     if profile.truncated:
         raise ResourceRefusal("ball enumeration truncated before closure")
-    expected = expected_order if expected_order is not None else group.order
-    if expected is not None and profile.reached < expected:
-        raise NonGeneratingError(profile.reached, expected)
+    if group.order is not None and profile.reached < group.order:
+        raise NonGeneratingError(profile.reached, group.order)
     return profile.diameter
 
 
@@ -460,7 +452,7 @@ class RuzsaWitness:
         }
 
 
-def approximate_group_witness(group: Group, gens: GeneratingSet, n: int, workers: int = 1) -> RuzsaWitness:
+def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> RuzsaWitness:
     """Greedy maximal X in S^{4n} with the translates xS^n pairwise disjoint.
 
     Verifies exhaustively that S^{4n} is covered by X S^{2n} and that the
@@ -468,7 +460,7 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int, workers
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ball = enumerate_ball(group, gens, max_radius=5 * n, workers=workers)
+    ball = enumerate_ball(group, gens, max_radius=5 * n)
     if ball.capped or (not ball.complete and ball.radius < 5 * n):
         raise ResourceRefusal(f"ball truncated before radius {5 * n}")
     dist = ball.distances()
@@ -525,9 +517,9 @@ class CosetSaturation:
         return {"r": self.r, "trajectory": list(self.trajectory), "index": self.index}
 
 
-def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle, workers: int = 1) -> CosetSaturation:
+def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetSaturation:
     """Smallest r with S^{r+1} Gamma = S^r Gamma, asserting G = S^r Gamma."""
-    ball = enumerate_ball(group, gens, workers=workers)
+    ball = enumerate_ball(group, gens)
     if ball.truncated:
         raise ResourceRefusal("group too large to enumerate")
     if group.order is not None and ball.size < group.order:

@@ -134,7 +134,7 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Opti
         v = start.last
         parts = [[start.d1], [start.d2], [start.dinf]]
         step = start.steps + 1
-    table = np.stack(ctx.perms)
+    table = ctx.ball.successors
     divisor = float(k)  # a float divisor skips a conversion per call and rounds as / k does
     gathered = np.empty((k, n))
     block = np.empty((max(1, _BLOCK_BYTES // (8 * n)), n))
@@ -172,7 +172,6 @@ def convolution_curve(
     group: Group,
     gens: GeneratingSet,
     n_max: Optional[int] = None,
-    workers: int = 1,
     ctx: Optional[CayleyContext] = None,
     extend_to: Optional[Callable[[WalkCurves], int]] = None,
 ) -> WalkCurves:
@@ -182,7 +181,7 @@ def convolution_curve(
     step extend_to(curves), so no step is walked twice.
     """
     if ctx is None:
-        ctx = build_context(group, gens, workers=workers)
+        ctx = build_context(group, gens)
     horizon = n_max if n_max is not None else default_n_max(ctx.k, ctx.diameter, ctx.n)
     curves = _run_walk(ctx, horizon, stop_when_mixed=n_max is None)
     if extend_to is not None:
@@ -228,14 +227,13 @@ class MixingReport:
 def mixing_times(
     group: Group,
     gens: GeneratingSet,
-    workers: int = 1,
     ctx: Optional[CayleyContext] = None,
     curves: Optional[WalkCurves] = None,
     spectral: Optional[SpectralReport] = None,
 ) -> MixingReport:
     """First 1/10-threshold crossings for p = 1, 2, inf plus the relaxation time."""
     if ctx is None:
-        ctx = build_context(group, gens, workers=workers)
+        ctx = build_context(group, gens)
     if curves is None:
         curves = convolution_curve(group, gens, ctx=ctx)
     if spectral is None:
@@ -294,18 +292,13 @@ class BasicMixingReport:
         }
 
 
-def verify_basic_mixing(
-    group: Group,
-    gens: GeneratingSet,
-    workers: int = 1,
-    slack: float = SLACK,
-) -> BasicMixingReport:
+def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
     """Numerical check of the nine standard mixing-time facts.
 
     Requires lambda1 <= 2 for the spectral items; items needing beta_S are
     skipped with notice when the walk-operator norm is not 1 - lambda1/k.
     """
-    ctx = build_context(group, gens, workers=workers)
+    ctx = build_context(group, gens)
     spec = lambda1(group, gens, ctx=ctx)
     hypothesis_ok = spec.lambda1 <= 2.0 + 1e-12
 
@@ -330,12 +323,12 @@ def verify_basic_mixing(
 
     # (1) each curve non-increasing in n
     worst = max(float(np.max(np.diff(curves.curve(p)))) for p in (1, 2, "inf"))
-    add(1, "monotone_in_n", worst <= slack, f"max increase {worst:.2e}")
+    add(1, "monotone_in_n", worst <= SLACK, f"max increase {worst:.2e}")
 
     # (2) normalized distance non-decreasing in p at every step
     gap21 = float(np.max(normalized[1] - normalized[2]))
     gap_inf2 = float(np.max(normalized[2] - normalized["inf"]))
-    add(2, "monotone_in_p", max(gap21, gap_inf2) <= slack, f"max defect {max(gap21, gap_inf2):.2e}")
+    add(2, "monotone_in_p", max(gap21, gap_inf2) <= SLACK, f"max defect {max(gap21, gap_inf2):.2e}")
 
     steps = np.arange(n_steps + 1)
     if not hypothesis_ok:
@@ -345,7 +338,7 @@ def verify_basic_mixing(
     else:
         powers = beta**steps
         worst3 = max(float(np.max(powers - normalized[p])) for p in (1, 2, "inf"))
-        add(3, "beta_power_lower", worst3 <= slack, f"max defect {worst3:.2e}")
+        add(3, "beta_power_lower", worst3 <= SLACK, f"max defect {worst3:.2e}")
 
     # (4) squaring bound d_p(2n)/||mu||_p <= (d_2(n)/||mu||_2)^2
     worst4 = 0.0
@@ -354,7 +347,7 @@ def verify_basic_mixing(
         lhs = normalized[p][2 * np.arange(half + 1)]
         rhs = normalized[2][: half + 1] ** 2
         worst4 = max(worst4, float(np.max(lhs - rhs)))
-    add(4, "squaring_bound", worst4 <= slack, f"max defect {worst4:.2e}")
+    add(4, "squaring_bound", worst4 <= SLACK, f"max defect {worst4:.2e}")
 
     if not hypothesis_ok:
         add(5, "l2_beta_upper", None, skipped="lambda1 > 2")
@@ -362,7 +355,7 @@ def verify_basic_mixing(
         add(5, "l2_beta_upper", None, skipped="beta_S is not the walk norm")
     else:
         worst5 = float(np.max(curves.d2 - beta**steps))
-        add(5, "l2_beta_upper", worst5 <= slack, f"max defect {worst5:.2e}")
+        add(5, "l2_beta_upper", worst5 <= SLACK, f"max defect {worst5:.2e}")
 
     if report.crossings_found:
         add(6, "tinf_vs_t2", report.Tinf <= 2 * report.T2, f"Tinf={report.Tinf}, T2={report.T2}")
@@ -371,14 +364,14 @@ def verify_basic_mixing(
         add(7, "half_diameter_lower", ok7, f"gamma={gamma}")
         bound8 = 8 * ctx.k * gamma**2 * math.log(ctx.n)
         bound8b = 8 * ctx.k * math.log(ctx.k) * gamma**3 if ctx.k > 1 else math.inf
-        add(8, "t2_upper", report.T2 <= bound8 + slack and bound8 <= bound8b + slack, f"T2={report.T2}, bound={bound8:.1f}")
+        add(8, "t2_upper", report.T2 <= bound8 + SLACK and bound8 <= bound8b + SLACK, f"T2={report.T2}, bound={bound8:.1f}")
         if not hypothesis_ok:
             add(9, "trel_upper", None, skipped="lambda1 > 2")
         elif not spec.beta_valid:
             add(9, "trel_upper", None, skipped="beta_S is not the walk norm")
         else:
             bound9 = min(float(report.T1), 8 * ctx.k * gamma**2)
-            add(9, "trel_upper", report.T_rel <= bound9 + slack, f"T_rel={report.T_rel:.3f}, bound={bound9:.1f}")
+            add(9, "trel_upper", report.T_rel <= bound9 + SLACK, f"T_rel={report.T_rel:.3f}, bound={bound9:.1f}")
     else:
         add(6, "tinf_vs_t2", None, skipped="crossing not reached within horizon")
         add(7, "half_diameter_lower", None, skipped="crossing not reached within horizon")
@@ -421,12 +414,12 @@ class ScanRow:
         }
 
 
-def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: float = 4.0, workers: int = 1) -> list[ScanRow]:
+def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: float = 4.0) -> list[ScanRow]:
     """Per-instance: gamma, first K-doubling scale, whether it is <= gamma^(2/3),
     and the mixing-time-to-diameter-squared ratios."""
     rows = []
     for label, group, gens in instances:
-        ctx = build_context(group, gens, workers=workers)
+        ctx = build_context(group, gens)
         profile = ctx.profile()
         scan = doubling_scan(profile)
         scale = scan.first_scale(K)
@@ -465,9 +458,9 @@ class CalibrationReport:
         return {"steps": self.steps, "max_err_d1": self.max_err_d1, "max_err_dinf": self.max_err_dinf}
 
 
-def exact_calibration(group: Group, gens: GeneratingSet, steps: int = 32, workers: int = 1) -> CalibrationReport:
+def exact_calibration(group: Group, gens: GeneratingSet, steps: int = 32) -> CalibrationReport:
     """Run the walk in exact rationals (|G| <= 256) and bound the float error."""
-    ctx = build_context(group, gens, workers=workers)
+    ctx = build_context(group, gens)
     n = ctx.n
     if n > 256:
         raise ValueError("exact mode is limited to 256 vertices")
@@ -479,7 +472,7 @@ def exact_calibration(group: Group, gens: GeneratingSet, steps: int = 32, worker
     err1 = errinf = 0.0
     for step in range(1, steps + 1):
         acc = [Fraction(0)] * n
-        for p in ctx.perms:
+        for p in ctx.ball.successors:
             for i in range(n):
                 acc[i] += v[int(p[i])]
         v = [a / k for a in acc]

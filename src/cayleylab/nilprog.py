@@ -53,6 +53,9 @@ __all__ = [
 
 PROGRESSION_WORK_CAP = 10**7
 HALL_SIZE_CAP = 10**4
+CLOSURE_SIZE_CAP = 10**6  # elements of a normal closure
+MAX_CLASS = 64  # lower central series steps before a group is declared not nilpotent
+MAX_POWER = 64  # largest m tried for P(nL) inside P(L)^m
 
 KINDS = ("ordered", "nilprogression", "nilpotent", "nilcomplete")
 
@@ -128,7 +131,7 @@ class HallBasis:
         return [tree_text(c) for c in self.commutators]
 
 
-def hall_basis(r: int, s: int, size_cap: int = HALL_SIZE_CAP) -> HallBasis:
+def hall_basis(r: int, s: int) -> HallBasis:
     """Basic commutators under the recursion: [u, v] is basic when u, v are
     basic, v comes strictly before u, and the right component of a bracket u
     does not come after v."""
@@ -151,8 +154,8 @@ def hall_basis(r: int, s: int, size_cap: int = HALL_SIZE_CAP) -> HallBasis:
         layer.sort(key=lambda t: tree_key(t, r))
         by_weight[w] = layer
         basics.extend(layer)
-        if len(basics) > size_cap:
-            raise ResourceRefusal(f"Hall basis for (r={r}, s={s}) exceeds {size_cap} entries")
+        if len(basics) > HALL_SIZE_CAP:
+            raise ResourceRefusal(f"Hall basis for (r={r}, s={s}) exceeds {HALL_SIZE_CAP} entries")
     basics.sort(key=lambda t: tree_key(t, r))
     return HallBasis(r, s, tuple(basics), tuple(weight_vector(c, r) for c in basics))
 
@@ -213,7 +216,7 @@ class GenCommutatorList:
         return [e.evaluate(group, gens) for e in self.entries]
 
 
-def _gen_shapes(r: int, s: int, size_cap: int) -> list:
+def _gen_shapes(r: int, s: int) -> list:
     shapes: list = list(range(r))
     by_weight: dict[int, list] = {1: list(range(r))}
     for w in range(2, s + 1):
@@ -229,18 +232,18 @@ def _gen_shapes(r: int, s: int, size_cap: int) -> list:
         layer.sort(key=lambda t: tree_key(t, r))
         by_weight[w] = layer
         shapes.extend(layer)
-        if len(shapes) > size_cap:
-            raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {size_cap} shapes")
+        if len(shapes) > HALL_SIZE_CAP:
+            raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {HALL_SIZE_CAP} shapes")
     shapes.sort(key=lambda t: tree_key(t, r))
     return shapes
 
 
-def generalised_commutators(r: int, s: int, size_cap: int = HALL_SIZE_CAP) -> GenCommutatorList:
+def generalised_commutators(r: int, s: int) -> GenCommutatorList:
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     entries: list[GenCommutator] = []
     total = 0
-    for shape in _gen_shapes(r, s, size_cap):
+    for shape in _gen_shapes(r, s):
         nleaves = total_weight(shape)
         if isinstance(shape, int):
             variants = [(1,)]
@@ -253,8 +256,8 @@ def generalised_commutators(r: int, s: int, size_cap: int = HALL_SIZE_CAP) -> Ge
         for signs in variants:
             entries.append(GenCommutator(shape, signs))
         total += len(variants)
-        if total > size_cap:
-            raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {size_cap} entries")
+        if total > HALL_SIZE_CAP:
+            raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {HALL_SIZE_CAP} entries")
     return GenCommutatorList(r, s, tuple(entries))
 
 
@@ -273,14 +276,13 @@ def _l_chi(L: tuple[int, ...], chi: tuple[int, ...]) -> int:
 class _WorkMeter:
     """Accumulated group-multiplication budget; refuses instead of approximating."""
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self):
         self.used = 0
 
     def charge(self, amount: int) -> None:
         self.used += amount
-        if self.used > self.cap:
-            raise ResourceRefusal(f"progression enumeration exceeds work cap {self.cap}")
+        if self.used > PROGRESSION_WORK_CAP:
+            raise ResourceRefusal(f"progression enumeration exceeds work cap {PROGRESSION_WORK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -446,10 +448,10 @@ def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], Optio
     return factors, box, convention
 
 
-def enumerate_progression(spec: ProgressionSpec, workers: int = 1, work_cap: int = PROGRESSION_WORK_CAP) -> ProgressionSet:
+def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
     """Exact element set of the progression, deduplicated on canonical bytes."""
     group = spec.group
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter()
     if spec.kind == "nilprogression":
         out = _enumerate_words(spec, meter)
         items = sorted(out.items())
@@ -536,20 +538,13 @@ class NestingReport:
         }
 
 
-def verify_nesting(
-    r: int,
-    s: int,
-    L: tuple[int, ...],
-    group: Optional[Group] = None,
-    generators: Optional[list] = None,
-    workers: int = 1,
-    work_cap: int = PROGRESSION_WORK_CAP,
-) -> NestingReport:
-    """Exhaustive check of ordered <= nilprogression <= nilpotent <= nilcomplete."""
+def verify_nesting(r: int, s: int, L: tuple[int, ...]) -> NestingReport:
+    """Exhaustive check of ordered <= nilprogression <= nilpotent <= nilcomplete
+    in the free nilpotent group of rank r and step s."""
     sets = {}
     for kind in KINDS:
-        spec = progression_spec(kind, r, s, tuple(L), group, generators)
-        sets[kind] = enumerate_progression(spec, workers=workers, work_cap=work_cap)
+        spec = progression_spec(kind, r, s, tuple(L))
+        sets[kind] = enumerate_progression(spec)
     g = sets["ordered"].spec.group
     chain = [
         _check_containment(g, sets["ordered"], sets["nilprogression"], "ordered", "nilprogression"),
@@ -586,11 +581,11 @@ class PropernessReport:
         }
 
 
-def verify_properness(spec: ProgressionSpec, workers: int = 1, work_cap: int = PROGRESSION_WORK_CAP) -> PropernessReport:
+def verify_properness(spec: ProgressionSpec) -> PropernessReport:
     """Compare |P| with the product of (2 L^chi + 1) over the basic commutators."""
     if spec.kind != "nilpotent":
         raise ValueError("properness is defined for the nilpotent kind")
-    pset = enumerate_progression(spec, workers=workers, work_cap=work_cap)
+    pset = enumerate_progression(spec)
     return PropernessReport(spec.r, spec.s, spec.L, pset.cardinality, pset.formal_box, pset.proper)
 
 
@@ -626,20 +621,17 @@ def verify_power_laws(
     L: tuple[int, ...],
     n: int,
     M: Optional[int] = None,
-    group: Optional[Group] = None,
-    generators: Optional[list] = None,
-    work_cap: int = PROGRESSION_WORK_CAP,
-    max_power: int = 64,
     with_min_power: bool = True,
 ) -> PowerLawReport:
-    """Power laws for the complete progression: asserts P(L)^n inside P(nL) exactly,
-    reports the minimal m with P(nL) inside P(L)^m, and a greedy translate cover
-    of P(ML) by P(L) with a verified certificate."""
-    base_spec = progression_spec("nilcomplete", r, s, tuple(L), group, generators)
+    """Power laws for the complete progression in the free nilpotent group of
+    rank r and step s: asserts P(L)^n inside P(nL) exactly, reports the minimal
+    m with P(nL) inside P(L)^m, and a greedy translate cover of P(ML) by P(L)
+    with a verified certificate."""
+    base_spec = progression_spec("nilcomplete", r, s, tuple(L))
     g = base_spec.group
-    base = enumerate_progression(base_spec, work_cap=work_cap)
+    base = enumerate_progression(base_spec)
     nL = tuple(n * l for l in L)
-    dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL, group, generators), work_cap=work_cap)
+    dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL))
     base_dict = {g.encode(x): x for x in base.elements}
 
     def grow_powers(stop_when_covers: Optional[frozenset], up_to: int, meter: _WorkMeter):
@@ -665,21 +657,21 @@ def verify_power_laws(
         return known, m, covering
 
     # part (2), asserted exactly: the n-th power stays inside the dilate
-    power_known, _, _ = grow_powers(None, n, _WorkMeter(work_cap))
+    power_known, _, _ = grow_powers(None, n, _WorkMeter())
     holds = set(power_known) <= dilated.codes
 
     # part (1), reported: minimal m with the dilate inside the m-th power
     minimal_m = None
     if with_min_power:
-        _, _, minimal_m = grow_powers(dilated.codes, max_power, _WorkMeter(work_cap))
+        _, _, minimal_m = grow_powers(dilated.codes, MAX_POWER, _WorkMeter())
 
     # part (3), reported with a verified greedy-cover certificate
     cover_size = None
     cover_verified = None
     if M is not None:
-        meter = _WorkMeter(work_cap)
+        meter = _WorkMeter()
         ML = tuple(M * l for l in L)
-        target = enumerate_progression(progression_spec("nilcomplete", r, s, ML, group, generators), work_cap=work_cap)
+        target = enumerate_progression(progression_spec("nilcomplete", r, s, ML))
         covered: set[bytes] = set()
         translates: list = []
         for z in target.elements:  # canonical order
@@ -721,7 +713,7 @@ class CommutatorDepthReport:
         }
 
 
-def _normal_closure(group: Group, seed: list, conjugators: list, size_cap: int = 10**6) -> dict:
+def _normal_closure(group: Group, seed: list, conjugators: list) -> dict:
     """Smallest subgroup containing seed and closed under the given conjugations."""
     elems: dict[bytes, object] = {group.encode(group.identity()): group.identity()}
     hgens: list = []
@@ -748,7 +740,7 @@ def _normal_closure(group: Group, seed: list, conjugators: list, size_cap: int =
                     y = group.mul(a, h)
                     code = group.encode(y)
                     if code not in elems:
-                        if len(elems) >= size_cap:
+                        if len(elems) >= CLOSURE_SIZE_CAP:
                             raise ResourceRefusal("normal closure exceeds size cap")
                         elems[code] = y
                         nxt.append(y)
@@ -764,24 +756,24 @@ def _normal_closure(group: Group, seed: list, conjugators: list, size_cap: int =
     return elems
 
 
-def derived_subgroup(group: Group, generators: list, size_cap: int = 10**6) -> dict:
+def derived_subgroup(group: Group, generators: list) -> dict:
     """[G, G] as the normal closure of the generator commutators."""
     seed = []
     for a in generators:
         for b in generators:
             c = commutator(group, a, b)
             seed.append(c)
-    return _normal_closure(group, seed, list(generators), size_cap)
+    return _normal_closure(group, seed, list(generators))
 
 
-def assert_nilpotent(group: Group, generators: list, max_class: int = 64) -> int:
+def assert_nilpotent(group: Group, generators: list) -> int:
     """Lower central series termination; returns the nilpotency class."""
     current = derived_subgroup(group, generators)
     ident = group.encode(group.identity())
     cls = 1
     while len(current) > 1:
         cls += 1
-        if cls > max_class:
+        if cls > MAX_CLASS:
             raise ValueError("lower central series did not terminate: group is not nilpotent")
         seed = []
         for h in current.values():
@@ -791,7 +783,7 @@ def assert_nilpotent(group: Group, generators: list, max_class: int = 64) -> int
     return cls
 
 
-def commutator_depth(group: Group, pset: ProgressionSet, workers: int = 1) -> CommutatorDepthReport:
+def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthReport:
     """Minimal m with [G,G] inside P^m, where P generates the finite nilpotent G."""
     if group.order is None:
         raise ValueError("needs a finite group")
@@ -803,7 +795,7 @@ def commutator_depth(group: Group, pset: ProgressionSet, workers: int = 1) -> Co
     items = sorted((group.encode(x), x) for x in pset.elements)
     pgens = GeneratingSet(group, tuple(v for _, v in items), tuple(c for c, _ in items))
 
-    ball = enumerate_ball(group, pgens, workers=workers)
+    ball = enumerate_ball(group, pgens)
     if ball.size != group.order:
         raise ValueError(f"progression generates a proper subgroup of order {ball.size}")
     dist = ball.distances()

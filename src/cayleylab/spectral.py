@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -66,12 +67,16 @@ SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CayleyContext:
-    """Fully enumerated Cayley graph with generator index permutations."""
+    """Fully enumerated Cayley graph: the closed ball and its successor table.
+
+    ``ball.successors`` is the (k, n) table, one row per generator in the
+    order of gens.elements; ``nonid`` is the same table without the identity
+    generator's row, the (k - 1, n) edge list of the Laplacian.
+    """
 
     group: Group
     gens: GeneratingSet
     ball: Ball
-    perms: tuple  # one int array per generator, aligned with gens.elements
     identity_gen: int  # position of the identity inside gens
 
     @property
@@ -82,8 +87,9 @@ class CayleyContext:
     def k(self) -> int:
         return self.gens.k
 
-    def nonid_perms(self) -> list:
-        return [p for i, p in enumerate(self.perms) if i != self.identity_gen]
+    @cached_property
+    def nonid(self) -> np.ndarray:
+        return np.delete(self.ball.successors, self.identity_gen, axis=0)
 
     def profile(self) -> GrowthProfile:
         return GrowthProfile(self.ball.sphere_sizes, self.group.order, self.gens.k, self.ball.truncated)
@@ -94,7 +100,7 @@ class CayleyContext:
 
     def laplacian_matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.k * v.astype(float, copy=True)
-        for i, p in enumerate(self.perms):
+        for i, p in enumerate(self.ball.successors):
             out -= v[p] if i != self.identity_gen else v
         return out
 
@@ -102,7 +108,7 @@ class CayleyContext:
         n = self.n
         mat = np.zeros((n, n))
         rows = np.arange(n)
-        for p in self.nonid_perms():
+        for p in self.nonid:
             np.add.at(mat, (rows, p), -1.0)
         mat[rows, rows] += self.k - 1  # identity self-loop cancels one unit of degree
         return mat
@@ -111,10 +117,9 @@ class CayleyContext:
         import scipy.sparse
 
         n = self.n
-        rows = np.concatenate([np.arange(n)] * max(1, len(self.nonid_perms())))
-        cols = np.concatenate(self.nonid_perms()) if self.nonid_perms() else np.arange(n)
+        rows = np.tile(np.arange(n), len(self.nonid))
         data = -np.ones(len(rows))
-        adj = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
+        adj = scipy.sparse.coo_matrix((data, (rows, self.nonid.ravel())), shape=(n, n))
         diag = scipy.sparse.diags([float(self.k - 1)] * n)
         return (diag + adj).tocsr()
 
@@ -124,25 +129,24 @@ class CayleyContext:
         dist[start] = 0
         frontier = np.array([start], dtype=np.int64)
         d = 0
-        nonid = self.nonid_perms()
         while frontier.size:
             d += 1
-            nxt = np.unique(np.concatenate([p[frontier] for p in nonid])) if nonid else np.array([], dtype=np.int64)
+            nxt = np.unique(self.nonid[:, frontier])
             nxt = nxt[dist[nxt] < 0]
             dist[nxt] = d
             frontier = nxt
         return dist
 
 
-def build_context(group: Group, gens: GeneratingSet, workers: int = 1, cap: Optional[int] = None) -> CayleyContext:
-    """The closed BFS ball with its successor table as the generator permutations."""
-    ball = enumerate_ball(group, gens, workers=workers, cap=cap)
+def build_context(group: Group, gens: GeneratingSet) -> CayleyContext:
+    """The closed BFS ball, whose successor table holds the generator permutations."""
+    ball = enumerate_ball(group, gens)
     if ball.truncated:
         raise ResourceRefusal("group too large to enumerate")
     if group.order is not None and ball.size < group.order:
         raise ResourceRefusal(f"generating set reaches only {ball.size} of {group.order} elements (disconnected graph)")
     identity_gen = gens.codes.index(group.encode(group.identity()))
-    return CayleyContext(group, gens, ball, tuple(ball.successors), identity_gen)
+    return CayleyContext(group, gens, ball, identity_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,6 @@ def lambda1(
     gens: GeneratingSet,
     tol: float = 1e-9,
     method: str = "auto",
-    workers: int = 1,
     ctx: Optional[CayleyContext] = None,
 ) -> SpectralReport:
     """Smallest nonzero Laplacian eigenvalue (and the largest one).
@@ -224,7 +227,7 @@ def lambda1(
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if ctx is None:
-        ctx = build_context(group, gens, workers=workers)
+        ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
     if ctx.n < 8 or method == "dense" or (method == "auto" and ctx.n <= DENSE_CAP):
@@ -284,7 +287,7 @@ def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
             f"exact Cheeger scan of {n} vertices would allocate about {need / 2**30:.1f} GiB for 2^{n - 1} subsets;"
             f" the {EXACT_SCAN_BUDGET >> 20} MiB budget allows at most {most} vertices"
         )
-    nonid = ctx.nonid_perms()
+    nonid = ctx.nonid
     # subsets containing vertex 0 cover all partitions by complement symmetry
     masks = (np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
     boundary = np.zeros(masks.shape, dtype=np.int64)
@@ -321,10 +324,10 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
     order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    nonid = ctx.nonid_perms()
+    nonid = ctx.nonid
     # the pair (x, s) crosses the cut after prefix j exactly when position[x] < j <= position[sx]
     tails = np.tile(position, len(nonid))
-    heads = np.concatenate([position[p] for p in nonid])
+    heads = position[nonid].ravel()
     forward = tails < heads
     starts = np.bincount(tails[forward] + 1, minlength=n + 1)
     ends = np.bincount(heads[forward] + 1, minlength=n + 1)
@@ -341,13 +344,12 @@ def cheeger(
     group: Group,
     gens: GeneratingSet,
     exact_cap: int = EXACT_CHEEGER_CAP,
-    workers: int = 1,
     ctx: Optional[CayleyContext] = None,
     spectral: Optional[SpectralReport] = None,
 ) -> CheegerReport:
     """Exact h by exhaustive scan when |G| <= exact_cap, certified interval otherwise."""
     if ctx is None:
-        ctx = build_context(group, gens, workers=workers)
+        ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
     if ctx.n <= exact_cap:
@@ -425,19 +427,14 @@ class SpectralChainReport:
         }
 
 
-def verify_spectral_inequalities(
-    group: Group,
-    gens: GeneratingSet,
-    exact_cap: int = EXACT_CHEEGER_CAP,
-    workers: int = 1,
-) -> SpectralChainReport:
+def verify_spectral_inequalities(group: Group, gens: GeneratingSet, exact_cap: int = EXACT_CHEEGER_CAP) -> SpectralChainReport:
     """Mechanical check of the diameter/Cheeger/gap inequality chain.
 
     With an exact h every comparison is decisive; with a certified interval a
     comparison whose truth is not forced by the interval reports
     "indeterminate" rather than passing or failing falsely.
     """
-    ctx = build_context(group, gens, workers=workers)
+    ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("chain needs at least two vertices")
     gamma = ctx.diameter
@@ -488,7 +485,7 @@ class RayleighReport:
         }
 
 
-def rayleigh_probe(group: Group, gens: GeneratingSet, workers: int = 1) -> RayleighReport:
+def rayleigh_probe(group: Group, gens: GeneratingSet) -> RayleighReport:
     """Rayleigh quotient of f = d(.,a) - d(.,b) for a diametral pair (a, b).
 
     Asserts lambda1 <= R and R <= (9k/gamma^2) |G| / |S^(floor(gamma/3))|; the
@@ -496,7 +493,7 @@ def rayleigh_probe(group: Group, gens: GeneratingSet, workers: int = 1) -> Rayle
     two radius-floor(gamma/3) balls contribute (gamma-2 rho +- mean)^2 whose sum
     is at least twice (gamma/3)^2.
     """
-    ctx = build_context(group, gens, workers=workers)
+    ctx = build_context(group, gens)
     gamma = ctx.diameter
     if gamma < 3:
         return RayleighReport(True, gamma)
@@ -545,22 +542,16 @@ class CosetGapReport:
         }
 
 
-def coset_gap(
-    group: Group,
-    gens: GeneratingSet,
-    sub: SubgroupOracle,
-    dense_cap: int = COSET_GAP_CAP,
-    workers: int = 1,
-) -> CosetGapReport:
+def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGapReport:
     """Minimal Rayleigh quotient over functions with zero mean on every coset gH.
 
     H must be normal.  Asserts gap >= 1/gamma_H^2 where gamma_H is the diameter
     of H in the ambient graph distance.
     """
-    ctx = build_context(group, gens, workers=workers)
+    ctx = build_context(group, gens)
     n = ctx.n
-    if n > dense_cap:
-        raise ResourceRefusal(f"coset gap uses a dense solve, capped at {dense_cap} vertices")
+    if n > COSET_GAP_CAP:
+        raise ResourceRefusal(f"coset gap uses a dense solve, capped at {COSET_GAP_CAP} vertices")
     members = [i for i, x in enumerate(ctx.ball.elements) if sub.contains(x)]
     if not members or 0 not in members:
         raise OracleError(f"{sub.name}: identity not a member")

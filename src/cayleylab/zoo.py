@@ -102,12 +102,12 @@ _ZOO_SPECS = (
 )
 
 
-def standard_zoo(max_order: Optional[int] = None, min_order: int = 2) -> list[FamilyInstance]:
-    """The fixed verification grid, optionally filtered by group order."""
+def standard_zoo(max_order: Optional[int] = None) -> list[FamilyInstance]:
+    """The fixed verification grid of finite groups of order at least 2, optionally capped by order."""
     out = []
     for text in _ZOO_SPECS:
         inst = construct_family(text)
-        if inst.order is None or inst.order < min_order:
+        if inst.order is None or inst.order < 2:
             continue
         if max_order is not None and inst.order > max_order:
             continue
@@ -175,14 +175,14 @@ class LggReport:
         }
 
 
-def verify_lgg(n: int, p: int, workers: int = 1) -> LggReport:
+def verify_lgg(n: int, p: int) -> LggReport:
     """Exact diameters of the three tower groups and the stated bounds."""
     inst_l = construct_family(f"symfp:n={n},p={p},variant=L")
     inst_p = construct_family(f"symfp:n={n},p={p},variant=Gprime")
     inst_0 = construct_family(f"symfp:n={n},p={p},variant=G")
-    gamma_l = diameter(inst_l.group, inst_l.gens, workers=workers)
-    gamma_p = diameter(inst_p.group, inst_p.gens, workers=workers)
-    gamma_0 = diameter(inst_0.group, inst_0.gens, workers=workers)
+    gamma_l = diameter(inst_l.group, inst_l.gens)
+    gamma_p = diameter(inst_p.group, inst_p.gens)
+    gamma_0 = diameter(inst_0.group, inst_0.gens)
     c_meas = (gamma_l - n * p) / n**2
     return LggReport(n, p, gamma_l, gamma_p, gamma_0, c_meas)
 

@@ -5,16 +5,18 @@ lines.  Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from cayleylab.cli import render_json
+import cayleylab
 from cayleylab.groups import SubgroupOracle, build_group, reidemeister_schreier
 from cayleylab.growth import (
     approximate_group_witness,
     ball_growth,
-    coset_saturation,
     diameter,
     doubling_scan,
     flatness_report,
@@ -266,27 +268,45 @@ def test_criterion_13_moderate_growth_cross_check():
         assert float(fit_ll.A) > 1e3, float(fit_ll.A)
 
 
-def test_criterion_14_worker_determinism():
-    with criterion(14, "engine outputs byte-identical across 1, 2 and 8 workers"):
-        def blobs(fn):
-            return {render_json(fn(w)) for w in (1, 2, 8)}
+# the engines criterion 14 runs, reported as one JSON list; the hash seed
+# changes the iteration order of every set of bytes or strings, so an output
+# that depends on that order differs between interpreters
+_DETERMINISM_PROBE = """
+import sys
+from cayleylab.cli import render_json
+from cayleylab.groups import SubgroupOracle, build_group
+from cayleylab.growth import approximate_group_witness, ball_growth, coset_saturation
+from cayleylab.mixing import mixing_times
+from cayleylab.nilprog import verify_nesting
+from cayleylab.spectral import verify_spectral_inequalities
+from cayleylab.zoo import construct_family
 
-        for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
-            inst = construct_family(spec)
-            assert len(blobs(lambda w: ball_growth(inst.group, inst.gens, workers=w).to_dict())) == 1
+reports = []
+for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
+    inst = construct_family(spec)
+    reports.append(ball_growth(inst.group, inst.gens).to_dict())
+reports.append(verify_nesting(2, 2, (2, 2)).to_dict())
+g100 = build_group("cyclic:100")
+reports.append(approximate_group_witness(g100, g100.generating_set(), 5).to_dict())
+for spec in ("cyclic:20", "lamplighter:4"):
+    inst = construct_family(spec)
+    reports.append(verify_spectral_inequalities(inst.group, inst.gens).to_dict())
+inst16 = construct_family("cyclic:16")
+reports.append(mixing_times(inst16.group, inst16.gens).to_dict())
+g12 = build_group("cyclic:12")
+oracle = SubgroupOracle(lambda x: x % 3 == 0, name="3Z")
+reports.append(coset_saturation(g12, g12.generating_set(), oracle).to_dict())
+sys.stdout.write(render_json(reports))
+"""
 
-        assert len(blobs(lambda w: verify_nesting(2, 2, (2, 2), workers=w).to_dict())) == 1
 
-        g100 = build_group("cyclic:100")
-        assert len(blobs(lambda w: approximate_group_witness(g100, g100.generating_set(), 5, workers=w).to_dict())) == 1
-
-        for spec in ("cyclic:20", "lamplighter:4"):
-            inst = construct_family(spec)
-            assert len(blobs(lambda w: verify_spectral_inequalities(inst.group, inst.gens, workers=w).to_dict())) == 1
-
-        inst16 = construct_family("cyclic:16")
-        assert len(blobs(lambda w: mixing_times(inst16.group, inst16.gens, workers=w).to_dict())) == 1
-
-        g12 = build_group("cyclic:12")
-        oracle = SubgroupOracle(lambda x: x % 3 == 0, name="3Z")
-        assert len(blobs(lambda w: coset_saturation(g12, g12.generating_set(), oracle, workers=w).to_dict())) == 1
+def test_criterion_14_hash_seed_determinism():
+    with criterion(14, "engine outputs byte-identical under PYTHONHASHSEED 1, 2 and 3"):
+        src = os.path.dirname(os.path.dirname(cayleylab.__file__))
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            proc = subprocess.run([sys.executable, "-c", _DETERMINISM_PROBE], capture_output=True, env=env, timeout=600)
+            assert proc.returncode == 0 and proc.stdout, proc.stderr.decode()
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1

@@ -61,11 +61,19 @@ BAD_INPUTS = [
     (["nilprog", "proper", "-r", "2", "-s", "2", "-L", "1"], EXIT_USAGE, "2 for -r 2"),
     (["nilprog", "powers", "-r", "2", "-s", "2", "-n", "0"], EXIT_USAGE, "at least 1"),
     (["nilprog", "basis", "-r", "0", "-s", "2"], EXIT_USAGE, "at least 1"),
+    (["nilprog", "powers", "-r", "2", "-s", "2", "-M", "-1"], EXIT_USAGE, "at least 0"),
     (["grow", "-g", "cyclic:12", "-r", "-1"], EXIT_USAGE, "at least 0"),
     (["grow", "-g", "cyclic:12", "--eps", "2", "--delta", "-1"], EXIT_USAGE, "positive"),
     (["grow", "-g", "cyclic:12", "--eps", "nan", "--delta", "0.5"], EXIT_USAGE, "positive"),
     (["spectrum", "-g", "cyclic:12", "--tol", "0"], EXIT_USAGE, "positive"),
     (["grow", "-g", "cyclic:12", "--seed", "3"], EXIT_USAGE, "unrecognized arguments"),
+    (["grow", "-g", "cyclic:12", "--workers", "2"], EXIT_USAGE, "unrecognized arguments"),
+    # an lgg tower needs both -n and -p; verify lgg alone runs the default towers
+    (["verify", "lgg", "-n", "3"], EXIT_USAGE, "-n and -p"),
+    (["verify", "lgg", "-p", "7"], EXIT_USAGE, "-n and -p"),
+    (["zoo", "lgg", "-n", "3"], EXIT_USAGE, "-n and -p"),
+    (["zoo", "lgg", "-p", "7"], EXIT_USAGE, "-n and -p"),
+    (["zoo", "lgg"], EXIT_USAGE, "-n and -p"),
     # the scan would need 2^29 subsets (about 40 GiB): refused before allocating
     (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
     (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),
@@ -108,7 +116,7 @@ def test_fault_injection_exits_one(monkeypatch, capsys):
     from cayleylab.zoo import LggReport
 
     falsified = LggReport(3, 7, gamma_L=0, gamma_prime=0, gamma_0=0, c_meas=99.0)
-    monkeypatch.setattr(cli.zoo, "verify_lgg", lambda n, p, workers=1: falsified)
+    monkeypatch.setattr(cli.zoo, "verify_lgg", lambda n, p: falsified)
     assert run(["verify", "lgg", "--format", "json"]) == EXIT_ASSERTION
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False

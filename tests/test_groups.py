@@ -301,7 +301,7 @@ def test_rs_symfp_index_two():
     gp = build_group("symfp:n=4,p=5,variant=Gprime")
     sp = gp.generating_set()
     gg = build_group("symfp:n=4,p=5,variant=G")
-    oracle = SubgroupOracle(gg.contains, name="G_4", index_hint=2)
+    oracle = SubgroupOracle(gg.contains, name="G_4")
     res = reidemeister_schreier(gp, sp, oracle)
     assert res.index == 2
     assert all(gg.contains(x) for x in res.generators.elements)

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cayleylab.cli import render_json
 from cayleylab.groups import SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
     NonGeneratingError,
@@ -142,14 +141,6 @@ def test_submultiplicativity_on_zoo():
                 assert balls[n + m] <= balls[n] * balls[m]
         for n in range(gamma):
             assert balls[n + 1] <= profile.k * balls[n]
-
-
-def test_growth_deterministic_across_workers():
-    for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
-        g = build_group(spec)
-        s = g.generating_set()
-        blobs = {render_json(ball_growth(g, s, workers=w).to_dict()) for w in (1, 2, 8)}
-        assert len(blobs) == 1
 
 
 def test_only_complete_balls_carry_successors():

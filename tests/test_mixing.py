@@ -46,7 +46,7 @@ def step_loop_walk(ctx, n_max, stop_when_mixed, start=None):
         first = start.steps + 1
     for step in range(first, n_max + 1):
         acc = np.zeros(n)
-        for p in ctx.perms:
+        for p in ctx.ball.successors:
             acc += v[p]
         v = acc / k
         total = float(v.sum())
@@ -238,7 +238,9 @@ def test_blocked_walk_matches_step_loop_over_many_blocks(spec):
 def test_walk_off_the_simplex_raises_at_step_one():
     g = build_group("cyclic:16")
     ctx = build_context(g, g.generating_set())
-    broken = dataclasses.replace(ctx, perms=(np.zeros(ctx.n, dtype=np.int64),) + ctx.perms[1:])
+    table = ctx.ball.successors.copy()
+    table[0] = 0
+    broken = dataclasses.replace(ctx, ball=dataclasses.replace(ctx.ball, successors=table))
     with pytest.raises(RuntimeError, match=r"left the simplex at step 1:"):
         convolution_curve(g, ctx.gens, n_max=50, ctx=broken)
 
@@ -247,10 +249,10 @@ def test_walk_off_the_simplex_names_the_step_of_the_loop():
     # one successor redirected: mass leaks only once the walk has spread to vertex 32
     g = build_group("cyclic:64")
     ctx = build_context(g, g.generating_set())
-    row = next(i for i, p in enumerate(ctx.perms) if p[32] != 33)
-    perms = [p.copy() for p in ctx.perms]
-    perms[row][32] = 33
-    broken = dataclasses.replace(ctx, perms=tuple(perms))
+    table = ctx.ball.successors.copy()
+    row = next(i for i, p in enumerate(table) if p[32] != 33)
+    table[row, 32] = 33
+    broken = dataclasses.replace(ctx, ball=dataclasses.replace(ctx.ball, successors=table))
     with pytest.raises(RuntimeError, match="left the simplex") as want:
         step_loop_walk(broken, 10**6, stop_when_mixed=True)
     assert int(str(want.value).split("at step ")[1].split(":")[0]) > 16
