@@ -168,6 +168,8 @@ def _cmd_cheeger(args):
 
 
 def _cmd_mix(args):
+    if args.p is not None and args.format != "csv":
+        raise SpecSemanticError("--p restricts the csv curves; it needs --format csv")
     group, gens = _instance(args, min_order=2)
     ctx = spectral.build_context(group, gens)
     curves = mixing.convolution_curve(group, gens, ctx=ctx)
@@ -274,7 +276,8 @@ def _suite_powers(args):
 
 def _suite_spectral(args):
     group, gens = _instance(args, min_order=2)
-    rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=args.exact_cap)
+    exact_cap = spectral.EXACT_CHEEGER_CAP if args.exact_cap is None else args.exact_cap
+    rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=exact_cap)
     return rep.ok, rep.to_dict()
 
 
@@ -324,20 +327,26 @@ def _suite_commdepth(args):
     return ok, {"suite": "commdepth", "reports": reports, "ratio_coherent": coherent}
 
 
+# each suite with the verify flags it reads (argparse dest names); a suite
+# that reads "group" needs it
 _SUITES = {
-    "growth": (_suite_growth, True),
-    "nesting": (_suite_nesting, False),
-    "powers": (_suite_powers, False),
-    "spectral": (_suite_spectral, True),
-    "mixing": (_suite_mixing, True),
-    "lgg": (_suite_lgg, False),
-    "commdepth": (_suite_commdepth, False),
+    "growth": (_suite_growth, ("group",)),
+    "nesting": (_suite_nesting, ()),
+    "powers": (_suite_powers, ()),
+    "spectral": (_suite_spectral, ("group", "exact_cap")),
+    "mixing": (_suite_mixing, ("group",)),
+    "lgg": (_suite_lgg, ("n", "p")),
+    "commdepth": (_suite_commdepth, ()),
 }
+_VERIFY_FLAGS = {"group": "--group", "n": "-n", "p": "-p", "exact_cap": "--exact-cap"}
 
 
 def _cmd_verify(args):
-    fn, needs_group = _SUITES[args.suite]
-    if needs_group and not args.group:
+    fn, reads = _SUITES[args.suite]
+    for dest, flag in _VERIFY_FLAGS.items():
+        if dest not in reads and getattr(args, dest) is not None:
+            raise SpecSemanticError(f"verify {args.suite} does not read {flag}")
+    if "group" in reads and not args.group:
         raise SpecSemanticError(f"verify {args.suite} needs --group")
     ok, report = fn(args)
     report["ok"] = ok
@@ -414,7 +423,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cheeger", help="Cheeger constant (exact below the cap)")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("--exact-cap", type=int, default=spectral.EXACT_CHEEGER_CAP)
+    p.add_argument("--exact-cap", type=_int_at_least(0), default=spectral.EXACT_CHEEGER_CAP)
     _add_common(p)
 
     p = sub.add_parser("mix", help="mixing times and distance curves")
@@ -433,16 +442,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zoo", help="family catalogue and tower diameters")
     p.add_argument("action", choices=("list", "lgg"))
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-p", type=int, default=None)
+    p.add_argument("-n", type=_int_at_least(1), default=None)
+    p.add_argument("-p", type=_int_at_least(1), default=None)
     _add_common(p)
 
     p = sub.add_parser("verify", help="named verification suites")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("-g", "--group", default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-p", type=int, default=None)
-    p.add_argument("--exact-cap", type=int, default=spectral.EXACT_CHEEGER_CAP)
+    p.add_argument("-n", type=_int_at_least(1), default=None)
+    p.add_argument("-p", type=_int_at_least(1), default=None)
+    p.add_argument("--exact-cap", type=_int_at_least(0), default=None)
     _add_common(p)
 
     return parser

@@ -12,6 +12,11 @@ semidirect products Sym(n) ltimes F_p^n (with their sum-zero and alternating
 subgroups), free nilpotent groups of given rank and step (modelled exactly as
 units with constant term 1 in the degree-truncated free associative ring over
 Z), and binary direct products of any of these.
+
+Every finite family also has an array form, its ``codec`` (an ArrayCodec):
+each element is a row of int64 coordinates, and the family multiplies a whole
+array of rows on the left by one element at a time.  The BFS in ``growth``
+runs on those arrays; the Python payloads above stay the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +26,12 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 DEFAULT_ORDER_CAP = 1 << 24
+# ranks of coordinate rows stay below this, so the sum of two coordinates,
+# or of a rank and a coordinate, cannot wrap in int64
+RANK_LIMIT = 1 << 62
 
 __all__ = [
     "SpecSyntaxError",
@@ -32,6 +42,7 @@ __all__ = [
     "parse_group_spec",
     "build_group",
     "Group",
+    "ArrayCodec",
     "GeneratingSet",
     "symmetrize",
     "SubgroupOracle",
@@ -90,6 +101,11 @@ def _is_prime(n: int) -> bool:
 
 def _enc_u64(values: Iterable[int]) -> bytes:
     return b"".join(v.to_bytes(8, "little") for v in values)
+
+
+def _row_tuples(X: np.ndarray) -> list[tuple]:
+    """The rows of a 2-D int array (at least one column) as tuples of Python ints."""
+    return list(zip(*X.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +289,18 @@ class Group:
 
     Immutable after construction; all operations are pure, so a result depends
     only on the arguments.
+
+    A group whose ``codec`` is not None also has an array form, used by the
+    BFS: ``coords(x)`` lists the int64 coordinates of an element,
+    ``from_coords(X)`` turns the rows of a 2-D array back into elements, and
+    ``left_mul(s, X)`` returns the rows of s*x for every row x of X, for any
+    element s.  Every finite family has one; the free nilpotent groups, and
+    products with an infinite factor, have none.
     """
 
     name: str = "group"
     order: Optional[int] = None  # None means infinite (free nilpotent)
+    codec: Optional["ArrayCodec"] = None
 
     def identity(self):
         raise NotImplementedError
@@ -307,6 +331,56 @@ class Group:
         return f"<{self.name}>"
 
 
+class ArrayCodec:
+    """The byte layout of a group's coordinate rows, and their ranks.
+
+    Coordinate c of an element lies in [0, radices[c]), and ``group.encode(x)``
+    is ``template`` with the little-endian u64 of coordinate c written at byte
+    ``offsets[c]`` (increasing in c).  ``rank`` numbers the rows in canonical
+    byte order, mixed radix with the first coordinate most significant, so
+    sorting ranks sorts codes.  Build it with ``_codec``, which checks that the
+    ranks stay below RANK_LIMIT.
+    """
+
+    def __init__(self, radices: tuple[int, ...], template: Optional[bytes], offsets: Optional[tuple[int, ...]]):
+        self.radices = tuple(radices)
+        self.template = bytes(8 * len(radices)) if template is None else template
+        self.offsets = tuple(range(0, 8 * len(radices), 8)) if offsets is None else offsets
+        # below 256 a coordinate's byte order is its numeric order; a wider
+        # coordinate is keyed by its low `width` bytes read in reverse
+        self._widths = tuple(0 if r <= 256 else ((r - 1).bit_length() + 7) // 8 for r in radices)
+        self.key_radices = tuple(r if w == 0 else 256**w for r, w in zip(radices, self._widths))
+        strides = [1] * len(radices)
+        for c in range(len(radices) - 2, -1, -1):
+            strides[c] = strides[c + 1] * self.key_radices[c + 1]
+        self.strides = tuple(strides)
+
+    def rank(self, X: np.ndarray) -> np.ndarray:
+        """Rank of each row (last axis) in canonical byte order."""
+        out = np.zeros(X.shape[:-1], dtype=np.int64)
+        for c, (stride, width) in enumerate(zip(self.strides, self._widths)):
+            col = X[..., c]
+            if width:
+                col = (col.astype(np.uint64).byteswap() >> np.uint64(64 - 8 * width)).astype(np.int64)
+            out += col * stride
+        return out
+
+    def codes(self, X: np.ndarray) -> list[bytes]:
+        """``group.encode`` of each row of X, from one buffer."""
+        n, width = len(X), len(self.template)
+        buf = np.empty((n, width), dtype=np.uint8)
+        buf[:] = np.frombuffer(self.template, dtype=np.uint8)
+        for c, off in enumerate(self.offsets):
+            buf[:, off : off + 8] = X[:, c].astype("<u8").view(np.uint8).reshape(n, 8)
+        return buf.view(f"V{width}").ravel().tolist()
+
+
+def _codec(radices: tuple[int, ...], template: Optional[bytes] = None, offsets: Optional[tuple[int, ...]] = None) -> Optional[ArrayCodec]:
+    """A family's codec, or None when its ranks would not fit (the BFS then runs on payloads)."""
+    codec = ArrayCodec(radices, template, offsets)
+    return codec if math.prod(codec.key_radices) <= RANK_LIMIT else None
+
+
 class CyclicGroup(Group):
     def __init__(self, n: int):
         if n <= 0:
@@ -314,6 +388,7 @@ class CyclicGroup(Group):
         self.n = n
         self.order = n
         self.name = f"cyclic:{n}"
+        self.codec = _codec((n,))
 
     def identity(self):
         return 0
@@ -327,6 +402,15 @@ class CyclicGroup(Group):
     def encode(self, a) -> bytes:
         return _enc_u64((a,))
 
+    def coords(self, a) -> list[int]:
+        return [a]
+
+    def from_coords(self, X):
+        return X[:, 0].tolist()
+
+    def left_mul(self, s, X):
+        return (X + s) % self.n
+
     def raw_generators(self):
         return [1 % self.n]
 
@@ -339,6 +423,7 @@ class AbelianGroup(Group):
         self.moduli = tuple(moduli)
         self.order = math.prod(self.moduli)
         self.name = "abelian:" + ",".join(map(str, self.moduli))
+        self.codec = _codec(self.moduli)
 
     def identity(self):
         return (0,) * len(self.moduli)
@@ -351,6 +436,15 @@ class AbelianGroup(Group):
 
     def encode(self, a) -> bytes:
         return _enc_u64(a)
+
+    def coords(self, a) -> list[int]:
+        return list(a)
+
+    def from_coords(self, X):
+        return _row_tuples(X)
+
+    def left_mul(self, s, X):
+        return (X + np.array(s, dtype=np.int64)) % np.array(self.moduli, dtype=np.int64)
 
     def raw_generators(self):
         gens = []
@@ -377,6 +471,7 @@ class UnitriangularGroup(Group):
         self.name = f"ut:dim={dim},p={p}"
         self._pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
         self._pos = {pair: idx for idx, pair in enumerate(self._pairs)}
+        self.codec = _codec((p,) * len(self._pairs))
 
     def identity(self):
         return (0,) * len(self._pairs)
@@ -407,6 +502,21 @@ class UnitriangularGroup(Group):
     def encode(self, a) -> bytes:
         return _enc_u64(a)
 
+    def coords(self, a) -> list[int]:
+        return list(a)
+
+    def from_coords(self, X):
+        return _row_tuples(X)
+
+    def left_mul(self, s, X):
+        # an affine map mod p: (s*x)[i,j] = s[i,j] + x[i,j] + sum_k s[i,k] x[k,j]
+        pos = self._pos
+        M = np.zeros((len(pos), len(pos)), dtype=np.int64)
+        for (i, j), c in pos.items():
+            for k in range(i + 1, j):
+                M[pos[(k, j)], c] = s[pos[(i, k)]]
+        return (X + X @ M + np.array(s, dtype=np.int64)) % self.p
+
     def raw_generators(self):
         gens = []
         for i in range(self.dim - 1):
@@ -429,6 +539,7 @@ class LamplighterGroup(Group):
         self.m = m
         self.order = m * (1 << m)
         self.name = f"lamplighter:{m}"
+        self.codec = _codec((m,) + (2,) * m)
 
     def identity(self):
         return (0, (0,) * self.m)
@@ -448,6 +559,22 @@ class LamplighterGroup(Group):
     def encode(self, a) -> bytes:
         pa, la = a
         return _enc_u64((pa,) + la)
+
+    def coords(self, a) -> list[int]:
+        pa, la = a
+        return [pa, *la]
+
+    def from_coords(self, X):
+        return list(zip(X[:, 0].tolist(), _row_tuples(X[:, 1:])))
+
+    def left_mul(self, s, X):
+        # the lamps of x rotate by the position of s, then s's lamps flip on top
+        ps, ls = s
+        m = self.m
+        out = np.empty_like(X)
+        out[:, 0] = (X[:, 0] + ps) % m
+        out[:, 1:] = X[:, 1 + (np.arange(m) - ps) % m] ^ np.array(ls, dtype=np.int64)
+        return out
 
     def raw_generators(self):
         move = (1 % self.m, (0,) * self.m)
@@ -485,6 +612,7 @@ class SymFpGroup(Group):
         else:
             self.order = full // (2 * p)
         self.name = f"symfp:n={n},p={p},variant={variant}"
+        self.codec = _codec((n,) * n + (p,) * n)
 
     def identity(self):
         return (tuple(range(self.n)), (0,) * self.n)
@@ -510,6 +638,24 @@ class SymFpGroup(Group):
     def encode(self, a) -> bytes:
         sa, va = a
         return _enc_u64(sa + va)
+
+    def coords(self, a) -> list[int]:
+        sa, va = a
+        return [*sa, *va]
+
+    def from_coords(self, X):
+        n = self.n
+        return list(zip(_row_tuples(X[:, :n]), _row_tuples(X[:, n:])))
+
+    def left_mul(self, s, X):
+        # the permutation of s composes with x's by a gather, and x's vector
+        # lands permuted by s on top of s's vector
+        sa, va = s
+        n = self.n
+        inv = np.argsort(sa)
+        perm = np.array(sa, dtype=np.int64)[X[:, :n]]
+        vec = (X[:, n:][:, inv] + np.array(va, dtype=np.int64)) % self.p
+        return np.concatenate([perm, vec], axis=1)
 
     def project_sum_zero(self, a):
         """Quotient by the central constant-vector subgroup, landing in Gprime."""
@@ -704,6 +850,13 @@ class ProductGroup(Group):
         else:
             self.order = g1.order * g2.order
         self.name = f"product({g1.name})x({g2.name})"
+        c1, c2 = g1.codec, g2.codec
+        if c1 is not None and c2 is not None:
+            # encode is len(e1) + e1 + e2, with e1 of fixed width
+            head = 4 + len(c1.template)
+            template = len(c1.template).to_bytes(4, "little") + c1.template + c2.template
+            offsets = tuple(4 + o for o in c1.offsets) + tuple(head + o for o in c2.offsets)
+            self.codec = _codec(c1.radices + c2.radices, template, offsets)
 
     def identity(self):
         return (self.g1.identity(), self.g2.identity())
@@ -718,6 +871,17 @@ class ProductGroup(Group):
         e1 = self.g1.encode(a[0])
         e2 = self.g2.encode(a[1])
         return len(e1).to_bytes(4, "little") + e1 + e2
+
+    def coords(self, a) -> list[int]:
+        return self.g1.coords(a[0]) + self.g2.coords(a[1])
+
+    def from_coords(self, X):
+        d1 = len(self.g1.codec.radices)
+        return list(zip(self.g1.from_coords(X[:, :d1]), self.g2.from_coords(X[:, d1:])))
+
+    def left_mul(self, s, X):
+        d1 = len(self.g1.codec.radices)
+        return np.concatenate([self.g1.left_mul(s[0], X[:, :d1]), self.g2.left_mul(s[1], X[:, d1:])], axis=1)
 
     def raw_generators(self):
         # the product generating set S1 x S2 over the symmetrized factors

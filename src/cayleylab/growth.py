@@ -8,6 +8,13 @@ on one thread, and its output is a pure function of the group and the
 generating set.  It computes s*x for every generator s and every element x it
 expands, and a complete ball keeps the index of each product in its successor
 table, so the Cayley graph is enumerated once per ball and never again.
+
+A group with an array form (``group.codec``: every finite family) runs the
+array BFS: a sphere is an int64 array of coordinate rows, each generator acts
+on all of it at once, and ranks in canonical byte order replace the byte
+strings.  Other groups (the free nilpotent groups, and products with an
+infinite factor) run the tuple BFS on Python payloads, one mul and encode per
+product; it is also the reference the tests hold the array BFS to.
 """
 
 from __future__ import annotations
@@ -103,11 +110,20 @@ def enumerate_ball(
     """BFS the ball around the identity out to max_radius (or closure).
 
     ``cap`` bounds the number of elements (default: the order cap); a sphere
-    that would cross it stops the BFS with a capped, truncated ball.
+    that would cross it stops the BFS with a capped, truncated ball.  The
+    array BFS runs when the group has a codec, the tuple BFS otherwise; both
+    return the same Ball.
     """
     if max_radius is None and group.order is None:
         raise ResourceRefusal(f"{group.name} is infinite: closure enumeration needs max_radius")
     limit = order_cap(cap)
+    if group.codec is None:
+        return _tuple_bfs(group, gens, max_radius, limit)
+    return _array_bfs(group, gens, max_radius, limit)
+
+
+def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
+    """The BFS on Python payloads: one mul and one encode per product."""
     mul, enc = group.mul, group.encode
     e = group.identity()
     ecode = enc(e)
@@ -154,6 +170,55 @@ def enumerate_ball(
     # one contiguous row per generator, so each permutation is a fast gather index
     successors = np.concatenate(rows).T.copy() if complete else None
     return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), complete, truncated, capped, successors)
+
+
+def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
+    """The BFS on coordinate rows; returns the Ball the tuple BFS returns."""
+    codec = group.codec
+    frontier = np.array([group.coords(group.identity())], dtype=np.int64)
+    blocks = [frontier]  # coordinate rows, one block per sphere
+    ranks = [codec.rank(frontier)]  # per sphere, sorted: position = order within the sphere
+    starts = [0]
+    spheres = [1]
+    size = 1
+    rows: list[np.ndarray] = []  # per expanded sphere: successor indices, shape (k, sphere size)
+    truncated = False
+    capped = False
+    while True:
+        if max_radius is not None and len(spheres) - 1 >= max_radius:
+            truncated = True
+            break
+        products = np.stack([group.left_mul(s, frontier) for s in gens.elements])
+        prod_ranks = codec.rank(products)
+        succ = np.full(prod_ranks.shape, -1, dtype=np.int64)
+        # S is symmetric and holds the identity, so the products of sphere r
+        # lie in spheres r-1, r and r+1; only the last is new
+        for known, start in zip(ranks[-2:], starts[-2:]):
+            at = np.minimum(np.searchsorted(known, prod_ranks), len(known) - 1)
+            hit = known[at] == prod_ranks
+            succ[hit] = start + at[hit]
+        new = succ < 0
+        fresh, first = np.unique(prod_ranks[new], return_index=True)
+        if size + len(fresh) > limit:
+            truncated = True
+            capped = True
+            break
+        succ[new] = size + np.searchsorted(fresh, prod_ranks[new])
+        rows.append(succ)
+        if not len(fresh):
+            break
+        frontier = products[new][first]
+        blocks.append(frontier)
+        ranks.append(fresh)
+        starts.append(size)
+        spheres.append(len(fresh))
+        size += len(fresh)
+    X = np.concatenate(blocks)
+    blocks.clear()  # at 10^6 elements each copy of the rows is over 100 MB
+    complete = not truncated
+    successors = np.concatenate(rows, axis=1) if complete else None
+    elements = tuple(group.from_coords(X))
+    return Ball(group, gens, elements, tuple(codec.codes(X)), tuple(spheres), complete, truncated, capped, successors)
 
 
 @dataclass(frozen=True)

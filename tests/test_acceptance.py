@@ -166,6 +166,10 @@ def test_criterion_08_sharpness_trend():
         #    T_inf     30     50     74    104    178    275    397    545
         #    ratio  0.833  0.781  0.740  0.615  0.549  0.520  0.506  0.500
         #
+        # gamma fits 2m + m // 2 - 2 for m = 4..14, and the fit holds at
+        # m = 16 too: a BFS of lamplighter:16 (1,048,576 elements) gives
+        # gamma = 38, as the fit predicts.
+        #
         # No provable floor shows the trend at these sizes either.  While the
         # walker stays in an arc of L sites the lamps outside it stay off,
         # which gives T_inf >= c m^3 with c about 0.04; but that floor reaches

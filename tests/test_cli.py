@@ -74,6 +74,15 @@ BAD_INPUTS = [
     (["zoo", "lgg", "-n", "3"], EXIT_USAGE, "-n and -p"),
     (["zoo", "lgg", "-p", "7"], EXIT_USAGE, "-n and -p"),
     (["zoo", "lgg"], EXIT_USAGE, "-n and -p"),
+    (["zoo", "lgg", "-n", "-3", "-p", "7"], EXIT_USAGE, "at least 1"),
+    (["verify", "lgg", "-n", "3", "-p", "0"], EXIT_USAGE, "at least 1"),
+    # a suite refuses the verify flags it does not read, and --p needs csv curves
+    (["verify", "spectral", "-g", "cyclic:12", "-n", "3"], EXIT_USAGE, "does not read -n"),
+    (["verify", "nesting", "-g", "cyclic:12"], EXIT_USAGE, "does not read --group"),
+    (["verify", "lgg", "--exact-cap", "5"], EXIT_USAGE, "does not read --exact-cap"),
+    (["mix", "-g", "cyclic:12", "--p", "2", "--format", "json"], EXIT_USAGE, "needs --format csv"),
+    (["cheeger", "-g", "cyclic:12", "--exact-cap", "-5"], EXIT_USAGE, "at least 0"),
+    (["verify", "spectral", "-g", "cyclic:12", "--exact-cap", "-1"], EXIT_USAGE, "at least 0"),
     # the scan would need 2^29 subsets (about 40 GiB): refused before allocating
     (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
     (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
-from cayleylab.growth import enumerate_ball
+from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
+from cayleylab.growth import _tuple_bfs, enumerate_ball
 from cayleylab.spectral import (
     COSET_GAP_CAP,
     DENSE_CAP,
@@ -29,9 +29,14 @@ def cycle_gap(n: int) -> float:
     return 2 - 2 * math.cos(2 * math.pi / n)
 
 
+def reference_ball(group, gens, max_radius=None, cap=None):
+    """The tuple BFS, one mul and encode per product: the reference for the array BFS."""
+    return _tuple_bfs(group, gens, max_radius, order_cap(cap))
+
+
 def mul_encode_context(group, gens):
-    """Reference context: the closed ball plus a separate mul/encode pass over it."""
-    ball = enumerate_ball(group, gens)
+    """Reference context: the reference ball plus a separate mul/encode pass over it."""
+    ball = reference_ball(group, gens)
     index = ball.index()
     id_code = group.encode(group.identity())
     perms = []
@@ -51,10 +56,10 @@ def random_generating_sets():
     rng = random.Random(2015)
     for spec in ("cyclic:18", "abelian:4,6", "ut:dim=3,p=5", "lamplighter:4", "symfp:n=2,p=3,variant=L"):
         g = build_group(spec)
-        pool = enumerate_ball(g, g.generating_set()).elements
+        pool = reference_ball(g, g.generating_set()).elements
         while True:
             gens = symmetrize(g, rng.sample(pool, 3))
-            if enumerate_ball(g, gens).size == g.order:
+            if reference_ball(g, gens).size == g.order:
                 yield spec, g, gens
                 break
 
@@ -71,6 +76,39 @@ def test_bfs_permutations_match_mul_encode_reference():
         for got, want in zip(ctx.ball.successors, perms):
             assert got.dtype == want.dtype and np.array_equal(got, want), label
         assert np.array_equal(ctx.nonid, np.delete(np.stack(perms), identity_gen, axis=0)), label
+
+
+def assert_same_ball(got, want, label):
+    assert got == want, label  # every field but the successor table
+    if want.successors is None:
+        assert got.successors is None, label
+    else:
+        assert got.successors.dtype == want.successors.dtype and np.array_equal(got.successors, want.successors), label
+
+
+def test_array_bfs_matches_tuple_bfs_reference():
+    cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=5000)]
+    cases += list(random_generating_sets())
+    # the zoo holds product(lamplighter:3)x(cyclic:8); on cyclic:300 byte
+    # order differs from numeric order once a coordinate reaches 256
+    g300 = build_group("cyclic:300")
+    cases.append(("cyclic:300", g300, g300.generating_set()))
+    for label, g, gens in cases:
+        assert g.codec is not None, label
+        # bounded balls first: a BFS that re-finds old elements fails here
+        # rather than growing to the order cap
+        for radius in (1, 2, 3):
+            assert_same_ball(enumerate_ball(g, gens, max_radius=radius), reference_ball(g, gens, max_radius=radius), (label, radius))
+        capped = enumerate_ball(g, gens, cap=10)
+        assert capped.capped == (g.order > 10), label
+        assert_same_ball(capped, reference_ball(g, gens, cap=10), label)
+        full = enumerate_ball(g, gens)
+        assert full.complete, label
+        assert_same_ball(full, reference_ball(g, gens), label)
+        assert list(full.codes) == [g.encode(x) for x in full.elements], label
+    # infinite groups have no array form and stay on the tuple BFS
+    assert build_group("freenil:r=2,s=2").codec is None
+    assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").codec is None
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20])
