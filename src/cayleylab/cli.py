@@ -137,6 +137,8 @@ def _instance(args, min_order: int = 1):
 
 
 def _cmd_grow(args):
+    if (args.eps is None) != (args.delta is None):
+        raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
     group, gens = _instance(args)
     profile = growth.ball_growth(group, gens, max_radius=args.radius)
     report = profile.to_dict()
@@ -144,7 +146,7 @@ def _cmd_grow(args):
         report["doubling"] = growth.doubling_scan(profile).to_dict()
         if group.order is not None and profile.reached == group.order:
             report["flatness"] = growth.flatness_report(profile).to_dict()
-            if args.eps is not None and args.delta is not None:
+            if args.eps is not None:
                 report["doubling_window"] = growth.doubling_at_scale(profile, args.eps, args.delta).to_dict()
     return True, report, profile.csv_rows()
 

@@ -47,6 +47,7 @@ __all__ = [
     "approximate_group_witness",
     "CosetSaturation",
     "coset_saturation",
+    "left_coset_labels",
 ]
 
 
@@ -63,11 +64,12 @@ class NonGeneratingError(RuntimeError):
 class Ball:
     """BFS enumeration of S^0, S^1, ... : elements, codes, distances, sphere sizes.
 
-    ``complete`` means the BFS closed (the last sphere is the full boundary);
-    ``truncated`` means expansion stopped at max_radius or the cap first.  A
-    complete ball carries ``successors``, an int64 array of shape (k, size)
-    whose entry [i, j] is the index of gens.elements[i] * elements[j]; a
-    truncated ball carries None, since its last sphere was never expanded.
+    ``truncated`` means expansion stopped at max_radius or the cap first;
+    otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
+    the full boundary).  A complete ball carries ``successors``, an int64
+    array of shape (k, size) whose entry [i, j] is the index of
+    gens.elements[i] * elements[j]; a truncated ball carries None, since its
+    last sphere was never expanded.
     """
 
     group: Group
@@ -75,10 +77,13 @@ class Ball:
     elements: tuple
     codes: tuple[bytes, ...]
     sphere_sizes: tuple[int, ...]
-    complete: bool
     truncated: bool
     capped: bool = False
     successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @property
+    def complete(self) -> bool:
+        return not self.truncated
 
     @property
     def size(self) -> int:
@@ -166,10 +171,9 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
             break
         spheres.append(len(candidates))
         frontier = next_frontier
-    complete = not truncated
     # one contiguous row per generator, so each permutation is a fast gather index
-    successors = np.concatenate(rows).T.copy() if complete else None
-    return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), complete, truncated, capped, successors)
+    successors = None if truncated else np.concatenate(rows).T.copy()
+    return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), truncated, capped, successors)
 
 
 def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
@@ -215,10 +219,9 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         size += len(fresh)
     X = np.concatenate(blocks)
     blocks.clear()  # at 10^6 elements each copy of the rows is over 100 MB
-    complete = not truncated
-    successors = np.concatenate(rows, axis=1) if complete else None
+    successors = None if truncated else np.concatenate(rows, axis=1)
     elements = tuple(group.from_coords(X))
-    return Ball(group, gens, elements, tuple(codec.codes(X)), tuple(spheres), complete, truncated, capped, successors)
+    return Ball(group, gens, elements, tuple(codec.codes(X)), tuple(spheres), truncated, capped, successors)
 
 
 @dataclass(frozen=True)
@@ -582,6 +585,33 @@ class CosetSaturation:
         return {"r": self.r, "trajectory": list(self.trajectory), "index": self.index}
 
 
+def left_coset_labels(ball: Ball, sub: SubgroupOracle) -> np.ndarray:
+    """Label of the left coset xH of each element of a closed ball of G, in order of first appearance.
+
+    H is the set of members, so the identity's coset H gets label 0.  Raises
+    OracleError when the identity is not a member, when |H| does not divide
+    |G|, or when two cosets overlap (H is then no subgroup).
+    """
+    group = ball.group
+    if not sub.contains(ball.elements[0]):
+        raise OracleError(f"{sub.name}: identity not a member")
+    members = [h for h in ball.elements if sub.contains(h)]
+    if ball.size % len(members) != 0:
+        raise OracleError(f"{sub.name}: membership count {len(members)} does not divide {ball.size}")
+    index = ball.index()
+    labels = np.full(ball.size, -1, dtype=np.int64)
+    label = 0
+    for i, x in enumerate(ball.elements):
+        if labels[i] >= 0:
+            continue
+        coset = [index[group.encode(group.mul(x, h))] for h in members]
+        if (labels[coset] >= 0).any():
+            raise OracleError(f"{sub.name}: left cosets overlap, so it is not a subgroup")
+        labels[coset] = label
+        label += 1
+    return labels
+
+
 def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetSaturation:
     """Smallest r with S^{r+1} Gamma = S^r Gamma, asserting G = S^r Gamma."""
     ball = enumerate_ball(group, gens)
@@ -589,44 +619,13 @@ def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> 
         raise ResourceRefusal("group too large to enumerate")
     if group.order is not None and ball.size < group.order:
         raise NonGeneratingError(ball.size, group.order)
-    if not sub.contains(group.identity()):
-        raise OracleError(f"{sub.name}: identity not a member")
-
-    subgroup_size = sum(1 for x in ball.elements if sub.contains(x))
-    if ball.size % subgroup_size != 0:
-        raise OracleError(f"{sub.name}: membership count {subgroup_size} does not divide {ball.size}")
-    index = ball.size // subgroup_size
-
-    reps: list = []
-
-    def coset_of(x) -> Optional[int]:
-        hits = [i for i, t in enumerate(reps) if sub.contains(group.mul(group.inv(t), x))]
-        if len(hits) > 1:
-            raise OracleError(f"{sub.name}: element matched {len(hits)} left cosets")
-        return hits[0] if hits else None
-
-    trajectory = []
-    met: set[int] = set()
-    pos = 0
-    for radius, size in enumerate(ball.sphere_sizes):
-        for x in ball.elements[pos : pos + size]:
-            c = coset_of(x)
-            if c is None:
-                reps.append(x)
-                c = len(reps) - 1
-            met.add(c)
-        pos += size
-        trajectory.append(len(met))
-
-    if len(reps) != index:
-        raise OracleError(f"{sub.name}: found {len(reps)} cosets, expected index {index}")
-
+    # labels appear in ball order, so S^j meets 1 + (the largest label in S^j) cosets
+    largest = np.maximum.accumulate(left_coset_labels(ball, sub))
+    trajectory = tuple(int(c) + 1 for c in largest[np.cumsum(ball.sphere_sizes) - 1])
+    index = trajectory[-1]
     r = 0
     while r + 1 < len(trajectory) and trajectory[r + 1] != trajectory[r]:
         r += 1
     if trajectory[r] != index:
         raise OracleError(f"{sub.name}: trajectory stabilized at {trajectory[r]} of {index} cosets")
-    for j in range(r, len(trajectory)):
-        if trajectory[j] != index:
-            raise OracleError(f"{sub.name}: trajectory regressed after stabilization")
-    return CosetSaturation(r, tuple(trajectory), index)
+    return CosetSaturation(r, trajectory, index)

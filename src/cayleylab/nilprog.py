@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator
+from .groups import FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, symmetrize
 from .growth import enumerate_ball
 
 __all__ = [
@@ -90,12 +90,6 @@ def tree_text(tree) -> str:
 def tree_key(tree, r: int) -> tuple:
     # weight vectors compare colexicographically so that x1 < x2 < ... < xr
     return (total_weight(tree), tuple(reversed(weight_vector(tree, r))), tree_text(tree))
-
-
-def leaves(tree) -> list[int]:
-    if isinstance(tree, int):
-        return [tree]
-    return leaves(tree[0]) + leaves(tree[1])
 
 
 def evaluate_tree(group: Group, gens: list, tree):
@@ -714,46 +708,29 @@ class CommutatorDepthReport:
 
 
 def _normal_closure(group: Group, seed: list, conjugators: list) -> dict:
-    """Smallest subgroup containing seed and closed under the given conjugations."""
-    elems: dict[bytes, object] = {group.encode(group.identity()): group.identity()}
-    hgens: list = []
-    gen_codes: set[bytes] = set()
+    """Smallest subgroup containing seed and closed under the given conjugations, keyed by code.
 
-    def add_gen(x) -> None:
-        code = group.encode(x)
-        if code not in gen_codes:
-            gen_codes.add(code)
-            hgens.append(x)
-
-    for x in seed:
-        add_gen(x)
-        add_gen(group.inv(x))
-    changed = True
-    while changed:
-        changed = False
-        # close under products with the current generator list
-        frontier = list(elems.values())
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for h in hgens:
-                    y = group.mul(a, h)
-                    code = group.encode(y)
-                    if code not in elems:
-                        if len(elems) >= CLOSURE_SIZE_CAP:
-                            raise ResourceRefusal("normal closure exceeds size cap")
-                        elems[code] = y
-                        nxt.append(y)
-            frontier = nxt
-        # conjugation stability
-        for h in list(elems.values()):
+    The closure is the BFS ball of its generators: seed, then every conjugate
+    of a generator that escapes the ball, until none escapes.  In a finite
+    group, conjugates of the generators staying inside suffice.
+    """
+    generators = list(seed)
+    while True:
+        gens = symmetrize(group, generators)
+        ball = enumerate_ball(group, gens, cap=CLOSURE_SIZE_CAP)
+        if ball.capped:
+            raise ResourceRefusal("normal closure exceeds size cap")
+        members = set(ball.codes)
+        escaped = {}
+        for h in gens.elements:
             for c in conjugators:
-                y = group.mul(group.mul(group.inv(c), h), c)
-                if group.encode(y) not in elems:
-                    add_gen(y)
-                    add_gen(group.inv(y))
-                    changed = True
-    return elems
+                y = conjugate(group, h, c)
+                code = group.encode(y)
+                if code not in members:
+                    escaped[code] = y
+        if not escaped:
+            return dict(zip(ball.codes, ball.elements))
+        generators += escaped.values()
 
 
 def derived_subgroup(group: Group, generators: list) -> dict:

@@ -8,10 +8,11 @@ sx outside A, so every crossing edge is counted once from its A-side endpoint.
 
 Solvers: lambda1 with method="auto" runs dense eigh on graphs of at most
 DENSE_CAP (256) vertices, and always below 8 vertices; above the cap it runs
-Lanczos (scipy eigsh) on the sparse Laplacian, with the constant vector
-shifted above the spectrum.  method="dense" and method="iterative" force one
-path; the dense one is the oracle the tests hold the iterative one to.
-coset_gap has only a dense path and refuses above COSET_GAP_CAP (4096).
+Lanczos (scipy eigsh) on a matrix-free Laplacian that gathers along the
+ball's successor table, with the constant vector shifted above the spectrum.
+method="dense" and method="iterative" force one path; the dense one is the
+oracle the tests hold the iterative one to.  coset_gap has only a dense path
+(numpy eigvalsh) and refuses above COSET_GAP_CAP (4096).
 
 Exact Cheeger constants come from an exhaustive vectorized subset scan (only
 feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the
@@ -34,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle
-from .growth import Ball, GrowthProfile, enumerate_ball
+from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, conjugate
+from .growth import Ball, GrowthProfile, enumerate_ball, left_coset_labels
 
 __all__ = [
     "CayleyContext",
@@ -99,9 +100,9 @@ class CayleyContext:
         return self.ball.radius
 
     def laplacian_matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.k * v.astype(float, copy=True)
-        for i, p in enumerate(self.ball.successors):
-            out -= v[p] if i != self.identity_gen else v
+        out = (self.k - 1) * np.asarray(v, dtype=float)
+        for p in self.nonid:
+            out -= v[p]
         return out
 
     def dense_laplacian(self) -> np.ndarray:
@@ -112,16 +113,6 @@ class CayleyContext:
             np.add.at(mat, (rows, p), -1.0)
         mat[rows, rows] += self.k - 1  # identity self-loop cancels one unit of degree
         return mat
-
-    def sparse_laplacian(self) -> "scipy.sparse.csr_matrix":
-        import scipy.sparse
-
-        n = self.n
-        rows = np.tile(np.arange(n), len(self.nonid))
-        data = -np.ones(len(rows))
-        adj = scipy.sparse.coo_matrix((data, (rows, self.nonid.ravel())), shape=(n, n))
-        diag = scipy.sparse.diags([float(self.k - 1)] * n)
-        return (diag + adj).tocsr()
 
     def distances_from(self, start: int) -> np.ndarray:
         n = self.n
@@ -194,22 +185,16 @@ def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
 
 
 def _iterative_extremes(ctx: CayleyContext, tol: float) -> tuple[float, float, np.ndarray]:
-    import scipy.sparse.linalg
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     n = ctx.n
-    lap = ctx.sparse_laplacian()
-    shift = 2.0 * ctx.k + 1.0
-    ones = np.ones(n) / n
-
-    def shifted(v):
-        return lap @ v + shift * (ones @ v) * np.ones(n)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=shifted, dtype=float)
+    shift = 2.0 * ctx.k + 1.0  # lifts the constant vector above the spectrum
+    lap = LinearOperator((n, n), matvec=ctx.laplacian_matvec, dtype=float)
+    shifted = LinearOperator((n, n), matvec=lambda v: ctx.laplacian_matvec(v) + shift * v.mean(), dtype=float)
     v0 = np.cos(0.7 * np.arange(n)) + 0.1
-    vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
-    lam1 = float(vals[0])
-    vals_top, _ = scipy.sparse.linalg.eigsh(lap, k=1, which="LA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
-    return lam1, float(vals_top[0]), vecs[:, 0]
+    vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
+    vals_top, _ = eigsh(lap, k=1, which="LA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
+    return float(vals[0]), float(vals_top[0]), vecs[:, 0]
 
 
 def lambda1(
@@ -552,43 +537,20 @@ def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGa
     n = ctx.n
     if n > COSET_GAP_CAP:
         raise ResourceRefusal(f"coset gap uses a dense solve, capped at {COSET_GAP_CAP} vertices")
-    members = [i for i, x in enumerate(ctx.ball.elements) if sub.contains(x)]
-    if not members or 0 not in members:
-        raise OracleError(f"{sub.name}: identity not a member")
-    member_set = set(members)
+    labels = left_coset_labels(ctx.ball, sub)
+    members = np.flatnonzero(labels == 0)
     ball_index = ctx.ball.index()
     # normality on generators
     for i in members:
         h = ctx.ball.elements[i]
         for s in gens.elements:
-            conj = group.mul(group.mul(group.inv(s), h), s)
-            idx = ball_index.get(group.encode(conj))
-            if idx is None or idx not in member_set:
+            if labels[ball_index[group.encode(conjugate(group, h, s))]] != 0:
                 raise OracleError(f"{sub.name}: not normal (conjugation escapes)")
     hsize = len(members)
-    if n % hsize != 0:
-        raise OracleError(f"{sub.name}: size {hsize} does not divide {n}")
     index = n // hsize
-    dist = ctx.distances_from(0)
-    gamma_h = int(max(dist[i] for i in members))
-
+    gamma_h = int(ctx.distances_from(0)[members].max())
     if hsize == 1:
         return CosetGapReport(math.inf, math.inf, gamma_h, index, True)
-
-    # label left cosets xH
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for i, x in enumerate(ctx.ball.elements):
-        if labels[i] >= 0:
-            continue
-        for j in members:
-            y = group.mul(x, ctx.ball.elements[j])
-            labels[ball_index[group.encode(y)]] = next_label
-        next_label += 1
-    if next_label != index:
-        raise OracleError(f"{sub.name}: coset labelling found {next_label} classes, expected {index}")
-
-    import scipy.linalg
 
     lap = ctx.dense_laplacian()
     proj = np.eye(n)
@@ -597,8 +559,7 @@ def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGa
         proj[np.ix_(sel, sel)] -= 1.0 / hsize
     shift = 2.0 * ctx.k + 1.0
     mat = proj @ lap @ proj + shift * (np.eye(n) - proj)
-    vals = scipy.linalg.eigh(mat, subset_by_index=(0, 0), eigvals_only=True)
-    gap = float(vals[0])
+    gap = float(np.linalg.eigvalsh(mat)[0])
     bound = 1.0 / gamma_h**2
     if gap < bound - SLACK:
         raise RuntimeError(f"coset gap {gap} fell below 1/gamma_H^2 = {bound}")

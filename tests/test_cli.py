@@ -65,6 +65,9 @@ BAD_INPUTS = [
     (["grow", "-g", "cyclic:12", "-r", "-1"], EXIT_USAGE, "at least 0"),
     (["grow", "-g", "cyclic:12", "--eps", "2", "--delta", "-1"], EXIT_USAGE, "positive"),
     (["grow", "-g", "cyclic:12", "--eps", "nan", "--delta", "0.5"], EXIT_USAGE, "positive"),
+    # the doubling window needs both of its parameters
+    (["grow", "-g", "cyclic:12", "--eps", "0.5"], EXIT_USAGE, "--eps and --delta"),
+    (["grow", "-g", "cyclic:12", "--delta", "0.5"], EXIT_USAGE, "--eps and --delta"),
     (["spectrum", "-g", "cyclic:12", "--tol", "0"], EXIT_USAGE, "positive"),
     (["grow", "-g", "cyclic:12", "--seed", "3"], EXIT_USAGE, "unrecognized arguments"),
     (["grow", "-g", "cyclic:12", "--workers", "2"], EXIT_USAGE, "unrecognized arguments"),

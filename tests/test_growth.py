@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cayleylab.groups import SubgroupOracle, build_group, symmetrize
+from cayleylab.groups import OracleError, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
+    CosetSaturation,
     NonGeneratingError,
     approximate_group_witness,
     ball_growth,
@@ -17,6 +18,7 @@ from cayleylab.growth import (
     flatness_report,
     moderate_fit,
 )
+from cayleylab.spectral import coset_gap
 from cayleylab.zoo import standard_zoo
 
 
@@ -215,6 +217,63 @@ def test_coset_saturation_whole_group():
     g = build_group("cyclic:12")
     rep = coset_saturation(g, g.generating_set(), SubgroupOracle(lambda x: True, name="G"))
     assert rep.r == 0 and rep.index == 1
+
+
+def reference_coset_saturation(group, gens, sub):
+    """Coset trajectory by scanning every representative for every element: the reference for coset_saturation."""
+    ball = enumerate_ball(group, gens)
+    subgroup_size = sum(1 for x in ball.elements if sub.contains(x))
+    index = ball.size // subgroup_size
+    reps: list = []
+    trajectory = []
+    pos = 0
+    for size in ball.sphere_sizes:
+        for x in ball.elements[pos : pos + size]:
+            hits = [t for t in reps if sub.contains(group.mul(group.inv(t), x))]
+            assert len(hits) <= 1
+            if not hits:
+                reps.append(x)
+        pos += size
+        trajectory.append(len(reps))
+    assert len(reps) == index
+    r = 0
+    while r + 1 < len(trajectory) and trajectory[r + 1] != trajectory[r]:
+        r += 1
+    return CosetSaturation(r, tuple(trajectory), index)
+
+
+COSET_CASES = [
+    ("cyclic:12", "3Z", lambda x: x % 3 == 0),
+    ("cyclic:12", "G", lambda x: True),
+    ("cyclic:12", "e", lambda x: x == 0),
+    ("lamplighter:5", "lamps", lambda x: x[0] == 0),
+    ("lamplighter:6", "lamps", lambda x: x[0] == 0),
+    ("ut:dim=3,p=7", "center", lambda x: x[0] == 0 and x[2] == 0),
+    ("ut:dim=3,p=7", "a=0", lambda x: x[0] == 0),
+    ("ut:dim=3,p=11", "center", lambda x: x[0] == 0 and x[2] == 0),
+    ("ut:dim=3,p=11", "a=0", lambda x: x[0] == 0),
+    ("symfp:n=4,p=5,variant=Gprime", "G_4", build_group("symfp:n=4,p=5,variant=G").contains),
+    ("abelian:4,4,9", "2x1x3", lambda x: x[0] % 2 == 0 and x[2] % 3 == 0),
+    # one lamp: a subgroup that is not normal
+    ("lamplighter:4", "lamp0", lambda x: x[0] == 0 and not any(x[1][1:])),
+]
+
+
+@pytest.mark.parametrize("spec, name, member", COSET_CASES, ids=[f"{c[0]}-{c[1]}" for c in COSET_CASES])
+def test_coset_saturation_matches_representative_scan(spec, name, member):
+    g = build_group(spec)
+    sub = SubgroupOracle(member, name=name)
+    assert coset_saturation(g, g.generating_set(), sub) == reference_coset_saturation(g, g.generating_set(), sub)
+
+
+@pytest.mark.parametrize("members", [{0, 1, 6, 7}, {0, 1, 11}])
+def test_coset_labels_reject_a_non_subgroup(members):
+    g = build_group("cyclic:12")
+    sub = SubgroupOracle(members.__contains__, name="not a subgroup")
+    with pytest.raises(OracleError, match="overlap"):
+        coset_saturation(g, g.generating_set(), sub)
+    with pytest.raises(OracleError, match="overlap"):
+        coset_gap(g, g.generating_set(), sub)
 
 
 def test_coset_saturation_symfp_tower():

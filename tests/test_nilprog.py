@@ -3,6 +3,7 @@
 import pytest
 from sympy import divisors, mobius
 
+from cayleylab import nilprog
 from cayleylab.groups import FreeNilpotentGroup, ResourceRefusal, build_group, commutator
 from cayleylab.nilprog import (
     commutator_depth,
@@ -218,3 +219,63 @@ def test_commutator_depth_abelian_is_zero():
     pset = enumerate_progression(progression_spec("nilprogression", 2, 1, (1, 1), g, gens))
     rep = commutator_depth(g, pset)
     assert rep.m == 0 and rep.commutator_order == 1
+
+
+def reference_normal_closure(group, seed, conjugators):
+    """Closure by alternating product and conjugation passes: the reference for the BFS closure."""
+    elems = {group.encode(group.identity()): group.identity()}
+    hgens = {}
+    for x in seed:
+        for y in (x, group.inv(x)):
+            hgens.setdefault(group.encode(y), y)
+    changed = True
+    while changed:
+        changed = False
+        frontier = list(elems.values())
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for h in list(hgens.values()):
+                    y = group.mul(a, h)
+                    code = group.encode(y)
+                    if code not in elems:
+                        elems[code] = y
+                        nxt.append(y)
+            frontier = nxt
+        for h in list(elems.values()):
+            for c in conjugators:
+                y = group.mul(group.mul(group.inv(c), h), c)
+                if group.encode(y) not in elems:
+                    for z in (y, group.inv(y)):
+                        hgens.setdefault(group.encode(z), z)
+                    changed = True
+    return elems
+
+
+def _closures(spec):
+    """derived_subgroup as code set and assert_nilpotent as class or ValueError text."""
+    g = build_group(spec)
+    gens = list(g.raw_generators())
+    try:
+        cls = nilprog.assert_nilpotent(g, gens)
+    except ValueError as exc:
+        cls = str(exc)
+    return set(nilprog.derived_subgroup(g, gens)), cls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "ut:dim=3,p=11",
+        "ut:dim=4,p=3",
+        "lamplighter:4",
+        "product(ut:dim=3,p=5)x(cyclic:4)",
+        "cyclic:12",
+        "symfp:n=2,p=3",  # not nilpotent
+        "lamplighter:3",  # not nilpotent
+    ],
+)
+def test_normal_closure_matches_closure_loop_reference(spec, monkeypatch):
+    got = _closures(spec)
+    monkeypatch.setattr(nilprog, "_normal_closure", reference_normal_closure)
+    assert got == _closures(spec)
