@@ -159,7 +159,7 @@ def _cmd_diam(args):
 
 def _cmd_spectrum(args):
     group, gens = _instance(args, min_order=2)
-    rep = spectral.lambda1(group, gens, tol=args.tol)
+    rep = spectral.lambda1(group, gens)
     return True, rep.to_dict(), None
 
 
@@ -420,7 +420,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="extremal Laplacian eigenvalues")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
     _add_common(p)
 
     p = sub.add_parser("cheeger", help="Cheeger constant (exact below the cap)")

@@ -312,7 +312,10 @@ class Group:
         raise NotImplementedError
 
     def encode(self, a) -> bytes:
-        raise NotImplementedError
+        """Canonical bytes: the little-endian u64 of each coordinate, the layout
+        ArrayCodec's default template assumes.  A group without ``coords``, or
+        with another layout, overrides it."""
+        return _enc_u64(self.coords(a))
 
     def eq(self, a, b) -> bool:
         return self.encode(a) == self.encode(b)
@@ -399,9 +402,6 @@ class CyclicGroup(Group):
     def inv(self, a):
         return (-a) % self.n
 
-    def encode(self, a) -> bytes:
-        return _enc_u64((a,))
-
     def coords(self, a) -> list[int]:
         return [a]
 
@@ -433,9 +433,6 @@ class AbelianGroup(Group):
 
     def inv(self, a):
         return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def encode(self, a) -> bytes:
-        return _enc_u64(a)
 
     def coords(self, a) -> list[int]:
         return list(a)
@@ -499,9 +496,6 @@ class UnitriangularGroup(Group):
                 out[pos[(i, j)]] = v % p
         return tuple(out)
 
-    def encode(self, a) -> bytes:
-        return _enc_u64(a)
-
     def coords(self, a) -> list[int]:
         return list(a)
 
@@ -555,10 +549,6 @@ class LamplighterGroup(Group):
         m = self.m
         lamps = tuple(la[(i + pa) % m] for i in range(m))
         return ((-pa) % m, lamps)
-
-    def encode(self, a) -> bytes:
-        pa, la = a
-        return _enc_u64((pa,) + la)
 
     def coords(self, a) -> list[int]:
         pa, la = a
@@ -634,10 +624,6 @@ class SymFpGroup(Group):
             inv_perm[img] = i
         vec = tuple((-va[sa[i]]) % p for i in range(self.n))
         return (tuple(inv_perm), vec)
-
-    def encode(self, a) -> bytes:
-        sa, va = a
-        return _enc_u64(sa + va)
 
     def coords(self, a) -> list[int]:
         sa, va = a

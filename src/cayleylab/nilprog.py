@@ -12,11 +12,19 @@ argument is strictly later in the tree order (the reversed bracket is the
 groupwise inverse, which symmetric exponent ranges already cover), and
 formally trivial brackets on equal shapes are dropped.  This keeps the list
 minimal: rank 2 step 2 gives x1, x2 and the four sign variants of [x2, x1].
+Both lists come from one shape recursion; basic commutators add one
+condition on each bracket.
 
 Enumeration of progressions is extensional: sets of group elements keyed on
 canonical bytes, built by iterated set products (for exponent-box kinds) or
 by budgeted word search (for nilprogressions).  Verification of containments
-and power laws is exhaustive set comparison, never symbolic collection.
+and power laws is exhaustive set comparison, never symbolic collection; the
+power laws walk P, P^2, ... once, under one work meter.
+
+On a finite group, nilpotency comes from one lower central series (each term
+the normal closure of the commutators of the last with the generators):
+progression_spec holds the generators to class at most s with it,
+assert_nilpotent returns its length and commutator_depth reads [G, G] off it.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ __all__ = [
 PROGRESSION_WORK_CAP = 10**7
 HALL_SIZE_CAP = 10**4
 CLOSURE_SIZE_CAP = 10**6  # elements of a normal closure
-MAX_CLASS = 64  # lower central series steps before a group is declared not nilpotent
 MAX_POWER = 64  # largest m tried for P(nL) inside P(L)^m
 
 KINDS = ("ordered", "nilprogression", "nilpotent", "nilcomplete")
@@ -125,32 +132,38 @@ class HallBasis:
         return [tree_text(c) for c in self.commutators]
 
 
-def hall_basis(r: int, s: int) -> HallBasis:
-    """Basic commutators under the recursion: [u, v] is basic when u, v are
-    basic, v comes strictly before u, and the right component of a bracket u
-    does not come after v."""
-    if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
-    basics: list = list(range(r))
+def _shapes(r: int, s: int, basic: bool) -> list:
+    """Commutator shapes of total weight <= s in tree order.
+
+    [u, v] is a shape when u, v are shapes and v comes strictly before u; a
+    basic commutator also needs the right component of a bracket u not to come
+    after v.
+    """
+    shapes: list = list(range(r))
     by_weight: dict[int, list] = {1: list(range(r))}
     for w in range(2, s + 1):
         layer = []
         for wu in range(1, w):
-            wv = w - wu
-            for u in by_weight.get(wu, ()):
+            for u in by_weight[wu]:
                 ku = tree_key(u, r)
-                for v in by_weight.get(wv, ()):
-                    if tree_key(v, r) >= ku:
-                        continue
-                    if not isinstance(u, int) and tree_key(u[1], r) > tree_key(v, r):
+                for v in by_weight[w - wu]:
+                    kv = tree_key(v, r)
+                    if kv >= ku or (basic and not isinstance(u, int) and tree_key(u[1], r) > kv):
                         continue
                     layer.append((u, v))
         layer.sort(key=lambda t: tree_key(t, r))
         by_weight[w] = layer
-        basics.extend(layer)
-        if len(basics) > HALL_SIZE_CAP:
-            raise ResourceRefusal(f"Hall basis for (r={r}, s={s}) exceeds {HALL_SIZE_CAP} entries")
-    basics.sort(key=lambda t: tree_key(t, r))
+        shapes.extend(layer)
+        if len(shapes) > HALL_SIZE_CAP:
+            raise ResourceRefusal(f"commutator shapes for (r={r}, s={s}) exceed {HALL_SIZE_CAP}")
+    return shapes
+
+
+def hall_basis(r: int, s: int) -> HallBasis:
+    """Basic commutators of total weight <= s on r letters."""
+    if r < 1 or s < 1:
+        raise ValueError("need r >= 1 and s >= 1")
+    basics = _shapes(r, s, basic=True)
     return HallBasis(r, s, tuple(basics), tuple(weight_vector(c, r) for c in basics))
 
 
@@ -210,34 +223,12 @@ class GenCommutatorList:
         return [e.evaluate(group, gens) for e in self.entries]
 
 
-def _gen_shapes(r: int, s: int) -> list:
-    shapes: list = list(range(r))
-    by_weight: dict[int, list] = {1: list(range(r))}
-    for w in range(2, s + 1):
-        layer = []
-        for wu in range(1, w):
-            wv = w - wu
-            for u in by_weight.get(wu, ()):
-                ku = tree_key(u, r)
-                for v in by_weight.get(wv, ()):
-                    if tree_key(v, r) >= ku:
-                        continue
-                    layer.append((u, v))
-        layer.sort(key=lambda t: tree_key(t, r))
-        by_weight[w] = layer
-        shapes.extend(layer)
-        if len(shapes) > HALL_SIZE_CAP:
-            raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {HALL_SIZE_CAP} shapes")
-    shapes.sort(key=lambda t: tree_key(t, r))
-    return shapes
-
-
 def generalised_commutators(r: int, s: int) -> GenCommutatorList:
     if r < 1 or s < 1:
         raise ValueError("need r >= 1 and s >= 1")
     entries: list[GenCommutator] = []
     total = 0
-    for shape in _gen_shapes(r, s):
+    for shape in _shapes(r, s, basic=False):
         nleaves = total_weight(shape)
         if isinstance(shape, int):
             variants = [(1,)]
@@ -307,37 +298,19 @@ def progression_spec(
     group: Optional[Group] = None,
     generators: Optional[list] = None,
 ) -> ProgressionSpec:
-    """Spec with the free-nilpotent backend (exact model) as the default."""
+    """Spec with the free-nilpotent backend (exact model) as the default.
+
+    On a finite group the generators must generate a subgroup of nilpotency
+    class at most s; otherwise ValueError.
+    """
     if group is None:
         group = FreeNilpotentGroup(r, s)
     if generators is None:
         generators = group.raw_generators()[:r]
     spec = ProgressionSpec(kind, r, s, tuple(L), group, tuple(generators))
-    _assert_nilpotent_generators(spec)
+    if group.order is not None and len(_lower_central_series(group, list(generators))) > s:
+        raise ValueError("generators do not generate an s-step nilpotent subgroup")
     return spec
-
-
-def _assert_nilpotent_generators(spec: ProgressionSpec) -> None:
-    """Finite backends: all (s+1)-fold left-normed commutators on generators vanish."""
-    g = spec.group
-    if isinstance(g, FreeNilpotentGroup):
-        return
-    if g.order is None:
-        return
-    r, s = spec.r, spec.s
-    if r ** (s + 1) > 4096:
-        return
-    ident = g.encode(g.identity())
-    current = list(spec.generators)
-    for _ in range(s):
-        nxt = []
-        for c in current:
-            for x in spec.generators:
-                nxt.append(commutator(g, c, x))
-        current = nxt
-    for c in current:
-        if g.encode(c) != ident:
-            raise ValueError("generators do not generate an s-step nilpotent subgroup")
 
 
 @dataclass(frozen=True)
@@ -359,6 +332,10 @@ class ProgressionSet:
         if self.spec.kind != "nilpotent" or self.formal_box is None:
             return None
         return self.cardinality == self.formal_box
+
+    def by_code(self) -> dict:
+        """The elements keyed by their codes, in canonical order."""
+        return dict(zip(sorted(self.codes), self.elements))
 
     def contains_set(self, other: "ProgressionSet") -> bool:
         return other.codes <= self.codes
@@ -502,9 +479,7 @@ def _check_containment(group: Group, small: ProgressionSet, big: ProgressionSet,
     missing = small.codes - big.codes
     if not missing:
         return Containment(lhs, rhs, True)
-    code = min(missing)
-    payload = next(x for x in small.elements if group.encode(x) == code)
-    return Containment(lhs, rhs, False, group.describe(payload))
+    return Containment(lhs, rhs, False, group.describe(small.by_code()[min(missing)]))
 
 
 @dataclass(frozen=True)
@@ -626,38 +601,33 @@ def verify_power_laws(
     base = enumerate_progression(base_spec)
     nL = tuple(n * l for l in L)
     dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL))
-    base_dict = {g.encode(x): x for x in base.elements}
+    base_dict = base.by_code()
 
-    def grow_powers(stop_when_covers: Optional[frozenset], up_to: int, meter: _WorkMeter):
-        """Frontier-style powers of the base set; returns (known, m reached, m covering)."""
-        known = dict(base_dict)
-        frontier = dict(base_dict)
-        m = 1
-        covering = 1 if (stop_when_covers is not None and stop_when_covers <= set(known)) else None
-        while m < up_to and covering is None and frontier:
-            meter.charge(len(frontier) * len(base_dict))
-            new: dict[bytes, object] = {}
-            for a in frontier.values():
-                for b in base_dict.values():
-                    c = g.mul(a, b)
-                    code = g.encode(c)
-                    if code not in known and code not in new:
-                        new[code] = c
-            known.update(new)
-            frontier = new
-            m += 1
-            if stop_when_covers is not None and stop_when_covers <= set(known):
-                covering = m
-        return known, m, covering
-
-    # part (2), asserted exactly: the n-th power stays inside the dilate
-    power_known, _, _ = grow_powers(None, n, _WorkMeter())
-    holds = set(power_known) <= dilated.codes
-
-    # part (1), reported: minimal m with the dilate inside the m-th power
-    minimal_m = None
-    if with_min_power:
-        _, _, minimal_m = grow_powers(dilated.codes, MAX_POWER, _WorkMeter())
+    # one pass over the powers P^m, each the last one times P: part (2),
+    # asserted exactly, reads P^1..P^n against the dilate, and part (1),
+    # reported, the least m <= MAX_POWER with the dilate inside P^m
+    meter = _WorkMeter()
+    known = dict(base_dict)
+    frontier = base_dict
+    m = 1
+    holds = base.codes <= dilated.codes
+    minimal_m = 1 if with_min_power and dilated.codes <= base.codes else None
+    while frontier and (m < n or (with_min_power and minimal_m is None and m < MAX_POWER)):
+        meter.charge(len(frontier) * len(base_dict))
+        new: dict[bytes, object] = {}
+        for a in frontier.values():
+            for b in base_dict.values():
+                c = g.mul(a, b)
+                code = g.encode(c)
+                if code not in known and code not in new:
+                    new[code] = c
+        known.update(new)
+        frontier = new
+        m += 1
+        if m <= n:
+            holds = holds and new.keys() <= dilated.codes
+        if with_min_power and minimal_m is None and m <= MAX_POWER and dilated.codes <= known.keys():
+            minimal_m = m
 
     # part (3), reported with a verified greedy-cover certificate
     cover_size = None
@@ -668,8 +638,7 @@ def verify_power_laws(
         target = enumerate_progression(progression_spec("nilcomplete", r, s, ML))
         covered: set[bytes] = set()
         translates: list = []
-        for z in target.elements:  # canonical order
-            zc = g.encode(z)
+        for zc, z in target.by_code().items():  # canonical order
             if zc in covered:
                 continue
             translates.append(z)
@@ -735,42 +704,39 @@ def _normal_closure(group: Group, seed: list, conjugators: list) -> dict:
 
 def derived_subgroup(group: Group, generators: list) -> dict:
     """[G, G] as the normal closure of the generator commutators."""
-    seed = []
-    for a in generators:
-        for b in generators:
-            c = commutator(group, a, b)
-            seed.append(c)
+    seed = [commutator(group, a, b) for a in generators for b in generators]
     return _normal_closure(group, seed, list(generators))
+
+
+def _lower_central_series(group: Group, generators: list) -> list[dict]:
+    """gamma_2, gamma_3, ... of the finite group G the generators generate, down to
+    the trivial group, so G has nilpotency class len(series).
+
+    Each term lies inside the one before; one that equals it never shrinks
+    again, so the group is not nilpotent and ValueError is raised.
+    """
+    series = [derived_subgroup(group, generators)]
+    while len(series[-1]) > 1:
+        seed = [commutator(group, h, x) for h in series[-1].values() for x in generators]
+        nxt = _normal_closure(group, seed, list(generators))
+        if nxt.keys() == series[-1].keys():
+            raise ValueError("lower central series did not terminate: group is not nilpotent")
+        series.append(nxt)
+    return series
 
 
 def assert_nilpotent(group: Group, generators: list) -> int:
     """Lower central series termination; returns the nilpotency class."""
-    current = derived_subgroup(group, generators)
-    ident = group.encode(group.identity())
-    cls = 1
-    while len(current) > 1:
-        cls += 1
-        if cls > MAX_CLASS:
-            raise ValueError("lower central series did not terminate: group is not nilpotent")
-        seed = []
-        for h in current.values():
-            for x in generators:
-                seed.append(commutator(group, h, x))
-        current = _normal_closure(group, seed, list(generators))
-    return cls
+    return len(_lower_central_series(group, generators))
 
 
 def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthReport:
     """Minimal m with [G,G] inside P^m, where P generates the finite nilpotent G."""
     if group.order is None:
         raise ValueError("needs a finite group")
-    generators = list(pset.spec.generators)
-    assert_nilpotent(group, generators)
-    comm = derived_subgroup(group, generators)
-
+    comm = _lower_central_series(group, list(pset.spec.generators))[0]
     # P must itself be symmetric with identity so that P^m is the BFS ball
-    items = sorted((group.encode(x), x) for x in pset.elements)
-    pgens = GeneratingSet(group, tuple(v for _, v in items), tuple(c for c, _ in items))
+    pgens = GeneratingSet(group, pset.elements, tuple(sorted(pset.codes)))
 
     ball = enumerate_ball(group, pgens)
     if ball.size != group.order:

@@ -8,11 +8,12 @@ sx outside A, so every crossing edge is counted once from its A-side endpoint.
 
 Solvers: lambda1 with method="auto" runs dense eigh on graphs of at most
 DENSE_CAP (256) vertices, and always below 8 vertices; above the cap it runs
-Lanczos (scipy eigsh) on a matrix-free Laplacian that gathers along the
-ball's successor table, with the constant vector shifted above the spectrum.
-method="dense" and method="iterative" force one path; the dense one is the
-oracle the tests hold the iterative one to.  coset_gap has only a dense path
-(numpy eigvalsh) and refuses above COSET_GAP_CAP (4096).
+Lanczos (scipy eigsh, fixed tolerance 1e-11) on a matrix-free Laplacian that
+gathers along the ball's successor table, with the constant vector shifted
+above the spectrum.  method="dense" and method="iterative" force one path;
+the dense one is the oracle the tests hold the iterative one to.  coset_gap
+has only a dense path (numpy eigvalsh of the Laplacian plus a shifted
+coset-averaging matrix) and refuses above COSET_GAP_CAP (4096).
 
 Exact Cheeger constants come from an exhaustive vectorized subset scan (only
 feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the
@@ -152,7 +153,6 @@ class SpectralReport:
     k: int
     solver: str
     residual: float
-    tol: float
     fiedler: np.ndarray
 
     @property
@@ -184,7 +184,7 @@ def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     return float(vals[1]), float(vals[-1]), vecs[:, 1]
 
 
-def _iterative_extremes(ctx: CayleyContext, tol: float) -> tuple[float, float, np.ndarray]:
+def _iterative_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     n = ctx.n
@@ -192,15 +192,14 @@ def _iterative_extremes(ctx: CayleyContext, tol: float) -> tuple[float, float, n
     lap = LinearOperator((n, n), matvec=ctx.laplacian_matvec, dtype=float)
     shifted = LinearOperator((n, n), matvec=lambda v: ctx.laplacian_matvec(v) + shift * v.mean(), dtype=float)
     v0 = np.cos(0.7 * np.arange(n)) + 0.1
-    vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
-    vals_top, _ = eigsh(lap, k=1, which="LA", v0=v0, tol=tol * 1e-2, maxiter=50 * n)
+    vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=1e-11, maxiter=50 * n)
+    vals_top, _ = eigsh(lap, k=1, which="LA", v0=v0, tol=1e-11, maxiter=50 * n)
     return float(vals[0]), float(vals_top[0]), vecs[:, 0]
 
 
 def lambda1(
     group: Group,
     gens: GeneratingSet,
-    tol: float = 1e-9,
     method: str = "auto",
     ctx: Optional[CayleyContext] = None,
 ) -> SpectralReport:
@@ -219,7 +218,7 @@ def lambda1(
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
-        lam1, lam_max, vec = _iterative_extremes(ctx, tol)
+        lam1, lam_max, vec = _iterative_extremes(ctx)
         solver = "iterative"
     resid = float(np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec))
     norm = float(np.linalg.norm(vec))
@@ -227,7 +226,7 @@ def lambda1(
         raise RuntimeError(f"eigenpair residual {resid:.2e} exceeds 1e-8 (solver={solver})")
     if not (0.0 < lam1 <= lam_max + 1e-12 and lam_max <= 2 * ctx.k + 1e-9):
         raise RuntimeError(f"eigenvalues out of range: lambda1={lam1}, lambda_max={lam_max}")
-    return SpectralReport(lam1, lam_max, ctx.k, solver, resid, tol, vec)
+    return SpectralReport(lam1, lam_max, ctx.k, solver, resid, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -552,14 +551,12 @@ def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGa
     if hsize == 1:
         return CosetGapReport(math.inf, math.inf, gamma_h, index, True)
 
-    lap = ctx.dense_laplacian()
-    proj = np.eye(n)
-    for c in range(index):
-        sel = labels == c
-        proj[np.ix_(sel, sel)] -= 1.0 / hsize
+    # A averages over each coset xH; since s(xH) = (sx)H the Laplacian commutes
+    # with A, so the shift lifts the coset-constant functions above the
+    # spectrum and leaves the Laplacian on their complement as it is
+    averaging = (labels[:, None] == labels[None, :]) / hsize
     shift = 2.0 * ctx.k + 1.0
-    mat = proj @ lap @ proj + shift * (np.eye(n) - proj)
-    gap = float(np.linalg.eigvalsh(mat)[0])
+    gap = float(np.linalg.eigvalsh(ctx.dense_laplacian() + shift * averaging)[0])
     bound = 1.0 / gamma_h**2
     if gap < bound - SLACK:
         raise RuntimeError(f"coset gap {gap} fell below 1/gamma_H^2 = {bound}")

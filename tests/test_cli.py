@@ -68,8 +68,8 @@ BAD_INPUTS = [
     # the doubling window needs both of its parameters
     (["grow", "-g", "cyclic:12", "--eps", "0.5"], EXIT_USAGE, "--eps and --delta"),
     (["grow", "-g", "cyclic:12", "--delta", "0.5"], EXIT_USAGE, "--eps and --delta"),
-    (["spectrum", "-g", "cyclic:12", "--tol", "0"], EXIT_USAGE, "positive"),
     (["grow", "-g", "cyclic:12", "--seed", "3"], EXIT_USAGE, "unrecognized arguments"),
+    (["spectrum", "-g", "cyclic:12", "--tol", "1e-3"], EXIT_USAGE, "unrecognized arguments"),
     (["grow", "-g", "cyclic:12", "--workers", "2"], EXIT_USAGE, "unrecognized arguments"),
     # an lgg tower needs both -n and -p; verify lgg alone runs the default towers
     (["verify", "lgg", "-n", "3"], EXIT_USAGE, "-n and -p"),

@@ -6,12 +6,16 @@ from sympy import divisors, mobius
 from cayleylab import nilprog
 from cayleylab.groups import FreeNilpotentGroup, ResourceRefusal, build_group, commutator
 from cayleylab.nilprog import (
+    MAX_POWER,
+    PowerLawReport,
+    ProgressionSet,
     commutator_depth,
     enumerate_progression,
     generalised_commutators,
     hall_basis,
     progression_spec,
     total_weight,
+    tree_key,
     tree_text,
     verify_nesting,
     verify_power_laws,
@@ -60,6 +64,40 @@ def test_hall_weight_counts_match_necklace_formula(r, s):
 def test_hall_basis_size_refusal():
     with pytest.raises(ResourceRefusal):
         hall_basis(10, 5)
+
+
+def reference_shapes(r, s, basic):
+    """The two separate recursions the shared one replaced: hall_basis's (basic) and generalised_commutators'."""
+    shapes = list(range(r))
+    by_weight = {1: list(range(r))}
+    for w in range(2, s + 1):
+        layer = []
+        for wu in range(1, w):
+            wv = w - wu
+            for u in by_weight.get(wu, ()):
+                ku = tree_key(u, r)
+                for v in by_weight.get(wv, ()):
+                    if tree_key(v, r) >= ku:
+                        continue
+                    if basic and not isinstance(u, int) and tree_key(u[1], r) > tree_key(v, r):
+                        continue
+                    layer.append((u, v))
+        layer.sort(key=lambda t: tree_key(t, r))
+        by_weight[w] = layer
+        shapes.extend(layer)
+    shapes.sort(key=lambda t: tree_key(t, r))
+    return shapes
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_shape_recursion_matches_both_reference_recursions(r, s):
+    assert list(hall_basis(r, s).commutators) == reference_shapes(r, s, basic=True)
+    shapes = []
+    for e in generalised_commutators(r, s).entries:
+        if not shapes or shapes[-1] != e.shape:
+            shapes.append(e.shape)
+    assert shapes == reference_shapes(r, s, basic=False)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +200,24 @@ def test_non_nilpotent_backend_rejected():
         progression_spec("nilprogression", 2, 2, (1, 1), g, gens)
 
 
+def test_non_nilpotent_backend_rejected_at_any_step():
+    # r^(s+1) = 8192 left-normed commutators: too many to list, but the
+    # lower central series of S_3 stalls at its alternating subgroup
+    g = build_group("symfp:n=3,p=7")
+    gens = g.raw_generators()[:2]
+    with pytest.raises(ValueError, match="not nilpotent"):
+        progression_spec("nilprogression", 2, 12, (1, 1), g, gens)
+
+
+def test_nilpotency_class_bounds_the_step():
+    g = build_group("ut:dim=4,p=3")  # class 3
+    gens = g.raw_generators()
+    assert nilprog.assert_nilpotent(g, gens) == 3
+    with pytest.raises(ValueError, match="s-step nilpotent"):
+        progression_spec("nilprogression", 3, 2, (1, 1, 1), g, gens)
+    assert progression_spec("nilprogression", 3, 3, (1, 1, 1), g, gens).s == 3
+
+
 # ---------------------------------------------------------------------------
 # Power laws
 # ---------------------------------------------------------------------------
@@ -177,6 +233,107 @@ def test_power_law_cover_certificate():
     assert rep.power_containment_holds
     assert rep.cover_verified and rep.cover_size >= 1
     assert rep.minimal_power_m is not None
+
+
+def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
+    """The two-pass verify_power_laws the single pass replaced: P, P^2, ... up to
+    P^n for the containment, then again from P up to the covering m.  Returns
+    the report and the work each pass charged."""
+    g = FreeNilpotentGroup(r, s)
+    base = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(L)))
+    dilated = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(n * l for l in L)))
+    base_dict = {g.encode(x): x for x in base.elements}
+    work = []
+
+    def grow_powers(stop_when_covers, up_to):
+        known = dict(base_dict)
+        frontier = dict(base_dict)
+        m = 1
+        used = 0
+        covering = 1 if (stop_when_covers is not None and stop_when_covers <= set(known)) else None
+        while m < up_to and covering is None and frontier:
+            used += len(frontier) * len(base_dict)
+            new = {}
+            for a in frontier.values():
+                for b in base_dict.values():
+                    c = g.mul(a, b)
+                    code = g.encode(c)
+                    if code not in known and code not in new:
+                        new[code] = c
+            known.update(new)
+            frontier = new
+            m += 1
+            if stop_when_covers is not None and stop_when_covers <= set(known):
+                covering = m
+        work.append(used)
+        return known, covering
+
+    power_known, _ = grow_powers(None, n)
+    holds = set(power_known) <= dilated.codes
+    minimal_m = grow_powers(dilated.codes, MAX_POWER)[1] if with_min_power else None
+    cover_size = cover_verified = None
+    if M is not None:
+        target = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(M * l for l in L)))
+        covered, translates = set(), []
+        for z in target.elements:
+            if g.encode(z) in covered:
+                continue
+            translates.append(z)
+            for p in base_dict.values():
+                covered.add(g.encode(g.mul(p, z)))
+        cover_size, cover_verified = len(translates), target.codes <= covered
+    return PowerLawReport(r, s, tuple(L), n, M, holds, minimal_m, cover_size, cover_verified), work
+
+
+@pytest.mark.parametrize(
+    "r, s, L, n, M, with_min",
+    [
+        (2, 2, (1, 1), 1, None, True),
+        (2, 2, (1, 1), 2, 2, True),
+        (2, 2, (0, 0), 3, None, True),
+        (1, 1, (2,), 3, 2, True),
+        (2, 2, (2, 1), 2, None, False),
+    ],
+)
+def test_power_pass_matches_two_pass_reference(r, s, L, n, M, with_min, monkeypatch):
+    meters = []
+
+    class RecordingMeter(nilprog._WorkMeter):
+        def __init__(self):
+            super().__init__()
+            meters.append(self)
+
+    monkeypatch.setattr(nilprog, "_WorkMeter", RecordingMeter)
+    rep = verify_power_laws(r, s, L, n, M=M, with_min_power=with_min)
+    ref, work = reference_power_laws(r, s, L, n, M=M, with_min_power=with_min)
+    assert rep == ref
+    # meters: the base set's, the dilate's, then the power pass's, which
+    # charges what the longer of the two old passes charged
+    assert meters[2].used == max(work)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_power_pass_reads_each_power_at_its_step(k, monkeypatch):
+    """With the dilate P(2L) swapped for P(L)^k, P^2 lies inside it exactly when
+    k >= 2, and the least covering m is k."""
+    g = FreeNilpotentGroup(2, 2)
+    base = enumerate_progression(progression_spec("nilcomplete", 2, 2, (1, 1)))
+    power = base.by_code()
+    for _ in range(k - 1):
+        power = {g.encode(c): c for c in (g.mul(a, b) for a in power.values() for b in base.elements)}
+    assert len(power) > len(base.elements) or k == 1
+    real = nilprog.enumerate_progression
+
+    def swapped(spec):
+        if spec.L != (2, 2):
+            return real(spec)
+        codes = sorted(power)
+        return ProgressionSet(spec, tuple(power[c] for c in codes), frozenset(codes), None)
+
+    monkeypatch.setattr(nilprog, "enumerate_progression", swapped)
+    rep = verify_power_laws(2, 2, (1, 1), 2)
+    assert rep.power_containment_holds == (k >= 2)
+    assert rep.minimal_power_m == k
 
 
 def test_nilprogression_cube_ratio_blowup():

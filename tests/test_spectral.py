@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
-from cayleylab.growth import _tuple_bfs, enumerate_ball
+from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
 from cayleylab.spectral import (
     COSET_GAP_CAP,
     DENSE_CAP,
@@ -241,7 +241,7 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
         eigenspace = vecs[:, np.abs(vals - vals[1]) < 1e-8]
         for _ in range(3):
             fiedler = eigenspace @ rng.normal(size=eigenspace.shape[1])
-            spec = SpectralReport(float(vals[1]), float(vals[-1]), ctx.k, "dense", 0.0, 1e-9, fiedler)
+            spec = SpectralReport(float(vals[1]), float(vals[-1]), ctx.k, "dense", 0.0, fiedler)
             rep = cheeger(g, gens, exact_cap=0, ctx=ctx, spectral=spec)
             assert rep.h_lower - 1e-9 <= h <= rep.h_upper + 1e-9, (label, h, rep.h_lower, rep.h_upper)
     assert graphs > 80
@@ -392,6 +392,41 @@ def test_coset_gap_full_group_matches_lambda1():
     rep = coset_gap(g, s, SubgroupOracle(lambda x: True, name="G"))
     assert abs(rep.gap - lambda1(g, s).lambda1) < 1e-8
     assert rep.bound == 1.0 / 6**2
+
+
+def projected_coset_gap(group, gens, sub):
+    """The least eigenvalue of P L P + shift (I - P), P the projection onto zero
+    mean on every coset: the formula coset_gap's shifted solve replaced."""
+    ctx = build_context(group, gens)
+    n = ctx.n
+    labels = left_coset_labels(ctx.ball, sub)
+    hsize = int((labels == 0).sum())
+    proj = np.eye(n)
+    for c in range(n // hsize):
+        sel = labels == c
+        proj[np.ix_(sel, sel)] -= 1.0 / hsize
+    shift = 2.0 * ctx.k + 1.0
+    return float(np.linalg.eigvalsh(proj @ ctx.dense_laplacian() @ proj + shift * (np.eye(n) - proj))[0])
+
+
+@pytest.mark.parametrize(
+    "spec, name, member",
+    [
+        ("lamplighter:6", "lamps", lambda x: x[0] == 0),
+        ("cyclic:12", "G", lambda x: True),
+        ("cyclic:12", "3Z", lambda x: x % 3 == 0),
+        ("ut:dim=3,p=7", "center", lambda x: x[0] == 0 and x[2] == 0),
+        ("ut:dim=3,p=7", "a=0", lambda x: x[0] == 0),
+        ("ut:dim=3,p=11", "a=0", lambda x: x[0] == 0),
+        ("abelian:4,4,9", "first=0", lambda x: x[0] == 0),
+    ],
+)
+def test_coset_gap_matches_projected_formula(spec, name, member):
+    g = build_group(spec)
+    gens = g.generating_set()
+    sub = SubgroupOracle(member, name=name)
+    want = projected_coset_gap(g, gens, sub)
+    assert abs(coset_gap(g, gens, sub).gap - want) <= 1e-12 * want
 
 
 def test_coset_gap_rejects_non_normal():
