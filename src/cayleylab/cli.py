@@ -136,6 +136,11 @@ def _instance(args, min_order: int = 1):
     return inst.group, inst.gens
 
 
+def _context(args):
+    """The one Cayley graph a spectral or walk command reads."""
+    return spectral.build_context(*_instance(args, min_order=2))
+
+
 def _cmd_grow(args):
     if (args.eps is None) != (args.delta is None):
         raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
@@ -158,24 +163,21 @@ def _cmd_diam(args):
 
 
 def _cmd_spectrum(args):
-    group, gens = _instance(args, min_order=2)
-    rep = spectral.lambda1(group, gens)
+    rep = spectral.lambda1(_context(args))
     return True, rep.to_dict(), None
 
 
 def _cmd_cheeger(args):
-    group, gens = _instance(args, min_order=2)
-    rep = spectral.cheeger(group, gens, exact_cap=args.exact_cap)
+    rep = spectral.cheeger(_context(args), args.exact_cap)
     return True, rep.to_dict(), None
 
 
 def _cmd_mix(args):
     if args.p is not None and args.format != "csv":
         raise SpecSemanticError("--p restricts the csv curves; it needs --format csv")
-    group, gens = _instance(args, min_order=2)
-    ctx = spectral.build_context(group, gens)
-    curves = mixing.convolution_curve(group, gens, ctx=ctx)
-    rep = mixing.mixing_times(group, gens, ctx=ctx, curves=curves)
+    ctx = _context(args)
+    curves = mixing.convolution_curve(ctx)
+    rep = mixing.mixing_times(ctx, curves)
     if args.format != "csv":
         return True, rep.to_dict(), None
     rows = curves.csv_rows()
@@ -277,15 +279,13 @@ def _suite_powers(args):
 
 
 def _suite_spectral(args):
-    group, gens = _instance(args, min_order=2)
     exact_cap = spectral.EXACT_CHEEGER_CAP if args.exact_cap is None else args.exact_cap
-    rep = spectral.verify_spectral_inequalities(group, gens, exact_cap=exact_cap)
+    rep = spectral.verify_spectral_inequalities(_context(args), exact_cap)
     return rep.ok, rep.to_dict()
 
 
 def _suite_mixing(args):
-    group, gens = _instance(args, min_order=2)
-    rep = mixing.verify_basic_mixing(group, gens)
+    rep = mixing.verify_basic_mixing(_context(args))
     return rep.ok, rep.to_dict()
 
 

@@ -20,6 +20,11 @@ This is the same per-step arithmetic as a loop of acc += v[perm_s], so the
 curves and the last vector are bit-identical to it; the tests keep that
 loop as the oracle.
 
+The walk and mixing engines take the CayleyContext that
+spectral.build_context returns (quadratic_scan builds one per instance) and
+read lambda1 from its cached ``spectrum``, so a command that walks and solves
+enumerates its graph once and solves once.
+
 Mixing times use the 1/10 threshold with ties pushed later: a crossing is
 declared only when the distance is below the threshold by more than 1e-12,
 so float noise can only make reported times conservative (later), which never
@@ -37,7 +42,7 @@ import numpy as np
 
 from .groups import GeneratingSet, Group
 from .growth import doubling_scan
-from .spectral import CayleyContext, SpectralReport, build_context, lambda1
+from .spectral import CayleyContext, build_context
 
 __all__ = [
     "WalkCurves",
@@ -169,10 +174,8 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Opti
 
 
 def convolution_curve(
-    group: Group,
-    gens: GeneratingSet,
+    ctx: CayleyContext,
     n_max: Optional[int] = None,
-    ctx: Optional[CayleyContext] = None,
     extend_to: Optional[Callable[[WalkCurves], int]] = None,
 ) -> WalkCurves:
     """Distance curves out to n_max steps (default: the provable T2 horizon).
@@ -180,8 +183,6 @@ def convolution_curve(
     With extend_to, the walk then continues from where it stopped out to
     step extend_to(curves), so no step is walked twice.
     """
-    if ctx is None:
-        ctx = build_context(group, gens)
     horizon = n_max if n_max is not None else default_n_max(ctx.k, ctx.diameter, ctx.n)
     curves = _run_walk(ctx, horizon, stop_when_mixed=n_max is None)
     if extend_to is not None:
@@ -224,24 +225,13 @@ class MixingReport:
         }
 
 
-def mixing_times(
-    group: Group,
-    gens: GeneratingSet,
-    ctx: Optional[CayleyContext] = None,
-    curves: Optional[WalkCurves] = None,
-    spectral: Optional[SpectralReport] = None,
-) -> MixingReport:
-    """First 1/10-threshold crossings for p = 1, 2, inf plus the relaxation time."""
-    if ctx is None:
-        ctx = build_context(group, gens)
-    if curves is None:
-        curves = convolution_curve(group, gens, ctx=ctx)
-    if spectral is None:
-        spectral = lambda1(group, gens, ctx=ctx)
+def mixing_times(ctx: CayleyContext, curves: WalkCurves) -> MixingReport:
+    """First 1/10-threshold crossings of the walked curves for p = 1, 2, inf plus the relaxation time."""
+    spectral = ctx.spectrum
     t1, t2, tinf = curves.crossing(1), curves.crossing(2), curves.crossing("inf")
     t_rel = ctx.k / spectral.lambda1
     return MixingReport(
-        group.name,
+        ctx.group.name,
         ctx.n,
         ctx.k,
         ctx.diameter,
@@ -292,22 +282,28 @@ class BasicMixingReport:
         }
 
 
-def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
+def verify_basic_mixing(ctx: CayleyContext) -> BasicMixingReport:
     """Numerical check of the nine standard mixing-time facts.
 
     Requires lambda1 <= 2 for the spectral items; items needing beta_S are
     skipped with notice when the walk-operator norm is not 1 - lambda1/k.
     """
-    ctx = build_context(group, gens)
-    spec = lambda1(group, gens, ctx=ctx)
+    spec = ctx.spectrum
     hypothesis_ok = spec.lambda1 <= 2.0 + 1e-12
+    # items 3, 5 and 9 read beta_S as the norm of the walk operator
+    if not hypothesis_ok:
+        beta_skip = "lambda1 > 2"
+    elif not spec.beta_valid:
+        beta_skip = "beta_S is not the walk norm"
+    else:
+        beta_skip = ""
 
     def squaring_horizon(walked: WalkCurves) -> int:
         # extend so that item (4) sees pairs (n, 2n) past the T2 crossing
         return max(2 * (walked.crossing(2) or 0), walked.crossing("inf") or 0, 2 * ctx.diameter, 16)
 
-    curves = convolution_curve(group, gens, ctx=ctx, extend_to=squaring_horizon)
-    report = mixing_times(group, gens, ctx=ctx, curves=curves, spectral=spec)
+    curves = convolution_curve(ctx, extend_to=squaring_horizon)
+    report = mixing_times(ctx, curves)
 
     n_steps = curves.steps
     norms = {p: curves.norm_mu_g(p) for p in (1, 2, "inf")}
@@ -331,10 +327,8 @@ def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
     add(2, "monotone_in_p", max(gap21, gap_inf2) <= SLACK, f"max defect {max(gap21, gap_inf2):.2e}")
 
     steps = np.arange(n_steps + 1)
-    if not hypothesis_ok:
-        add(3, "beta_power_lower", None, skipped="lambda1 > 2")
-    elif not spec.beta_valid:
-        add(3, "beta_power_lower", None, skipped="beta_S is not the walk norm")
+    if beta_skip:
+        add(3, "beta_power_lower", None, skipped=beta_skip)
     else:
         powers = beta**steps
         worst3 = max(float(np.max(powers - normalized[p])) for p in (1, 2, "inf"))
@@ -349,10 +343,8 @@ def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
         worst4 = max(worst4, float(np.max(lhs - rhs)))
     add(4, "squaring_bound", worst4 <= SLACK, f"max defect {worst4:.2e}")
 
-    if not hypothesis_ok:
-        add(5, "l2_beta_upper", None, skipped="lambda1 > 2")
-    elif not spec.beta_valid:
-        add(5, "l2_beta_upper", None, skipped="beta_S is not the walk norm")
+    if beta_skip:
+        add(5, "l2_beta_upper", None, skipped=beta_skip)
     else:
         worst5 = float(np.max(curves.d2 - beta**steps))
         add(5, "l2_beta_upper", worst5 <= SLACK, f"max defect {worst5:.2e}")
@@ -365,10 +357,8 @@ def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
         bound8 = 8 * ctx.k * gamma**2 * math.log(ctx.n)
         bound8b = 8 * ctx.k * math.log(ctx.k) * gamma**3 if ctx.k > 1 else math.inf
         add(8, "t2_upper", report.T2 <= bound8 + SLACK and bound8 <= bound8b + SLACK, f"T2={report.T2}, bound={bound8:.1f}")
-        if not hypothesis_ok:
-            add(9, "trel_upper", None, skipped="lambda1 > 2")
-        elif not spec.beta_valid:
-            add(9, "trel_upper", None, skipped="beta_S is not the walk norm")
+        if beta_skip:
+            add(9, "trel_upper", None, skipped=beta_skip)
         else:
             bound9 = min(float(report.T1), 8 * ctx.k * gamma**2)
             add(9, "trel_upper", report.T_rel <= bound9 + SLACK, f"T_rel={report.T_rel:.3f}, bound={bound9:.1f}")
@@ -378,7 +368,7 @@ def verify_basic_mixing(group: Group, gens: GeneratingSet) -> BasicMixingReport:
         add(8, "t2_upper", None, skipped="crossing not reached within horizon")
         add(9, "trel_upper", None, skipped="crossing not reached within horizon")
 
-    return BasicMixingReport(group.name, ctx.n, tuple(items), hypothesis_ok)
+    return BasicMixingReport(ctx.group.name, ctx.n, tuple(items), hypothesis_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +414,7 @@ def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: flo
         scan = doubling_scan(profile)
         scale = scan.first_scale(K)
         gamma = ctx.diameter
-        report = mixing_times(group, gens, ctx=ctx)
+        report = mixing_times(ctx, convolution_curve(ctx))
         ratio = report.Tinf / gamma**2 if (report.Tinf is not None and gamma > 0) else None
         rows.append(
             ScanRow(
@@ -458,13 +448,12 @@ class CalibrationReport:
         return {"steps": self.steps, "max_err_d1": self.max_err_d1, "max_err_dinf": self.max_err_dinf}
 
 
-def exact_calibration(group: Group, gens: GeneratingSet, steps: int = 32) -> CalibrationReport:
+def exact_calibration(ctx: CayleyContext, steps: int = 32) -> CalibrationReport:
     """Run the walk in exact rationals (|G| <= 256) and bound the float error."""
-    ctx = build_context(group, gens)
     n = ctx.n
     if n > 256:
         raise ValueError("exact mode is limited to 256 vertices")
-    curves = convolution_curve(group, gens, n_max=steps, ctx=ctx)
+    curves = convolution_curve(ctx, n_max=steps)
     k = Fraction(ctx.k)
     uniform = Fraction(1, n)
     v = [Fraction(0)] * n

@@ -23,8 +23,9 @@ power laws walk P, P^2, ... once, under one work meter.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
-progression_spec holds the generators to class at most s with it,
-assert_nilpotent returns its length and commutator_depth reads [G, G] off it.
+progression_spec holds the generators to class at most s with it and
+assert_nilpotent returns its length.  commutator_depth needs only its first
+term, [G, G], and builds just that one normal closure.
 """
 
 from __future__ import annotations
@@ -734,7 +735,7 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     """Minimal m with [G,G] inside P^m, where P generates the finite nilpotent G."""
     if group.order is None:
         raise ValueError("needs a finite group")
-    comm = _lower_central_series(group, list(pset.spec.generators))[0]
+    comm = derived_subgroup(group, list(pset.spec.generators))
     # P must itself be symmetric with identity so that P^m is the BFS ball
     pgens = GeneratingSet(group, pset.elements, tuple(sorted(pset.codes)))
 

@@ -6,14 +6,18 @@ Laplacian Delta f(x) = sum_{s in S} (f(x) - f(sx)), while the degree k = |S|
 still counts it.  The edge boundary of A counts pairs (x, s) with x in A and
 sx outside A, so every crossing edge is counted once from its A-side endpoint.
 
-Solvers: lambda1 with method="auto" runs dense eigh on graphs of at most
-DENSE_CAP (256) vertices, and always below 8 vertices; above the cap it runs
-Lanczos (scipy eigsh, fixed tolerance 1e-11) on a matrix-free Laplacian that
-gathers along the ball's successor table, with the constant vector shifted
-above the spectrum.  method="dense" and method="iterative" force one path;
-the dense one is the oracle the tests hold the iterative one to.  coset_gap
-has only a dense path (numpy eigvalsh of the Laplacian plus a shifted
-coset-averaging matrix) and refuses above COSET_GAP_CAP (4096).
+Every engine takes a CayleyContext, the one enumerated graph that
+build_context returns.  Its cached ``spectrum`` solves lambda1 once and
+serves cheeger, the inequality chain, the Rayleigh probe and the mixing
+engines.
+
+Solvers: lambda1 runs dense eigh on graphs of at most DENSE_CAP (256)
+vertices; above the cap it runs Lanczos (scipy eigsh, fixed tolerance 1e-11)
+on a matrix-free Laplacian that gathers along the ball's successor table,
+with the constant vector shifted above the spectrum.  The dense solve is the
+oracle the tests hold the iterative one to.  coset_gap has only a dense path
+(numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
+refuses above COSET_GAP_CAP (4096).
 
 Exact Cheeger constants come from an exhaustive vectorized subset scan (only
 feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the
@@ -59,7 +63,7 @@ __all__ = [
     "EXACT_SCAN_BUDGET",
 ]
 
-DENSE_CAP = 256  # largest graph lambda1 solves densely unless told otherwise
+DENSE_CAP = 256  # largest graph lambda1 solves densely
 COSET_GAP_CAP = 4096  # coset_gap has no iterative path
 EXACT_CHEEGER_CAP = 22
 EXACT_SCAN_BUDGET = 1 << 30  # bytes the exhaustive Cheeger scan may allocate
@@ -76,10 +80,20 @@ class CayleyContext:
     generator's row, the (k - 1, n) edge list of the Laplacian.
     """
 
-    group: Group
-    gens: GeneratingSet
     ball: Ball
-    identity_gen: int  # position of the identity inside gens
+
+    @property
+    def group(self) -> Group:
+        return self.ball.group
+
+    @property
+    def gens(self) -> GeneratingSet:
+        return self.ball.gens
+
+    @property
+    def identity_gen(self) -> int:
+        """Position of the identity inside gens."""
+        return self.gens.codes.index(self.group.encode(self.group.identity()))
 
     @property
     def n(self) -> int:
@@ -93,12 +107,22 @@ class CayleyContext:
     def nonid(self) -> np.ndarray:
         return np.delete(self.ball.successors, self.identity_gen, axis=0)
 
+    @cached_property
+    def spectrum(self) -> SpectralReport:
+        """lambda1 of this graph, solved on first use."""
+        return lambda1(self)
+
     def profile(self) -> GrowthProfile:
         return GrowthProfile(self.ball.sphere_sizes, self.group.order, self.gens.k, self.ball.truncated)
 
     @property
     def diameter(self) -> int:
         return self.ball.radius
+
+    @property
+    def word_lengths(self) -> np.ndarray:
+        """Distance of each vertex from the identity: the ball lists its vertices sphere by sphere."""
+        return np.repeat(np.arange(len(self.ball.sphere_sizes)), self.ball.sphere_sizes)
 
     def laplacian_matvec(self, v: np.ndarray) -> np.ndarray:
         out = (self.k - 1) * np.asarray(v, dtype=float)
@@ -137,8 +161,7 @@ def build_context(group: Group, gens: GeneratingSet) -> CayleyContext:
         raise ResourceRefusal("group too large to enumerate")
     if group.order is not None and ball.size < group.order:
         raise ResourceRefusal(f"generating set reaches only {ball.size} of {group.order} elements (disconnected graph)")
-    identity_gen = gens.codes.index(group.encode(group.identity()))
-    return CayleyContext(group, gens, ball, identity_gen)
+    return CayleyContext(ball)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +220,15 @@ def _iterative_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     return float(vals[0]), float(vals_top[0]), vecs[:, 0]
 
 
-def lambda1(
-    group: Group,
-    gens: GeneratingSet,
-    method: str = "auto",
-    ctx: Optional[CayleyContext] = None,
-) -> SpectralReport:
+def lambda1(ctx: CayleyContext) -> SpectralReport:
     """Smallest nonzero Laplacian eigenvalue (and the largest one).
 
-    method is "auto" (dense up to DENSE_CAP vertices, iterative above),
-    "dense" or "iterative"; graphs below 8 vertices are always solved densely.
+    Dense up to DENSE_CAP vertices, iterative above.  Each call solves again;
+    ctx.spectrum keeps one solve per graph.
     """
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
-    if ctx is None:
-        ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
-    if ctx.n < 8 or method == "dense" or (method == "auto" and ctx.n <= DENSE_CAP):
+    if ctx.n <= DENSE_CAP:
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
@@ -324,16 +338,8 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
     return Fraction(int(boundary[best]), int(sizes[best])), int(sizes[best]), int(boundary[best])
 
 
-def cheeger(
-    group: Group,
-    gens: GeneratingSet,
-    exact_cap: int = EXACT_CHEEGER_CAP,
-    ctx: Optional[CayleyContext] = None,
-    spectral: Optional[SpectralReport] = None,
-) -> CheegerReport:
+def cheeger(ctx: CayleyContext, exact_cap: int = EXACT_CHEEGER_CAP) -> CheegerReport:
     """Exact h by exhaustive scan when |G| <= exact_cap, certified interval otherwise."""
-    if ctx is None:
-        ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
     if ctx.n <= exact_cap:
@@ -341,8 +347,11 @@ def cheeger(
         if h <= 0:
             raise RuntimeError("zero Cheeger constant on a connected graph")
         return CheegerReport("exact", float(h), float(h), h, wsize, wboundary)
-    if spectral is None:
-        spectral = lambda1(group, gens, ctx=ctx)
+    return _bounded_cheeger(ctx, ctx.spectrum)
+
+
+def _bounded_cheeger(ctx: CayleyContext, spectral: SpectralReport) -> CheegerReport:
+    """The certified interval from one lambda1 eigenpair, whichever eigenvector of the eigenspace it holds."""
     sweep, cut_size, cut_boundary = _sweep_cut(ctx, spectral.fiedler)
     h_lower = spectral.lambda1 / 2
     h_upper = min(float(sweep), math.sqrt(2 * (ctx.k - 1) * spectral.lambda1))
@@ -411,19 +420,18 @@ class SpectralChainReport:
         }
 
 
-def verify_spectral_inequalities(group: Group, gens: GeneratingSet, exact_cap: int = EXACT_CHEEGER_CAP) -> SpectralChainReport:
+def verify_spectral_inequalities(ctx: CayleyContext, exact_cap: int = EXACT_CHEEGER_CAP) -> SpectralChainReport:
     """Mechanical check of the diameter/Cheeger/gap inequality chain.
 
     With an exact h every comparison is decisive; with a certified interval a
     comparison whose truth is not forced by the interval reports
     "indeterminate" rather than passing or failing falsely.
     """
-    ctx = build_context(group, gens)
     if ctx.n < 2:
         raise ValueError("chain needs at least two vertices")
     gamma = ctx.diameter
-    spec = lambda1(group, gens, ctx=ctx)
-    ch = cheeger(group, gens, exact_cap=exact_cap, ctx=ctx, spectral=spec)
+    spec = ctx.spectrum
+    ch = cheeger(ctx, exact_cap)
     k = ctx.k
     n = ctx.n
     lam = (spec.lambda1, spec.lambda1)
@@ -441,7 +449,7 @@ def verify_spectral_inequalities(group: Group, gens: GeneratingSet, exact_cap: i
         _check("vertex_transitive_lower", (1 / (2 * gamma),) * 2, h),
     )
     ratio = spec.lambda1 * gamma**2 / k
-    return SpectralChainReport(group.name, n, k, gamma, spec.lambda1, spec.lambda_max, ch.mode, h, checks, ratio)
+    return SpectralChainReport(ctx.group.name, n, k, gamma, spec.lambda1, spec.lambda_max, ch.mode, h, checks, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +477,7 @@ class RayleighReport:
         }
 
 
-def rayleigh_probe(group: Group, gens: GeneratingSet) -> RayleighReport:
+def rayleigh_probe(ctx: CayleyContext) -> RayleighReport:
     """Rayleigh quotient of f = d(.,a) - d(.,b) for a diametral pair (a, b).
 
     Asserts lambda1 <= R and R <= (9k/gamma^2) |G| / |S^(floor(gamma/3))|; the
@@ -477,11 +485,10 @@ def rayleigh_probe(group: Group, gens: GeneratingSet) -> RayleighReport:
     two radius-floor(gamma/3) balls contribute (gamma-2 rho +- mean)^2 whose sum
     is at least twice (gamma/3)^2.
     """
-    ctx = build_context(group, gens)
     gamma = ctx.diameter
     if gamma < 3:
         return RayleighReport(True, gamma)
-    d_a = ctx.distances_from(0)
+    d_a = ctx.word_lengths
     b = int(np.argmax(d_a))  # first index at maximal distance: BFS order tie-break
     d_b = ctx.distances_from(b)
     f = (d_a - d_b).astype(float)
@@ -495,7 +502,7 @@ def rayleigh_probe(group: Group, gens: GeneratingSet) -> RayleighReport:
     rho = gamma // 3
     ball_rho = ctx.profile().ball(rho)
     bound = (9 * ctx.k / gamma**2) * (ctx.n / ball_rho)
-    spec = lambda1(group, gens, ctx=ctx)
+    spec = ctx.spectrum
     if spec.lambda1 > R + SLACK:
         raise RuntimeError(f"lambda1 {spec.lambda1} exceeded the Rayleigh quotient {R}")
     if R > bound + SLACK:
@@ -526,13 +533,13 @@ class CosetGapReport:
         }
 
 
-def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGapReport:
+def coset_gap(ctx: CayleyContext, sub: SubgroupOracle) -> CosetGapReport:
     """Minimal Rayleigh quotient over functions with zero mean on every coset gH.
 
     H must be normal.  Asserts gap >= 1/gamma_H^2 where gamma_H is the diameter
     of H in the ambient graph distance.
     """
-    ctx = build_context(group, gens)
+    group = ctx.group
     n = ctx.n
     if n > COSET_GAP_CAP:
         raise ResourceRefusal(f"coset gap uses a dense solve, capped at {COSET_GAP_CAP} vertices")
@@ -542,12 +549,12 @@ def coset_gap(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetGa
     # normality on generators
     for i in members:
         h = ctx.ball.elements[i]
-        for s in gens.elements:
+        for s in ctx.gens.elements:
             if labels[ball_index[group.encode(conjugate(group, h, s))]] != 0:
                 raise OracleError(f"{sub.name}: not normal (conjugation escapes)")
     hsize = len(members)
     index = n // hsize
-    gamma_h = int(ctx.distances_from(0)[members].max())
+    gamma_h = int(ctx.word_lengths[members].max())
     if hsize == 1:
         return CosetGapReport(math.inf, math.inf, gamma_h, index, True)
 

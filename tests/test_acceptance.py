@@ -31,7 +31,7 @@ from cayleylab.nilprog import (
     verify_power_laws,
     verify_properness,
 )
-from cayleylab.spectral import cheeger, lambda1, verify_spectral_inequalities
+from cayleylab.spectral import _dense_extremes, _iterative_extremes, build_context, cheeger, verify_spectral_inequalities
 from cayleylab.zoo import construct_family, standard_zoo, verify_lgg
 
 
@@ -53,11 +53,10 @@ def test_criterion_01_cycle_exactness():
             inst = construct_family(f"cyclic:{n}")
             assert diameter(inst.group, inst.gens) == n // 2
             expected = 2 - 2 * math.cos(2 * math.pi / n)
-            dense = lambda1(inst.group, inst.gens, method="dense")
-            iterative = lambda1(inst.group, inst.gens, method="iterative")
-            assert abs(dense.lambda1 - expected) < 1e-9
-            assert abs(iterative.lambda1 - expected) < 1e-9
-            ch = cheeger(inst.group, inst.gens)
+            ctx = build_context(inst.group, inst.gens)
+            assert abs(_dense_extremes(ctx)[0] - expected) < 1e-9
+            assert abs(_iterative_extremes(ctx)[0] - expected) < 1e-9
+            ch = cheeger(ctx)
             assert ch.mode == "exact" and ch.exact_value == Fraction(2, n // 2)
         assert time.monotonic() - start < 1.0
 
@@ -112,7 +111,7 @@ def test_criterion_05_heisenberg_growth():
 def test_criterion_06_spectral_chain_zoo():
     with criterion(6, "spectral inequality chain across the zoo up to order 5000"):
         for inst in standard_zoo(max_order=5000):
-            rep = verify_spectral_inequalities(inst.group, inst.gens)
+            rep = verify_spectral_inequalities(build_context(inst.group, inst.gens))
             assert rep.ok, (inst.label, rep.to_dict())
             if rep.h_mode == "exact":
                 assert rep.all_hold, (inst.label, rep.to_dict())
@@ -121,7 +120,7 @@ def test_criterion_06_spectral_chain_zoo():
 def test_criterion_07_mixing_suite_zoo():
     with criterion(7, "nine mixing facts across the zoo up to order 2048"):
         for inst in standard_zoo(max_order=2048):
-            rep = verify_basic_mixing(inst.group, inst.gens)
+            rep = verify_basic_mixing(build_context(inst.group, inst.gens))
             if not rep.hypothesis_ok:
                 continue  # the facts assume lambda1 <= 2
             assert rep.ok, (inst.label, rep.to_dict())
@@ -129,7 +128,7 @@ def test_criterion_07_mixing_suite_zoo():
         # cyclic L2 curves against the character-sum closed form
         for n in (2, 8, 12, 16, 20, 100):
             inst = construct_family(f"cyclic:{n}")
-            curves = convolution_curve(inst.group, inst.gens, n_max=60)
+            curves = convolution_curve(build_context(inst.group, inst.gens), n_max=60)
             order = inst.order
             eigs = [
                 sum(math.cos(2 * math.pi * j * s / n) for s in inst.gens.elements) / inst.k
@@ -146,13 +145,15 @@ def test_criterion_08_sharpness_trend():
         ratios = []
         for n in (16, 32, 64):
             inst = construct_family(f"cyclic:{n}")
-            rep = mixing_times(inst.group, inst.gens)
+            ctx = build_context(inst.group, inst.gens)
+            rep = mixing_times(ctx, convolution_curve(ctx))
             ratios.append(rep.Tinf / rep.gamma**2)
         assert max(ratios) <= 2 * min(ratios), ratios
         lamp = []
         for m in (3, 4, 5, 6):
             inst = construct_family(f"lamplighter:{m}")
-            rep = mixing_times(inst.group, inst.gens)
+            ctx = build_context(inst.group, inst.gens)
+            rep = mixing_times(ctx, convolution_curve(ctx))
             lamp.append(rep.Tinf / rep.gamma**2)
         assert time.monotonic() - start < 300.0
         # T_inf of Z/2 wr Z/m grows like m^3 while gamma grows like m
@@ -280,9 +281,9 @@ import sys
 from cayleylab.cli import render_json
 from cayleylab.groups import SubgroupOracle, build_group
 from cayleylab.growth import approximate_group_witness, ball_growth, coset_saturation
-from cayleylab.mixing import mixing_times
+from cayleylab.mixing import convolution_curve, mixing_times
 from cayleylab.nilprog import verify_nesting
-from cayleylab.spectral import verify_spectral_inequalities
+from cayleylab.spectral import build_context, verify_spectral_inequalities
 from cayleylab.zoo import construct_family
 
 reports = []
@@ -294,9 +295,10 @@ g100 = build_group("cyclic:100")
 reports.append(approximate_group_witness(g100, g100.generating_set(), 5).to_dict())
 for spec in ("cyclic:20", "lamplighter:4"):
     inst = construct_family(spec)
-    reports.append(verify_spectral_inequalities(inst.group, inst.gens).to_dict())
+    reports.append(verify_spectral_inequalities(build_context(inst.group, inst.gens)).to_dict())
 inst16 = construct_family("cyclic:16")
-reports.append(mixing_times(inst16.group, inst16.gens).to_dict())
+ctx16 = build_context(inst16.group, inst16.gens)
+reports.append(mixing_times(ctx16, convolution_curve(ctx16)).to_dict())
 g12 = build_group("cyclic:12")
 oracle = SubgroupOracle(lambda x: x % 3 == 0, name="3Z")
 reports.append(coset_saturation(g12, g12.generating_set(), oracle).to_dict())

@@ -18,7 +18,7 @@ from cayleylab.growth import (
     flatness_report,
     moderate_fit,
 )
-from cayleylab.spectral import coset_gap
+from cayleylab.spectral import build_context, coset_gap
 from cayleylab.zoo import standard_zoo
 
 
@@ -273,7 +273,7 @@ def test_coset_labels_reject_a_non_subgroup(members):
     with pytest.raises(OracleError, match="overlap"):
         coset_saturation(g, g.generating_set(), sub)
     with pytest.raises(OracleError, match="overlap"):
-        coset_gap(g, g.generating_set(), sub)
+        coset_gap(build_context(g, g.generating_set()), sub)
 
 
 def test_coset_saturation_symfp_tower():

@@ -88,7 +88,7 @@ def abelian_l2_oracle(moduli, gens_residues, k, n_steps):
 def test_cycle_l2_matches_circulant_form():
     g = build_group("cyclic:5")
     s = g.generating_set()
-    curves = convolution_curve(g, s, n_max=60)
+    curves = convolution_curve(build_context(g, s), n_max=60)
     oracle = abelian_l2_oracle((5,), [(x,) for x in s.elements], s.k, 60)
     assert max(abs(a - b) for a, b in zip(curves.d2, oracle)) < 1e-12
 
@@ -96,14 +96,15 @@ def test_cycle_l2_matches_circulant_form():
 def test_abelian_l2_matches_character_form():
     g = build_group("abelian:4,4,9")
     s = g.generating_set()
-    curves = convolution_curve(g, s, n_max=40)
+    curves = convolution_curve(build_context(g, s), n_max=40)
     oracle = abelian_l2_oracle((4, 4, 9), list(s.elements), s.k, 40)
     assert max(abs(a - b) for a, b in zip(curves.d2, oracle)) < 1e-10
 
 
 def test_mixing_times_cycle():
     g = build_group("cyclic:12")
-    rep = mixing_times(g, g.generating_set())
+    ctx = build_context(g, g.generating_set())
+    rep = mixing_times(ctx, convolution_curve(ctx))
     assert rep.T1 <= rep.T2 <= rep.Tinf
     assert rep.Tinf >= rep.gamma
     assert abs(rep.T_rel - 3 / (2 - 2 * math.cos(2 * math.pi / 12))) < 1e-9
@@ -111,8 +112,8 @@ def test_mixing_times_cycle():
 
 def test_mixing_times_whole_group_set():
     g = build_group("cyclic:3")
-    s = symmetrize(g, [1, 2])
-    rep = mixing_times(g, s)
+    ctx = build_context(g, symmetrize(g, [1, 2]))
+    rep = mixing_times(ctx, convolution_curve(ctx))
     assert (rep.T1, rep.T2, rep.Tinf) == (1, 1, 1)
 
 
@@ -123,35 +124,35 @@ def test_walk_symmetry_under_inversion():
     index = ctx.ball.index()
     inv_map = np.array([index[g.encode(g.inv(x))] for x in ctx.ball.elements])
     for steps in (1, 5, 20):
-        v = convolution_curve(g, s, n_max=steps, ctx=ctx).last
+        v = convolution_curve(ctx, n_max=steps).last
         assert float(np.max(np.abs(v - v[inv_map]))) < 1e-12
 
 
 def test_item5_at_zero_steps():
     g = build_group("cyclic:12")
-    curves = convolution_curve(g, g.generating_set(), n_max=1)
+    curves = convolution_curve(build_context(g, g.generating_set()), n_max=1)
     assert curves.d2[0] <= 1.0 + 1e-12
 
 
 def test_walk_stays_stochastic_for_1000_steps():
     # the step itself raises if mass leaks or goes negative beyond 1e-12
     g = build_group("lamplighter:5")
-    curves = convolution_curve(g, g.generating_set(), n_max=1000)
+    curves = convolution_curve(build_context(g, g.generating_set()), n_max=1000)
     assert curves.steps == 1000
 
 
 def test_extended_walk_equals_walk_from_scratch():
     g = build_group("lamplighter:3")
     ctx = build_context(g, g.generating_set())
-    mixed = convolution_curve(g, ctx.gens, ctx=ctx)
+    mixed = convolution_curve(ctx)
     target = 3 * mixed.steps
-    scratch = convolution_curve(g, ctx.gens, n_max=target, ctx=ctx)
-    extended = convolution_curve(g, ctx.gens, ctx=ctx, extend_to=lambda walked: target)
+    scratch = convolution_curve(ctx, n_max=target)
+    extended = convolution_curve(ctx, extend_to=lambda walked: target)
     assert extended.steps == scratch.steps == target
     for p in (1, 2, "inf"):
         assert np.array_equal(extended.curve(p), scratch.curve(p))
     assert np.array_equal(extended.last, scratch.last)
-    short = convolution_curve(g, ctx.gens, ctx=ctx, extend_to=lambda walked: 1)
+    short = convolution_curve(ctx, extend_to=lambda walked: 1)
     assert short.steps == mixed.steps and np.array_equal(short.d1, mixed.d1)
     assert_same_walk(short, step_loop_walk(ctx, 1, stop_when_mixed=False, start=mixed))
 
@@ -159,7 +160,7 @@ def test_extended_walk_equals_walk_from_scratch():
 def test_basic_mixing_pass_small_groups():
     for spec in ("cyclic:12", "lamplighter:4", "ut:dim=3,p=3"):
         g = build_group(spec)
-        rep = verify_basic_mixing(g, g.generating_set())
+        rep = verify_basic_mixing(build_context(g, g.generating_set()))
         assert rep.hypothesis_ok
         assert rep.ok, (spec, [i.to_dict() for i in rep.items if i.status == "fail"])
         assert all(i.status == "pass" for i in rep.items)
@@ -167,9 +168,9 @@ def test_basic_mixing_pass_small_groups():
 
 def test_basic_mixing_hypothesis_skip():
     g = build_group("cyclic:3")
-    s = symmetrize(g, [1, 2])
-    assert lambda1(g, s).lambda1 > 2
-    rep = verify_basic_mixing(g, s)
+    ctx = build_context(g, symmetrize(g, [1, 2]))
+    assert lambda1(ctx).lambda1 > 2
+    rep = verify_basic_mixing(ctx)
     assert not rep.hypothesis_ok
     statuses = {i.number: i.status for i in rep.items}
     assert statuses[3] == statuses[5] == statuses[9] == "skipped"
@@ -179,14 +180,14 @@ def test_basic_mixing_hypothesis_skip():
 def test_exact_calibration_small():
     for spec in ("cyclic:12", "lamplighter:3"):
         g = build_group(spec)
-        rep = exact_calibration(g, g.generating_set(), steps=24)
+        rep = exact_calibration(build_context(g, g.generating_set()), steps=24)
         assert rep.max_err_d1 < 1e-12 and rep.max_err_dinf < 1e-12
 
 
 def test_exact_calibration_size_guard():
     g = build_group("cyclic:300")
     with pytest.raises(ValueError):
-        exact_calibration(g, g.generating_set())
+        exact_calibration(build_context(g, g.generating_set()))
 
 
 def test_quadratic_scan_rows():
@@ -207,7 +208,7 @@ def test_quadratic_scan_rows():
 
 def test_mixing_invariants_across_zoo_sample():
     for inst in standard_zoo(max_order=200):
-        curves = convolution_curve(inst.group, inst.gens, n_max=40)
+        curves = convolution_curve(build_context(inst.group, inst.gens), n_max=40)
         for p in (1, 2, "inf"):
             arr = curves.curve(p)
             assert float(np.max(np.diff(arr))) <= 1e-12
@@ -216,13 +217,13 @@ def test_mixing_invariants_across_zoo_sample():
 def test_blocked_walk_matches_step_loop_on_zoo():
     for inst in standard_zoo(max_order=5000):
         ctx = build_context(inst.group, inst.gens)
-        short = convolution_curve(inst.group, inst.gens, n_max=7, ctx=ctx)
+        short = convolution_curve(ctx, n_max=7)
         assert_same_walk(short, step_loop_walk(ctx, 7, stop_when_mixed=False))
-        mixed = convolution_curve(inst.group, inst.gens, ctx=ctx)
+        mixed = convolution_curve(ctx)
         oracle = step_loop_walk(ctx, mixed.steps, stop_when_mixed=True)
         assert_same_walk(mixed, oracle)
         assert mixed.dinf[-1] <= mixed.norm_mu_g("inf") / 10 - TIE_EPS  # the stop cut the walk, not the horizon
-        extended = convolution_curve(inst.group, inst.gens, ctx=ctx, extend_to=lambda walked: walked.steps + 300)
+        extended = convolution_curve(ctx, extend_to=lambda walked: walked.steps + 300)
         assert_same_walk(extended, step_loop_walk(ctx, mixed.steps + 300, stop_when_mixed=False, start=oracle))
 
 
@@ -230,7 +231,7 @@ def test_blocked_walk_matches_step_loop_on_zoo():
 def test_blocked_walk_matches_step_loop_over_many_blocks(spec):
     g = build_group(spec)
     ctx = build_context(g, g.generating_set())
-    mixed = convolution_curve(g, ctx.gens, ctx=ctx)
+    mixed = convolution_curve(ctx)
     assert mixed.steps > 8 * (1 << 20) // (8 * ctx.n)  # at least eight blocks of 1 MiB
     assert_same_walk(mixed, step_loop_walk(ctx, mixed.steps, stop_when_mixed=True))
 
@@ -242,7 +243,7 @@ def test_walk_off_the_simplex_raises_at_step_one():
     table[0] = 0
     broken = dataclasses.replace(ctx, ball=dataclasses.replace(ctx.ball, successors=table))
     with pytest.raises(RuntimeError, match=r"left the simplex at step 1:"):
-        convolution_curve(g, ctx.gens, n_max=50, ctx=broken)
+        convolution_curve(broken, n_max=50)
 
 
 def test_walk_off_the_simplex_names_the_step_of_the_loop():
@@ -257,5 +258,5 @@ def test_walk_off_the_simplex_names_the_step_of_the_loop():
         step_loop_walk(broken, 10**6, stop_when_mixed=True)
     assert int(str(want.value).split("at step ")[1].split(":")[0]) > 16
     with pytest.raises(RuntimeError) as got:
-        convolution_curve(g, ctx.gens, ctx=broken)
+        convolution_curve(broken)
     assert str(got.value) == str(want.value)

@@ -378,6 +378,18 @@ def test_commutator_depth_abelian_is_zero():
     assert rep.m == 0 and rep.commutator_order == 1
 
 
+@pytest.mark.parametrize("p", [11, 31])
+def test_commutator_depth_builds_only_the_derived_subgroup(p, monkeypatch):
+    g = build_group(f"ut:dim=3,p={p}")
+    pset = enumerate_progression(progression_spec("nilprogression", 2, 2, (1, 1), g, list(g.raw_generators())))
+    closure = nilprog._normal_closure
+    calls = []
+    monkeypatch.setattr(nilprog, "_normal_closure", lambda *args: calls.append(args) or closure(*args))
+    rep = commutator_depth(g, pset)
+    # [G, G] is one normal closure; the rest of the lower central series is not needed
+    assert len(calls) == 1 and rep.commutator_order == p
+
+
 def reference_normal_closure(group, seed, conjugators):
     """Closure by alternating product and conjugation passes: the reference for the BFS closure."""
     elems = {group.encode(group.identity()): group.identity()}

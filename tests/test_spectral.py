@@ -7,13 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayleylab import spectral
 from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
 from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
+from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
 from cayleylab.spectral import (
     COSET_GAP_CAP,
     DENSE_CAP,
     EXACT_CHEEGER_CAP,
     SpectralReport,
+    _bounded_cheeger,
+    _dense_extremes,
+    _iterative_extremes,
     build_context,
     cheeger,
     coset_gap,
@@ -115,7 +120,7 @@ def test_array_bfs_matches_tuple_bfs_reference():
 def test_cycle_lambda1_closed_form(n):
     g = build_group(f"cyclic:{n}")
     s = g.generating_set()
-    rep = lambda1(g, s)
+    rep = lambda1(build_context(g, s))
     assert abs(rep.lambda1 - cycle_gap(n)) < 1e-9
     assert rep.solver == "dense"
 
@@ -124,9 +129,9 @@ def test_solvers_agree_on_small_zoo():
     for inst in standard_zoo(max_order=500):
         if inst.order < 8:
             continue
-        dense = lambda1(inst.group, inst.gens, method="dense")
-        iterative = lambda1(inst.group, inst.gens, method="iterative")
-        assert abs(dense.lambda1 - iterative.lambda1) < 1e-8, inst.label
+        ctx = build_context(inst.group, inst.gens)
+        dense, iterative = _dense_extremes(ctx)[0], _iterative_extremes(ctx)[0]
+        assert abs(dense - iterative) < 1e-8, inst.label
 
 
 def test_iterative_matches_dense_oracle_above_the_cap():
@@ -135,50 +140,44 @@ def test_iterative_matches_dense_oracle_above_the_cap():
     cases += [construct_family(f"cyclic:{n}") for n in (257, 512, 768)]
     for inst in cases:
         ctx = build_context(inst.group, inst.gens)
-        auto = lambda1(inst.group, inst.gens, ctx=ctx)
-        dense = lambda1(inst.group, inst.gens, ctx=ctx, method="dense")
-        assert (auto.solver, dense.solver) == ("iterative", "dense"), inst.label
-        assert abs(auto.lambda1 - dense.lambda1) <= 1e-9 * dense.lambda1, inst.label
-        assert abs(auto.lambda_max - dense.lambda_max) <= 1e-9 * dense.lambda_max, inst.label
+        auto = lambda1(ctx)
+        dense_lambda1, dense_lambda_max, _ = _dense_extremes(ctx)
+        assert auto.solver == "iterative", inst.label
+        assert abs(auto.lambda1 - dense_lambda1) <= 1e-9 * dense_lambda1, inst.label
+        assert abs(auto.lambda_max - dense_lambda_max) <= 1e-9 * dense_lambda_max, inst.label
 
 
 @pytest.mark.parametrize("n, solver", [(256, "dense"), (257, "iterative"), (300, "iterative"), (512, "iterative")])
 def test_cycle_gap_on_both_sides_of_the_dense_cap(n, solver):
     # the cycle's gap is tiny and doubly degenerate: the hard case for Lanczos
     g = build_group(f"cyclic:{n}")
-    rep = lambda1(g, g.generating_set())
+    rep = lambda1(build_context(g, g.generating_set()))
     assert (DENSE_CAP, rep.solver) == (256, solver)
     assert abs(rep.lambda1 - cycle_gap(n)) <= 1e-9 * cycle_gap(n)
-
-
-def test_unknown_solver_method_rejected():
-    g = build_group("cyclic:12")
-    with pytest.raises(ValueError):
-        lambda1(g, g.generating_set(), method="lanczos")
 
 
 def test_complete_generating_set_gap():
     g = build_group("cyclic:5")
     s = symmetrize(g, [1, 2, 3, 4])
-    rep = lambda1(g, s)
+    rep = lambda1(build_context(g, s))
     assert abs(rep.lambda1 - 5.0) < 1e-9
 
 
 def test_cheeger_exact_cycles():
     g8 = build_group("cyclic:8")
-    rep8 = cheeger(g8, g8.generating_set())
+    rep8 = cheeger(build_context(g8, g8.generating_set()))
     assert rep8.mode == "exact" and rep8.exact_value == Fraction(1, 2)
     assert rep8.witness_size == 4
     g12 = build_group("cyclic:12")
-    rep12 = cheeger(g12, g12.generating_set())
+    rep12 = cheeger(build_context(g12, g12.generating_set()))
     assert rep12.exact_value == Fraction(1, 3)
 
 
 def test_cheeger_bounded_interval_brackets_truth():
     g = build_group("cyclic:20")
-    s = g.generating_set()
-    exact = cheeger(g, s, exact_cap=22)
-    bounded = cheeger(g, s, exact_cap=4)
+    ctx = build_context(g, g.generating_set())
+    exact = cheeger(ctx, exact_cap=22)
+    bounded = cheeger(ctx, exact_cap=4)
     assert bounded.mode == "bounded"
     assert bounded.h_lower - 1e-12 <= float(exact.exact_value) <= bounded.h_upper + 1e-12
 
@@ -224,7 +223,8 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
         n = g.order
         # the exhaustive scan of a complete graph takes seconds from 20 vertices on,
         # and there h = ceil(n/2): a half of the vertices against the rest
-        exact = verify_spectral_inequalities(g, gens, exact_cap=18 if complete else 22)
+        ctx = build_context(g, gens)
+        exact = verify_spectral_inequalities(ctx, exact_cap=18 if complete else 22)
         if exact.h_mode == "exact":
             assert exact.all_hold, (label, exact.to_dict())
             h = exact.h_interval[0]
@@ -232,17 +232,16 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
             h = math.ceil(n / 2)
         if complete:
             assert h == math.ceil(n / 2), label
-        bounded = verify_spectral_inequalities(g, gens, exact_cap=0)
+        bounded = verify_spectral_inequalities(ctx, exact_cap=0)
         assert bounded.ok, (label, bounded.to_dict())
         assert bounded.h_interval[0] - 1e-9 <= h <= bounded.h_interval[1] + 1e-9, (label, h, bounded.h_interval)
         # the sweep cut must bracket h whichever lambda1 eigenvector it sorts by
-        ctx = build_context(g, gens)
         vals, vecs = np.linalg.eigh(ctx.dense_laplacian())
         eigenspace = vecs[:, np.abs(vals - vals[1]) < 1e-8]
         for _ in range(3):
             fiedler = eigenspace @ rng.normal(size=eigenspace.shape[1])
             spec = SpectralReport(float(vals[1]), float(vals[-1]), ctx.k, "dense", 0.0, fiedler)
-            rep = cheeger(g, gens, exact_cap=0, ctx=ctx, spectral=spec)
+            rep = _bounded_cheeger(ctx, spec)
             assert rep.h_lower - 1e-9 <= h <= rep.h_upper + 1e-9, (label, h, rep.h_lower, rep.h_upper)
     assert graphs > 80
 
@@ -272,7 +271,7 @@ def test_two_sided_sweep_never_exceeds_the_one_sided_sweep():
         ctx = build_context(inst.group, inst.gens)
         if ctx.n <= EXACT_CHEEGER_CAP:
             continue
-        fiedler = lambda1(inst.group, inst.gens, ctx=ctx).fiedler
+        fiedler = lambda1(ctx).fiedler
         new = _sweep_cut(ctx, fiedler)
         old = one_sided_sweep_cut(ctx, fiedler)
         assert new[0] <= old[0], inst.group.name
@@ -304,7 +303,7 @@ def test_boundary_symmetry_random_subsets():
 def test_rayleigh_domination_random_vectors():
     g = build_group("cyclic:30")
     ctx = build_context(g, g.generating_set())
-    rep = lambda1(g, g.generating_set())
+    rep = lambda1(ctx)
     rng = np.random.default_rng(17)
     for _ in range(100):
         f = rng.normal(size=ctx.n)
@@ -322,24 +321,25 @@ def test_self_loop_contributes_nothing():
     for p in ctx.nonid:
         mat[np.arange(n), p] -= 1.0
     vals = np.linalg.eigvalsh(mat)
-    assert abs(vals[1] - lambda1(g, g.generating_set()).lambda1) < 1e-10
+    assert abs(vals[1] - lambda1(ctx).lambda1) < 1e-10
 
 
 def test_chain_exact_groups_all_hold():
     for inst in standard_zoo(max_order=22):
-        rep = verify_spectral_inequalities(inst.group, inst.gens)
+        rep = verify_spectral_inequalities(build_context(inst.group, inst.gens))
         assert rep.h_mode == "exact"
         assert rep.all_hold, (inst.label, [c.to_dict() for c in rep.checks])
 
 
 def test_chain_z2_degenerate():
-    rep = verify_spectral_inequalities(build_group("cyclic:2"), build_group("cyclic:2").generating_set())
+    g = build_group("cyclic:2")
+    rep = verify_spectral_inequalities(build_context(g, g.generating_set()))
     assert rep.all_hold
 
 
 def test_rayleigh_probe_cycle_values():
     g = build_group("cyclic:12")
-    rep = rayleigh_probe(g, g.generating_set())
+    rep = rayleigh_probe(build_context(g, g.generating_set()))
     assert not rep.skipped
     assert abs(rep.R - 48 / 152) < 1e-12  # hand-expanded quotient of the distance function
     assert rep.lambda1_value <= rep.R <= rep.bound
@@ -347,15 +347,37 @@ def test_rayleigh_probe_cycle_values():
     assert abs(rep.mean_before) < 1e-9
 
 
+def test_word_lengths_match_the_bfs_from_the_identity():
+    for inst in standard_zoo(max_order=5000):
+        ctx = build_context(inst.group, inst.gens)
+        got = ctx.word_lengths
+        assert got.dtype == np.int64 and np.array_equal(got, ctx.distances_from(0)), inst.label
+
+
+def test_one_context_solves_lambda1_once(monkeypatch):
+    g = build_group("lamplighter:4")
+    ctx = build_context(g, g.generating_set())
+    calls = []
+    solve = spectral.lambda1
+    monkeypatch.setattr(spectral, "lambda1", lambda c: calls.append(c) or solve(c))
+    chain = verify_spectral_inequalities(ctx, exact_cap=0)
+    probe = rayleigh_probe(ctx)
+    mixing = verify_basic_mixing(ctx)
+    times = mixing_times(ctx, convolution_curve(ctx))
+    assert len(calls) == 1 and calls[0] is ctx
+    assert chain.lambda1 == probe.lambda1_value == ctx.spectrum.lambda1
+    assert mixing.ok and times.T_rel == ctx.k / ctx.spectrum.lambda1
+
+
 def test_rayleigh_probe_skips_small_diameter():
     g = build_group("cyclic:4")
-    rep = rayleigh_probe(g, g.generating_set())
+    rep = rayleigh_probe(build_context(g, g.generating_set()))
     assert rep.skipped and rep.gamma == 2
 
 
 def test_rayleigh_probe_unitriangular():
     g = build_group("ut:dim=3,p=11")
-    rep = rayleigh_probe(g, g.generating_set())
+    rep = rayleigh_probe(build_context(g, g.generating_set()))
     assert not rep.skipped
     assert rep.lambda1_value <= rep.R + 1e-9
     assert rep.R <= rep.bound + 1e-9
@@ -368,7 +390,7 @@ def test_rayleigh_probe_unitriangular():
 
 def test_coset_gap_lamp_subgroup():
     g = build_group("lamplighter:6")
-    rep = coset_gap(g, g.generating_set(), SubgroupOracle(lambda x: x[0] == 0, name="lamps"))
+    rep = coset_gap(build_context(g, g.generating_set()), SubgroupOracle(lambda x: x[0] == 0, name="lamps"))
     assert not rep.degenerate
     assert rep.gap >= rep.bound - 1e-9
     assert rep.index == 6
@@ -377,27 +399,26 @@ def test_coset_gap_lamp_subgroup():
 def test_coset_gap_refuses_above_its_dense_cap():
     g = build_group(f"cyclic:{COSET_GAP_CAP + 1}")
     with pytest.raises(ResourceRefusal, match="capped at 4096"):
-        coset_gap(g, g.generating_set(), SubgroupOracle(lambda x: True, name="G"))
+        coset_gap(build_context(g, g.generating_set()), SubgroupOracle(lambda x: True, name="G"))
 
 
 def test_coset_gap_trivial_subgroup_degenerate():
     g = build_group("cyclic:12")
-    rep = coset_gap(g, g.generating_set(), SubgroupOracle(lambda x: x == 0, name="e"))
+    rep = coset_gap(build_context(g, g.generating_set()), SubgroupOracle(lambda x: x == 0, name="e"))
     assert rep.degenerate and math.isinf(rep.gap)
 
 
 def test_coset_gap_full_group_matches_lambda1():
     g = build_group("cyclic:12")
-    s = g.generating_set()
-    rep = coset_gap(g, s, SubgroupOracle(lambda x: True, name="G"))
-    assert abs(rep.gap - lambda1(g, s).lambda1) < 1e-8
+    ctx = build_context(g, g.generating_set())
+    rep = coset_gap(ctx, SubgroupOracle(lambda x: True, name="G"))
+    assert abs(rep.gap - lambda1(ctx).lambda1) < 1e-8
     assert rep.bound == 1.0 / 6**2
 
 
-def projected_coset_gap(group, gens, sub):
+def projected_coset_gap(ctx, sub):
     """The least eigenvalue of P L P + shift (I - P), P the projection onto zero
     mean on every coset: the formula coset_gap's shifted solve replaced."""
-    ctx = build_context(group, gens)
     n = ctx.n
     labels = left_coset_labels(ctx.ball, sub)
     hsize = int((labels == 0).sum())
@@ -423,10 +444,10 @@ def projected_coset_gap(group, gens, sub):
 )
 def test_coset_gap_matches_projected_formula(spec, name, member):
     g = build_group(spec)
-    gens = g.generating_set()
+    ctx = build_context(g, g.generating_set())
     sub = SubgroupOracle(member, name=name)
-    want = projected_coset_gap(g, gens, sub)
-    assert abs(coset_gap(g, gens, sub).gap - want) <= 1e-12 * want
+    want = projected_coset_gap(ctx, sub)
+    assert abs(coset_gap(ctx, sub).gap - want) <= 1e-12 * want
 
 
 def test_coset_gap_rejects_non_normal():
@@ -437,4 +458,4 @@ def test_coset_gap_rejects_non_normal():
         return x[1] == (0,) * 3 and x[0] in ((0, 1, 2), swap)
 
     with pytest.raises(OracleError):
-        coset_gap(g, g.generating_set(), SubgroupOracle(in_tau, name="tau"))
+        coset_gap(build_context(g, g.generating_set()), SubgroupOracle(in_tau, name="tau"))
