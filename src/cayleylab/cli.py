@@ -116,8 +116,11 @@ def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
         text = render_table(report) + "\n"
     data = text.encode("utf-8")
     if path:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise SpecSemanticError(f"cannot write -o {path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -477,8 +480,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = _COMMANDS[args.verb](args)
-        ok, report, csv_rows = result
+        ok, report, csv_rows = _COMMANDS[args.verb](args)
+        if args.verb == "diam" and args.format == "table" and not args.output:
+            sys.stdout.write(f"{report['diameter']}\n")
+        elif args.format == "csv" and csv_rows is not None:
+            emit_report(csv_rows, "csv", args.output)
+        else:
+            emit_report(report, args.format if args.format != "csv" else "json", args.output)
     except (SpecSyntaxError, SpecSemanticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -488,13 +496,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (OracleError, RuntimeError) as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")
         return EXIT_ASSERTION
-
-    if args.verb == "diam" and args.format == "table" and not args.output:
-        sys.stdout.write(f"{report['diameter']}\n")
-    elif args.format == "csv" and csv_rows is not None:
-        emit_report(csv_rows, "csv", args.output)
-    else:
-        emit_report(report, args.format if args.format != "csv" else "json", args.output)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 

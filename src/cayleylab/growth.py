@@ -19,14 +19,16 @@ product; it is also the reference the tests hold the array BFS to.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, order_cap
+from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SpecSemanticError, SubgroupOracle, order_cap
 
 __all__ = [
     "Ball",
@@ -95,15 +97,6 @@ class Ball:
 
     def index(self) -> dict[bytes, int]:
         return {c: i for i, c in enumerate(self.codes)}
-
-    def distances(self) -> dict[bytes, int]:
-        out: dict[bytes, int] = {}
-        pos = 0
-        for r, size in enumerate(self.sphere_sizes):
-            for c in self.codes[pos : pos + size]:
-                out[c] = r
-            pos += size
-        return out
 
 
 def enumerate_ball(
@@ -382,10 +375,17 @@ def doubling_at_scale(profile: GrowthProfile, eps: float, delta: float) -> Doubl
     if profile.truncated:
         raise ValueError("needs a complete profile")
     gamma = profile.diameter
-    exponent = 2.0 / (eps * delta)
+    try:
+        top = gamma**delta
+    except OverflowError:
+        limit = math.log(sys.float_info.max) / math.log(gamma)
+        raise SpecSemanticError(
+            f"the doubling window's top gamma^delta = {gamma}^{delta} overflows a float; with gamma = {gamma}, delta must be below about {limit:.4g}"
+        ) from None
+    exponent = 2.0 / (eps * delta) if eps * delta > 0 else math.inf  # eps * delta may underflow to 0
     K = math.inf if exponent > 300 else 5.0**exponent
     lo = math.ceil(gamma ** (delta / 2)) if gamma > 0 else 1
-    hi = math.floor(gamma**delta) if gamma > 0 else 0
+    hi = math.floor(top) if gamma > 0 else 0
     if lo > hi:
         return DoublingWindow(eps, delta, K, lo, hi, None, True)
     scale = None
@@ -531,20 +531,16 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     ball = enumerate_ball(group, gens, max_radius=5 * n)
     if ball.capped or (not ball.complete and ball.radius < 5 * n):
         raise ResourceRefusal(f"ball truncated before radius {5 * n}")
-    dist = ball.distances()
-    balls_by_radius = [0] * (ball.radius + 1)
-    for r, size in enumerate(ball.sphere_sizes):
-        balls_by_radius[r] = size + (balls_by_radius[r - 1] if r else 0)
+    balls_by_radius = list(itertools.accumulate(ball.sphere_sizes))
 
     def ball_size(r: int) -> int:
         return balls_by_radius[min(r, ball.radius)]
 
-    small = [x for x, c in zip(ball.elements, ball.codes) if dist[c] <= n]
+    # the ball is sphere-major: radius <= r is position < |S^r|
+    small = ball.elements[: ball_size(n)]
     chosen: list = []
     occupied: set[bytes] = set()
-    for x, code in zip(ball.elements, ball.codes):
-        if dist[code] > 4 * n:
-            break
+    for x in ball.elements[: ball_size(4 * n)]:
         translate = {group.encode(group.mul(x, b)) for b in small}
         if occupied.isdisjoint(translate):
             chosen.append(x)
@@ -552,11 +548,11 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     disjoint_ok = len(occupied) == len(chosen) * len(small)
 
     covering_ok = True
+    index = ball.index()
+    within_2n = ball_size(2 * n)
     inv_chosen = [group.inv(x) for x in chosen]
-    for z, code in zip(ball.elements, ball.codes):
-        if dist[code] > 4 * n:
-            break
-        if not any(dist.get(group.encode(group.mul(xi, z)), math.inf) <= 2 * n for xi in inv_chosen):
+    for z in ball.elements[: ball_size(4 * n)]:
+        if not any(index.get(group.encode(group.mul(xi, z)), math.inf) < within_2n for xi in inv_chosen):
             covering_ok = False
             break
 

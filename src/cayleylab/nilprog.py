@@ -30,6 +30,8 @@ term, [G, G], and builds just that one normal closure.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -742,7 +744,8 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     ball = enumerate_ball(group, pgens)
     if ball.size != group.order:
         raise ValueError(f"progression generates a proper subgroup of order {ball.size}")
-    dist = ball.distances()
+    index = ball.index()
     gamma = ball.radius
-    m = max(dist[c] for c in comm)
+    # the ball is sphere-major: the radius of position i is the number of balls S^r of size <= i
+    m = bisect.bisect_right(list(itertools.accumulate(ball.sphere_sizes)), max(index[c] for c in comm))
     return CommutatorDepthReport(m, gamma, len(comm), group.order)

@@ -19,15 +19,19 @@ oracle the tests hold the iterative one to.  coset_gap has only a dense path
 (numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
 refuses above COSET_GAP_CAP (4096).
 
-Exact Cheeger constants come from an exhaustive vectorized subset scan (only
-feasible for tiny groups, and refused above EXACT_SCAN_BUDGET); otherwise the
-report carries the certified interval [lambda1/2, min(sweep cut,
-sqrt(2 (k-1) lambda1))].  The graph is (k-1)-regular and h is not normalized
-by the degree, so these are the two Cheeger inequalities in this convention;
-the sweep cut is a real cut, so it bounds h from above whichever lambda1
-eigenvector it sorts by.  It scores every prefix of the eigenvector order by
-its smaller side, so it tries both ends of the order.  Chain checks against
-an interval may come out "indeterminate", never falsely pass.
+Both Cheeger computations rest on one identity: S = S^-1 and su != u for
+s != e, so for u outside A, |d(A + u)| = |dA| + (k - 1) - 2 |{s != e : su in A}|.
+Exact Cheeger constants come from an exhaustive scan that builds the boundary
+of each of the 2^(n-1) subsets holding vertex 0 from a smaller one by this
+increment (only feasible for tiny groups, and refused above EXACT_SCAN_MAX,
+24 vertices); otherwise the report carries the certified interval
+[lambda1/2, min(sweep cut, sqrt(2 (k-1) lambda1))].  The graph is
+(k-1)-regular and h is not normalized by the degree, so these are the two
+Cheeger inequalities in this convention; the sweep cut is a real cut, so it
+bounds h from above whichever lambda1 eigenvector it sorts by.  It sums the
+same increment along the eigenvector order and scores every prefix by its
+smaller side, so it tries both ends of the order.  Chain checks against an
+interval may come out "indeterminate", never falsely pass.
 """
 
 from __future__ import annotations
@@ -60,14 +64,13 @@ __all__ = [
     "DENSE_CAP",
     "COSET_GAP_CAP",
     "EXACT_CHEEGER_CAP",
-    "EXACT_SCAN_BUDGET",
+    "EXACT_SCAN_MAX",
 ]
 
 DENSE_CAP = 256  # largest graph lambda1 solves densely
 COSET_GAP_CAP = 4096  # coset_gap has no iterative path
 EXACT_CHEEGER_CAP = 22
-EXACT_SCAN_BUDGET = 1 << 30  # bytes the exhaustive Cheeger scan may allocate
-_SCAN_BYTES_PER_SUBSET = 80  # masks, boundary counts and one pass's temporaries (measured peak: 74)
+EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: 2^23 subsets at a measured peak of 49 B each (tracemalloc)
 SLACK = 1e-9
 
 
@@ -271,31 +274,29 @@ class CheegerReport:
         return out
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
     n = ctx.n
-    # refuse before allocating; the budget also keeps n far below the 64-bit mask width
-    need = _SCAN_BYTES_PER_SUBSET << (n - 1)
-    if need > EXACT_SCAN_BUDGET:
-        most = (EXACT_SCAN_BUDGET // _SCAN_BYTES_PER_SUBSET).bit_length()
+    if n > EXACT_SCAN_MAX:
         raise ResourceRefusal(
-            f"exact Cheeger scan of {n} vertices would allocate about {need / 2**30:.1f} GiB for 2^{n - 1} subsets;"
-            f" the {EXACT_SCAN_BUDGET >> 20} MiB budget allows at most {most} vertices"
+            f"exact Cheeger scan of {n} vertices would cover 2^{n - 1} subsets; it handles at most {EXACT_SCAN_MAX} vertices"
         )
-    nonid = ctx.nonid
-    # subsets containing vertex 0 cover all partitions by complement symmetry
-    masks = (np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-    boundary = np.zeros(masks.shape, dtype=np.int64)
-    for x in range(n):
-        in_x = (masks >> np.uint64(x)) & np.uint64(1)
-        for p in nonid:
-            y = int(p[x])
-            in_y = (masks >> np.uint64(y)) & np.uint64(1)
-            boundary += (in_x & ~in_y).astype(np.int64)
-    sizes = _popcount(masks).astype(np.int64)
+    lap = ctx.dense_laplacian().astype(np.int64)
+    # subset i holds vertex 0 and vertex v + 1 for each bit v of i; by complement
+    # symmetry these cover all partitions.  Adding u outside A changes the boundary
+    # by lap[u, u] + 2 sum_{w in A} lap[u, w]: the identity in the module docstring
+    boundary = np.empty(1 << (n - 1), dtype=np.int64)
+    sizes = np.empty_like(boundary)
+    boundary[0], sizes[0] = lap[0, 0], 1
+    step = np.empty(max(1 << (n - 2), 1), dtype=np.int64)
+    for v in range(n - 1):
+        u, half = v + 1, 1 << v
+        # step[i]: the change from adding u to subset i < half, doubled over the bits below v
+        step[0] = lap[u, u] + 2 * lap[u, 0]
+        for w in range(v):
+            np.add(step[: 1 << w], 2 * lap[u, w + 1], out=step[1 << w : 2 << w])
+        np.add(boundary[:half], step[:half], out=boundary[half : 2 * half])
+        np.add(sizes[:half], 1, out=sizes[half : 2 * half])
+    del step
     half = n // 2
     best_num, best_den = None, None
     for side_sizes in (sizes, n - sizes):
@@ -322,14 +323,9 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
     order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    nonid = ctx.nonid
-    # the pair (x, s) crosses the cut after prefix j exactly when position[x] < j <= position[sx]
-    tails = np.tile(position, len(nonid))
-    heads = position[nonid].ravel()
-    forward = tails < heads
-    starts = np.bincount(tails[forward] + 1, minlength=n + 1)
-    ends = np.bincount(heads[forward] + 1, minlength=n + 1)
-    boundary = np.cumsum(starts - ends)[1:n]
+    # appending x to the prefix before it changes the boundary by (k - 1) - 2 |{s != e : sx comes earlier}|
+    earlier = (position[ctx.nonid] < position).sum(axis=0)
+    boundary = np.cumsum((ctx.k - 1 - 2 * earlier)[order])[: n - 1]
     sizes = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
     ratios = boundary / sizes
     # rounding is monotone, so every exact minimum has the least float ratio;

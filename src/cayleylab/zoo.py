@@ -210,12 +210,12 @@ def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
     full = SymFpGroup(n, p, "L")
     gens = full.generating_set()
     ball = enumerate_ball(full, gens, max_radius=radius)
-    dist = ball.distances()
-    for x, code in zip(ball.elements, ball.codes):
-        r = dist[code]
-        _, vec = x
-        if any(abs(balanced_lift(v, p)) > r for v in vec):
-            return False
+    pos = 0
+    for r, size in enumerate(ball.sphere_sizes):
+        for _, vec in ball.elements[pos : pos + size]:
+            if any(abs(balanced_lift(v, p)) > r for v in vec):
+                return False
+        pos += size
     return True
 
 

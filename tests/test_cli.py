@@ -86,9 +86,14 @@ BAD_INPUTS = [
     (["mix", "-g", "cyclic:12", "--p", "2", "--format", "json"], EXIT_USAGE, "needs --format csv"),
     (["cheeger", "-g", "cyclic:12", "--exact-cap", "-5"], EXIT_USAGE, "at least 0"),
     (["verify", "spectral", "-g", "cyclic:12", "--exact-cap", "-1"], EXIT_USAGE, "at least 0"),
-    # the scan would need 2^29 subsets (about 40 GiB): refused before allocating
+    # the exact scan covers 2^(n-1) subsets: refused before allocating
     (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
     (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),
+    # gamma^delta = 25^2000 is past the float range
+    (["grow", "-g", "cyclic:50", "--eps", "0.5", "--delta", "2000"], EXIT_USAGE, "delta must be below about 220.5"),
+    # -o into a missing directory, and onto a directory
+    (["diam", "-g", "cyclic:12", "-o", "no-such-directory/report.json"], EXIT_USAGE, "-o no-such-directory/report.json: "),
+    (["cheeger", "-g", "cyclic:12", "--format", "json", "-o", "."], EXIT_USAGE, "-o .: "),
 ]
 
 
@@ -105,10 +110,20 @@ def _python(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_grow_reports_an_infinite_K_once_eps_delta_underflows(capsys):
+    # eps * delta = 1e-600 is 0.0 in floats, and K = 5^(2 / (eps delta)) overflows anyway
+    assert run(["grow", "-g", "cyclic:5", "--eps", "1e-300", "--delta", "1e-300", "--format", "json"]) == EXIT_OK
+    window = json.loads(capsys.readouterr().out)["doubling_window"]
+    assert window["K"] == "inf" and window["scale"] == 1
+
+
 def test_growth_commands_do_not_import_scipy():
+    # graphs of at most DENSE_CAP vertices never pay for the scipy import
     probe = (
         "import sys, cayleylab.cli\n"
         "assert cayleylab.cli.run(['grow', '-g', 'cyclic:12']) == 0\n"
+        "assert cayleylab.cli.run(['cheeger', '-g', 'cyclic:22']) == 0\n"
+        "assert cayleylab.cli.run(['verify', 'spectral', '-g', 'cyclic:20']) == 0\n"
         "sys.exit('scipy' in sys.modules)\n"
     )
     assert _python(["-c", probe]).returncode == 0

@@ -1,7 +1,9 @@
 """Spectral gap, Cheeger constant, inequality chain, coset-subspace gap."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from cayleylab.spectral import (
     COSET_GAP_CAP,
     DENSE_CAP,
     EXACT_CHEEGER_CAP,
+    EXACT_SCAN_MAX,
     SpectralReport,
     _bounded_cheeger,
     _dense_extremes,
@@ -26,7 +29,7 @@ from cayleylab.spectral import (
     rayleigh_probe,
     verify_spectral_inequalities,
 )
-from cayleylab.spectral import _sweep_cut
+from cayleylab.spectral import _exact_cheeger, _sweep_cut
 from cayleylab.zoo import construct_family, standard_zoo
 
 
@@ -197,14 +200,16 @@ SMALL_SPECS = [f"cyclic:{n}" for n in range(2, 23)] + [
     "product(symfp:n=2,p=3,variant=Gprime)x(cyclic:3)",
     "product(ut:dim=3,p=2)x(cyclic:2)",
 ]
+# the largest graphs the exact scan takes
+SCAN_LIMIT_SPECS = ["cyclic:23", "cyclic:24", "lamplighter:3"]
 
 
-def small_cayley_graphs():
-    """Connected Cayley graphs with |G| <= 22: S = G, and random symmetric S of 1 to 3 raw elements."""
+def small_cayley_graphs(specs=SMALL_SPECS):
+    """Connected Cayley graphs of the specs: S = G, and random symmetric S of 1 to 3 raw elements."""
     rng = random.Random(1506)
-    for spec in SMALL_SPECS:
+    for spec in specs:
         g = build_group(spec)
-        assert g.order <= 22, spec
+        assert g.order <= EXACT_SCAN_MAX, spec
         pool = enumerate_ball(g, g.generating_set()).elements
         yield f"{spec} S=G", g, symmetrize(g, pool), True
         for _ in range(2 if g.order <= 18 else 1):
@@ -215,23 +220,68 @@ def small_cayley_graphs():
                     break
 
 
+def mask_scan_cheeger(ctx):
+    """One pass over the 2^(n-1) subset masks per (vertex, generator) pair: the scan the boundary recurrence replaced.
+
+    Subset i holds vertex 0 and vertex v + 1 for each bit v of i; the minimizer
+    selection is the one _exact_cheeger keeps.
+    """
+    n = ctx.n
+    masks = (np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+    inside = [((masks >> np.uint64(x)) & np.uint64(1)).astype(bool) for x in range(n)]
+    boundary = np.zeros(masks.shape, dtype=np.int64)
+    for x in range(n):
+        for p in ctx.nonid:
+            boundary += inside[x] & ~inside[int(p[x])]
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    half = n // 2
+    best_num, best_den = None, None
+    for side_sizes in (sizes, n - sizes):
+        ok = (side_sizes >= 1) & (side_sizes <= half)
+        if not ok.any():
+            continue
+        ratios = np.where(ok, boundary / np.maximum(side_sizes, 1), np.inf)
+        idx = int(np.argmin(ratios))
+        num, den = int(boundary[idx]), int(side_sizes[idx])
+        if best_num is None or Fraction(num, den) < Fraction(best_num, best_den):
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den), best_den, best_num
+
+
+def test_boundary_recurrence_matches_the_mask_scan():
+    graphs = 0
+    for label, g, gens, _ in small_cayley_graphs():
+        graphs += 1
+        ctx = build_context(g, gens)
+        assert _exact_cheeger(ctx) == mask_scan_cheeger(ctx), label
+    assert graphs > 80
+
+
+def test_refused_exact_scan_allocates_nothing():
+    g = build_group(f"cyclic:{EXACT_SCAN_MAX + 1}")
+    ctx = build_context(g, g.generating_set())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceRefusal, match=f"at most {EXACT_SCAN_MAX} vertices"):
+            cheeger(ctx, exact_cap=EXACT_SCAN_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
     rng = np.random.default_rng(1506)
     graphs = 0
-    for label, g, gens, complete in small_cayley_graphs():
+    for label, g, gens, complete in itertools.chain(small_cayley_graphs(), small_cayley_graphs(SCAN_LIMIT_SPECS)):
         graphs += 1
         n = g.order
-        # the exhaustive scan of a complete graph takes seconds from 20 vertices on,
-        # and there h = ceil(n/2): a half of the vertices against the rest
         ctx = build_context(g, gens)
-        exact = verify_spectral_inequalities(ctx, exact_cap=18 if complete else 22)
-        if exact.h_mode == "exact":
-            assert exact.all_hold, (label, exact.to_dict())
-            h = exact.h_interval[0]
-        else:
-            h = math.ceil(n / 2)
+        exact = verify_spectral_inequalities(ctx, exact_cap=EXACT_SCAN_MAX)
+        assert exact.h_mode == "exact" and exact.all_hold, (label, exact.to_dict())
+        h = exact.h_interval[0]
         if complete:
-            assert h == math.ceil(n / 2), label
+            assert h == math.ceil(n / 2), label  # a half of the vertices against the rest
         bounded = verify_spectral_inequalities(ctx, exact_cap=0)
         assert bounded.ok, (label, bounded.to_dict())
         assert bounded.h_interval[0] - 1e-9 <= h <= bounded.h_interval[1] + 1e-9, (label, h, bounded.h_interval)
@@ -243,7 +293,36 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
             spec = SpectralReport(float(vals[1]), float(vals[-1]), ctx.k, "dense", 0.0, fiedler)
             rep = _bounded_cheeger(ctx, spec)
             assert rep.h_lower - 1e-9 <= h <= rep.h_upper + 1e-9, (label, h, rep.h_lower, rep.h_upper)
-    assert graphs > 80
+    assert graphs > 86
+
+
+def bincount_sweep_cut(ctx, fiedler):
+    """Prefix boundaries from bincounts of the cut's crossing pairs: the sweep the boundary recurrence replaced."""
+    n = ctx.n
+    values = fiedler.tolist()
+    order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    nonid = ctx.nonid
+    # the pair (x, s) crosses the cut after prefix j exactly when position[x] < j <= position[sx]
+    tails = np.tile(position, len(nonid))
+    heads = position[nonid].ravel()
+    forward = tails < heads
+    starts = np.bincount(tails[forward] + 1, minlength=n + 1)
+    ends = np.bincount(heads[forward] + 1, minlength=n + 1)
+    boundary = np.cumsum(starts - ends)[1:n]
+    sizes = np.minimum(np.arange(1, n), np.arange(n - 1, 0, -1))
+    ratios = boundary / sizes
+    best = min(np.flatnonzero(ratios == ratios.min()), key=lambda j: Fraction(int(boundary[j]), int(sizes[j])))
+    return Fraction(int(boundary[best]), int(sizes[best])), int(sizes[best]), int(boundary[best])
+
+
+def test_sweep_cut_matches_the_bincount_sweep():
+    for inst in standard_zoo(max_order=5000):
+        ctx = build_context(inst.group, inst.gens)
+        fiedler = ctx.spectrum.fiedler
+        for sign in (1, -1):
+            assert _sweep_cut(ctx, sign * fiedler) == bincount_sweep_cut(ctx, sign * fiedler), (inst.label, sign)
 
 
 def one_sided_sweep_cut(ctx, fiedler):
