@@ -21,7 +21,10 @@ runs on those arrays; the Python payloads above stay the reference.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 DEFAULT_ORDER_CAP = 1 << 24
+FREENIL_DIM_CAP = 1 << 12  # Magnus coefficients per free nilpotent element
 # ranks of coordinate rows stay below this, so the sum of two coordinates,
 # or of a rank and a coordinate, cannot wrap in int64
 RANK_LIMIT = 1 << 62
@@ -698,98 +702,138 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
+def _coeff_bytes(c: int) -> bytes:
+    """A Magnus coefficient's bytes: a sign byte (1 for c >= 0), the u32 length
+    of the magnitude, then the magnitude little-endian (one byte for 0)."""
+    mag = abs(c)
+    body = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+    return bytes([c >= 0]) + len(body).to_bytes(4, "little") + body
+
+
+class _TermPieces(dict):
+    """Coefficient -> encoded term (word piece then coefficient bytes) for one
+    word; coefficients up to 4096 in size are kept once computed."""
+
+    def __init__(self, word: tuple[int, ...]):
+        super().__init__()
+        self.word_piece = len(word).to_bytes(2, "little") + bytes(word)
+
+    def __missing__(self, c: int) -> bytes:
+        out = self.word_piece + _coeff_bytes(c)
+        if -4096 <= c <= 4096:
+            self[c] = out
+        return out
+
+
+class _MagnusTables:
+    """What the arithmetic and the encoding of freenil:r,s share.
+
+    ``words`` lists the words of length 1..s in (length, word) order; word i
+    concatenated with word j is word k for each (j, k) in ``rows[i]``, where
+    only the words shorter than s have rows.  ``by_target`` holds the same
+    triples (i, j, k) sorted by k.  ``pieces[i]`` encodes a term on word i,
+    and ``heads[n]`` is the count prefix and constant-term piece of an element
+    with n nonzero coefficients.
+    """
+
+    def __init__(self, r: int, s: int):
+        words = [w for n in range(1, s + 1) for w in itertools.product(range(r), repeat=n)]
+        index = {w: i for i, w in enumerate(words)}
+        self.words = tuple(words)
+        # the words of length <= n are the first `upto[n]`
+        upto = list(itertools.accumulate((r**n for n in range(1, s + 1)), initial=0))
+        self.rows = tuple(tuple((j, index[u + v]) for j, v in enumerate(words[: upto[s - len(u)]])) for u in words if len(u) < s)
+        self.by_target = tuple(sorted(((i, j, k) for i, row in enumerate(self.rows) for j, k in row), key=lambda t: t[2]))
+        self.pieces = tuple(_TermPieces(w) for w in words)
+        constant = _TermPieces(())[1]
+        self.heads = tuple((n + 1).to_bytes(4, "little") + constant for n in range(len(words) + 1))
+
+
+@functools.cache
+def _magnus_tables(r: int, s: int) -> _MagnusTables:
+    """The tables of freenil:r,s, built once per process."""
+    return _MagnusTables(r, s)
+
+
 class FreeNilpotentGroup(Group):
     """Free s-step nilpotent group of rank r, as truncated-polynomial units.
 
     Elements are units with constant term 1 in the quotient of the free
-    associative ring Z<X_1..X_r> by words of length > s; the generators are
-    1 + X_i.  Multiplication is truncated convolution and inversion is the
-    terminating Neumann series, both exact over arbitrary-precision integers.
-    Payload: tuple of (word, coeff) pairs sorted by (len(word), word), with
-    word a tuple of letter indices and coeff a nonzero int; the empty word
-    carries the constant term 1.
+    associative ring Z<X_1..X_r> by words of length > s (the Magnus
+    embedding); the generators are 1 + X_i.  Multiplication is truncated
+    convolution and inversion solves a * a^-1 = 1 word by word, both exact
+    over arbitrary-precision integers.
+
+    Payload: a tuple of r + r^2 + ... + r^s Python ints, the coefficient of
+    every word of length 1..s in (len(word), word) order, zeros included; the
+    constant term is always 1 and is not stored.  ``terms(a)`` lists the
+    nonzero terms as (word, coeff) pairs, constant term first.  ``encode``
+    writes those terms: a u32 count, then per term the u16 word length, the
+    letters and the coefficient bytes (see ``_coeff_bytes``).  Above
+    FREENIL_DIM_CAP coefficients per element, construction is refused.
     """
 
     def __init__(self, r: int, s: int):
         if r < 1 or s < 1:
             raise SpecSemanticError("freenil requires r >= 1 and s >= 1")
+        if r > 256:
+            raise SpecSemanticError(f"freenil encodes each letter in one byte, so r must be at most 256, got {r}")
+        dim = 0
+        for n in range(1, s + 1):
+            dim += r**n
+            if dim > FREENIL_DIM_CAP:
+                raise ResourceRefusal(
+                    f"freenil:r={r},s={s} needs at least {dim} Magnus coefficients per element, over the cap {FREENIL_DIM_CAP}"
+                )
         self.r = r
         self.s = s
         self.order = None
         self.name = f"freenil:r={r},s={s}"
+        tables = _magnus_tables(r, s)
+        self._words = tables.words
+        self._rows = tables.rows
+        self._by_target = tables.by_target
+        self._pieces = tables.pieces
+        self._heads = tables.heads
 
     def identity(self):
-        return (((), 1),)
-
-    def _normalize(self, acc: dict) -> tuple:
-        items = [(w, c) for w, c in acc.items() if c != 0]
-        items.sort(key=lambda wc: (len(wc[0]), wc[0]))
-        return tuple(items)
+        return (0,) * len(self._words)
 
     def mul(self, a, b):
-        s = self.s
-        # terms are sorted by word length, so the admissible partners of a
-        # degree-la term form a prefix of b; precompute the prefix cuts
-        cuts = [0] * (s + 1)
-        pos = 0
-        for d in range(s + 1):
-            while pos < len(b) and len(b[pos][0]) <= d:
-                pos += 1
-            cuts[d] = pos
-        acc: dict = {}
-        get = acc.get
-        for wa, ca in a:
-            for wb, cb in b[: cuts[s - len(wa)]]:
-                w = wa + wb
-                acc[w] = get(w, 0) + ca * cb
-        return self._normalize(acc)
+        out = list(map(operator.add, a, b))
+        for ai, row in zip(a, self._rows):
+            if ai:
+                for j, k in row:
+                    bj = b[j]
+                    if bj:
+                        out[k] += ai * bj
+        return tuple(out)
 
     def inv(self, a):
-        # a = 1 + x with x supported on words of length >= 1:
-        # a^-1 = 1 - x + x^2 - ... - (-x)^s, exact after truncation
-        x = tuple((w, c) for w, c in a if w != ())
-        neg_x = tuple((w, -c) for w, c in x)
-        result = self.identity()
-        term = self.identity()
-        for _ in range(self.s):
-            term = self.mul(term, neg_x)
-            if not term:
-                break
-            acc = dict(result)
-            for w, c in term:
-                acc[w] = acc.get(w, 0) + c
-            result = self._normalize(acc)
-        return result
-
-    _WLEN_CACHE = [n.to_bytes(2, "little") for n in range(64)]
-    _COEFF_CACHE: dict = {}
-
-    @classmethod
-    def _coeff_bytes(cls, c: int) -> bytes:
-        cached = cls._COEFF_CACHE.get(c)
-        if cached is not None:
-            return cached
-        sign = 1 if c >= 0 else 0
-        mag = abs(c)
-        body = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
-        out = bytes([sign]) + len(body).to_bytes(4, "little") + body
-        if -4096 <= c <= 4096:
-            cls._COEFF_CACHE[c] = out
-        return out
+        # the coefficient of word w in a * b = 1 is a[w] + b[w] + sum over
+        # splits w = uv of a[u] b[v]; solve for b[w] in order of length
+        out = [-c for c in a]
+        for i, j, k in self._by_target:
+            ai = a[i]
+            if ai:
+                bj = out[j]
+                if bj:
+                    out[k] -= ai * bj
+        return tuple(out)
 
     def encode(self, a) -> bytes:
-        wlen = self._WLEN_CACHE
-        parts = [len(a).to_bytes(4, "little")]
-        for w, c in a:
-            parts.append(wlen[len(w)] if len(w) < 64 else len(w).to_bytes(2, "little"))
-            parts.append(bytes(w))
-            parts.append(self._coeff_bytes(c))
-        return b"".join(parts)
+        body = [piece[c] for piece, c in zip(self._pieces, a) if c]
+        return self._heads[len(body)] + b"".join(body)
+
+    def terms(self, a) -> tuple:
+        """The nonzero terms of a as (word, coeff) pairs, the constant ((), 1) first."""
+        return (((), 1),) + tuple((w, c) for w, c in zip(self._words, a) if c)
 
     def decode(self, data: bytes):
         n = int.from_bytes(data[0:4], "little")
         pos = 4
-        terms = []
+        index = {w: i for i, w in enumerate(self._words)}
+        out = [0] * len(self._words)
         for _ in range(n):
             wl = int.from_bytes(data[pos : pos + 2], "little")
             pos += 2
@@ -801,19 +845,21 @@ class FreeNilpotentGroup(Group):
             pos += 4
             mag = int.from_bytes(data[pos : pos + bl], "little")
             pos += bl
-            terms.append((word, mag if sign else -mag))
+            if word:
+                out[index[word]] = mag if sign else -mag
+            elif (sign, mag) != (1, 1):
+                raise ValueError("constant term must be 1")
         if pos != len(data):
             raise ValueError("trailing bytes in encoded element")
-        return tuple(terms)
+        return tuple(out)
 
     def raw_generators(self):
-        return [(((), 1), ((i,), 1)) for i in range(self.r)]
+        e = self.identity()
+        return [e[:i] + (1,) + e[i + 1 :] for i in range(self.r)]
 
     def describe(self, a) -> str:
-        if not a:
-            return "0"
         pieces = []
-        for w, c in a:
+        for w, c in self.terms(a):
             mon = "*".join(f"X{i+1}" for i in w) if w else "1"
             if c == 1 and w:
                 pieces.append(mon)

@@ -62,7 +62,9 @@ __all__ = [
     "HALL_SIZE_CAP",
 ]
 
-PROGRESSION_WORK_CAP = 10**7
+# group products one progression check may make: criterion 04's power pass
+# needs 1.40 M, and the basic-commutator box of rank 3, step 3 about 7.2 M
+PROGRESSION_WORK_CAP = 1_500_000
 HALL_SIZE_CAP = 10**4
 CLOSURE_SIZE_CAP = 10**6  # elements of a normal closure
 MAX_POWER = 64  # largest m tried for P(nL) inside P(L)^m
@@ -267,10 +269,14 @@ class _WorkMeter:
     def __init__(self):
         self.used = 0
 
-    def charge(self, amount: int) -> None:
+    def charge(self, amount: int, ahead: int = 0) -> None:
+        """Record `amount` products, and refuse once they and the `ahead` more
+        known to follow would pass the cap."""
         self.used += amount
-        if self.used > PROGRESSION_WORK_CAP:
-            raise ResourceRefusal(f"progression enumeration exceeds work cap {PROGRESSION_WORK_CAP}")
+        if self.used + ahead > PROGRESSION_WORK_CAP:
+            raise ResourceRefusal(
+                f"progression enumeration needs at least {self.used + ahead} group products, over the work cap {PROGRESSION_WORK_CAP}"
+            )
 
 
 @dataclass(frozen=True)
@@ -363,8 +369,8 @@ def _elem_dict(group: Group, payloads) -> dict[bytes, object]:
     return {group.encode(x): x for x in payloads}
 
 
-def _set_product(group: Group, A: dict, B: dict, meter: _WorkMeter) -> dict:
-    meter.charge(len(A) * len(B))
+def _set_product(group: Group, A: dict, B: dict, meter: _WorkMeter, ahead: int) -> dict:
+    meter.charge(len(A) * len(B), ahead)
     out: dict[bytes, object] = {}
     mul, enc = group.mul, group.encode
     for a in A.values():
@@ -391,13 +397,20 @@ def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> dict:
 
 
 def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _WorkMeter) -> dict:
-    """Set of products y_1^{l_1} ... y_t^{l_t} with |l_i| <= bound_i, right-to-left."""
-    acc: Optional[dict] = None
-    for y, bound in reversed(factors):
-        powers = _power_range(group, y, bound, meter)
-        acc = powers if acc is None else _set_product(group, powers, acc, meter)
-    if acc is None:
-        acc = _elem_dict(group, [group.identity()])
+    """Set of products y_1^{l_1} ... y_t^{l_t} with |l_i| <= bound_i, right-to-left.
+
+    The partial product only grows, so the products still to come charge at
+    least its size times the sizes of their power ranges: the meter refuses
+    on that prediction before the partial product outgrows it.
+    """
+    ranges = [_power_range(group, y, bound, meter) for y, bound in reversed(factors)]
+    if not ranges:
+        return _elem_dict(group, [group.identity()])
+    acc = ranges[0]
+    rest = sum(map(len, ranges[1:]))
+    for powers in ranges[1:]:
+        rest -= len(powers)
+        acc = _set_product(group, powers, acc, meter, len(acc) * rest)
     return acc
 
 

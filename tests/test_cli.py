@@ -86,6 +86,12 @@ BAD_INPUTS = [
     (["mix", "-g", "cyclic:12", "--p", "2", "--format", "json"], EXIT_USAGE, "needs --format csv"),
     (["cheeger", "-g", "cyclic:12", "--exact-cap", "-5"], EXIT_USAGE, "at least 0"),
     (["verify", "spectral", "-g", "cyclic:12", "--exact-cap", "-1"], EXIT_USAGE, "at least 0"),
+    # the basic-commutator box 3^14 is refused from the partial products
+    # already built, before the one of 531,441 elements
+    (["nilprog", "proper", "-r", "3", "-s", "3", "-L", "1,1,1"], EXIT_REFUSAL, "needs at least 1860081 group products"),
+    (["grow", "-g", "freenil:r=300,s=1", "-r", "1"], EXIT_USAGE, "r must be at most 256"),
+    # a free nilpotent element holds one coefficient per word of length <= s
+    (["grow", "-g", "freenil:r=20,s=4", "-r", "1"], EXIT_REFUSAL, "needs at least 8420 Magnus coefficients"),
     # the exact scan covers 2^(n-1) subsets: refused before allocating
     (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
     (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),

@@ -133,9 +133,9 @@ def test_generating_set_rejects_bad_sets():
 # ---------------------------------------------------------------------------
 
 
-def _payload_to_sympy(payload, letters):
+def _terms_to_sympy(terms, letters):
     expr = sympy.Integer(0)
-    for word, coeff in payload:
+    for word, coeff in terms:
         mon = sympy.Integer(1)
         for i in word:
             mon = mon * letters[i]
@@ -171,22 +171,22 @@ def test_freenil_products_match_symbolic_expansion(s):
         for i in word:
             ours = g.mul(ours, (x, y)[i])
             theirs = _truncate(theirs * sym_gens[i], letters, s)
-        assert sympy.expand(_payload_to_sympy(ours, letters) - theirs) == 0
+        assert sympy.expand(_terms_to_sympy(g.terms(ours), letters) - theirs) == 0
 
 
 def test_freenil_basic_products():
     g = FreeNilpotentGroup(2, 2)
     x, y = g.raw_generators()
-    assert g.mul(x, y) == (((), 1), ((0,), 1), ((1,), 1), ((0, 1), 1))
+    assert g.terms(g.mul(x, y)) == (((), 1), ((0,), 1), ((1,), 1), ((0, 1), 1))
     c = commutator(g, x, y)
-    assert c == (((), 1), ((0, 1), 1), ((1, 0), -1))  # 1 + X1 X2 - X2 X1
+    assert g.terms(c) == (((), 1), ((0, 1), 1), ((1, 0), -1))  # 1 + X1 X2 - X2 X1
 
 
 def test_freenil_encode_roundtrip_large_coefficients():
     g = FreeNilpotentGroup(2, 3)
     x, _ = g.raw_generators()
     big = power(g, x, 2**70)
-    assert dict(big)[(0,)] == 2**70
+    assert dict(g.terms(big))[(0,)] == 2**70
     assert g.decode(g.encode(big)) == big
 
 
@@ -200,6 +200,96 @@ def test_freenil_encode_roundtrip_random_words():
         for _ in range(rng.randint(1, 40)):
             elem = g.mul(elem, rng.choice(steps))
         assert g.decode(g.encode(elem)) == elem
+
+
+class SparseMagnus:
+    """The sparse free nilpotent backend the dense coefficient tuples replaced,
+    kept as their oracle.  Payload: (word, coeff) pairs with nonzero coeff,
+    sorted by (len(word), word), the empty word carrying the constant 1."""
+
+    def __init__(self, r, s):
+        self.r, self.s = r, s
+
+    def identity(self):
+        return (((), 1),)
+
+    def raw_generators(self):
+        return [(((), 1), ((i,), 1)) for i in range(self.r)]
+
+    @staticmethod
+    def _normalize(acc):
+        return tuple(sorted(((w, c) for w, c in acc.items() if c), key=lambda wc: (len(wc[0]), wc[0])))
+
+    def mul(self, a, b):
+        acc = {}
+        for wa, ca in a:
+            for wb, cb in b:
+                if len(wa) + len(wb) <= self.s:
+                    acc[wa + wb] = acc.get(wa + wb, 0) + ca * cb
+        return self._normalize(acc)
+
+    def inv(self, a):
+        # a = 1 + x: a^-1 = 1 - x + x^2 - ... - (-x)^s, exact after truncation
+        neg_x = tuple((w, -c) for w, c in a if w)
+        result, term = dict(self.identity()), self.identity()
+        for _ in range(self.s):
+            term = self.mul(term, neg_x)
+            for w, c in term:
+                result[w] = result.get(w, 0) + c
+        return self._normalize(result)
+
+    def encode(self, a):
+        parts = [len(a).to_bytes(4, "little")]
+        for w, c in a:
+            mag = abs(c)
+            body = mag.to_bytes((mag.bit_length() + 7) // 8 or 1, "little")
+            parts += [len(w).to_bytes(2, "little"), bytes(w), bytes([1 if c >= 0 else 0]), len(body).to_bytes(4, "little"), body]
+        return b"".join(parts)
+
+    def describe(self, a):
+        pieces = []
+        for w, c in a:
+            mon = "*".join(f"X{i+1}" for i in w) if w else "1"
+            if c == 1 and w:
+                pieces.append(mon)
+            elif c == -1 and w:
+                pieces.append(f"-{mon}")
+            else:
+                pieces.append(f"{c}*{mon}" if w else str(c))
+        out = pieces[0]
+        for p in pieces[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+
+@pytest.mark.parametrize("r,s", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_freenil_matches_sparse_oracle(r, s):
+    """Random words, and words times powers up to 2^70, agree with the sparse
+    backend on mul, inv, encode bytes, the decode round trip and describe."""
+    g, oracle = FreeNilpotentGroup(r, s), SparseMagnus(r, s)
+    steps = [(x, y) for x, y in zip(g.raw_generators(), oracle.raw_generators())]
+    steps += [(g.inv(x), oracle.inv(y)) for x, y in steps]
+    rng = random.Random(100 * r + s)
+
+    def random_pair():
+        x, y = g.identity(), oracle.identity()
+        for _ in range(rng.randint(0, 12)):
+            sx, sy = rng.choice(steps)
+            x, y = g.mul(x, sx), oracle.mul(y, sy)
+        if rng.random() < 0.2:
+            e = rng.choice([2**70, -(2**70) + 1, 3**41])
+            sx, sy = rng.choice(steps)
+            x, y = g.mul(x, power(g, sx, e)), oracle.mul(y, power(oracle, sy, e))
+        return x, y
+
+    for _ in range(60):
+        (a, a0), (b, b0) = random_pair(), random_pair()
+        assert g.terms(a) == a0
+        assert g.encode(a) == oracle.encode(a0)
+        assert g.describe(a) == oracle.describe(a0)
+        assert g.decode(g.encode(a)) == a
+        assert g.terms(g.mul(a, b)) == oracle.mul(a0, b0)
+        assert g.terms(g.inv(a)) == oracle.inv(a0)
 
 
 @pytest.mark.parametrize("r,s", [(2, 2), (2, 3)])

@@ -49,3 +49,9 @@ def test_traced_mix_builds_and_solves_once():
     counts = run_traced(["mix", "-g", "ut:dim=3,p=5", "--format", "json"])["counts"]
     solves = sum(counts.get(f"spectral.eigen_{solver}_calls", 0) for solver in ("dense", "iterative"))
     assert (counts["spectral.context_calls"], counts["spectral.eigen_calls"], solves) == (1, 1, 1)
+
+
+def test_traced_freenil_counts_mul_and_encode():
+    # a backend whose methods the tracer cannot wrap would report 0 here
+    counts = run_traced(["grow", "-g", "freenil:r=2,s=2", "-r", "3", "--format", "json"])["counts"]
+    assert counts["groups.mul_calls"] > 0 and counts["groups.encode_calls"] > 0
