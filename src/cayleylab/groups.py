@@ -1,10 +1,10 @@
 """Exact finite-group arithmetic: element backends, spec parsing, generating sets.
 
-Every backend represents group elements as immutable Python values (ints,
-tuples, nested tuples) and provides an injective, platform-independent byte
-encoding.  All deduplication everywhere in the package is keyed on those
-canonical bytes, never on structural equality, so heterogeneous backends share
-one hash discipline.
+Every backend represents a group element as one flat tuple of Python ints,
+its coordinates, and provides an injective, platform-independent byte
+encoding.  Coordinates are canonical (each element has exactly one tuple), so
+``==`` on elements is equality in the group; deduplication is keyed on the
+canonical bytes, which also fix every sort order.
 
 Supported families: cyclic groups, products of cyclic groups, unitriangular
 matrix groups over prime fields, lamplighter groups Z/M ltimes (Z/2)^M,
@@ -14,9 +14,10 @@ units with constant term 1 in the degree-truncated free associative ring over
 Z), and binary direct products of any of these.
 
 Every finite family also has an array form, its ``codec`` (an ArrayCodec):
-each element is a row of int64 coordinates, and the family multiplies a whole
-array of rows on the left by one element at a time.  The BFS in ``growth``
-runs on those arrays; the Python payloads above stay the reference.
+the coordinate tuple of an element is a row of int64s, and the family
+multiplies a whole array of rows on the left by one element at a time.  The
+BFS in ``growth`` runs on those arrays, and a row read back with ``tolist`` is
+the element itself.
 """
 
 from __future__ import annotations
@@ -105,11 +106,6 @@ def _is_prime(n: int) -> bool:
 
 def _enc_u64(values: Iterable[int]) -> bytes:
     return b"".join(v.to_bytes(8, "little") for v in values)
-
-
-def _row_tuples(X: np.ndarray) -> list[tuple]:
-    """The rows of a 2-D int array (at least one column) as tuples of Python ints."""
-    return list(zip(*X.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +288,14 @@ class Group:
     """Handle for one concrete group: identity/mul/inv plus canonical encoding.
 
     Immutable after construction; all operations are pure, so a result depends
-    only on the arguments.
+    only on the arguments.  An element is the flat tuple of its coordinates,
+    one canonical tuple per element.
 
     A group whose ``codec`` is not None also has an array form, used by the
-    BFS: ``coords(x)`` lists the int64 coordinates of an element,
-    ``from_coords(X)`` turns the rows of a 2-D array back into elements, and
-    ``left_mul(s, X)`` returns the rows of s*x for every row x of X, for any
-    element s.  Every finite family has one; the free nilpotent groups, and
-    products with an infinite factor, have none.
+    BFS: an element's coordinates are one int64 row, and ``left_mul(s, X)``
+    returns the rows of s*x for every row x of X, for any element s.  Every
+    finite family has one; the free nilpotent groups, and products with an
+    infinite factor, have none.
     """
 
     name: str = "group"
@@ -317,12 +313,9 @@ class Group:
 
     def encode(self, a) -> bytes:
         """Canonical bytes: the little-endian u64 of each coordinate, the layout
-        ArrayCodec's default template assumes.  A group without ``coords``, or
-        with another layout, overrides it."""
-        return _enc_u64(self.coords(a))
-
-    def eq(self, a, b) -> bool:
-        return self.encode(a) == self.encode(b)
+        ArrayCodec's default template assumes.  A group with another layout
+        overrides it."""
+        return _enc_u64(a)
 
     def raw_generators(self) -> list:
         """Family-default generators, before symmetrization."""
@@ -383,46 +376,17 @@ class ArrayCodec:
 
 
 def _codec(radices: tuple[int, ...], template: Optional[bytes] = None, offsets: Optional[tuple[int, ...]] = None) -> Optional[ArrayCodec]:
-    """A family's codec, or None when its ranks would not fit (the BFS then runs on payloads)."""
+    """A family's codec, or None when its ranks would not fit (the BFS then runs on tuples)."""
     codec = ArrayCodec(radices, template, offsets)
     return codec if math.prod(codec.key_radices) <= RANK_LIMIT else None
 
 
-class CyclicGroup(Group):
-    def __init__(self, n: int):
-        if n <= 0:
-            raise SpecSemanticError("zero modulus")
-        self.n = n
-        self.order = n
-        self.name = f"cyclic:{n}"
-        self.codec = _codec((n,))
-
-    def identity(self):
-        return 0
-
-    def mul(self, a, b):
-        return (a + b) % self.n
-
-    def inv(self, a):
-        return (-a) % self.n
-
-    def coords(self, a) -> list[int]:
-        return [a]
-
-    def from_coords(self, X):
-        return X[:, 0].tolist()
-
-    def left_mul(self, s, X):
-        return (X + s) % self.n
-
-    def raw_generators(self):
-        return [1 % self.n]
-
-    def describe(self, a) -> str:
-        return str(a)
-
-
 class AbelianGroup(Group):
+    """Z/m_1 x ... x Z/m_k.
+
+    Coordinates: one residue per modulus.
+    """
+
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = tuple(moduli)
         self.order = math.prod(self.moduli)
@@ -437,12 +401,6 @@ class AbelianGroup(Group):
 
     def inv(self, a):
         return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def coords(self, a) -> list[int]:
-        return list(a)
-
-    def from_coords(self, X):
-        return _row_tuples(X)
 
     def left_mul(self, s, X):
         return (X + np.array(s, dtype=np.int64)) % np.array(self.moduli, dtype=np.int64)
@@ -459,10 +417,27 @@ class AbelianGroup(Group):
         return "(" + ",".join(map(str, a)) + ")"
 
 
+class CyclicGroup(AbelianGroup):
+    """Z/n, the abelian group with the one modulus n.
+
+    Coordinates: (a,) for the residue a.
+    """
+
+    def __init__(self, n: int):
+        if n <= 0:
+            raise SpecSemanticError("zero modulus")
+        super().__init__((n,))
+        self.n = n
+        self.name = f"cyclic:{n}"
+
+    def describe(self, a) -> str:
+        return str(a[0])
+
+
 class UnitriangularGroup(Group):
     """Upper unitriangular dim x dim matrices over F_p.
 
-    Payload: strictly-upper entries in row-major order ((0,1),(0,2),...).
+    Coordinates: strictly-upper entries in row-major order ((0,1),(0,2),...).
     """
 
     def __init__(self, dim: int, p: int):
@@ -500,12 +475,6 @@ class UnitriangularGroup(Group):
                 out[pos[(i, j)]] = v % p
         return tuple(out)
 
-    def coords(self, a) -> list[int]:
-        return list(a)
-
-    def from_coords(self, X):
-        return _row_tuples(X)
-
     def left_mul(self, s, X):
         # an affine map mod p: (s*x)[i,j] = s[i,j] + x[i,j] + sum_k s[i,k] x[k,j]
         pos = self._pos
@@ -530,7 +499,7 @@ class UnitriangularGroup(Group):
 class LamplighterGroup(Group):
     """Z/M ltimes (Z/2)^M with cyclically permuted lamp coordinates.
 
-    Payload: (position, lamps) with lamps a 0/1 tuple of length M.
+    Coordinates: (position, l_0, ..., l_{M-1}) with each lamp l_i in {0, 1}.
     """
 
     def __init__(self, m: int):
@@ -540,54 +509,42 @@ class LamplighterGroup(Group):
         self.codec = _codec((m,) + (2,) * m)
 
     def identity(self):
-        return (0, (0,) * self.m)
+        return (0,) * (self.m + 1)
 
     def mul(self, a, b):
-        (pa, la), (pb, lb) = a, b
-        m = self.m
-        lamps = tuple((la[i] ^ lb[(i - pa) % m]) for i in range(m))
-        return ((pa + pb) % m, lamps)
+        m, pa = self.m, a[0]
+        return ((pa + b[0]) % m,) + tuple(a[1 + i] ^ b[1 + (i - pa) % m] for i in range(m))
 
     def inv(self, a):
-        pa, la = a
-        m = self.m
-        lamps = tuple(la[(i + pa) % m] for i in range(m))
-        return ((-pa) % m, lamps)
-
-    def coords(self, a) -> list[int]:
-        pa, la = a
-        return [pa, *la]
-
-    def from_coords(self, X):
-        return list(zip(X[:, 0].tolist(), _row_tuples(X[:, 1:])))
+        m, pa = self.m, a[0]
+        return ((-pa) % m,) + tuple(a[1 + (i + pa) % m] for i in range(m))
 
     def left_mul(self, s, X):
         # the lamps of x rotate by the position of s, then s's lamps flip on top
-        ps, ls = s
-        m = self.m
+        m, ps = self.m, s[0]
         out = np.empty_like(X)
         out[:, 0] = (X[:, 0] + ps) % m
-        out[:, 1:] = X[:, 1 + (np.arange(m) - ps) % m] ^ np.array(ls, dtype=np.int64)
+        out[:, 1:] = X[:, 1 + (np.arange(m) - ps) % m] ^ np.array(s[1:], dtype=np.int64)
         return out
 
     def raw_generators(self):
-        move = (1 % self.m, (0,) * self.m)
-        switch = (0, (1,) + (0,) * (self.m - 1))
+        move = (1 % self.m,) + (0,) * self.m
+        switch = (0, 1) + (0,) * (self.m - 1)
         return [move, switch]
 
     def describe(self, a) -> str:
-        pa, la = a
-        return f"(pos={pa}, lamps={''.join(map(str, la))})"
+        return f"(pos={a[0]}, lamps={''.join(map(str, a[1:]))})"
 
 
 class SymFpGroup(Group):
     """Sym(n) ltimes F_p^n and its sum-zero / alternating subgroups.
 
-    Payload: (perm, vec) with perm a tuple of images (0-based) and vec a tuple
-    of residues mod p.  Variant "L" is the full semidirect product, "Gprime"
-    restricts vec to coordinate-sum zero, and "G" additionally restricts perm
-    to even permutations.  All three variants share the same payloads and
-    multiplication, so elements move freely between them.
+    Coordinates: perm + vec, the n images of the permutation (0-based)
+    followed by the n residues mod p of the vector.  Variant "L" is the full
+    semidirect product, "Gprime" restricts vec to coordinate-sum zero, and "G"
+    additionally restricts perm to even permutations.  All three variants
+    share the same coordinates and multiplication, so elements move freely
+    between them.
     """
 
     def __init__(self, n: int, p: int, variant: str = "L"):
@@ -609,60 +566,47 @@ class SymFpGroup(Group):
         self.codec = _codec((n,) * n + (p,) * n)
 
     def identity(self):
-        return (tuple(range(self.n)), (0,) * self.n)
+        return tuple(range(self.n)) + (0,) * self.n
 
     def mul(self, a, b):
-        (sa, va), (sb, vb) = a, b
-        p = self.p
-        perm = tuple(sa[sb[i]] for i in range(self.n))
-        vec = list(va)
-        for i in range(self.n):
-            vec[sa[i]] = (vec[sa[i]] + vb[i]) % p
-        return (perm, tuple(vec))
+        n, p = self.n, self.p
+        # a[b[i]] is the image of i under perm(a) after perm(b)
+        perm = tuple(a[b[i]] for i in range(n))
+        vec = list(a[n:])
+        for i in range(n):
+            vec[a[i]] = (vec[a[i]] + b[n + i]) % p
+        return perm + tuple(vec)
 
     def inv(self, a):
-        sa, va = a
-        p = self.p
-        inv_perm = [0] * self.n
-        for i, img in enumerate(sa):
-            inv_perm[img] = i
-        vec = tuple((-va[sa[i]]) % p for i in range(self.n))
-        return (tuple(inv_perm), vec)
-
-    def coords(self, a) -> list[int]:
-        sa, va = a
-        return [*sa, *va]
-
-    def from_coords(self, X):
-        n = self.n
-        return list(zip(_row_tuples(X[:, :n]), _row_tuples(X[:, n:])))
+        n, p = self.n, self.p
+        inv_perm = [0] * n
+        for i in range(n):
+            inv_perm[a[i]] = i
+        return tuple(inv_perm) + tuple((-a[n + a[i]]) % p for i in range(n))
 
     def left_mul(self, s, X):
         # the permutation of s composes with x's by a gather, and x's vector
         # lands permuted by s on top of s's vector
-        sa, va = s
         n = self.n
-        inv = np.argsort(sa)
-        perm = np.array(sa, dtype=np.int64)[X[:, :n]]
-        vec = (X[:, n:][:, inv] + np.array(va, dtype=np.int64)) % self.p
+        sa = np.array(s[:n], dtype=np.int64)
+        perm = sa[X[:, :n]]
+        vec = (X[:, n:][:, np.argsort(sa)] + np.array(s[n:], dtype=np.int64)) % self.p
         return np.concatenate([perm, vec], axis=1)
 
     def project_sum_zero(self, a):
         """Quotient by the central constant-vector subgroup, landing in Gprime."""
-        sa, va = a
-        p = self.p
-        mean = (sum(va) * pow(self.n, -1, p)) % p
-        return (sa, tuple((x - mean) % p for x in va))
+        n, p = self.n, self.p
+        mean = (sum(a[n:]) * pow(n, -1, p)) % p
+        return a[:n] + tuple((x - mean) % p for x in a[n:])
 
     def contains(self, a) -> bool:
-        sa, va = a
         if self.variant == "L":
             return True
-        if sum(va) % self.p != 0:
+        if sum(a[self.n :]) % self.p != 0:
             return False
         if self.variant == "Gprime":
             return True
-        return _perm_sign(sa) == 1
+        return _perm_sign(a[: self.n]) == 1
 
     def raw_generators(self):
         n = self.n
@@ -670,7 +614,7 @@ class SymFpGroup(Group):
         swap = tuple([1, 0] + list(range(2, n)))
         e1 = (1,) + (0,) * (n - 1)
         ident = tuple(range(n))
-        tilde = [(cycle, (0,) * n), (swap, (0,) * n), (ident, e1)]
+        tilde = [cycle + (0,) * n, swap + (0,) * n, ident + e1]
         if self.variant == "L":
             return tilde
         prime = [self.project_sum_zero(g) for g in tilde]
@@ -682,8 +626,7 @@ class SymFpGroup(Group):
         return list(reidemeister_schreier(gp, sprime, oracle).generators.elements)
 
     def describe(self, a) -> str:
-        sa, va = a
-        return f"(perm={list(sa)}, vec={list(va)})"
+        return f"(perm={list(a[: self.n])}, vec={list(a[self.n :])})"
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -764,8 +707,8 @@ class FreeNilpotentGroup(Group):
     convolution and inversion solves a * a^-1 = 1 word by word, both exact
     over arbitrary-precision integers.
 
-    Payload: a tuple of r + r^2 + ... + r^s Python ints, the coefficient of
-    every word of length 1..s in (len(word), word) order, zeros included; the
+    Coordinates: r + r^2 + ... + r^s Python ints, the coefficient of every
+    word of length 1..s in (len(word), word) order, zeros included; the
     constant term is always 1 and is not stored.  ``terms(a)`` lists the
     nonzero terms as (word, coeff) pairs, constant term first.  ``encode``
     writes those terms: a u32 count, then per term the u16 word length, the
@@ -874,9 +817,17 @@ class FreeNilpotentGroup(Group):
 
 
 class ProductGroup(Group):
+    """G1 x G2.
+
+    Coordinates: a + b, the coordinates of the G1 part followed by those of
+    the G2 part; the split is at ``len(g1.identity())``.  ``encode`` is the
+    u32 length of e1, then e1 and e2, the factors' encodings.
+    """
+
     def __init__(self, g1: Group, g2: Group):
         self.g1 = g1
         self.g2 = g2
+        self._d1 = len(g1.identity())
         if g1.order is None or g2.order is None:
             self.order = None
         else:
@@ -891,38 +842,34 @@ class ProductGroup(Group):
             self.codec = _codec(c1.radices + c2.radices, template, offsets)
 
     def identity(self):
-        return (self.g1.identity(), self.g2.identity())
+        return self.g1.identity() + self.g2.identity()
 
     def mul(self, a, b):
-        return (self.g1.mul(a[0], b[0]), self.g2.mul(a[1], b[1]))
+        d = self._d1
+        return self.g1.mul(a[:d], b[:d]) + self.g2.mul(a[d:], b[d:])
 
     def inv(self, a):
-        return (self.g1.inv(a[0]), self.g2.inv(a[1]))
+        d = self._d1
+        return self.g1.inv(a[:d]) + self.g2.inv(a[d:])
 
     def encode(self, a) -> bytes:
-        e1 = self.g1.encode(a[0])
-        e2 = self.g2.encode(a[1])
-        return len(e1).to_bytes(4, "little") + e1 + e2
-
-    def coords(self, a) -> list[int]:
-        return self.g1.coords(a[0]) + self.g2.coords(a[1])
-
-    def from_coords(self, X):
-        d1 = len(self.g1.codec.radices)
-        return list(zip(self.g1.from_coords(X[:, :d1]), self.g2.from_coords(X[:, d1:])))
+        d = self._d1
+        e1 = self.g1.encode(a[:d])
+        return len(e1).to_bytes(4, "little") + e1 + self.g2.encode(a[d:])
 
     def left_mul(self, s, X):
-        d1 = len(self.g1.codec.radices)
-        return np.concatenate([self.g1.left_mul(s[0], X[:, :d1]), self.g2.left_mul(s[1], X[:, d1:])], axis=1)
+        d = self._d1
+        return np.concatenate([self.g1.left_mul(s[:d], X[:, :d]), self.g2.left_mul(s[d:], X[:, d:])], axis=1)
 
     def raw_generators(self):
         # the product generating set S1 x S2 over the symmetrized factors
         s1 = self.g1.generating_set()
         s2 = self.g2.generating_set()
-        return [(a, b) for a in s1.elements for b in s2.elements]
+        return [a + b for a in s1.elements for b in s2.elements]
 
     def describe(self, a) -> str:
-        return f"({self.g1.describe(a[0])}, {self.g2.describe(a[1])})"
+        d = self._d1
+        return f"({self.g1.describe(a[:d])}, {self.g2.describe(a[d:])})"
 
 
 def build_group(spec: GroupSpec | str, cap: Optional[int] = None) -> Group:
@@ -969,10 +916,6 @@ class GeneratingSet:
     @property
     def k(self) -> int:
         return len(self.elements)
-
-    @property
-    def contains_identity(self) -> bool:
-        return self.group.encode(self.group.identity()) in set(self.codes)
 
     def __post_init__(self):
         seen = set(self.codes)

@@ -12,9 +12,10 @@ table, so the Cayley graph is enumerated once per ball and never again.
 A group with an array form (``group.codec``: every finite family) runs the
 array BFS: a sphere is an int64 array of coordinate rows, each generator acts
 on all of it at once, and ranks in canonical byte order replace the byte
-strings.  Other groups (the free nilpotent groups, and products with an
-infinite factor) run the tuple BFS on Python payloads, one mul and encode per
-product; it is also the reference the tests hold the array BFS to.
+strings; a row is an element's coordinate tuple, so reading the rows back
+gives the elements.  Other groups (the free nilpotent groups, and products
+with an infinite factor) run the tuple BFS, one mul and encode per product;
+it is also the reference the tests hold the array BFS to.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def enumerate_ball(
 
 
 def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on Python payloads: one mul and one encode per product."""
+    """The BFS on element tuples: one mul and one encode per product."""
     mul, enc = group.mul, group.encode
     e = group.identity()
     ecode = enc(e)
@@ -169,10 +170,15 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
     return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), truncated, capped, successors)
 
 
+def _row_tuples(X: np.ndarray) -> tuple:
+    """The rows of a 2-D int array (at least one column) as tuples of Python ints."""
+    return tuple(zip(*X.T.tolist()))
+
+
 def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
     """The BFS on coordinate rows; returns the Ball the tuple BFS returns."""
     codec = group.codec
-    frontier = np.array([group.coords(group.identity())], dtype=np.int64)
+    frontier = np.array([group.identity()], dtype=np.int64)
     blocks = [frontier]  # coordinate rows, one block per sphere
     ranks = [codec.rank(frontier)]  # per sphere, sorted: position = order within the sphere
     starts = [0]
@@ -213,8 +219,7 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
     X = np.concatenate(blocks)
     blocks.clear()  # at 10^6 elements each copy of the rows is over 100 MB
     successors = None if truncated else np.concatenate(rows, axis=1)
-    elements = tuple(group.from_coords(X))
-    return Ball(group, gens, elements, tuple(codec.codes(X)), tuple(spheres), truncated, capped, successors)
+    return Ball(group, gens, _row_tuples(X), tuple(codec.codes(X)), tuple(spheres), truncated, capped, successors)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "verify_basic_mixing",
     "ScanRow",
     "quadratic_scan",
-    "exact_calibration",
     "default_n_max",
 ]
 
@@ -432,43 +430,3 @@ def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: flo
         )
     return rows
 
-
-# ---------------------------------------------------------------------------
-# Exact-rational calibration of the float walk
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    steps: int
-    max_err_d1: float
-    max_err_dinf: float
-
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "max_err_d1": self.max_err_d1, "max_err_dinf": self.max_err_dinf}
-
-
-def exact_calibration(ctx: CayleyContext, steps: int = 32) -> CalibrationReport:
-    """Run the walk in exact rationals (|G| <= 256) and bound the float error."""
-    n = ctx.n
-    if n > 256:
-        raise ValueError("exact mode is limited to 256 vertices")
-    curves = convolution_curve(ctx, n_max=steps)
-    k = Fraction(ctx.k)
-    uniform = Fraction(1, n)
-    v = [Fraction(0)] * n
-    v[0] = Fraction(1)
-    err1 = errinf = 0.0
-    for step in range(1, steps + 1):
-        acc = [Fraction(0)] * n
-        for p in ctx.ball.successors:
-            for i in range(n):
-                acc[i] += v[int(p[i])]
-        v = [a / k for a in acc]
-        assert sum(v) == 1
-        diffs = [x - uniform for x in v]
-        d1 = sum(abs(d) for d in diffs)
-        dinf = max(abs(d) for d in diffs)
-        err1 = max(err1, abs(float(d1) - float(curves.d1[step])))
-        errinf = max(errinf, abs(float(dinf) - float(curves.dinf[step])))
-    return CalibrationReport(steps, err1, errinf)

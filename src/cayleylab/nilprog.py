@@ -365,8 +365,8 @@ class ProgressionSet:
         return out
 
 
-def _elem_dict(group: Group, payloads) -> dict[bytes, object]:
-    return {group.encode(x): x for x in payloads}
+def _elem_dict(group: Group, elements) -> dict[bytes, object]:
+    return {group.encode(x): x for x in elements}
 
 
 def _set_product(group: Group, A: dict, B: dict, meter: _WorkMeter, ahead: int) -> dict:

@@ -198,7 +198,7 @@ def central_factorization_check(n: int, p: int) -> bool:
     ident = tuple(range(n))
     seen = set()
     for a in range(p):
-        z = (ident, (a,) * n)
+        z = ident + (a,) * n
         for g in ball.elements:
             seen.add(full.encode(full.mul(g, z)))
     return len(seen) == full.order
@@ -212,8 +212,8 @@ def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
     ball = enumerate_ball(full, gens, max_radius=radius)
     pos = 0
     for r, size in enumerate(ball.sphere_sizes):
-        for _, vec in ball.elements[pos : pos + size]:
-            if any(abs(balanced_lift(v, p)) > r for v in vec):
+        for x in ball.elements[pos : pos + size]:
+            if any(abs(balanced_lift(v, p)) > r for v in x[n:]):
                 return False
         pos += size
     return True

@@ -131,7 +131,7 @@ def test_criterion_07_mixing_suite_zoo():
             curves = convolution_curve(build_context(inst.group, inst.gens), n_max=60)
             order = inst.order
             eigs = [
-                sum(math.cos(2 * math.pi * j * s / n) for s in inst.gens.elements) / inst.k
+                sum(math.cos(2 * math.pi * j * s / n) for (s,) in inst.gens.elements) / inst.k
                 for j in range(1, n)
             ]
             for step in range(61):
@@ -193,11 +193,11 @@ def test_criterion_10_schreier_contract():
         # index-3 subgroup of Z/12
         g = build_group("cyclic:12")
         s = g.generating_set()
-        res = reidemeister_schreier(g, s, SubgroupOracle(lambda x: x % 3 == 0, name="3Z"))
+        res = reidemeister_schreier(g, s, SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z"))
         d = res.index
         assert d == 3
         ball = ball_growth(g, s)
-        dist_ok = all(x in (0, 3, 9) for x in res.generators.elements)  # inside S^(2d-1) and the subgroup
+        dist_ok = all(x in ((0,), (3,), (9,)) for x in res.generators.elements)  # inside S^(2d-1) and the subgroup
         assert dist_ok
         assert s.k <= d * res.generators.k and res.generators.k <= d * s.k
         sub_profile = ball_growth(g, res.generators)
@@ -300,7 +300,7 @@ inst16 = construct_family("cyclic:16")
 ctx16 = build_context(inst16.group, inst16.gens)
 reports.append(mixing_times(ctx16, convolution_curve(ctx16)).to_dict())
 g12 = build_group("cyclic:12")
-oracle = SubgroupOracle(lambda x: x % 3 == 0, name="3Z")
+oracle = SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")
 reports.append(coset_saturation(g12, g12.generating_set(), oracle).to_dict())
 sys.stdout.write(render_json(reports))
 """

@@ -97,10 +97,13 @@ def assert_same_ball(got, want, label):
 def test_array_bfs_matches_tuple_bfs_reference():
     cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=5000)]
     cases += list(random_generating_sets())
-    # the zoo holds product(lamplighter:3)x(cyclic:8); on cyclic:300 byte
-    # order differs from numeric order once a coordinate reaches 256
-    g300 = build_group("cyclic:300")
-    cases.append(("cyclic:300", g300, g300.generating_set()))
+    # the zoo holds only the flat product(lamplighter:3)x(cyclic:8); the
+    # nested product splits its coordinates inside the inner product too, and
+    # on cyclic:300 byte order differs from numeric order once a coordinate
+    # reaches 256
+    for spec in ("product(cyclic:6)x(product(cyclic:5)x(lamplighter:3))", "cyclic:300"):
+        g = build_group(spec)
+        cases.append((spec, g, g.generating_set()))
     for label, g, gens in cases:
         assert g.codec is not None, label
         # bounded balls first: a BFS that re-finds old elements fails here
@@ -161,7 +164,7 @@ def test_cycle_gap_on_both_sides_of_the_dense_cap(n, solver):
 
 def test_complete_generating_set_gap():
     g = build_group("cyclic:5")
-    s = symmetrize(g, [1, 2, 3, 4])
+    s = symmetrize(g, [(1,), (2,), (3,), (4,)])
     rep = lambda1(build_context(g, s))
     assert abs(rep.lambda1 - 5.0) < 1e-9
 
@@ -483,7 +486,7 @@ def test_coset_gap_refuses_above_its_dense_cap():
 
 def test_coset_gap_trivial_subgroup_degenerate():
     g = build_group("cyclic:12")
-    rep = coset_gap(build_context(g, g.generating_set()), SubgroupOracle(lambda x: x == 0, name="e"))
+    rep = coset_gap(build_context(g, g.generating_set()), SubgroupOracle(lambda x: x == (0,), name="e"))
     assert rep.degenerate and math.isinf(rep.gap)
 
 
@@ -514,7 +517,7 @@ def projected_coset_gap(ctx, sub):
     [
         ("lamplighter:6", "lamps", lambda x: x[0] == 0),
         ("cyclic:12", "G", lambda x: True),
-        ("cyclic:12", "3Z", lambda x: x % 3 == 0),
+        ("cyclic:12", "3Z", lambda x: x[0] % 3 == 0),
         ("ut:dim=3,p=7", "center", lambda x: x[0] == 0 and x[2] == 0),
         ("ut:dim=3,p=7", "a=0", lambda x: x[0] == 0),
         ("ut:dim=3,p=11", "a=0", lambda x: x[0] == 0),
@@ -534,7 +537,7 @@ def test_coset_gap_rejects_non_normal():
     swap = (1, 0, 2)
 
     def in_tau(x):
-        return x[1] == (0,) * 3 and x[0] in ((0, 1, 2), swap)
+        return x[3:] == (0,) * 3 and x[:3] in ((0, 1, 2), swap)
 
     with pytest.raises(OracleError):
         coset_gap(build_context(g, g.generating_set()), SubgroupOracle(in_tau, name="tau"))
