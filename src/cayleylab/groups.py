@@ -3,8 +3,9 @@
 Every backend represents a group element as one flat tuple of Python ints,
 its coordinates, and provides an injective, platform-independent byte
 encoding.  Coordinates are canonical (each element has exactly one tuple), so
-``==`` on elements is equality in the group; deduplication is keyed on the
-canonical bytes, which also fix every sort order.
+``==`` and ``hash`` on elements are equality in the group, and every set,
+dict and index is keyed on the element itself; the canonical bytes only fix
+the sort orders that reach a report.
 
 Supported families: cyclic groups, products of cyclic groups, unitriangular
 matrix groups over prime fields, lamplighter groups Z/M ltimes (Z/2)^M,
@@ -907,25 +908,29 @@ def build_group(spec: GroupSpec | str, cap: Optional[int] = None) -> Group:
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Symmetric generating set containing the identity, in canonical-byte order."""
+    """Symmetric generating set containing the identity.
+
+    ``symmetrize`` lists the elements in canonical-byte order; the checks
+    here (no duplicates, the identity, every inverse) run on the set of
+    elements, whatever their order.
+    """
 
     group: Group
     elements: tuple
-    codes: tuple[bytes, ...]
 
     @property
     def k(self) -> int:
         return len(self.elements)
 
     def __post_init__(self):
-        seen = set(self.codes)
-        if len(seen) != len(self.codes):
-            raise ValueError("duplicate canonical encodings in generating set")
+        seen = set(self.elements)
+        if len(seen) != len(self.elements):
+            raise ValueError("duplicate elements in generating set")
         g = self.group
-        if g.encode(g.identity()) not in seen:
+        if g.identity() not in seen:
             raise ValueError("generating set must contain the identity")
         for x in self.elements:
-            if g.encode(g.inv(x)) not in seen:
+            if g.inv(x) not in seen:
                 raise ValueError("generating set must be closed under inversion")
 
     def __iter__(self):
@@ -936,16 +941,11 @@ class GeneratingSet:
 
 
 def symmetrize(group: Group, raw: list) -> GeneratingSet:
-    """Return raw plus inverses plus identity, deduplicated by canonical bytes."""
+    """Return raw plus inverses plus identity, deduplicated, in canonical-byte order."""
     if not raw:
         raise ValueError("empty generator list")
-    pool: dict[bytes, object] = {group.encode(group.identity()): group.identity()}
-    for x in raw:
-        pool[group.encode(x)] = x
-        xi = group.inv(x)
-        pool[group.encode(xi)] = xi
-    items = sorted(pool.items())
-    return GeneratingSet(group, tuple(v for _, v in items), tuple(k for k, _ in items))
+    pool = {group.identity(), *raw, *map(group.inv, raw)}
+    return GeneratingSet(group, tuple(sorted(pool, key=group.encode)))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,21 +1043,16 @@ def reidemeister_schreier(group: Group, gens: GeneratingSet, sub: SubgroupOracle
 
     frontier = [group.identity()]
     while frontier:
-        candidates = []
-        for t in frontier:
-            for s in gens.elements:
-                x = group.mul(t, s)
-                candidates.append((group.encode(x), x))
-        candidates.sort(key=lambda cx: cx[0])
+        candidates = sorted((group.mul(t, s) for t in frontier for s in gens.elements), key=group.encode)
         new_frontier = []
-        for _, x in candidates:
+        for x in candidates:
             if coset_of(x) is None:
                 reps.append(x)
                 new_frontier.append(x)
         frontier = new_frontier
 
     d = len(reps)
-    pool: dict[bytes, object] = {}
+    pool = set()
     for t in reps:
         for s in gens.elements:
             ts = group.mul(t, s)
@@ -1065,9 +1060,8 @@ def reidemeister_schreier(group: Group, gens: GeneratingSet, sub: SubgroupOracle
             s0 = group.mul(ts, group.inv(reps[idx]))
             if not sub.contains(s0):
                 raise OracleError(f"{sub.name}: Schreier element escaped the subgroup")
-            pool[group.encode(s0)] = s0
-    items = sorted(pool.items())
-    s0_set = GeneratingSet(group, tuple(v for _, v in items), tuple(k for k, _ in items))
+            pool.add(s0)
+    s0_set = GeneratingSet(group, tuple(sorted(pool, key=group.encode)))
     sub.validate(group, sample=list(s0_set.elements)[:8])
     if not (len(gens) <= d * len(s0_set) and len(s0_set) <= d * len(gens)):
         raise OracleError(f"{sub.name}: Schreier size bounds violated (|S|={len(gens)}, d={d}, |S0|={len(s0_set)})")

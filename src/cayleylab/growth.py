@@ -1,21 +1,23 @@
 """Ball enumeration and growth diagnostics for Cayley graphs.
 
 The BFS here is the single source of truth for every cardinality in the
-package: spheres and balls are exact integer counts, deduplicated on canonical
-bytes, and the element order it produces (sphere by sphere, canonical-byte
-order within a sphere) indexes every vector quantity downstream.  The BFS runs
-on one thread, and its output is a pure function of the group and the
-generating set.  It computes s*x for every generator s and every element x it
-expands, and a complete ball keeps the index of each product in its successor
-table, so the Cayley graph is enumerated once per ball and never again.
+package: spheres and balls are exact integer counts, deduplicated on the
+elements themselves, and the element order it produces (sphere by sphere,
+canonical-byte order within a sphere) indexes every vector quantity
+downstream.  The BFS runs on one thread, and its output is a pure function of
+the group and the generating set.  It computes s*x for every generator s and
+every element x it expands, and a complete ball keeps the index of each
+product in its successor table, so the Cayley graph is enumerated once per
+ball and never again.
 
 A group with an array form (``group.codec``: every finite family) runs the
 array BFS: a sphere is an int64 array of coordinate rows, each generator acts
 on all of it at once, and ranks in canonical byte order replace the byte
 strings; a row is an element's coordinate tuple, so reading the rows back
 gives the elements.  Other groups (the free nilpotent groups, and products
-with an infinite factor) run the tuple BFS, one mul and encode per product;
-it is also the reference the tests hold the array BFS to.
+with an infinite factor) run the tuple BFS, one mul per product and one
+encode per new element, to sort its sphere; it is also the reference the
+tests hold the array BFS to.
 """
 
 from __future__ import annotations
@@ -96,8 +98,9 @@ class Ball:
     def radius(self) -> int:
         return len(self.sphere_sizes) - 1
 
-    def index(self) -> dict[bytes, int]:
-        return {c: i for i, c in enumerate(self.codes)}
+    def index(self) -> dict:
+        """Each element's position in the ball."""
+        return {x: i for i, x in enumerate(self.elements)}
 
 
 def enumerate_ball(
@@ -122,13 +125,12 @@ def enumerate_ball(
 
 
 def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on element tuples: one mul and one encode per product."""
+    """The BFS on element tuples: one mul per product, one encode per element."""
     mul, enc = group.mul, group.encode
     e = group.identity()
-    ecode = enc(e)
     elements: list = [e]
-    codes: list[bytes] = [ecode]
-    index: dict[bytes, int] = {ecode: 0}
+    codes: list[bytes] = [enc(e)]
+    index: dict = {e: 0}
     spheres = [1]
     frontier: list = [e]
     rows: list[np.ndarray] = []  # per expanded sphere: successor indices, one row per element
@@ -138,15 +140,8 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         if max_radius is not None and len(spheres) - 1 >= max_radius:
             truncated = True
             break
-        products: list[bytes] = []
-        candidates: dict[bytes, object] = {}
-        for x in frontier:
-            for s in gens.elements:
-                y = mul(s, x)
-                code = enc(y)
-                products.append(code)
-                if code not in index:
-                    candidates[code] = y
+        products = [mul(s, x) for x in frontier for s in gens.elements]
+        candidates = set(products).difference(index)
         if len(elements) + len(candidates) > limit:
             truncated = True
             capped = True
@@ -154,8 +149,8 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         # the new sphere is sorted before its indices exist, so products
         # that land in it are resolved only after the loop below
         next_frontier = []
-        for code, y in sorted(candidates.items()):
-            index[code] = len(codes)
+        for code, y in sorted(zip(map(enc, candidates), candidates)):
+            index[y] = len(codes)
             codes.append(code)
             elements.append(y)
             next_frontier.append(y)
@@ -544,9 +539,9 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     # the ball is sphere-major: radius <= r is position < |S^r|
     small = ball.elements[: ball_size(n)]
     chosen: list = []
-    occupied: set[bytes] = set()
+    occupied = set()
     for x in ball.elements[: ball_size(4 * n)]:
-        translate = {group.encode(group.mul(x, b)) for b in small}
+        translate = {group.mul(x, b) for b in small}
         if occupied.isdisjoint(translate):
             chosen.append(x)
             occupied |= translate
@@ -557,7 +552,7 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     within_2n = ball_size(2 * n)
     inv_chosen = [group.inv(x) for x in chosen]
     for z in ball.elements[: ball_size(4 * n)]:
-        if not any(index.get(group.encode(group.mul(xi, z)), math.inf) < within_2n for xi in inv_chosen):
+        if not any(index.get(group.mul(xi, z), math.inf) < within_2n for xi in inv_chosen):
             covering_ok = False
             break
 
@@ -605,7 +600,7 @@ def left_coset_labels(ball: Ball, sub: SubgroupOracle) -> np.ndarray:
     for i, x in enumerate(ball.elements):
         if labels[i] >= 0:
             continue
-        coset = [index[group.encode(group.mul(x, h))] for h in members]
+        coset = [index[group.mul(x, h)] for h in members]
         if (labels[coset] >= 0).any():
             raise OracleError(f"{sub.name}: left cosets overlap, so it is not a subgroup")
         labels[coset] = label

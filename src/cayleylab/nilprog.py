@@ -15,11 +15,12 @@ minimal: rank 2 step 2 gives x1, x2 and the four sign variants of [x2, x1].
 Both lists come from one shape recursion; basic commutators add one
 condition on each bracket.
 
-Enumeration of progressions is extensional: sets of group elements keyed on
-canonical bytes, built by iterated set products (for exponent-box kinds) or
-by budgeted word search (for nilprogressions).  Verification of containments
-and power laws is exhaustive set comparison, never symbolic collection; the
-power laws walk P, P^2, ... once, under one work meter.
+Enumeration of progressions is extensional: Python sets of group elements,
+built by iterated set products (for exponent-box kinds) or by budgeted word
+search (for nilprogressions), then sorted once by canonical bytes.
+Verification of containments and power laws is exhaustive set comparison,
+never symbolic collection; the power laws walk P, P^2, ... once, under one
+work meter.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
@@ -324,11 +325,15 @@ def progression_spec(
 
 @dataclass(frozen=True)
 class ProgressionSet:
-    """Deduplicated element set of a progression, with its formal exponent box."""
+    """Deduplicated element set of a progression, with its formal exponent box.
+
+    ``elements`` lists the set in canonical-byte order; ``members`` holds the
+    same elements, for membership tests and containments.
+    """
 
     spec: ProgressionSpec
     elements: tuple
-    codes: frozenset
+    members: frozenset
     formal_box: Optional[int]
     convention: str = ""
 
@@ -342,12 +347,8 @@ class ProgressionSet:
             return None
         return self.cardinality == self.formal_box
 
-    def by_code(self) -> dict:
-        """The elements keyed by their codes, in canonical order."""
-        return dict(zip(sorted(self.codes), self.elements))
-
     def contains_set(self, other: "ProgressionSet") -> bool:
-        return other.codes <= self.codes
+        return other.members <= self.members
 
     def to_dict(self) -> dict:
         out = {
@@ -365,38 +366,25 @@ class ProgressionSet:
         return out
 
 
-def _elem_dict(group: Group, elements) -> dict[bytes, object]:
-    return {group.encode(x): x for x in elements}
-
-
-def _set_product(group: Group, A: dict, B: dict, meter: _WorkMeter, ahead: int) -> dict:
+def _set_product(group: Group, A: set, B: set, meter: _WorkMeter, ahead: int) -> set:
     meter.charge(len(A) * len(B), ahead)
-    out: dict[bytes, object] = {}
-    mul, enc = group.mul, group.encode
-    for a in A.values():
-        for b in B.values():
-            c = mul(a, b)
-            out[enc(c)] = c
-    return out
+    mul = group.mul
+    return {mul(a, b) for a in A for b in B}
 
 
-def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> dict:
-    """{x^l : |l| <= bound} as a code-keyed dict."""
+def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> set:
+    """{x^l : |l| <= bound}."""
     meter.charge(2 * bound + 1)
-    out = {group.encode(group.identity()): group.identity()}
-    cur = group.identity()
-    for _ in range(bound):
-        cur = group.mul(cur, x)
-        out[group.encode(cur)] = cur
-    cur = group.identity()
-    xi = group.inv(x)
-    for _ in range(bound):
-        cur = group.mul(cur, xi)
-        out[group.encode(cur)] = cur
+    out = {group.identity()}
+    for step in (x, group.inv(x)):
+        cur = group.identity()
+        for _ in range(bound):
+            cur = group.mul(cur, step)
+            out.add(cur)
     return out
 
 
-def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _WorkMeter) -> dict:
+def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _WorkMeter) -> set:
     """Set of products y_1^{l_1} ... y_t^{l_t} with |l_i| <= bound_i, right-to-left.
 
     The partial product only grows, so the products still to come charge at
@@ -405,7 +393,7 @@ def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _Wo
     """
     ranges = [_power_range(group, y, bound, meter) for y, bound in reversed(factors)]
     if not ranges:
-        return _elem_dict(group, [group.identity()])
+        return {group.identity()}
     acc = ranges[0]
     rest = sum(map(len, ranges[1:]))
     for powers in ranges[1:]:
@@ -436,25 +424,24 @@ def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], Optio
 
 
 def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
-    """Exact element set of the progression, deduplicated on canonical bytes."""
+    """Exact element set of the progression, listed in canonical-byte order."""
     group = spec.group
     meter = _WorkMeter()
     if spec.kind == "nilprogression":
         out = _enumerate_words(spec, meter)
-        items = sorted(out.items())
-        return ProgressionSet(spec, tuple(v for _, v in items), frozenset(out), None)
-    factors, box, convention = _factors_for(spec)
-    out = _ordered_product(group, factors, meter)
-    items = sorted(out.items())
-    return ProgressionSet(spec, tuple(v for _, v in items), frozenset(out), box, convention)
+        box, convention = None, ""
+    else:
+        factors, box, convention = _factors_for(spec)
+        out = _ordered_product(group, factors, meter)
+    return ProgressionSet(spec, tuple(sorted(out, key=group.encode)), frozenset(out), box, convention)
 
 
-def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> dict:
+def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> set:
     """All words over the x_i and inverses with per-letter budgets, evaluated and deduped."""
     group = spec.group
     gens = list(spec.generators)
     inv_gens = [group.inv(x) for x in gens]
-    out: dict[bytes, object] = {group.encode(group.identity()): group.identity()}
+    out = {group.identity()}
 
     def dfs(current, budgets: list[int]):
         for i in range(spec.r):
@@ -464,7 +451,7 @@ def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> dict:
             for step in (gens[i], inv_gens[i]):
                 meter.charge(1)
                 nxt = group.mul(current, step)
-                out[group.encode(nxt)] = nxt
+                out.add(nxt)
                 dfs(nxt, budgets)
             budgets[i] += 1
 
@@ -492,10 +479,10 @@ class Containment:
 
 
 def _check_containment(group: Group, small: ProgressionSet, big: ProgressionSet, lhs: str, rhs: str) -> Containment:
-    missing = small.codes - big.codes
+    missing = small.members - big.members
     if not missing:
         return Containment(lhs, rhs, True)
-    return Containment(lhs, rhs, False, group.describe(small.by_code()[min(missing)]))
+    return Containment(lhs, rhs, False, group.describe(min(missing, key=group.encode)))
 
 
 @dataclass(frozen=True)
@@ -617,32 +604,26 @@ def verify_power_laws(
     base = enumerate_progression(base_spec)
     nL = tuple(n * l for l in L)
     dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL))
-    base_dict = base.by_code()
+    P = base.elements
 
     # one pass over the powers P^m, each the last one times P: part (2),
     # asserted exactly, reads P^1..P^n against the dilate, and part (1),
     # reported, the least m <= MAX_POWER with the dilate inside P^m
     meter = _WorkMeter()
-    known = dict(base_dict)
-    frontier = base_dict
+    known = set(P)
+    frontier = base.members
     m = 1
-    holds = base.codes <= dilated.codes
-    minimal_m = 1 if with_min_power and dilated.codes <= base.codes else None
+    holds = base.members <= dilated.members
+    minimal_m = 1 if with_min_power and dilated.members <= base.members else None
     while frontier and (m < n or (with_min_power and minimal_m is None and m < MAX_POWER)):
-        meter.charge(len(frontier) * len(base_dict))
-        new: dict[bytes, object] = {}
-        for a in frontier.values():
-            for b in base_dict.values():
-                c = g.mul(a, b)
-                code = g.encode(c)
-                if code not in known and code not in new:
-                    new[code] = c
-        known.update(new)
+        meter.charge(len(frontier) * len(P))
+        new = {g.mul(a, b) for a in frontier for b in P}.difference(known)
+        known |= new
         frontier = new
         m += 1
         if m <= n:
-            holds = holds and new.keys() <= dilated.codes
-        if with_min_power and minimal_m is None and m <= MAX_POWER and dilated.codes <= known.keys():
+            holds = holds and new <= dilated.members
+        if with_min_power and minimal_m is None and m <= MAX_POWER and dilated.members <= known:
             minimal_m = m
 
     # part (3), reported with a verified greedy-cover certificate
@@ -652,17 +633,16 @@ def verify_power_laws(
         meter = _WorkMeter()
         ML = tuple(M * l for l in L)
         target = enumerate_progression(progression_spec("nilcomplete", r, s, ML))
-        covered: set[bytes] = set()
+        covered = set()
         translates: list = []
-        for zc, z in target.by_code().items():  # canonical order
-            if zc in covered:
+        for z in target.elements:  # canonical order
+            if z in covered:
                 continue
             translates.append(z)
-            meter.charge(len(base_dict))
-            for p in base_dict.values():
-                covered.add(g.encode(g.mul(p, z)))
+            meter.charge(len(P))
+            covered.update(g.mul(p, z) for p in P)
         cover_size = len(translates)
-        cover_verified = target.codes <= covered
+        cover_verified = target.members <= covered
     return PowerLawReport(r, s, tuple(L), n, M, holds, minimal_m, cover_size, cover_verified)
 
 
@@ -692,8 +672,8 @@ class CommutatorDepthReport:
         }
 
 
-def _normal_closure(group: Group, seed: list, conjugators: list) -> dict:
-    """Smallest subgroup containing seed and closed under the given conjugations, keyed by code.
+def _normal_closure(group: Group, seed: list, conjugators: list) -> frozenset:
+    """Smallest subgroup containing seed and closed under the given conjugations.
 
     The closure is the BFS ball of its generators: seed, then every conjugate
     of a generator that escapes the ball, until none escapes.  In a finite
@@ -705,26 +685,20 @@ def _normal_closure(group: Group, seed: list, conjugators: list) -> dict:
         ball = enumerate_ball(group, gens, cap=CLOSURE_SIZE_CAP)
         if ball.capped:
             raise ResourceRefusal("normal closure exceeds size cap")
-        members = set(ball.codes)
-        escaped = {}
-        for h in gens.elements:
-            for c in conjugators:
-                y = conjugate(group, h, c)
-                code = group.encode(y)
-                if code not in members:
-                    escaped[code] = y
+        members = frozenset(ball.elements)
+        escaped = {conjugate(group, h, c) for h in gens.elements for c in conjugators}.difference(members)
         if not escaped:
-            return dict(zip(ball.codes, ball.elements))
-        generators += escaped.values()
+            return members
+        generators += escaped
 
 
-def derived_subgroup(group: Group, generators: list) -> dict:
+def derived_subgroup(group: Group, generators: list) -> frozenset:
     """[G, G] as the normal closure of the generator commutators."""
     seed = [commutator(group, a, b) for a in generators for b in generators]
     return _normal_closure(group, seed, list(generators))
 
 
-def _lower_central_series(group: Group, generators: list) -> list[dict]:
+def _lower_central_series(group: Group, generators: list) -> list[frozenset]:
     """gamma_2, gamma_3, ... of the finite group G the generators generate, down to
     the trivial group, so G has nilpotency class len(series).
 
@@ -733,9 +707,9 @@ def _lower_central_series(group: Group, generators: list) -> list[dict]:
     """
     series = [derived_subgroup(group, generators)]
     while len(series[-1]) > 1:
-        seed = [commutator(group, h, x) for h in series[-1].values() for x in generators]
+        seed = [commutator(group, h, x) for h in series[-1] for x in generators]
         nxt = _normal_closure(group, seed, list(generators))
-        if nxt.keys() == series[-1].keys():
+        if nxt == series[-1]:
             raise ValueError("lower central series did not terminate: group is not nilpotent")
         series.append(nxt)
     return series
@@ -752,7 +726,7 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
         raise ValueError("needs a finite group")
     comm = derived_subgroup(group, list(pset.spec.generators))
     # P must itself be symmetric with identity so that P^m is the BFS ball
-    pgens = GeneratingSet(group, pset.elements, tuple(sorted(pset.codes)))
+    pgens = GeneratingSet(group, pset.elements)
 
     ball = enumerate_ball(group, pgens)
     if ball.size != group.order:
@@ -760,5 +734,5 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     index = ball.index()
     gamma = ball.radius
     # the ball is sphere-major: the radius of position i is the number of balls S^r of size <= i
-    m = bisect.bisect_right(list(itertools.accumulate(ball.sphere_sizes)), max(index[c] for c in comm))
+    m = bisect.bisect_right(list(itertools.accumulate(ball.sphere_sizes)), max(index[x] for x in comm))
     return CommutatorDepthReport(m, gamma, len(comm), group.order)

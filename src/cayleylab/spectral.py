@@ -96,7 +96,7 @@ class CayleyContext:
     @property
     def identity_gen(self) -> int:
         """Position of the identity inside gens."""
-        return self.gens.codes.index(self.group.encode(self.group.identity()))
+        return self.gens.elements.index(self.group.identity())
 
     @property
     def n(self) -> int:
@@ -546,7 +546,7 @@ def coset_gap(ctx: CayleyContext, sub: SubgroupOracle) -> CosetGapReport:
     for i in members:
         h = ctx.ball.elements[i]
         for s in ctx.gens.elements:
-            if labels[ball_index[group.encode(conjugate(group, h, s))]] != 0:
+            if labels[ball_index[conjugate(group, h, s)]] != 0:
                 raise OracleError(f"{sub.name}: not normal (conjugation escapes)")
     hsize = len(members)
     index = n // hsize

@@ -200,7 +200,7 @@ def central_factorization_check(n: int, p: int) -> bool:
     for a in range(p):
         z = ident + (a,) * n
         for g in ball.elements:
-            seen.add(full.encode(full.mul(g, z)))
+            seen.add(full.mul(g, z))
     return len(seen) == full.order
 
 

@@ -1,7 +1,8 @@
 """Golden bytes: SHA-256 digests of ball codes and of exact-only CLI output.
 
-The digests were recorded before elements became flat coordinate tuples and
-must not move with any change to the in-memory element shapes: ``encode``
+The digests were recorded before elements became flat coordinate tuples (the
+``nilprog powers`` digest, before sets were keyed on the elements) and must
+not move with any change to the in-memory element shapes: ``encode``
 bytes, ball order and every exact report stay byte-identical.  Commands whose
 float digits come from BLAS (``spectrum``, ``mix``, ``verify spectral`` and
 ``verify mixing``) are left out, and so is ``verify powers`` (several seconds;
@@ -62,6 +63,7 @@ STDOUT_DIGESTS = [
     ("verify nesting", 0, "042c47c31e8e3439c5d83d87d40ddcaab06baeff79bdc1576797862084648412"),
     ("zoo lgg -n 3 -p 7", 0, "b51205dc7e60d009aca6c45472e427f1304a73ce8e01cde95353377e39afdc50"),
     ("nilprog nest -r 2 -s 2 -L 2,1", 0, "cb96e80524ef4c83c13d2e0e6113667ab85d2f239dc637a38539fee4e0427449"),
+    ("nilprog powers -r 2 -s 2 -L 1,1 -n 2 -M 2 --format json", 0, "c1babd0e4821427521368abb8f9812e069cc0f648b20557b94f9fec93ef6b357"),
     ("verify growth -g product(lamplighter:3)x(cyclic:8)", 0, "b92db5633672353642d6eff460cd68bc7931866446b6f0d829948e672a07d2ac"),
     ("grow -g product(freenil:r=2,s=2)x(cyclic:3) -r 4", 0, "34951ba843ff4f3e4d4b88428526c9c67973c186a32ba4a23f6aa9487e6ad9c1"),
     ("grow -g symfp:n=3,p=7,variant=Gprime --format csv", 0, "4f43225451894a51bc6ae8c85dcbf075073bd0ac56e288211cdc8317840db683"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cayleylab.groups import OracleError, SubgroupOracle, build_group, symmetrize
+from cayleylab.groups import FreeNilpotentGroup, OracleError, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
     CosetSaturation,
     NonGeneratingError,
@@ -155,6 +155,18 @@ def test_only_complete_balls_carry_successors():
     assert capped.capped and capped.successors is None
     f = build_group("freenil:r=2,s=2")
     assert enumerate_ball(f, f.generating_set(), max_radius=3).successors is None
+
+
+def test_tuple_bfs_encodes_each_element_once(monkeypatch):
+    """The tuple BFS deduplicates on the elements and encodes only the new
+    ones, to sort their sphere."""
+    g = build_group("freenil:r=2,s=3")
+    gens = g.generating_set()
+    calls = []
+    encode = FreeNilpotentGroup.encode
+    monkeypatch.setattr(FreeNilpotentGroup, "encode", lambda self, a: calls.append(a) or encode(self, a))
+    ball = enumerate_ball(g, gens, max_radius=4)
+    assert ball.size == 161 and len(calls) == ball.size
 
 
 def test_ball_order_is_sphere_major_canonical():

@@ -122,7 +122,7 @@ def test_walk_symmetry_under_inversion():
     s = g.generating_set()
     ctx = build_context(g, s)
     index = ctx.ball.index()
-    inv_map = np.array([index[g.encode(g.inv(x))] for x in ctx.ball.elements])
+    inv_map = np.array([index[g.inv(x)] for x in ctx.ball.elements])
     for steps in (1, 5, 20):
         v = convolution_curve(ctx, n_max=steps).last
         assert float(np.max(np.abs(v - v[inv_map]))) < 1e-12

@@ -153,8 +153,8 @@ def test_nilprogression_symmetric_and_contains_ordered():
     spec = progression_spec("nilprogression", 2, 2, (2, 1))
     pset = enumerate_progression(spec)
     g = spec.group
-    inverses = {g.encode(g.inv(x)) for x in pset.elements}
-    assert inverses == set(pset.codes)
+    inverses = {g.inv(x) for x in pset.elements}
+    assert inverses == pset.members
     ordered = enumerate_progression(progression_spec("ordered", 2, 2, (2, 1)))
     assert pset.contains_set(ordered)
 
@@ -177,6 +177,14 @@ def test_nesting_chain_small():
     assert rep.holds
     assert rep.cardinalities["ordered"] == 9
     assert rep.cardinalities["nilpotent"] == 27
+
+
+def test_containment_failure_names_the_least_missing_element():
+    sets = {kind: enumerate_progression(progression_spec(kind, 2, 2, (1, 1))) for kind in ("ordered", "nilcomplete")}
+    g = sets["ordered"].spec.group
+    rep = nilprog._check_containment(g, sets["nilcomplete"], sets["ordered"], "nilcomplete", "ordered")
+    assert rep.holds is False
+    assert rep.counterexample == "1 - X1*X2 + X2*X1"
 
 
 def test_properness_ut_backend_pigeonhole():
@@ -244,6 +252,16 @@ def test_power_law_cover_follows_code_order():
     assert rep.cover_size == 63
 
 
+def test_power_laws_encode_only_to_sort(monkeypatch):
+    """Every set in the power laws is keyed on elements; encode runs only to
+    sort the base, the dilate and the cover target (81, 825 and 825 elements)."""
+    calls = []
+    encode = FreeNilpotentGroup.encode
+    monkeypatch.setattr(FreeNilpotentGroup, "encode", lambda self, a: calls.append(a) or encode(self, a))
+    verify_power_laws(2, 2, (1, 1), 2, M=2)
+    assert len(calls) <= 81 + 825 + 825
+
+
 def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
     """The two-pass verify_power_laws the single pass replaced: P, P^2, ... up to
     P^n for the containment, then again from P up to the covering m.  Returns
@@ -252,6 +270,7 @@ def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
     base = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(L)))
     dilated = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(n * l for l in L)))
     base_dict = {g.encode(x): x for x in base.elements}
+    dilated_codes = {g.encode(x) for x in dilated.elements}
     work = []
 
     def grow_powers(stop_when_covers, up_to):
@@ -278,8 +297,8 @@ def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
         return known, covering
 
     power_known, _ = grow_powers(None, n)
-    holds = set(power_known) <= dilated.codes
-    minimal_m = grow_powers(dilated.codes, MAX_POWER)[1] if with_min_power else None
+    holds = set(power_known) <= dilated_codes
+    minimal_m = grow_powers(dilated_codes, MAX_POWER)[1] if with_min_power else None
     cover_size = cover_verified = None
     if M is not None:
         target = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(M * l for l in L)))
@@ -290,7 +309,7 @@ def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
             translates.append(z)
             for p in base_dict.values():
                 covered.add(g.encode(g.mul(p, z)))
-        cover_size, cover_verified = len(translates), target.codes <= covered
+        cover_size, cover_verified = len(translates), {g.encode(z) for z in target.elements} <= covered
     return PowerLawReport(r, s, tuple(L), n, M, holds, minimal_m, cover_size, cover_verified), work
 
 
@@ -327,7 +346,7 @@ def test_power_pass_reads_each_power_at_its_step(k, monkeypatch):
     k >= 2, and the least covering m is k."""
     g = FreeNilpotentGroup(2, 2)
     base = enumerate_progression(progression_spec("nilcomplete", 2, 2, (1, 1)))
-    power = base.by_code()
+    power = {g.encode(x): x for x in base.elements}
     for _ in range(k - 1):
         power = {g.encode(c): c for c in (g.mul(a, b) for a in power.values() for b in base.elements)}
     assert len(power) > len(base.elements) or k == 1
@@ -337,7 +356,7 @@ def test_power_pass_reads_each_power_at_its_step(k, monkeypatch):
         if spec.L != (2, 2):
             return real(spec)
         codes = sorted(power)
-        return ProgressionSet(spec, tuple(power[c] for c in codes), frozenset(codes), None)
+        return ProgressionSet(spec, tuple(power[c] for c in codes), frozenset(power.values()), None)
 
     monkeypatch.setattr(nilprog, "enumerate_progression", swapped)
     rep = verify_power_laws(2, 2, (1, 1), 2)
@@ -431,7 +450,7 @@ def reference_normal_closure(group, seed, conjugators):
 
 
 def _closures(spec):
-    """derived_subgroup as code set and assert_nilpotent as class or ValueError text."""
+    """derived_subgroup as element set and assert_nilpotent as class or ValueError text."""
     g = build_group(spec)
     gens = list(g.raw_generators())
     try:
@@ -455,5 +474,6 @@ def _closures(spec):
 )
 def test_normal_closure_matches_closure_loop_reference(spec, monkeypatch):
     got = _closures(spec)
-    monkeypatch.setattr(nilprog, "_normal_closure", reference_normal_closure)
+    # the reference keys its closure on codes; hand its elements to the series
+    monkeypatch.setattr(nilprog, "_normal_closure", lambda *args: frozenset(reference_normal_closure(*args).values()))
     assert got == _closures(spec)

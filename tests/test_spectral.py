@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cayleylab import spectral
-from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
+from cayleylab.groups import GeneratingSet, OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
 from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
 from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
 from cayleylab.spectral import (
@@ -45,12 +45,12 @@ def reference_ball(group, gens, max_radius=None, cap=None):
 def mul_encode_context(group, gens):
     """Reference context: the reference ball plus a separate mul/encode pass over it."""
     ball = reference_ball(group, gens)
-    index = ball.index()
+    index = {c: i for i, c in enumerate(ball.codes)}
     id_code = group.encode(group.identity())
     perms = []
     identity_gen = -1
     for gi, s in enumerate(gens.elements):
-        if gens.codes[gi] == id_code:
+        if group.encode(s) == id_code:
             identity_gen = gi
         arr = np.empty(ball.size, dtype=np.int64)
         for i, x in enumerate(ball.elements):
@@ -129,6 +129,16 @@ def test_cycle_lambda1_closed_form(n):
     rep = lambda1(build_context(g, s))
     assert abs(rep.lambda1 - cycle_gap(n)) < 1e-9
     assert rep.solver == "dense"
+
+
+def test_identity_position_read_from_elements():
+    """A generating set listed out of canonical order still finds its
+    identity generator: lambda1 is the canonical set's."""
+    g = build_group("cyclic:12")
+    shuffled = lambda1(build_context(g, GeneratingSet(g, ((1,), (0,), (11,)))))
+    canonical = lambda1(build_context(g, g.generating_set()))
+    assert abs(canonical.lambda1 - (2 - math.sqrt(3))) < 1e-12
+    assert abs(shuffled.lambda1 - canonical.lambda1) < 1e-12
 
 
 def test_solvers_agree_on_small_zoo():
@@ -219,7 +229,7 @@ def small_cayley_graphs(specs=SMALL_SPECS):
             while True:
                 gens = symmetrize(g, rng.sample(pool, min(len(pool), rng.randint(1, 3))))
                 if enumerate_ball(g, gens).size == g.order:
-                    yield f"{spec} S={sorted(gens.codes)}", g, gens, False
+                    yield f"{spec} S={sorted(map(g.encode, gens))}", g, gens, False
                     break
 
 
