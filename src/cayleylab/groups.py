@@ -19,6 +19,11 @@ the coordinate tuple of an element is a row of int64s, and the family
 multiplies a whole array of rows on the left by one element at a time.  The
 BFS in ``growth`` runs on those arrays, and a row read back with ``tolist`` is
 the element itself.
+
+Every finite family also names an abelian subgroup H, its ``abelian_split``:
+the coset representatives of G/H and the map from an element to its coset
+and its coordinates in H.  ``spectral`` splits the Laplacian by the
+characters of H.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "build_group",
     "Group",
     "ArrayCodec",
+    "AbelianSplit",
     "GeneratingSet",
     "symmetrize",
     "SubgroupOracle",
@@ -322,6 +328,10 @@ class Group:
         """Family-default generators, before symmetrization."""
         raise NotImplementedError
 
+    def abelian_split(self) -> Optional["AbelianSplit"]:
+        """An abelian subgroup H and the left cosets of G/H; None when the group names none."""
+        return None
+
     def generating_set(self) -> "GeneratingSet":
         return symmetrize(self, self.raw_generators())
 
@@ -376,6 +386,27 @@ class ArrayCodec:
         return buf.view(f"V{width}").ravel().tolist()
 
 
+@dataclass(frozen=True)
+class AbelianSplit:
+    """G as the disjoint union of the left cosets reps[i] H of an abelian subgroup H.
+
+    H is isomorphic to Z/m_1 x ... x Z/m_r for the ``moduli`` m_c, and an
+    element of H is named by its row of residues, its H-coordinates.
+    ``reps`` holds the coordinate rows of one representative per coset, the
+    identity first, so its length is the index [G:H].  ``locate(X)``
+    returns, for coordinate rows X of G, the coset index i and the
+    H-coordinates of h with x = reps[i] h.
+    """
+
+    moduli: tuple[int, ...]
+    reps: np.ndarray
+    locate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def index(self) -> int:
+        return len(self.reps)
+
+
 def _codec(radices: tuple[int, ...], template: Optional[bytes] = None, offsets: Optional[tuple[int, ...]] = None) -> Optional[ArrayCodec]:
     """A family's codec, or None when its ranks would not fit (the BFS then runs on tuples)."""
     codec = ArrayCodec(radices, template, offsets)
@@ -405,6 +436,11 @@ class AbelianGroup(Group):
 
     def left_mul(self, s, X):
         return (X + np.array(s, dtype=np.int64)) % np.array(self.moduli, dtype=np.int64)
+
+    def abelian_split(self):
+        # H = G: one coset, and the coordinates of x are its H-coordinates
+        width = len(self.moduli)
+        return AbelianSplit(self.moduli, np.zeros((1, width), dtype=np.int64), lambda X: (np.zeros(len(X), dtype=np.int64), X))
 
     def raw_generators(self):
         gens = []
@@ -485,6 +521,29 @@ class UnitriangularGroup(Group):
                 M[pos[(k, j)], c] = s[pos[(i, k)]]
         return (X + X @ M + np.array(s, dtype=np.int64)) % self.p
 
+    def abelian_split(self):
+        # H = the last column, (Z/p)^(dim-1): abelian and normal.  x = g h
+        # where g is x with its last column cleared; above the diagonal, the
+        # last column of x is U u, with U the upper-left (dim-1)-block of g and
+        # u the last column of h.  Back substitution solves for u, bottom entry
+        # first, and H-coordinate t is u[dim - 2 - t]
+        d, p, pos = self.dim, self.p, self._pos
+        column = [pos[(i, d - 1)] for i in range(d - 1)]
+        rest = [c for c in range(len(pos)) if c not in column]
+        reps = np.zeros((p ** len(rest), len(pos)), dtype=np.int64)
+        reps[:, rest] = np.indices((p,) * len(rest)).reshape(len(rest), len(reps)).T
+        strides = p ** np.arange(len(rest) - 1, -1, -1, dtype=np.int64)
+
+        def locate(X):
+            u = X[:, column].copy()
+            for i in range(d - 3, -1, -1):
+                for j in range(i + 1, d - 1):
+                    u[:, i] -= X[:, pos[(i, j)]] * u[:, j]
+                u[:, i] %= p
+            return X[:, rest] @ strides, u[:, ::-1]
+
+        return AbelianSplit((p,) * (d - 1), reps, locate)
+
     def raw_generators(self):
         gens = []
         for i in range(self.dim - 1):
@@ -527,6 +586,18 @@ class LamplighterGroup(Group):
         out[:, 0] = (X[:, 0] + ps) % m
         out[:, 1:] = X[:, 1 + (np.arange(m) - ps) % m] ^ np.array(s[1:], dtype=np.int64)
         return out
+
+    def abelian_split(self):
+        # H = the lamps (Z/2)^m; x = (pos, 0) (0, l) with l the lamps of x
+        # rotated back by pos: l[j] = x's lamp (j + pos) mod m
+        m = self.m
+        reps = np.zeros((m, m + 1), dtype=np.int64)
+        reps[:, 0] = np.arange(m)
+
+        def locate(X):
+            return X[:, 0], np.take_along_axis(X[:, 1:], (np.arange(m) + X[:, :1]) % m, axis=1)
+
+        return AbelianSplit((2,) * m, reps, locate)
 
     def raw_generators(self):
         move = (1 % self.m,) + (0,) * self.m
@@ -593,6 +664,24 @@ class SymFpGroup(Group):
         perm = sa[X[:, :n]]
         vec = (X[:, n:][:, np.argsort(sa)] + np.array(s[n:], dtype=np.int64)) % self.p
         return np.concatenate([perm, vec], axis=1)
+
+    def abelian_split(self):
+        # H = the vectors of the variant: all of F_p^n for L, the sum-zero ones
+        # (H-coordinates: their first n - 1 entries) for Gprime and G.
+        # x = (perm, 0) (id, w) with w[i] = vec[perm[i]]; the representatives
+        # are the variant's permutations in lexicographic order
+        n, p = self.n, self.p
+        perms = [q for q in itertools.permutations(range(n)) if self.variant != "G" or _perm_sign(q) == 1]
+        reps = np.array([q + (0,) * n for q in perms], dtype=np.int64)
+        radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        keys = reps[:, :n] @ radix
+        width = n if self.variant == "L" else n - 1
+
+        def locate(X):
+            perm = X[:, :n]
+            return np.searchsorted(keys, perm @ radix), np.take_along_axis(X[:, n:], perm, axis=1)[:, :width]
+
+        return AbelianSplit((p,) * width, reps, locate)
 
     def project_sum_zero(self, a):
         """Quotient by the central constant-vector subgroup, landing in Gprime."""
@@ -861,6 +950,20 @@ class ProductGroup(Group):
     def left_mul(self, s, X):
         d = self._d1
         return np.concatenate([self.g1.left_mul(s[:d], X[:, :d]), self.g2.left_mul(s[d:], X[:, d:])], axis=1)
+
+    def abelian_split(self):
+        # H = H1 x H2; the coset (i1, i2) has index i1 [G2:H2] + i2
+        s1, s2 = self.g1.abelian_split(), self.g2.abelian_split()
+        if s1 is None or s2 is None:
+            return None
+        d, n1, n2 = self._d1, s1.index, s2.index
+        reps = np.concatenate([np.repeat(s1.reps, n2, axis=0), np.tile(s2.reps, (n1, 1))], axis=1)
+
+        def locate(X):
+            (c1, h1), (c2, h2) = s1.locate(X[:, :d]), s2.locate(X[:, d:])
+            return c1 * n2 + c2, np.concatenate([h1, h2], axis=1)
+
+        return AbelianSplit(s1.moduli + s2.moduli, reps, locate)
 
     def raw_generators(self):
         # the product generating set S1 x S2 over the symmetrized factors

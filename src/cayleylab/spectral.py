@@ -12,12 +12,19 @@ serves cheeger, the inequality chain, the Rayleigh probe and the mixing
 engines.
 
 Solvers: lambda1 runs dense eigh on graphs of at most DENSE_CAP (256)
-vertices; above the cap it runs Lanczos (scipy eigsh, fixed tolerance 1e-11)
-on a matrix-free Laplacian that gathers along the ball's successor table,
-with the constant vector shifted above the spectrum.  The dense solve is the
-oracle the tests hold the iterative one to.  coset_gap has only a dense path
-(numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
-refuses above COSET_GAP_CAP (4096).
+vertices.  Above the cap it splits the Laplacian by the abelian subgroup H
+of the group's ``abelian_split``: right translation by H commutes with the
+left Cayley walk, so L^2(G) is the sum of |H| spaces V_chi, one per character
+chi of H, and on each the Laplacian is a Hermitian block of size [G:H] (the
+spectrum of a regular abelian cover; Gross-Tucker, Topological Graph Theory,
+1987, ch. 2).  Batched eigvalsh solves every block, a bounded chunk at a
+time, so lambda1 is the least nonzero eigenvalue of the whole spectrum; the
+eigenvector of its block lifts to a real eigenvector of the graph for the
+sweep cut.  Above the cap, a group with no split, or with blocks larger than
+FOURIER_BLOCK_CAP, is refused.  The dense solve is the oracle the tests hold
+the blocks to.  coset_gap has only a dense path (numpy eigvalsh of the
+Laplacian plus a shifted coset-averaging matrix) and refuses above
+COSET_GAP_CAP (4096).
 
 Both Cheeger computations rest on one identity: S = S^-1 and su != u for
 s != e, so for u outside A, |d(A + u)| = |dA| + (k - 1) - 2 |{s != e : su in A}|.
@@ -44,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, conjugate
+from .groups import AbelianSplit, GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, conjugate
 from .growth import Ball, GrowthProfile, enumerate_ball, left_coset_labels
 
 __all__ = [
@@ -62,13 +69,16 @@ __all__ = [
     "CosetGapReport",
     "coset_gap",
     "DENSE_CAP",
+    "FOURIER_BLOCK_CAP",
     "COSET_GAP_CAP",
     "EXACT_CHEEGER_CAP",
     "EXACT_SCAN_MAX",
 ]
 
 DENSE_CAP = 256  # largest graph lambda1 solves densely
-COSET_GAP_CAP = 4096  # coset_gap has no iterative path
+FOURIER_BLOCK_CAP = 4096  # largest index [G:H], the size of a Fourier block lambda1 solves
+_CHUNK_BYTES = 1 << 25  # working memory of one chunk of Fourier blocks
+COSET_GAP_CAP = 4096  # coset_gap solves densely
 EXACT_CHEEGER_CAP = 22
 EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: 2^23 subsets at a measured peak of 49 B each (tracemalloc)
 SLACK = 1e-9
@@ -210,24 +220,88 @@ def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     return float(vals[1]), float(vals[-1]), vecs[:, 1]
 
 
-def _iterative_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
-    from scipy.sparse.linalg import LinearOperator, eigsh
+def _characters(moduli: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Characters start..stop-1 of Z/m_1 x ... x Z/m_r as rows a: chi_a(h) = exp(2 pi i sum_c a_c h_c / m_c).
 
-    n = ctx.n
-    shift = 2.0 * ctx.k + 1.0  # lifts the constant vector above the spectrum
-    lap = LinearOperator((n, n), matvec=ctx.laplacian_matvec, dtype=float)
-    shifted = LinearOperator((n, n), matvec=lambda v: ctx.laplacian_matvec(v) + shift * v.mean(), dtype=float)
-    v0 = np.cos(0.7 * np.arange(n)) + 0.1
-    vals, vecs = eigsh(shifted, k=1, which="SA", v0=v0, tol=1e-11, maxiter=50 * n)
-    vals_top, _ = eigsh(lap, k=1, which="LA", v0=v0, tol=1e-11, maxiter=50 * n)
-    return float(vals[0]), float(vals_top[0]), vecs[:, 0]
+    Character order is mixed-radix order, the first coordinate most significant.
+    """
+    return np.stack(np.unravel_index(np.arange(start, stop), moduli), axis=1)
+
+
+def _half_angles(chars: np.ndarray, h: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """pi theta for chi_a(h) = exp(2 pi i theta), one row per character and one column per row of h.
+
+    The phase is reduced mod lcm(moduli) in integers, then taken in (-1/2, 1/2],
+    so that a small angle keeps its relative accuracy.  Every product below
+    stays under lcm(moduli)^2 <= |H|^2.
+    """
+    period = math.lcm(*moduli)
+    phase = np.zeros((len(chars), len(h)), dtype=np.int64)
+    for a, hc, m in zip(chars.T, h.T, moduli):
+        phase = (phase + np.outer(a, hc * (period // m))) % period
+    return (np.pi / period) * np.where(2 * phase > period, phase - period, phase)
+
+
+def _fourier_blocks(ctx: CayleyContext, split: AbelianSplit, chars: np.ndarray) -> np.ndarray:
+    """The Laplacian's blocks on V_chi for the characters chi of H in chars, shape (len(chars), d, d).
+
+    V_chi holds the f with f(x h) = chi(h) f(x), and f is fixed by its values
+    phi_i at the representatives g_i.  s g_i = g_j h puts -chi(h) at (i, j) of
+    the block kI - M_chi; where j = i, the generator's share of kI is kept with
+    it, as 1 - chi(h) = 2 sin^2(pi theta) - i sin(2 pi theta).
+    """
+    d, k = split.index, ctx.k
+    coset, h = split.locate(np.concatenate([ctx.group.left_mul(s, split.reps) for s in ctx.gens.elements]))
+    coset = coset.reshape(k, d)
+    t = _half_angles(chars, h, split.moduli).reshape(len(chars), k, d)
+    rows = np.arange(d)
+    moved = coset != rows
+    out = np.zeros((len(chars), d, d), dtype=complex)
+    out[:, rows, rows] = moved.sum(axis=0)
+    # s permutes the cosets, so no (i, j) repeats within one generator
+    for g in range(k):
+        off, on = moved[g], ~moved[g]
+        out[:, rows[off], coset[g, off]] -= np.exp(2j * t[:, g, off])
+        out[:, rows[on], rows[on]] += 2 * np.sin(t[:, g, on]) ** 2 - 1j * np.sin(2 * t[:, g, on])
+    return out
+
+
+def _fourier_extremes(ctx: CayleyContext, split: AbelianSplit) -> tuple[float, float, np.ndarray]:
+    """Every eigenvalue, block by block: the least nonzero one, the largest, and a lambda1 eigenvector.
+
+    The blocks stream in chunks of at most _CHUNK_BYTES.  The trivial
+    character's least eigenvalue is the constant function's 0 and is dropped.
+    The first block in character order that attains lambda1 lifts its
+    eigenvector phi to f(g_i h) = chi(h) phi_i; the real or the imaginary part
+    of f, whichever is longer, is a real eigenvector.
+    """
+    d, count = split.index, math.prod(split.moduli)
+    chunk = max(1, _CHUNK_BYTES // (16 * d * d + 32 * ctx.k * d))
+    lam1, lam_max, best = math.inf, -math.inf, 0
+    for start in range(0, count, chunk):
+        vals = np.linalg.eigvalsh(_fourier_blocks(ctx, split, _characters(split.moduli, start, min(start + chunk, count))))
+        least = vals[:, 0].copy()
+        if start == 0:
+            least[0] = vals[0, 1] if d > 1 else math.inf
+        i = int(np.argmin(least))
+        if least[i] < lam1:
+            lam1, best = float(least[i]), start + i
+        lam_max = max(lam_max, float(vals[:, -1].max()))
+    chi = _characters(split.moduli, best, best + 1)
+    phi = np.linalg.eigh(_fourier_blocks(ctx, split, chi)[0])[1][:, 1 if best == 0 else 0]
+    coset, h = split.locate(np.array(ctx.ball.elements, dtype=np.int64))
+    lifted = np.exp(2j * _half_angles(chi, h, split.moduli)[0]) * phi[coset]
+    vec = max(lifted.real, lifted.imag, key=np.linalg.norm)
+    return lam1, lam_max, vec / np.linalg.norm(vec)
 
 
 def lambda1(ctx: CayleyContext) -> SpectralReport:
     """Smallest nonzero Laplacian eigenvalue (and the largest one).
 
-    Dense up to DENSE_CAP vertices, iterative above.  Each call solves again;
-    ctx.spectrum keeps one solve per graph.
+    Dense up to DENSE_CAP vertices; above, from the Fourier blocks of the
+    group's abelian split, refused when the group has none or its blocks
+    exceed FOURIER_BLOCK_CAP.  Each call solves again; ctx.spectrum keeps one
+    solve per graph.
     """
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
@@ -235,8 +309,13 @@ def lambda1(ctx: CayleyContext) -> SpectralReport:
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
-        lam1, lam_max, vec = _iterative_extremes(ctx)
-        solver = "iterative"
+        split = ctx.group.abelian_split()
+        if split is None:
+            raise ResourceRefusal(f"{ctx.group.name} has no abelian split, and lambda1 solves densely only up to {DENSE_CAP} vertices")
+        if split.index > FOURIER_BLOCK_CAP:
+            raise ResourceRefusal(f"{ctx.group.name}: Fourier blocks of size {split.index} exceed the cap of {FOURIER_BLOCK_CAP}")
+        lam1, lam_max, vec = _fourier_extremes(ctx, split)
+        solver = "fourier"
     resid = float(np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec))
     norm = float(np.linalg.norm(vec))
     if resid > 1e-8 * max(norm, 1.0):
@@ -541,12 +620,11 @@ def coset_gap(ctx: CayleyContext, sub: SubgroupOracle) -> CosetGapReport:
         raise ResourceRefusal(f"coset gap uses a dense solve, capped at {COSET_GAP_CAP} vertices")
     labels = left_coset_labels(ctx.ball, sub)
     members = np.flatnonzero(labels == 0)
-    ball_index = ctx.ball.index()
-    # normality on generators
+    # normality on generators; label 0 is H itself, the members of the oracle
     for i in members:
         h = ctx.ball.elements[i]
         for s in ctx.gens.elements:
-            if labels[ball_index[conjugate(group, h, s)]] != 0:
+            if not sub.contains(conjugate(group, h, s)):
                 raise OracleError(f"{sub.name}: not normal (conjugation escapes)")
     hsize = len(members)
     index = n // hsize

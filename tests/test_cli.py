@@ -124,12 +124,15 @@ def test_grow_reports_an_infinite_K_once_eps_delta_underflows(capsys):
 
 
 def test_growth_commands_do_not_import_scipy():
-    # graphs of at most DENSE_CAP vertices never pay for the scipy import
+    # no command pays for the scipy import, on either side of DENSE_CAP
     probe = (
         "import sys, cayleylab.cli\n"
         "assert cayleylab.cli.run(['grow', '-g', 'cyclic:12']) == 0\n"
         "assert cayleylab.cli.run(['cheeger', '-g', 'cyclic:22']) == 0\n"
         "assert cayleylab.cli.run(['verify', 'spectral', '-g', 'cyclic:20']) == 0\n"
+        "assert cayleylab.cli.run(['spectrum', '-g', 'ut:dim=3,p=7']) == 0\n"
+        "assert cayleylab.cli.run(['verify', 'spectral', '-g', 'lamplighter:8']) == 0\n"
+        "assert cayleylab.cli.run(['mix', '-g', 'cyclic:300']) == 0\n"
         "sys.exit('scipy' in sys.modules)\n"
     )
     assert _python(["-c", probe]).returncode == 0

@@ -1,7 +1,9 @@
 """Element backends, spec parsing, canonical encodings, Schreier generators."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -408,3 +410,56 @@ def test_rs_rejects_inconsistent_oracle():
     bogus = SubgroupOracle(lambda x: x in ((0,), (1,), (5,)), name="bogus")
     with pytest.raises(OracleError):
         reidemeister_schreier(g, s, bogus)
+
+
+# ---------------------------------------------------------------------------
+# Abelian splits
+# ---------------------------------------------------------------------------
+
+SPLIT_SPECS = [
+    "cyclic:12",
+    "abelian:4,6",
+    "ut:dim=2,p=5",
+    "ut:dim=3,p=5",
+    "ut:dim=4,p=3",
+    "lamplighter:5",
+    "symfp:n=3,p=5,variant=L",
+    "symfp:n=3,p=5,variant=Gprime",
+    "symfp:n=3,p=5,variant=G",
+    "product(lamplighter:3)x(symfp:n=3,p=5,variant=Gprime)",
+]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_abelian_split_factors_every_element(spec):
+    g = build_group(spec)
+    split = g.abelian_split()
+    moduli = np.array(split.moduli)
+    elements = enumerate_ball(g, g.generating_set()).elements
+    assert len(elements) == g.order
+    reps = [tuple(r) for r in split.reps.tolist()]
+    assert reps[0] == g.identity()
+    assert len(set(reps)) == split.index == g.order // math.prod(split.moduli)
+    coset, h = split.locate(np.array(elements, dtype=np.int64))
+    coords = [tuple(r) for r in h.tolist()]
+    assert ((0 <= h) & (h < moduli)).all()
+    # H is the identity's coset, and its H-coordinates name each of its elements once
+    members = {coords[i]: x for i, x in enumerate(elements) if coset[i] == 0}
+    assert len(members) == math.prod(split.moduli)
+    assert members[(0,) * len(moduli)] == g.identity()
+    # x h_c has the coordinates of x plus the unit vector e_c: so H is closed,
+    # generated by the h_c, and its coordinates add, which makes it abelian
+    for c in range(len(moduli)):
+        unit = tuple(int(i == c) % m for i, m in enumerate(split.moduli))
+        products = np.array([g.mul(x, members[unit]) for x in members.values()], dtype=np.int64)
+        got_coset, got = split.locate(products)
+        assert (got_coset == 0).all(), (spec, c)
+        assert np.array_equal(got, (np.array(list(members)) + np.array(unit)) % moduli), (spec, c)
+    # every element is its representative times the member its H-coordinates name
+    for x, c, y in zip(elements, coset.tolist(), coords):
+        assert g.mul(reps[c], members[y]) == x, (spec, x)
+
+
+def test_infinite_groups_have_no_abelian_split():
+    assert build_group("freenil:r=2,s=2").abelian_split() is None
+    assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").abelian_split() is None

@@ -20,8 +20,10 @@ from cayleylab.spectral import (
     EXACT_SCAN_MAX,
     SpectralReport,
     _bounded_cheeger,
+    _characters,
     _dense_extremes,
-    _iterative_extremes,
+    _fourier_blocks,
+    _fourier_extremes,
     build_context,
     cheeger,
     coset_gap,
@@ -146,11 +148,11 @@ def test_solvers_agree_on_small_zoo():
         if inst.order < 8:
             continue
         ctx = build_context(inst.group, inst.gens)
-        dense, iterative = _dense_extremes(ctx)[0], _iterative_extremes(ctx)[0]
-        assert abs(dense - iterative) < 1e-8, inst.label
+        dense, fourier = _dense_extremes(ctx)[0], _fourier_extremes(ctx, inst.group.abelian_split())[0]
+        assert abs(dense - fourier) < 1e-8, inst.label
 
 
-def test_iterative_matches_dense_oracle_above_the_cap():
+def test_fourier_matches_dense_oracle_above_the_cap():
     cases = [inst for inst in standard_zoo(max_order=5000) if inst.order > DENSE_CAP]
     assert len(cases) == 9  # ut:7, ut:11, ut:4,3, lamplighter:6 and 8, symfp:3,7 L and Gprime, symfp:4,5 Gprime and G
     cases += [construct_family(f"cyclic:{n}") for n in (257, 512, 768)]
@@ -158,14 +160,60 @@ def test_iterative_matches_dense_oracle_above_the_cap():
         ctx = build_context(inst.group, inst.gens)
         auto = lambda1(ctx)
         dense_lambda1, dense_lambda_max, _ = _dense_extremes(ctx)
-        assert auto.solver == "iterative", inst.label
+        assert auto.solver == "fourier", inst.label
         assert abs(auto.lambda1 - dense_lambda1) <= 1e-9 * dense_lambda1, inst.label
         assert abs(auto.lambda_max - dense_lambda_max) <= 1e-9 * dense_lambda_max, inst.label
 
 
-@pytest.mark.parametrize("n, solver", [(256, "dense"), (257, "iterative"), (300, "iterative"), (512, "iterative")])
+def test_fourier_blocks_give_the_full_spectrum():
+    """The blocks of every character together hold the dense Laplacian's spectrum, and the lifted vector is a lambda1 eigenvector."""
+    cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=2048)]
+    cases += list(random_generating_sets())
+    for label, g, gens in cases:
+        ctx = build_context(g, gens)
+        split = g.abelian_split()
+        blocks = _fourier_blocks(ctx, split, _characters(split.moduli, 0, math.prod(split.moduli)))
+        assert blocks.shape == (g.order // split.index, split.index, split.index), label
+        assert np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() < 1e-14, label
+        got = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        want = np.linalg.eigvalsh(ctx.dense_laplacian())
+        assert np.abs(got - want).max() < 1e-10, label
+        lam1, lam_max, vec = _fourier_extremes(ctx, split)
+        assert abs(lam1 - want[1]) < 1e-10 and abs(lam_max - want[-1]) < 1e-10, label
+        assert abs(np.linalg.norm(vec) - 1) < 1e-12, label
+        assert np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec) < 1e-10, label
+
+
+@pytest.mark.parametrize("n", [257, 768, 4096, 65536])
+def test_cycle_gap_from_one_by_one_blocks(n):
+    # H = G, so every block is 1 x 1 and lambda1 is 2 sin^2(pi/n) + 2 sin^2(-pi/n) to rounding
+    g = build_group(f"cyclic:{n}")
+    rep = lambda1(build_context(g, g.generating_set()))
+    want = 4 * math.sin(math.pi / n) ** 2
+    assert rep.solver == "fourier"
+    assert abs(rep.lambda1 - want) <= 1e-12 * want
+
+
+def test_lambda1_refuses_above_the_cap_without_a_split(monkeypatch):
+    g = build_group(f"cyclic:{DENSE_CAP + 1}")
+    ctx = build_context(g, g.generating_set())
+    monkeypatch.setattr(g, "abelian_split", lambda: None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceRefusal, match="no abelian split"):
+            lambda1(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    g6 = build_group("lamplighter:6")
+    monkeypatch.setattr(spectral, "FOURIER_BLOCK_CAP", 5)
+    with pytest.raises(ResourceRefusal, match="blocks of size 6 exceed the cap of 5"):
+        lambda1(build_context(g6, g6.generating_set()))
+
+
+@pytest.mark.parametrize("n, solver", [(256, "dense"), (257, "fourier"), (300, "fourier"), (512, "fourier")])
 def test_cycle_gap_on_both_sides_of_the_dense_cap(n, solver):
-    # the cycle's gap is tiny and doubly degenerate: the hard case for Lanczos
     g = build_group(f"cyclic:{n}")
     rep = lambda1(build_context(g, g.generating_set()))
     assert (DENSE_CAP, rep.solver) == (256, solver)

@@ -47,7 +47,7 @@ def test_traced_smoke_invocation_exits_zero(argv):
 
 def test_traced_mix_builds_and_solves_once():
     counts = run_traced(["mix", "-g", "ut:dim=3,p=5", "--format", "json"])["counts"]
-    solves = sum(counts.get(f"spectral.eigen_{solver}_calls", 0) for solver in ("dense", "iterative"))
+    solves = sum(counts.get(f"spectral.eigen_{solver}_calls", 0) for solver in ("dense", "fourier"))
     assert (counts["spectral.context_calls"], counts["spectral.eigen_calls"], solves) == (1, 1, 1)
 
 
