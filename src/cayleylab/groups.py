@@ -15,10 +15,10 @@ units with constant term 1 in the degree-truncated free associative ring over
 Z), and binary direct products of any of these.
 
 Every finite family also has an array form, its ``codec`` (an ArrayCodec):
-the coordinate tuple of an element is a row of int64s, and the family
-multiplies a whole array of rows on the left by one element at a time.  The
-BFS in ``growth`` runs on those arrays, and a row read back with ``tolist`` is
-the element itself.
+the coordinate tuple of an element is a row of int64s, ranked in canonical
+byte order without writing any bytes, and the family multiplies a whole array
+of rows on the left by one element at a time.  The BFS in ``growth`` runs on
+those arrays, and a row read back with ``tolist`` is the element itself.
 
 Every finite family also names an abelian subgroup H, its ``abelian_split``:
 the coset representatives of G/H and the map from an element to its coset
@@ -320,7 +320,7 @@ class Group:
 
     def encode(self, a) -> bytes:
         """Canonical bytes: the little-endian u64 of each coordinate, the layout
-        ArrayCodec's default template assumes.  A group with another layout
+        whose order ArrayCodec's ranks follow.  A group with another layout
         overrides it."""
         return _enc_u64(a)
 
@@ -343,20 +343,18 @@ class Group:
 
 
 class ArrayCodec:
-    """The byte layout of a group's coordinate rows, and their ranks.
+    """The canonical byte order of a group's coordinate rows, as ranks.
 
-    Coordinate c of an element lies in [0, radices[c]), and ``group.encode(x)``
-    is ``template`` with the little-endian u64 of coordinate c written at byte
-    ``offsets[c]`` (increasing in c).  ``rank`` numbers the rows in canonical
-    byte order, mixed radix with the first coordinate most significant, so
-    sorting ranks sorts codes.  Build it with ``_codec``, which checks that the
-    ranks stay below RANK_LIMIT.
+    Coordinate c of an element lies in [0, radices[c]), and ``group.encode``
+    writes the coordinates in order of c, each a little-endian u64 (a product
+    adds constant length fields), so byte order is coordinate by coordinate.
+    ``rank`` numbers the rows in that order, mixed radix with the first
+    coordinate most significant, so sorting ranks sorts codes.  Build it with
+    ``_codec``, which checks that the ranks stay below RANK_LIMIT.
     """
 
-    def __init__(self, radices: tuple[int, ...], template: Optional[bytes], offsets: Optional[tuple[int, ...]]):
+    def __init__(self, radices: tuple[int, ...]):
         self.radices = tuple(radices)
-        self.template = bytes(8 * len(radices)) if template is None else template
-        self.offsets = tuple(range(0, 8 * len(radices), 8)) if offsets is None else offsets
         # below 256 a coordinate's byte order is its numeric order; a wider
         # coordinate is keyed by its low `width` bytes read in reverse
         self._widths = tuple(0 if r <= 256 else ((r - 1).bit_length() + 7) // 8 for r in radices)
@@ -375,15 +373,6 @@ class ArrayCodec:
                 col = (col.astype(np.uint64).byteswap() >> np.uint64(64 - 8 * width)).astype(np.int64)
             out += col * stride
         return out
-
-    def codes(self, X: np.ndarray) -> list[bytes]:
-        """``group.encode`` of each row of X, from one buffer."""
-        n, width = len(X), len(self.template)
-        buf = np.empty((n, width), dtype=np.uint8)
-        buf[:] = np.frombuffer(self.template, dtype=np.uint8)
-        for c, off in enumerate(self.offsets):
-            buf[:, off : off + 8] = X[:, c].astype("<u8").view(np.uint8).reshape(n, 8)
-        return buf.view(f"V{width}").ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -407,9 +396,9 @@ class AbelianSplit:
         return len(self.reps)
 
 
-def _codec(radices: tuple[int, ...], template: Optional[bytes] = None, offsets: Optional[tuple[int, ...]] = None) -> Optional[ArrayCodec]:
+def _codec(radices: tuple[int, ...]) -> Optional[ArrayCodec]:
     """A family's codec, or None when its ranks would not fit (the BFS then runs on tuples)."""
-    codec = ArrayCodec(radices, template, offsets)
+    codec = ArrayCodec(radices)
     return codec if math.prod(codec.key_radices) <= RANK_LIMIT else None
 
 
@@ -925,11 +914,8 @@ class ProductGroup(Group):
         self.name = f"product({g1.name})x({g2.name})"
         c1, c2 = g1.codec, g2.codec
         if c1 is not None and c2 is not None:
-            # encode is len(e1) + e1 + e2, with e1 of fixed width
-            head = 4 + len(c1.template)
-            template = len(c1.template).to_bytes(4, "little") + c1.template + c2.template
-            offsets = tuple(4 + o for o in c1.offsets) + tuple(head + o for o in c2.offsets)
-            self.codec = _codec(c1.radices + c2.radices, template, offsets)
+            # encode is len(e1) + e1 + e2 with e1 of fixed width, so byte order is factor by factor
+            self.codec = _codec(c1.radices + c2.radices)
 
     def identity(self):
         return self.g1.identity() + self.g2.identity()

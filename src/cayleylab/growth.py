@@ -12,12 +12,12 @@ ball and never again.
 
 A group with an array form (``group.codec``: every finite family) runs the
 array BFS: a sphere is an int64 array of coordinate rows, each generator acts
-on all of it at once, and ranks in canonical byte order replace the byte
-strings; a row is an element's coordinate tuple, so reading the rows back
-gives the elements.  Other groups (the free nilpotent groups, and products
-with an infinite factor) run the tuple BFS, one mul per product and one
-encode per new element, to sort its sphere; it is also the reference the
-tests hold the array BFS to.
+on all of it at once, and ranks in canonical byte order stand in for the
+bytes, which it never writes; a row is an element's coordinate tuple, so
+reading the rows back gives the elements.  Other groups (the free nilpotent
+groups, and products with an infinite factor) run the tuple BFS, one mul per
+product and one encode per new element, to sort its sphere; it is also the
+reference the tests hold the array BFS to.  A ball keeps no bytes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class NonGeneratingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Ball:
-    """BFS enumeration of S^0, S^1, ... : elements, codes, distances, sphere sizes.
+    """BFS enumeration of S^0, S^1, ... : the elements, sphere by sphere and
+    in canonical byte order within a sphere, and the sphere sizes.
 
     ``truncated`` means expansion stopped at max_radius or the cap first;
     otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
@@ -80,7 +81,6 @@ class Ball:
     group: Group
     gens: GeneratingSet
     elements: tuple
-    codes: tuple[bytes, ...]
     sphere_sizes: tuple[int, ...]
     truncated: bool
     capped: bool = False
@@ -129,7 +129,6 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
     mul, enc = group.mul, group.encode
     e = group.identity()
     elements: list = [e]
-    codes: list[bytes] = [enc(e)]
     index: dict = {e: 0}
     spheres = [1]
     frontier: list = [e]
@@ -149,9 +148,8 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         # the new sphere is sorted before its indices exist, so products
         # that land in it are resolved only after the loop below
         next_frontier = []
-        for code, y in sorted(zip(map(enc, candidates), candidates)):
-            index[y] = len(codes)
-            codes.append(code)
+        for y in sorted(candidates, key=enc):
+            index[y] = len(elements)
             elements.append(y)
             next_frontier.append(y)
         succ = np.fromiter(map(index.__getitem__, products), dtype=np.int64, count=len(products))
@@ -162,7 +160,7 @@ def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         frontier = next_frontier
     # one contiguous row per generator, so each permutation is a fast gather index
     successors = None if truncated else np.concatenate(rows).T.copy()
-    return Ball(group, gens, tuple(elements), tuple(codes), tuple(spheres), truncated, capped, successors)
+    return Ball(group, gens, tuple(elements), tuple(spheres), truncated, capped, successors)
 
 
 def _row_tuples(X: np.ndarray) -> tuple:
@@ -214,7 +212,7 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
     X = np.concatenate(blocks)
     blocks.clear()  # at 10^6 elements each copy of the rows is over 100 MB
     successors = None if truncated else np.concatenate(rows, axis=1)
-    return Ball(group, gens, _row_tuples(X), tuple(codec.codes(X)), tuple(spheres), truncated, capped, successors)
+    return Ball(group, gens, _row_tuples(X), tuple(spheres), truncated, capped, successors)
 
 
 @dataclass(frozen=True)

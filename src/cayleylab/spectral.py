@@ -121,6 +121,11 @@ class CayleyContext:
         return np.delete(self.ball.successors, self.identity_gen, axis=0)
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """The vertices as int64 coordinate rows, in ball order."""
+        return np.array(self.ball.elements, dtype=np.int64)
+
+    @cached_property
     def spectrum(self) -> SpectralReport:
         """lambda1 of this graph, solved on first use."""
         return lambda1(self)
@@ -289,7 +294,7 @@ def _fourier_extremes(ctx: CayleyContext, split: AbelianSplit) -> tuple[float, f
         lam_max = max(lam_max, float(vals[:, -1].max()))
     chi = _characters(split.moduli, best, best + 1)
     phi = np.linalg.eigh(_fourier_blocks(ctx, split, chi)[0])[1][:, 1 if best == 0 else 0]
-    coset, h = split.locate(np.array(ctx.ball.elements, dtype=np.int64))
+    coset, h = split.locate(ctx.rows)
     lifted = np.exp(2j * _half_angles(chi, h, split.moduli)[0]) * phi[coset]
     vec = max(lifted.real, lifted.imag, key=np.linalg.norm)
     return lam1, lam_max, vec / np.linalg.norm(vec)
@@ -395,11 +400,10 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
 
     S is symmetric, so a prefix and its complement have the same boundary and
     each of the n - 1 cuts is scored by its smaller side; both ends of the
-    order are tried.  Ties go to the shortest prefix.
+    order are tried, equal entries in code order.  Ties go to the shortest prefix.
     """
     n = ctx.n
-    values = fiedler.tolist()
-    order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
+    order = np.lexsort((ctx.group.codec.rank(ctx.rows), fiedler))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     # appending x to the prefix before it changes the boundary by (k - 1) - 2 |{s != e : sx comes earlier}|

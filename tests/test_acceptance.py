@@ -215,7 +215,7 @@ def test_criterion_10_schreier_contract():
         from cayleylab.growth import enumerate_ball
 
         ball3 = enumerate_ball(gp, sp, max_radius=2 * d - 1)
-        codes3 = set(ball3.codes)
+        codes3 = {gp.encode(x) for x in ball3.elements}
         for x in res.generators.elements:
             assert gp.encode(x) in codes3
             assert gg.contains(x)

@@ -1,7 +1,9 @@
 """Command-line surface: verbs, exit codes, deterministic serialization."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import pytest
 import cayleylab
 from cayleylab import cli
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
+from cayleylab.growth import ball_growth
+from cayleylab.zoo import standard_zoo
 
 
 def test_diam_prints_plain_number(capsys):
@@ -157,6 +161,27 @@ def test_fault_injection_exits_one(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
     assert any(not tower["c_meas_ok"] for tower in report["towers"])
+
+
+def double_loop_submultiplicative(balls):
+    """Every pair n, m >= 1 with n + m <= gamma: the check _submultiplicative replaced."""
+    gamma = len(balls) - 1
+    return all(balls[n + m] <= balls[n] * balls[m] for n in range(1, gamma + 1) for m in range(1, gamma + 1 - n))
+
+
+def test_submultiplicativity_matches_the_double_loop():
+    profiles = [ball_growth(inst.group, inst.gens).ball_sizes for inst in standard_zoo(max_order=5000)]
+    assert all(cli._submultiplicative(balls) and double_loop_submultiplicative(balls) for balls in profiles)
+    assert not cli._submultiplicative([1, 2, 3, 10]) and not double_loop_submultiplicative([1, 2, 3, 10])
+    rng = random.Random(16)
+    verdicts = set()
+    for _ in range(300):
+        steps = [rng.randint(1, rng.choice((2, 10, 1000))) for _ in range(rng.randint(0, 30))]
+        balls = list(itertools.accumulate(steps, initial=1))
+        verdict = double_loop_submultiplicative(balls)
+        assert cli._submultiplicative(balls) == verdict, balls
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_grow_csv_has_header(capsys):

@@ -1,4 +1,4 @@
-"""Golden bytes: SHA-256 digests of ball codes and of exact-only CLI output.
+"""Golden bytes: SHA-256 digests of the encoded balls and of exact-only CLI output.
 
 The digests were recorded before elements became flat coordinate tuples (the
 ``nilprog powers`` digest, before sets were keyed on the elements) and must
@@ -17,7 +17,7 @@ from cayleylab.cli import run
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import construct_family, standard_zoo
 
-# (spec label, max_radius or None for the closed ball, sha256 of b"".join(ball.codes))
+# (spec label, max_radius or None for the closed ball, sha256 of the ball's encodings, in ball order)
 BALL_DIGESTS = [
     ("cyclic:n=2", None, "9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db"),
     ("cyclic:n=8", None, "f790bad2d759a89231491a8bea3db8d8c4a0e6f8b3f5206cff316b4df7d93970"),
@@ -83,7 +83,7 @@ def test_golden_ball_codes():
         inst = construct_family(label)
         assert inst.label == label
         ball = enumerate_ball(inst.group, inst.gens, max_radius=radius)
-        assert sha256(b"".join(ball.codes)) == digest, label
+        assert sha256(b"".join(map(inst.group.encode, ball.elements))) == digest, label
 
 
 @pytest.mark.parametrize("argv, code, digest", STDOUT_DIGESTS, ids=[argv for argv, _, _ in STDOUT_DIGESTS])

@@ -47,7 +47,7 @@ def reference_ball(group, gens, max_radius=None, cap=None):
 def mul_encode_context(group, gens):
     """Reference context: the reference ball plus a separate mul/encode pass over it."""
     ball = reference_ball(group, gens)
-    index = {c: i for i, c in enumerate(ball.codes)}
+    index = {group.encode(x): i for i, x in enumerate(ball.elements)}
     id_code = group.encode(group.identity())
     perms = []
     identity_gen = -1
@@ -101,9 +101,14 @@ def test_array_bfs_matches_tuple_bfs_reference():
     cases += list(random_generating_sets())
     # the zoo holds only the flat product(lamplighter:3)x(cyclic:8); the
     # nested product splits its coordinates inside the inner product too, and
-    # on cyclic:300 byte order differs from numeric order once a coordinate
-    # reaches 256
-    for spec in ("product(cyclic:6)x(product(cyclic:5)x(lamplighter:3))", "cyclic:300"):
+    # on the last three byte order differs from numeric order once a
+    # coordinate reaches 256, so their ranks byteswap that coordinate
+    for spec in (
+        "product(cyclic:6)x(product(cyclic:5)x(lamplighter:3))",
+        "cyclic:300",
+        "abelian:300,7",
+        "product(cyclic:300)x(cyclic:3)",
+    ):
         g = build_group(spec)
         cases.append((spec, g, g.generating_set()))
     for label, g, gens in cases:
@@ -118,7 +123,10 @@ def test_array_bfs_matches_tuple_bfs_reference():
         full = enumerate_ball(g, gens)
         assert full.complete, label
         assert_same_ball(full, reference_ball(g, gens), label)
-        assert list(full.codes) == [g.encode(x) for x in full.elements], label
+        # rank order is code order
+        codes = [g.encode(x) for x in full.elements]
+        by_code = sorted(range(full.size), key=codes.__getitem__)
+        assert np.argsort(g.codec.rank(np.array(full.elements, dtype=np.int64))).tolist() == by_code, label
     # infinite groups have no array form and stay on the tuple BFS
     assert build_group("freenil:r=2,s=2").codec is None
     assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").codec is None
@@ -361,7 +369,8 @@ def bincount_sweep_cut(ctx, fiedler):
     """Prefix boundaries from bincounts of the cut's crossing pairs: the sweep the boundary recurrence replaced."""
     n = ctx.n
     values = fiedler.tolist()
-    order = sorted(range(n), key=lambda i: (values[i], ctx.ball.codes[i]))
+    codes = [ctx.group.encode(x) for x in ctx.ball.elements]
+    order = sorted(range(n), key=lambda i: (values[i], codes[i]))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     nonid = ctx.nonid
@@ -379,17 +388,32 @@ def bincount_sweep_cut(ctx, fiedler):
 
 
 def test_sweep_cut_matches_the_bincount_sweep():
-    for inst in standard_zoo(max_order=5000):
-        ctx = build_context(inst.group, inst.gens)
+    cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=5000)]
+    for spec in ("cyclic:300", "abelian:300,7", "product(cyclic:6)x(product(cyclic:5)x(lamplighter:3))"):
+        g = build_group(spec)
+        cases.append((spec, g, g.generating_set()))
+    for label, g, gens in cases:
+        ctx = build_context(g, gens)
         fiedler = ctx.spectrum.fiedler
-        for sign in (1, -1):
-            assert _sweep_cut(ctx, sign * fiedler) == bincount_sweep_cut(ctx, sign * fiedler), (inst.label, sign)
+        # a real Fiedler vector seldom ties; these tie on whole spheres, or
+        # everywhere, so the order within a tie (canonical bytes) decides the cut
+        lengths = ctx.word_lengths
+        vectors = {
+            "fiedler": fiedler,
+            "-fiedler": -fiedler,
+            "length mod 3": (lengths % 3 - 1).astype(float),
+            "-(length mod 2)": -(lengths % 2).astype(float),
+            "zeros": np.zeros(ctx.n),
+        }
+        for name, vec in vectors.items():
+            assert _sweep_cut(ctx, vec) == bincount_sweep_cut(ctx, vec), (label, name)
 
 
 def one_sided_sweep_cut(ctx, fiedler):
     """Prefixes of the Fiedler order up to n/2 only, one vertex at a time: the sweep the two-sided one replaced."""
     n = ctx.n
-    order = sorted(range(n), key=lambda i: (fiedler[i], ctx.ball.codes[i]))
+    codes = [ctx.group.encode(x) for x in ctx.ball.elements]
+    order = sorted(range(n), key=lambda i: (fiedler[i], codes[i]))
     neighbors = [[int(p[i]) for p in ctx.nonid] for i in range(n)]
     in_a = [False] * n
     boundary = 0
