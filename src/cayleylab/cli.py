@@ -141,8 +141,15 @@ def _instance(args, min_order: int = 1):
 
 
 def _context(args):
-    """The one Cayley graph a spectral or walk command reads."""
-    return spectral.build_context(*_instance(args, min_order=2))
+    """The one Cayley graph a spectral or walk command reads.
+
+    Above DENSE_CAP elements every such command solves lambda1 or refuses,
+    so lambda1's refusals come first, before the graph is built.
+    """
+    group, gens = _instance(args, min_order=2)
+    if group.order is not None:
+        spectral.fourier_split(group)
+    return spectral.build_context(group, gens)
 
 
 def _cmd_grow(args):

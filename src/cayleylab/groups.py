@@ -175,16 +175,21 @@ def _parse_params(text: str, base: int, family: str) -> tuple[tuple[tuple[str, i
     variant: Optional[str] = None
     if named:
         pos = base
+        seen: set[str] = set()
         for it in items:
             if "=" not in it:
                 raise SpecSyntaxError("expected key=value", pos)
             key, _, val = it.partition("=")
+            # abelian lists its moduli as one repeated key
+            if key in seen and key != "moduli":
+                raise SpecSyntaxError(f"repeated parameter {key!r}", pos)
+            seen.add(key)
             if key == "variant":
                 if val not in SYMFP_VARIANTS:
                     raise SpecSemanticError(f"unknown variant {val!r} (expected one of {SYMFP_VARIANTS})")
                 variant = val
             else:
-                if not val.isdigit():
+                if not (val.isascii() and val.isdigit()):
                     raise SpecSyntaxError(f"expected integer value for {key!r}", pos + len(key) + 1)
                 params.append((key, int(val)))
             pos += len(it) + 1
@@ -192,7 +197,7 @@ def _parse_params(text: str, base: int, family: str) -> tuple[tuple[tuple[str, i
         pos = base
         values = []
         for it in items:
-            if not it.isdigit():
+            if not (it.isascii() and it.isdigit()):
                 raise SpecSyntaxError("expected integer", pos)
             values.append(int(it))
             pos += len(it) + 1

@@ -17,10 +17,10 @@ condition on each bracket.
 
 Enumeration of progressions is extensional: Python sets of group elements,
 built by iterated set products (for exponent-box kinds) or by budgeted word
-search (for nilprogressions), then sorted once by canonical bytes.
-Verification of containments and power laws is exhaustive set comparison,
-never symbolic collection; the power laws walk P, P^2, ... once, under one
-work meter.
+search (for nilprogressions), and never encoded.  Verification of
+containments and power laws is exhaustive set comparison, never symbolic
+collection; the power laws walk P, P^2, ... once, under one work meter, and
+only their greedy cover reads an order, the target's canonical-byte order.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
@@ -325,21 +325,16 @@ def progression_spec(
 
 @dataclass(frozen=True)
 class ProgressionSet:
-    """Deduplicated element set of a progression, with its formal exponent box.
-
-    ``elements`` lists the set in canonical-byte order; ``members`` holds the
-    same elements, for membership tests and containments.
-    """
+    """Deduplicated element set of a progression, with its formal exponent box."""
 
     spec: ProgressionSpec
-    elements: tuple
     members: frozenset
     formal_box: Optional[int]
     convention: str = ""
 
     @property
     def cardinality(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     @property
     def proper(self) -> Optional[bool]:
@@ -424,7 +419,7 @@ def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], Optio
 
 
 def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
-    """Exact element set of the progression, listed in canonical-byte order."""
+    """Exact element set of the progression."""
     group = spec.group
     meter = _WorkMeter()
     if spec.kind == "nilprogression":
@@ -433,7 +428,7 @@ def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
     else:
         factors, box, convention = _factors_for(spec)
         out = _ordered_product(group, factors, meter)
-    return ProgressionSet(spec, tuple(sorted(out, key=group.encode)), frozenset(out), box, convention)
+    return ProgressionSet(spec, frozenset(out), box, convention)
 
 
 def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> set:
@@ -604,20 +599,19 @@ def verify_power_laws(
     base = enumerate_progression(base_spec)
     nL = tuple(n * l for l in L)
     dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL))
-    P = base.elements
+    P = base.members
 
     # one pass over the powers P^m, each the last one times P: part (2),
     # asserted exactly, reads P^1..P^n against the dilate, and part (1),
     # reported, the least m <= MAX_POWER with the dilate inside P^m
     meter = _WorkMeter()
     known = set(P)
-    frontier = base.members
+    frontier = P
     m = 1
-    holds = base.members <= dilated.members
-    minimal_m = 1 if with_min_power and dilated.members <= base.members else None
+    holds = P <= dilated.members
+    minimal_m = 1 if with_min_power and dilated.members <= P else None
     while frontier and (m < n or (with_min_power and minimal_m is None and m < MAX_POWER)):
-        meter.charge(len(frontier) * len(P))
-        new = {g.mul(a, b) for a in frontier for b in P}.difference(known)
+        new = _set_product(g, frontier, P, meter, 0).difference(known)
         known |= new
         frontier = new
         m += 1
@@ -635,7 +629,7 @@ def verify_power_laws(
         target = enumerate_progression(progression_spec("nilcomplete", r, s, ML))
         covered = set()
         translates: list = []
-        for z in target.elements:  # canonical order
+        for z in sorted(target.members, key=g.encode):
             if z in covered:
                 continue
             translates.append(z)
@@ -725,8 +719,9 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     if group.order is None:
         raise ValueError("needs a finite group")
     comm = derived_subgroup(group, list(pset.spec.generators))
-    # P must itself be symmetric with identity so that P^m is the BFS ball
-    pgens = GeneratingSet(group, pset.elements)
+    # P must itself be symmetric with identity so that P^m is the BFS ball,
+    # which orders itself: the order of P's elements reaches no report
+    pgens = GeneratingSet(group, tuple(pset.members))
 
     ball = enumerate_ball(group, pgens)
     if ball.size != group.order:

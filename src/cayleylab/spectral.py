@@ -21,10 +21,11 @@ spectrum of a regular abelian cover; Gross-Tucker, Topological Graph Theory,
 time, so lambda1 is the least nonzero eigenvalue of the whole spectrum; the
 eigenvector of its block lifts to a real eigenvector of the graph for the
 sweep cut.  Above the cap, a group with no split, or with blocks larger than
-FOURIER_BLOCK_CAP, is refused.  The dense solve is the oracle the tests hold
-the blocks to.  coset_gap has only a dense path (numpy eigvalsh of the
-Laplacian plus a shifted coset-averaging matrix) and refuses above
-COSET_GAP_CAP (4096).
+FOURIER_BLOCK_CAP, is refused; fourier_split decides this from the group
+alone, so commands refuse before they build the graph.  The dense solve is
+the oracle the tests hold the blocks to.  coset_gap has only a dense path
+(numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
+refuses above COSET_GAP_CAP (4096).
 
 Both Cheeger computations rest on one identity: S = S^-1 and su != u for
 s != e, so for u outside A, |d(A + u)| = |dA| + (k - 1) - 2 |{s != e : su in A}|.
@@ -59,6 +60,7 @@ __all__ = [
     "build_context",
     "SpectralReport",
     "lambda1",
+    "fourier_split",
     "CheegerReport",
     "cheeger",
     "InequalityCheck",
@@ -300,25 +302,33 @@ def _fourier_extremes(ctx: CayleyContext, split: AbelianSplit) -> tuple[float, f
     return lam1, lam_max, vec / np.linalg.norm(vec)
 
 
+def fourier_split(group: Group) -> Optional[AbelianSplit]:
+    """The abelian split lambda1 solves a finite group's Cayley graph by, or
+    None for a dense solve (at most DENSE_CAP elements); read off the group
+    alone, so its refusals come before the graph is built."""
+    if group.order <= DENSE_CAP:
+        return None
+    split = group.abelian_split()
+    if split is None:
+        raise ResourceRefusal(f"{group.name} has no abelian split, and lambda1 solves densely only up to {DENSE_CAP} vertices")
+    if split.index > FOURIER_BLOCK_CAP:
+        raise ResourceRefusal(f"{group.name}: Fourier blocks of size {split.index} exceed the cap of {FOURIER_BLOCK_CAP}")
+    return split
+
+
 def lambda1(ctx: CayleyContext) -> SpectralReport:
     """Smallest nonzero Laplacian eigenvalue (and the largest one).
 
-    Dense up to DENSE_CAP vertices; above, from the Fourier blocks of the
-    group's abelian split, refused when the group has none or its blocks
-    exceed FOURIER_BLOCK_CAP.  Each call solves again; ctx.spectrum keeps one
-    solve per graph.
+    Dense or from the Fourier blocks of the split that fourier_split names.
+    Each call solves again; ctx.spectrum keeps one solve per graph.
     """
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
-    if ctx.n <= DENSE_CAP:
+    split = fourier_split(ctx.group)
+    if split is None:
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
-        split = ctx.group.abelian_split()
-        if split is None:
-            raise ResourceRefusal(f"{ctx.group.name} has no abelian split, and lambda1 solves densely only up to {DENSE_CAP} vertices")
-        if split.index > FOURIER_BLOCK_CAP:
-            raise ResourceRefusal(f"{ctx.group.name}: Fourier blocks of size {split.index} exceed the cap of {FOURIER_BLOCK_CAP}")
         lam1, lam_max, vec = _fourier_extremes(ctx, split)
         solver = "fourier"
     resid = float(np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec))

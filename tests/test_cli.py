@@ -101,6 +101,14 @@ BAD_INPUTS = [
     (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),
     # gamma^delta = 25^2000 is past the float range
     (["grow", "-g", "cyclic:50", "--eps", "0.5", "--delta", "2000"], EXIT_USAGE, "delta must be below about 220.5"),
+    # a repeated parameter is an error (abelian's moduli key excepted), and
+    # only ASCII digits are integers
+    (["diam", "-g", "cyclic:n=3,n=4"], EXIT_USAGE, "repeated parameter 'n' (at byte 11)"),
+    (["diam", "-g", "ut:p=3,dim=3,p=5"], EXIT_USAGE, "repeated parameter 'p' (at byte 13)"),
+    (["diam", "-g", "symfp:n=3,p=7,variant=L,variant=G"], EXIT_USAGE, "repeated parameter 'variant' (at byte 24)"),
+    (["diam", "-g", "product(cyclic:2)x(cyclic:n=3,n=3)"], EXIT_USAGE, "repeated parameter 'n' (at byte 30)"),
+    (["diam", "-g", "cyclic:\u0663"], EXIT_USAGE, "expected integer (at byte 7)"),
+    (["diam", "-g", "cyclic:n=\u0663"], EXIT_USAGE, "expected integer value for 'n' (at byte 9)"),
     # -o into a missing directory, and onto a directory
     (["diam", "-g", "cyclic:12", "-o", "no-such-directory/report.json"], EXIT_USAGE, "-o no-such-directory/report.json: "),
     (["cheeger", "-g", "cyclic:12", "--format", "json", "-o", "."], EXIT_USAGE, "-o .: "),
@@ -112,6 +120,18 @@ def test_bad_input_exits_naming_the_limit(argv, code, limit, capsys):
     assert run(argv) == code
     err = capsys.readouterr().err
     assert limit in err
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["mix"], ["verify", "spectral"]])
+def test_spectral_refusal_comes_before_the_graph_build(argv, monkeypatch, capsys):
+    # ut:dim=5,p=5 has 5^10 elements and Fourier blocks of size 5^6, so
+    # lambda1 refuses it; the graph build would run out of memory first
+    def no_build(*args):
+        raise AssertionError("the Cayley graph was built")
+
+    monkeypatch.setattr(cli.spectral, "build_context", no_build)
+    assert run([*argv, "-g", "ut:dim=5,p=5"]) == EXIT_REFUSAL
+    assert "Fourier blocks of size 15625 exceed the cap of 4096" in capsys.readouterr().err
 
 
 def _python(args: list[str]) -> subprocess.CompletedProcess:

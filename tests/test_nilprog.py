@@ -153,7 +153,7 @@ def test_nilprogression_symmetric_and_contains_ordered():
     spec = progression_spec("nilprogression", 2, 2, (2, 1))
     pset = enumerate_progression(spec)
     g = spec.group
-    inverses = {g.inv(x) for x in pset.elements}
+    inverses = {g.inv(x) for x in pset.members}
     assert inverses == pset.members
     ordered = enumerate_progression(progression_spec("ordered", 2, 2, (2, 1)))
     assert pset.contains_set(ordered)
@@ -253,13 +253,16 @@ def test_power_law_cover_follows_code_order():
 
 
 def test_power_laws_encode_only_to_sort(monkeypatch):
-    """Every set in the power laws is keyed on elements; encode runs only to
-    sort the base, the dilate and the cover target (81, 825 and 825 elements)."""
+    """Every progression is a set keyed on its elements: enumeration and the
+    nesting chain never encode, and the power laws encode only to sort the
+    825-element cover target."""
     calls = []
     encode = FreeNilpotentGroup.encode
     monkeypatch.setattr(FreeNilpotentGroup, "encode", lambda self, a: calls.append(a) or encode(self, a))
+    verify_nesting(2, 2, (1, 1))
+    assert calls == []
     verify_power_laws(2, 2, (1, 1), 2, M=2)
-    assert len(calls) <= 81 + 825 + 825
+    assert len(calls) <= 825
 
 
 def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
@@ -269,8 +272,8 @@ def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
     g = FreeNilpotentGroup(r, s)
     base = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(L)))
     dilated = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(n * l for l in L)))
-    base_dict = {g.encode(x): x for x in base.elements}
-    dilated_codes = {g.encode(x) for x in dilated.elements}
+    base_dict = {g.encode(x): x for x in base.members}
+    dilated_codes = {g.encode(x) for x in dilated.members}
     work = []
 
     def grow_powers(stop_when_covers, up_to):
@@ -303,13 +306,13 @@ def reference_power_laws(r, s, L, n, M=None, with_min_power=True):
     if M is not None:
         target = enumerate_progression(progression_spec("nilcomplete", r, s, tuple(M * l for l in L)))
         covered, translates = set(), []
-        for z in target.elements:
+        for z in sorted(target.members, key=g.encode):
             if g.encode(z) in covered:
                 continue
             translates.append(z)
             for p in base_dict.values():
                 covered.add(g.encode(g.mul(p, z)))
-        cover_size, cover_verified = len(translates), {g.encode(z) for z in target.elements} <= covered
+        cover_size, cover_verified = len(translates), {g.encode(z) for z in target.members} <= covered
     return PowerLawReport(r, s, tuple(L), n, M, holds, minimal_m, cover_size, cover_verified), work
 
 
@@ -346,17 +349,16 @@ def test_power_pass_reads_each_power_at_its_step(k, monkeypatch):
     k >= 2, and the least covering m is k."""
     g = FreeNilpotentGroup(2, 2)
     base = enumerate_progression(progression_spec("nilcomplete", 2, 2, (1, 1)))
-    power = {g.encode(x): x for x in base.elements}
+    power = {g.encode(x): x for x in base.members}
     for _ in range(k - 1):
-        power = {g.encode(c): c for c in (g.mul(a, b) for a in power.values() for b in base.elements)}
-    assert len(power) > len(base.elements) or k == 1
+        power = {g.encode(c): c for c in (g.mul(a, b) for a in power.values() for b in base.members)}
+    assert len(power) > base.cardinality or k == 1
     real = nilprog.enumerate_progression
 
     def swapped(spec):
         if spec.L != (2, 2):
             return real(spec)
-        codes = sorted(power)
-        return ProgressionSet(spec, tuple(power[c] for c in codes), frozenset(power.values()), None)
+        return ProgressionSet(spec, frozenset(power.values()), None)
 
     monkeypatch.setattr(nilprog, "enumerate_progression", swapped)
     rep = verify_power_laws(2, 2, (1, 1), 2)
@@ -371,7 +373,7 @@ def test_nilprogression_cube_ratio_blowup():
     for L in (1, 2, 3, 4):
         spec = progression_spec("nilprogression", 2, 2, (L, 1), g)
         pset = enumerate_progression(spec)
-        current = {g.encode(x): x for x in pset.elements}
+        current = {g.encode(x): x for x in pset.members}
         base = current
         for _ in range(2):
             nxt = {}
