@@ -156,15 +156,15 @@ def _cmd_grow(args):
     if (args.eps is None) != (args.delta is None):
         raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
     group, gens = _instance(args)
-    profile = growth.ball_growth(group, gens, max_radius=args.radius)
-    report = profile.to_dict()
-    if profile.diameter is not None:
-        report["doubling"] = growth.doubling_scan(profile).to_dict()
-        if group.order is not None and profile.reached == group.order:
-            report["flatness"] = growth.flatness_report(profile).to_dict()
+    ball = growth.enumerate_ball(group, gens, max_radius=args.radius)
+    report = ball.to_dict()
+    if ball.complete:
+        report["doubling"] = growth.doubling_scan(ball).to_dict()
+        if ball.size == group.order:
+            report["flatness"] = growth.flatness_report(ball).to_dict()
             if args.eps is not None:
-                report["doubling_window"] = growth.doubling_at_scale(profile, args.eps, args.delta).to_dict()
-    return True, report, profile.csv_rows()
+                report["doubling_window"] = growth.doubling_at_scale(ball, args.eps, args.delta).to_dict()
+    return True, report, ball.csv_rows()
 
 
 def _cmd_diam(args):
@@ -258,14 +258,13 @@ def _submultiplicative(balls) -> bool:
 
 def _suite_growth(args):
     group, gens = _instance(args)
-    profile = growth.ball_growth(group, gens)
-    balls = profile.ball_sizes
-    gamma = profile.diameter
-    checks = [{"name": "submultiplicativity", "ok": _submultiplicative(balls)}]
-    flat = growth.flatness_report(profile)
+    ball = growth.enumerate_ball(group, gens)
+    gamma = ball.diameter
+    checks = [{"name": "submultiplicativity", "ok": _submultiplicative(ball.ball_sizes)}]
+    flat = growth.flatness_report(ball)
     checks.append({"name": "freiman_diameter_bound", "ok": gamma <= flat.freiman_bound, "gamma": gamma, "bound": flat.freiman_bound})
     ok = all(c["ok"] for c in checks)
-    return ok, {"group": group.name, "checks": checks, "profile": profile.to_dict(), "flatness": flat.to_dict()}
+    return ok, {"group": group.name, "checks": checks, "profile": ball.to_dict(), "flatness": flat.to_dict()}
 
 
 _NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1)))

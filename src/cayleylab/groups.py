@@ -93,7 +93,11 @@ def order_cap(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("CAYLEY_LAB_CAP")
-    return int(env) if env else DEFAULT_ORDER_CAP
+    if not env:
+        return DEFAULT_ORDER_CAP
+    if not (env.isascii() and env.isdigit()):
+        raise SpecSemanticError(f"CAYLEY_LAB_CAP must be a nonnegative integer; got {env!r}")
+    return int(env)
 
 
 def _is_prime(n: int) -> bool:

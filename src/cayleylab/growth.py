@@ -18,6 +18,10 @@ reading the rows back gives the elements.  Other groups (the free nilpotent
 groups, and products with an infinite factor) run the tuple BFS, one mul per
 product and one encode per new element, to sort its sphere; it is also the
 reference the tests hold the array BFS to.  A ball keeps no bytes.
+
+A ball is its own growth profile: it sums its sphere sizes once, into
+``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics,
+the Ruzsa witness and the coset trajectory all read those totals.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -36,8 +41,6 @@ from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SpecSema
 __all__ = [
     "Ball",
     "enumerate_ball",
-    "GrowthProfile",
-    "ball_growth",
     "diameter",
     "NonGeneratingError",
     "DoublingScan",
@@ -68,7 +71,9 @@ class NonGeneratingError(RuntimeError):
 @dataclass(frozen=True)
 class Ball:
     """BFS enumeration of S^0, S^1, ... : the elements, sphere by sphere and
-    in canonical byte order within a sphere, and the sphere sizes.
+    in canonical byte order within a sphere, and the sphere sizes.  A ball is
+    its own growth profile: ``ball_sizes`` sums the spheres once, and every
+    growth diagnostic reads it.
 
     ``truncated`` means expansion stopped at max_radius or the cap first;
     otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
@@ -86,6 +91,19 @@ class Ball:
     capped: bool = False
     successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        balls = self.ball_sizes
+        for n in range(1, len(balls)):
+            if self.sphere_sizes[n] <= 0:
+                raise ValueError("empty interior sphere")
+            if balls[n] > self.gens.k * balls[n - 1]:
+                raise ValueError("ball grew faster than degree allows")
+
+    @cached_property
+    def ball_sizes(self) -> tuple[int, ...]:
+        """|S^0|, |S^1|, ...: the running totals of the sphere sizes."""
+        return tuple(itertools.accumulate(self.sphere_sizes))
+
     @property
     def complete(self) -> bool:
         return not self.truncated
@@ -98,9 +116,46 @@ class Ball:
     def radius(self) -> int:
         return len(self.sphere_sizes) - 1
 
+    @property
+    def diameter(self) -> Optional[int]:
+        return None if self.truncated else self.radius
+
     def index(self) -> dict:
         """Each element's position in the ball."""
         return {x: i for i, x in enumerate(self.elements)}
+
+    def ball(self, n: int) -> int:
+        """|S^n|, clamped at the closure for n past the diameter."""
+        if n < 0:
+            raise ValueError("radius must be nonnegative")
+        balls = self.ball_sizes
+        if n >= len(balls):
+            if self.truncated:
+                raise ValueError(f"ball truncated before radius {n}")
+            return balls[-1]
+        return balls[n]
+
+    def to_dict(self) -> dict:
+        return {
+            "sphere_sizes": list(self.sphere_sizes),
+            "ball_sizes": list(self.ball_sizes),
+            "diameter": self.diameter,
+            "group_order": self.group.order,
+            "k": self.gens.k,
+            "truncated": self.truncated,
+        }
+
+    def csv_rows(self) -> list[dict]:
+        rows = []
+        balls = self.ball_sizes
+        # ratios only where both radii are certainly inside the closure
+        gamma = -1 if self.truncated else len(balls) - 1
+        for n in range(len(balls)):
+            row = {"n": n, "sphere": self.sphere_sizes[n], "ball": balls[n]}
+            row["ratio_2n1"] = float(Fraction(balls[2 * n + 1], balls[n])) if 1 <= n and 2 * n + 1 <= gamma else ""
+            row["ratio_5n"] = float(Fraction(balls[5 * n], balls[n])) if 1 <= n and 5 * n <= gamma else ""
+            rows.append(row)
+        return rows
 
 
 def enumerate_ball(
@@ -215,90 +270,14 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
     return Ball(group, gens, _row_tuples(X), tuple(spheres), truncated, capped, successors)
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Sphere/ball sizes of a Cayley graph, with the diameter when reached."""
-
-    sphere_sizes: tuple[int, ...]
-    group_order: Optional[int]
-    k: int
-    truncated: bool
-
-    def __post_init__(self):
-        balls = self.ball_sizes
-        for n in range(1, len(balls)):
-            if self.sphere_sizes[n] <= 0:
-                raise ValueError("empty interior sphere")
-            if balls[n] > self.k * balls[n - 1]:
-                raise ValueError("ball grew faster than degree allows")
-
-    @property
-    def ball_sizes(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for s in self.sphere_sizes:
-            total += s
-            out.append(total)
-        return tuple(out)
-
-    @property
-    def diameter(self) -> Optional[int]:
-        if self.truncated:
-            return None
-        return len(self.sphere_sizes) - 1
-
-    @property
-    def reached(self) -> int:
-        return sum(self.sphere_sizes)
-
-    def ball(self, n: int) -> int:
-        """|S^n|, clamped at the closure for n past the diameter."""
-        if n < 0:
-            raise ValueError("radius must be nonnegative")
-        balls = self.ball_sizes
-        if n >= len(balls):
-            if self.truncated:
-                raise ValueError(f"profile truncated before radius {n}")
-            return balls[-1]
-        return balls[n]
-
-    def to_dict(self) -> dict:
-        return {
-            "sphere_sizes": list(self.sphere_sizes),
-            "ball_sizes": list(self.ball_sizes),
-            "diameter": self.diameter,
-            "group_order": self.group_order,
-            "k": self.k,
-            "truncated": self.truncated,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        rows = []
-        balls = self.ball_sizes
-        # ratios only where both radii are certainly inside the closure
-        gamma = -1 if self.truncated else len(balls) - 1
-        for n in range(len(balls)):
-            row = {"n": n, "sphere": self.sphere_sizes[n], "ball": balls[n]}
-            row["ratio_2n1"] = float(Fraction(balls[2 * n + 1], balls[n])) if 1 <= n and 2 * n + 1 <= gamma else ""
-            row["ratio_5n"] = float(Fraction(balls[5 * n], balls[n])) if 1 <= n and 5 * n <= gamma else ""
-            rows.append(row)
-        return rows
-
-
-def ball_growth(group: Group, gens: GeneratingSet, max_radius: Optional[int] = None) -> GrowthProfile:
-    """Exact sphere sizes up to min(max_radius, diameter)."""
-    ball = enumerate_ball(group, gens, max_radius=max_radius)
-    return GrowthProfile(ball.sphere_sizes, group.order, gens.k, ball.truncated)
-
-
 def diameter(group: Group, gens: GeneratingSet) -> int:
     """Exact diameter; raises NonGeneratingError if S closes on a proper subgroup."""
-    profile = ball_growth(group, gens)
-    if profile.truncated:
+    ball = enumerate_ball(group, gens)
+    if ball.truncated:
         raise ResourceRefusal("ball enumeration truncated before closure")
-    if group.order is not None and profile.reached < group.order:
-        raise NonGeneratingError(profile.reached, group.order)
-    return profile.diameter
+    if group.order is not None and ball.size < group.order:
+        raise NonGeneratingError(ball.size, group.order)
+    return ball.diameter
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +310,11 @@ class DoublingScan:
         }
 
 
-def doubling_scan(profile: GrowthProfile) -> DoublingScan:
-    if profile.truncated:
-        raise ValueError("doubling scan needs a complete profile")
-    gamma = profile.diameter
-    balls = profile.ball_sizes
+def doubling_scan(ball: Ball) -> DoublingScan:
+    if ball.truncated:
+        raise ValueError("doubling scan needs a complete ball")
+    gamma = ball.diameter
+    balls = ball.ball_sizes
     r2, r5 = [], []
     for n in range(1, gamma + 1):
         if 2 * n + 1 <= gamma:
@@ -368,11 +347,11 @@ class DoublingWindow:
         }
 
 
-def doubling_at_scale(profile: GrowthProfile, eps: float, delta: float) -> DoublingWindow:
+def doubling_at_scale(ball: Ball, eps: float, delta: float) -> DoublingWindow:
     """Smallest n in [gamma^{delta/2}, gamma^delta] with |S^{5n}| <= K |S^n|, K = 5^{2/(eps delta)}."""
-    if profile.truncated:
-        raise ValueError("needs a complete profile")
-    gamma = profile.diameter
+    if ball.truncated:
+        raise ValueError("needs a complete ball")
+    gamma = ball.diameter
     try:
         top = gamma**delta
     except OverflowError:
@@ -388,7 +367,7 @@ def doubling_at_scale(profile: GrowthProfile, eps: float, delta: float) -> Doubl
         return DoublingWindow(eps, delta, K, lo, hi, None, True)
     scale = None
     for n in range(lo, hi + 1):
-        if profile.ball(min(5 * n, gamma)) <= K * profile.ball(n):
+        if ball.ball(min(5 * n, gamma)) <= K * ball.ball(n):
             scale = n
             break
     return DoublingWindow(eps, delta, K, lo, hi, scale, False)
@@ -433,12 +412,13 @@ class FlatnessReport:
         }
 
 
-def flatness_report(profile: GrowthProfile) -> FlatnessReport:
-    if profile.truncated or profile.group_order is None:
-        raise ValueError("needs a complete profile of a finite group")
-    if profile.reached != profile.group_order:
-        raise NonGeneratingError(profile.reached, profile.group_order)
-    return FlatnessReport(profile.diameter, profile.group_order, profile.k)
+def flatness_report(ball: Ball) -> FlatnessReport:
+    order = ball.group.order
+    if ball.truncated or order is None:
+        raise ValueError("needs a complete ball of a finite group")
+    if ball.size != order:
+        raise NonGeneratingError(ball.size, order)
+    return FlatnessReport(ball.diameter, order, ball.gens.k)
 
 
 @dataclass(frozen=True)
@@ -450,21 +430,17 @@ class ModerateGrowthFit:
     argmax_n: int
     exact: bool
 
-    @property
-    def valid(self) -> bool:
-        return math.isfinite(float(self.A))
-
     def to_dict(self) -> dict:
         return {"d": self.d, "A": float(self.A), "argmax_n": self.argmax_n, "exact": self.exact}
 
 
-def moderate_fit(profile: GrowthProfile, d: float) -> ModerateGrowthFit:
+def moderate_fit(ball: Ball, d: float) -> ModerateGrowthFit:
     """A = max over 1 <= n <= gamma of (n/gamma)^d |G| / |S^n|, exact for integer d."""
-    if profile.truncated or profile.group_order is None:
-        raise ValueError("needs a complete profile of a finite group")
-    gamma = profile.diameter
-    order = profile.group_order
-    balls = profile.ball_sizes
+    order = ball.group.order
+    if ball.truncated or order is None:
+        raise ValueError("needs a complete ball of a finite group")
+    gamma = ball.diameter
+    balls = ball.ball_sizes
     if gamma == 0:
         return ModerateGrowthFit(d, Fraction(1), 0, True)
     exact = float(d).is_integer()
@@ -529,16 +505,11 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     ball = enumerate_ball(group, gens, max_radius=5 * n)
     if ball.capped or (not ball.complete and ball.radius < 5 * n):
         raise ResourceRefusal(f"ball truncated before radius {5 * n}")
-    balls_by_radius = list(itertools.accumulate(ball.sphere_sizes))
-
-    def ball_size(r: int) -> int:
-        return balls_by_radius[min(r, ball.radius)]
-
     # the ball is sphere-major: radius <= r is position < |S^r|
-    small = ball.elements[: ball_size(n)]
+    small = ball.elements[: ball.ball(n)]
     chosen: list = []
     occupied = set()
-    for x in ball.elements[: ball_size(4 * n)]:
+    for x in ball.elements[: ball.ball(4 * n)]:
         translate = {group.mul(x, b) for b in small}
         if occupied.isdisjoint(translate):
             chosen.append(x)
@@ -547,15 +518,15 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
 
     covering_ok = True
     index = ball.index()
-    within_2n = ball_size(2 * n)
+    within_2n = ball.ball(2 * n)
     inv_chosen = [group.inv(x) for x in chosen]
-    for z in ball.elements[: ball_size(4 * n)]:
+    for z in ball.elements[: ball.ball(4 * n)]:
         if not any(index.get(group.mul(xi, z), math.inf) < within_2n for xi in inv_chosen):
             covering_ok = False
             break
 
     witness = RuzsaWitness(
-        n, tuple(chosen), ball_size(n), ball_size(4 * n), ball_size(5 * n), disjoint_ok, covering_ok
+        n, tuple(chosen), ball.ball(n), ball.ball(4 * n), ball.ball(5 * n), disjoint_ok, covering_ok
     )
     if witness.size * witness.ball_n > witness.ball_5n:
         raise RuntimeError("disjointness bound |X||S^n| <= |S^{5n}| violated")
@@ -615,7 +586,7 @@ def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> 
         raise NonGeneratingError(ball.size, group.order)
     # labels appear in ball order, so S^j meets 1 + (the largest label in S^j) cosets
     largest = np.maximum.accumulate(left_coset_labels(ball, sub))
-    trajectory = tuple(int(c) + 1 for c in largest[np.cumsum(ball.sphere_sizes) - 1])
+    trajectory = tuple(int(c) + 1 for c in largest[np.subtract(ball.ball_sizes, 1)])
     index = trajectory[-1]
     r = 0
     while r + 1 < len(trajectory) and trajectory[r + 1] != trajectory[r]:

@@ -71,8 +71,6 @@ class WalkCurves:
     """Distances ||mu^(n) - mu_G||_p for n = 0..N and p in {1, 2, inf}."""
 
     group_order: int
-    k: int
-    gamma: int
     d1: np.ndarray
     d2: np.ndarray
     dinf: np.ndarray
@@ -168,7 +166,7 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Opti
         step += len(rows)
         if crossed.size:
             break
-    return WalkCurves(n, k, ctx.diameter, *(np.concatenate(part) for part in parts), last=v.copy())
+    return WalkCurves(n, *(np.concatenate(part) for part in parts), last=v.copy())
 
 
 def convolution_curve(
@@ -408,8 +406,7 @@ def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: flo
     rows = []
     for label, group, gens in instances:
         ctx = build_context(group, gens)
-        profile = ctx.profile()
-        scan = doubling_scan(profile)
+        scan = doubling_scan(ctx.ball)
         scale = scan.first_scale(K)
         gamma = ctx.diameter
         report = mixing_times(ctx, convolution_curve(ctx))

@@ -32,7 +32,6 @@ term, [G, G], and builds just that one normal closure.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -729,5 +728,5 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     index = ball.index()
     gamma = ball.radius
     # the ball is sphere-major: the radius of position i is the number of balls S^r of size <= i
-    m = bisect.bisect_right(list(itertools.accumulate(ball.sphere_sizes)), max(index[x] for x in comm))
+    m = bisect.bisect_right(ball.ball_sizes, max(index[x] for x in comm))
     return CommutatorDepthReport(m, gamma, len(comm), group.order)

@@ -53,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import AbelianSplit, GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, conjugate
-from .growth import Ball, GrowthProfile, enumerate_ball, left_coset_labels
+from .growth import Ball, enumerate_ball, left_coset_labels
 
 __all__ = [
     "CayleyContext",
@@ -131,9 +131,6 @@ class CayleyContext:
     def spectrum(self) -> SpectralReport:
         """lambda1 of this graph, solved on first use."""
         return lambda1(self)
-
-    def profile(self) -> GrowthProfile:
-        return GrowthProfile(self.ball.sphere_sizes, self.group.order, self.gens.k, self.ball.truncated)
 
     @property
     def diameter(self) -> int:
@@ -353,10 +350,6 @@ class CheegerReport:
     exact_value: Optional[Fraction]
     witness_size: Optional[int]
     witness_boundary: Optional[int]
-
-    @property
-    def value(self) -> float:
-        return float(self.exact_value) if self.exact_value is not None else self.h_upper
 
     def to_dict(self) -> dict:
         out = {"mode": self.mode, "witness_size": self.witness_size}
@@ -589,7 +582,7 @@ def rayleigh_probe(ctx: CayleyContext) -> RayleighReport:
         raise RuntimeError("distance test function collapsed to a constant")
     R = grad_sq / norm_sq
     rho = gamma // 3
-    ball_rho = ctx.profile().ball(rho)
+    ball_rho = ctx.ball.ball(rho)
     bound = (9 * ctx.k / gamma**2) * (ctx.n / ball_rho)
     spec = ctx.spectrum
     if spec.lambda1 > R + SLACK:

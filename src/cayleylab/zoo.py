@@ -210,12 +210,12 @@ def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
     full = SymFpGroup(n, p, "L")
     gens = full.generating_set()
     ball = enumerate_ball(full, gens, max_radius=radius)
-    pos = 0
-    for r, size in enumerate(ball.sphere_sizes):
-        for x in ball.elements[pos : pos + size]:
+    start = 0
+    for r, end in enumerate(ball.ball_sizes):
+        for x in ball.elements[start:end]:
             if any(abs(balanced_lift(v, p)) > r for v in x[n:]):
                 return False
-        pos += size
+        start = end
     return True
 
 

@@ -16,9 +16,9 @@ import cayleylab
 from cayleylab.groups import SubgroupOracle, build_group, reidemeister_schreier
 from cayleylab.growth import (
     approximate_group_witness,
-    ball_growth,
     diameter,
     doubling_scan,
+    enumerate_ball,
     flatness_report,
     moderate_fit,
 )
@@ -95,7 +95,7 @@ def test_criterion_05_heisenberg_growth():
     with criterion(5, "mod-31 Heisenberg growth exponent and doubling ceiling"):
         start = time.monotonic()
         inst = construct_family("ut:dim=3,p=31")
-        profile = ball_growth(inst.group, inst.gens)
+        profile = enumerate_ball(inst.group, inst.gens)
         xs = [math.log(n) for n in range(4, 13)]
         ys = [math.log(profile.ball(n)) for n in range(4, 13)]
         m = len(xs)
@@ -196,12 +196,12 @@ def test_criterion_10_schreier_contract():
         res = reidemeister_schreier(g, s, SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z"))
         d = res.index
         assert d == 3
-        ball = ball_growth(g, s)
+        ball = enumerate_ball(g, s)
         dist_ok = all(x in ((0,), (3,), (9,)) for x in res.generators.elements)  # inside S^(2d-1) and the subgroup
         assert dist_ok
         assert s.k <= d * res.generators.k and res.generators.k <= d * s.k
-        sub_profile = ball_growth(g, res.generators)
-        assert sub_profile.reached == 4
+        sub_profile = enumerate_ball(g, res.generators)
+        assert sub_profile.size == 4
         gamma, gamma0 = ball.diameter, sub_profile.diameter
         assert (gamma - d) / (2 * d) <= gamma0 <= gamma
 
@@ -212,8 +212,6 @@ def test_criterion_10_schreier_contract():
         res = reidemeister_schreier(gp, sp, SubgroupOracle(gg.contains, name="G_4"))
         d = res.index
         assert d == 2
-        from cayleylab.growth import enumerate_ball
-
         ball3 = enumerate_ball(gp, sp, max_radius=2 * d - 1)
         codes3 = {gp.encode(x) for x in ball3.elements}
         for x in res.generators.elements:
@@ -221,8 +219,8 @@ def test_criterion_10_schreier_contract():
             assert gg.contains(x)
         assert sp.k <= d * res.generators.k and res.generators.k <= d * sp.k
         gamma = diameter(gp, sp)
-        sub_profile = ball_growth(gp, res.generators)
-        assert sub_profile.reached == gg.order
+        sub_profile = enumerate_ball(gp, res.generators)
+        assert sub_profile.size == gg.order
         gamma0 = sub_profile.diameter
         assert (gamma - d) / (2 * d) <= gamma0 <= gamma
 
@@ -255,7 +253,7 @@ def test_criterion_12_ruzsa_witness():
 def test_criterion_13_moderate_growth_cross_check():
     with criterion(13, "moderate-growth fit: cycle exact, lamplighter non-flat direction"):
         g20 = build_group("cyclic:20")
-        fit20 = moderate_fit(ball_growth(g20, g20.generating_set()), 1)
+        fit20 = moderate_fit(enumerate_ball(g20, g20.generating_set()), 1)
         assert fit20.exact and fit20.A == 1
         # A = max over n <= gamma of (n/gamma)^d |G|/|S^n| is at most |G|/|S|,
         # since S^n contains S; for lamplighter:8 that is 2048/4 = 512 < 1e3
@@ -265,10 +263,10 @@ def test_criterion_13_moderate_growth_cross_check():
         # At m = 14 that is about 1687 without running anything; measured
         # A = 57344/33 (about 1738, gamma = 33), against about 887 at m = 13.
         ll = build_group("lamplighter:14")
-        profile = ball_growth(ll, ll.generating_set())
+        profile = enumerate_ball(ll, ll.generating_set())
         fit_ll = moderate_fit(profile, 1)
         flat_ll = flatness_report(profile)
-        flat20 = flatness_report(ball_growth(g20, g20.generating_set()))
+        flat20 = flatness_report(enumerate_ball(g20, g20.generating_set()))
         assert flat_ll.eps_star < flat20.eps_star
         assert float(fit_ll.A) > 1e3, float(fit_ll.A)
 
@@ -284,7 +282,7 @@ _DETERMINISM_PROBE = """
 import sys
 from cayleylab.cli import render_json
 from cayleylab.groups import SubgroupOracle, build_group
-from cayleylab.growth import approximate_group_witness, ball_growth, coset_saturation
+from cayleylab.growth import approximate_group_witness, coset_saturation, enumerate_ball
 from cayleylab.mixing import convolution_curve, mixing_times
 from cayleylab.nilprog import commutator_depth, enumerate_progression, progression_spec, verify_nesting, verify_power_laws
 from cayleylab.spectral import build_context, verify_spectral_inequalities
@@ -293,7 +291,7 @@ from cayleylab.zoo import construct_family
 reports = []
 for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
     inst = construct_family(spec)
-    reports.append(ball_growth(inst.group, inst.gens).to_dict())
+    reports.append(enumerate_ball(inst.group, inst.gens).to_dict())
 reports.append(verify_nesting(2, 2, (2, 2)).to_dict())
 reports.append(verify_power_laws(2, 2, (1, 1), 2, M=2).to_dict())
 ut11 = build_group("ut:dim=3,p=11")

@@ -12,7 +12,7 @@ import pytest
 import cayleylab
 from cayleylab import cli
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
-from cayleylab.growth import ball_growth
+from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
 
 
@@ -190,7 +190,7 @@ def double_loop_submultiplicative(balls):
 
 
 def test_submultiplicativity_matches_the_double_loop():
-    profiles = [ball_growth(inst.group, inst.gens).ball_sizes for inst in standard_zoo(max_order=5000)]
+    profiles = [enumerate_ball(inst.group, inst.gens).ball_sizes for inst in standard_zoo(max_order=5000)]
     assert all(cli._submultiplicative(balls) and double_loop_submultiplicative(balls) for balls in profiles)
     assert not cli._submultiplicative([1, 2, 3, 10]) and not double_loop_submultiplicative([1, 2, 3, 10])
     rng = random.Random(16)
@@ -279,3 +279,12 @@ def test_env_overrides_order_cap(monkeypatch, capsys):
     # with a tiny cap even small groups are refused
     monkeypatch.setenv("CAYLEY_LAB_CAP", "10")
     assert run(["diam", "-g", "cyclic:12"]) == EXIT_REFUSAL
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠"])
+def test_bad_order_cap_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("CAYLEY_LAB_CAP", value)
+    assert run(["diam", "-g", "cyclic:12"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "CAYLEY_LAB_CAP" in err
+    assert "Traceback" not in err

@@ -1,15 +1,17 @@
 """Ball growth, doubling, flatness, moderate growth, covering witnesses."""
 
+import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from cayleylab.groups import FreeNilpotentGroup, OracleError, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
+    Ball,
     CosetSaturation,
     NonGeneratingError,
     approximate_group_witness,
-    ball_growth,
     coset_saturation,
     diameter,
     doubling_at_scale,
@@ -24,7 +26,7 @@ from cayleylab.zoo import standard_zoo
 
 def test_cycle_profile_values():
     g = build_group("cyclic:100")
-    p = ball_growth(g, g.generating_set())
+    p = enumerate_ball(g, g.generating_set())
     assert p.ball(5) == 11
     assert p.ball(50) == 100
     assert p.diameter == 50
@@ -45,7 +47,7 @@ def test_infinite_group_needs_explicit_radius():
 
     with pytest.raises(ResourceRefusal):
         diameter(g, s)
-    profile = ball_growth(g, s, max_radius=6)
+    profile = enumerate_ball(g, s, max_radius=6)
     assert profile.truncated and profile.ball(6) > profile.ball(5)
 
 
@@ -59,9 +61,9 @@ def test_non_generating_set_detected():
 
 def test_profile_ball_clamps_and_truncation():
     g = build_group("cyclic:100")
-    p = ball_growth(g, g.generating_set())
+    p = enumerate_ball(g, g.generating_set())
     assert p.ball(200) == 100
-    truncated = ball_growth(g, g.generating_set(), max_radius=5)
+    truncated = enumerate_ball(g, g.generating_set(), max_radius=5)
     assert truncated.diameter is None
     with pytest.raises(ValueError):
         truncated.ball(10)
@@ -69,7 +71,7 @@ def test_profile_ball_clamps_and_truncation():
 
 def test_doubling_scan_values():
     g = build_group("cyclic:100")
-    scan = doubling_scan(ball_growth(g, g.generating_set()))
+    scan = doubling_scan(enumerate_ball(g, g.generating_set()))
     ratios = dict(scan.ratios_2n1)
     assert ratios[5] == Fraction(23, 11)
     assert all(r >= 1 for _, r in scan.ratios_2n1)
@@ -78,7 +80,7 @@ def test_doubling_scan_values():
 
 def test_doubling_window_linear_growth():
     g = build_group("cyclic:100")
-    profile = ball_growth(g, g.generating_set())
+    profile = enumerate_ball(g, g.generating_set())
     window = doubling_at_scale(profile, 0.5, 0.5)
     assert window.K == 5.0**8
     assert not window.window_empty
@@ -91,14 +93,14 @@ def test_doubling_window_linear_growth():
 
 def test_doubling_window_empty_is_flagged():
     g = build_group("cyclic:4")
-    profile = ball_growth(g, g.generating_set())  # gamma = 2
+    profile = enumerate_ball(g, g.generating_set())  # gamma = 2
     window = doubling_at_scale(profile, 0.5, 0.45)
     assert window.window_empty and window.scale is None
 
 
 def test_doubling_window_huge_k_saturates():
     g = build_group("cyclic:100")
-    profile = ball_growth(g, g.generating_set())
+    profile = enumerate_ball(g, g.generating_set())
     window = doubling_at_scale(profile, 1e-4, 1e-4)
     assert window.K == float("inf")
     assert window.window_empty or window.scale is not None
@@ -106,28 +108,28 @@ def test_doubling_window_huge_k_saturates():
 
 def test_moderate_fit_z20_exact():
     g = build_group("cyclic:20")
-    fit = moderate_fit(ball_growth(g, g.generating_set()), 1)
+    fit = moderate_fit(enumerate_ball(g, g.generating_set()), 1)
     assert fit.exact and fit.A == 1 and fit.argmax_n == 10
 
 
 def test_moderate_fit_d_zero_collapses():
     for spec in ("cyclic:20", "lamplighter:4"):
         g = build_group(spec)
-        profile = ball_growth(g, g.generating_set())
+        profile = enumerate_ball(g, g.generating_set())
         fit = moderate_fit(profile, 0)
-        assert fit.A == Fraction(profile.group_order, profile.k)
+        assert fit.A == Fraction(profile.group.order, profile.gens.k)
 
 
 def test_moderate_fit_nonincreasing_in_d():
     g = build_group("lamplighter:5")
-    profile = ball_growth(g, g.generating_set())
+    profile = enumerate_ball(g, g.generating_set())
     values = [float(moderate_fit(profile, d).A) for d in (1, 2, 3, 4)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_flatness_freiman_bound_on_zoo():
     for inst in standard_zoo():
-        profile = ball_growth(inst.group, inst.gens)
+        profile = enumerate_ball(inst.group, inst.gens)
         rep = flatness_report(profile)
         assert rep.gamma <= rep.freiman_bound
         assert rep.is_eps_flat(rep.eps_star) or rep.gamma == 0
@@ -135,14 +137,50 @@ def test_flatness_freiman_bound_on_zoo():
 
 def test_submultiplicativity_on_zoo():
     for inst in standard_zoo(max_order=5000):
-        profile = ball_growth(inst.group, inst.gens)
+        profile = enumerate_ball(inst.group, inst.gens)
         balls = profile.ball_sizes
         gamma = profile.diameter
         for n in range(1, gamma + 1):
             for m in range(n, gamma + 1 - n):
                 assert balls[n + m] <= balls[n] * balls[m]
         for n in range(gamma):
-            assert balls[n + 1] <= profile.k * balls[n]
+            assert balls[n + 1] <= profile.gens.k * balls[n]
+
+
+def test_ball_sizes_are_summed_once(monkeypatch):
+    original = Ball.__dict__["ball_sizes"]
+    sums = []
+
+    def counted(self):
+        sums.append(1)
+        return original.func(self)
+
+    wrapper = cached_property(counted)
+    wrapper.__set_name__(Ball, "ball_sizes")
+    monkeypatch.setattr(Ball, "ball_sizes", wrapper)
+    g = build_group("cyclic:100")
+    ball = enumerate_ball(g, g.generating_set())
+    ball.to_dict()
+    ball.csv_rows()
+    doubling_scan(ball)
+    doubling_at_scale(ball, 0.5, 0.5)
+    flatness_report(ball)
+    moderate_fit(ball, 1)
+    assert len(sums) == 1
+
+
+def test_doubling_window_matches_a_scan_of_the_spheres():
+    g = build_group("cyclic:60000")
+    ball = enumerate_ball(g, g.generating_set())
+    balls, total = [], 0
+    for s in ball.sphere_sizes:
+        total += s
+        balls.append(total)
+    gamma = len(balls) - 1
+    window = doubling_at_scale(ball, 100, 1)
+    assert (window.lo, window.hi) == (math.ceil(gamma**0.5), gamma)
+    scale = next(n for n in range(window.lo, window.hi + 1) if balls[min(5 * n, gamma)] <= window.K * balls[n])
+    assert window.scale == scale
 
 
 def test_only_complete_balls_carry_successors():

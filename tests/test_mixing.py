@@ -58,7 +58,7 @@ def step_loop_walk(ctx, n_max, stop_when_mixed, start=None):
     curves = [np.array(d) for d in (d1, d2, dinf)]
     if start is not None:
         curves = [np.concatenate([old, new]) for old, new in zip((start.d1, start.d2, start.dinf), curves)]
-    return WalkCurves(n, k, ctx.diameter, *curves, last=v)
+    return WalkCurves(n, *curves, last=v)
 
 
 def assert_same_walk(got, want):
