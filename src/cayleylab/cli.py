@@ -22,6 +22,7 @@ from .groups import (
     SpecSemanticError,
     SpecSyntaxError,
     build_group,
+    order_cap,
 )
 
 __all__ = ["main", "run", "emit_report", "render_json", "render_csv"]
@@ -157,6 +158,9 @@ def _cmd_grow(args):
         raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
     group, gens = _instance(args)
     ball = growth.enumerate_ball(group, gens, max_radius=args.radius)
+    if ball.capped:
+        # only an infinite group reaches the cap, and it needs -r
+        sys.stderr.write(f"note: stopped at the order cap CAYLEY_LAB_CAP={order_cap()}, before radius {args.radius}\n")
     report = ball.to_dict()
     if ball.complete:
         report["doubling"] = growth.doubling_scan(ball).to_dict()
@@ -187,10 +191,11 @@ def _cmd_mix(args):
     if args.p is not None and args.format != "csv":
         raise SpecSemanticError("--p restricts the csv curves; it needs --format csv")
     ctx = _context(args)
+    if args.format != "csv":
+        return True, mixing.mixing_times(ctx).to_dict(), None
+    # the csv lists every step, so only the walk serves it
     curves = mixing.convolution_curve(ctx)
     rep = mixing.mixing_times(ctx, curves)
-    if args.format != "csv":
-        return True, rep.to_dict(), None
     rows = curves.csv_rows()
     if args.p is not None:
         keep = {"1": "d1", "2": "d2", "inf": "dinf"}[args.p]

@@ -28,7 +28,19 @@ enumerates its graph once and solves once.
 Mixing times use the 1/10 threshold with ties pushed later: a crossing is
 declared only when the distance is below the threshold by more than 1e-12,
 so float noise can only make reported times conservative (later), which never
-falsifies the lower-bound facts.
+falsifies the lower-bound facts.  On a group whose abelian split has index 1
+(cyclic and abelian groups and their products) the walk operator is
+diagonal in the characters, so ``mixing_times`` reads T1, T2 and Tinf from
+them: mu^(*t) is one inverse FFT of w^t, where w_chi = 1 - B_chi/k comes from
+the 1x1 Fourier blocks of spectral, and each crossing is a bisection over t,
+since the distances never increase.  ``mix`` in json and table format and
+``quadratic_scan`` take this path; ``mix --format csv`` and ``verify mixing``
+need every step and walk, and so does every other group, whose blocks are
+not scalars.  Each probe carries a relative rounding bound in the 2-norm,
+rho(t) = 2 (||t |w|^(t-1) u||_2 / ||w^t||_2 + 10 ceil(log2 |G|) eps), with u
+bounding the error of w and the second term the FFT's (``_probe_bound``
+gives it in full); if any probe lies within its bound of the threshold, the
+report comes from the walk.
 """
 
 from __future__ import annotations
@@ -39,9 +51,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import GeneratingSet, Group
+from .groups import AbelianSplit, GeneratingSet, Group
 from .growth import doubling_scan
-from .spectral import CayleyContext, build_context
+from .spectral import CayleyContext, _characters, _fourier_blocks, build_context
 
 __all__ = [
     "WalkCurves",
@@ -58,7 +70,21 @@ __all__ = [
 
 TIE_EPS = 1e-12
 SLACK = 1e-9
+_EPS = float(np.finfo(float).eps)
 _BLOCK_BYTES = 1 << 20  # the walk's block of steps; a single step when one vector is larger
+
+
+def _norm_mu_g(order: int, p) -> float:
+    if p == 1:
+        return 1.0
+    if p == 2:
+        return order**-0.5
+    return 1.0 / order
+
+
+def _threshold(order: int, p) -> float:
+    """The level d_p must reach for a crossing: ||mu_G||_p / 10, less TIE_EPS."""
+    return _norm_mu_g(order, p) / 10.0 - TIE_EPS
 
 
 def default_n_max(k: int, gamma: int, order: int) -> int:
@@ -81,12 +107,7 @@ class WalkCurves:
         return len(self.d1) - 1
 
     def norm_mu_g(self, p) -> float:
-        n = self.group_order
-        if p == 1:
-            return 1.0
-        if p == 2:
-            return n**-0.5
-        return 1.0 / n
+        return _norm_mu_g(self.group_order, p)
 
     def curve(self, p) -> np.ndarray:
         if p == 1:
@@ -96,8 +117,7 @@ class WalkCurves:
         return self.dinf
 
     def crossing(self, p) -> Optional[int]:
-        threshold = self.norm_mu_g(p) / 10.0 - TIE_EPS
-        hits = np.nonzero(self.curve(p) <= threshold)[0]
+        hits = np.nonzero(self.curve(p) <= _threshold(self.group_order, p))[0]
         return int(hits[0]) if hits.size else None
 
     def csv_rows(self) -> list[dict]:
@@ -125,7 +145,7 @@ def _run_walk(ctx: CayleyContext, n_max: int, stop_when_mixed: bool, start: Opti
     n = ctx.n
     k = ctx.k
     uniform = 1.0 / n
-    thresh_inf = uniform / 10.0 - TIE_EPS
+    thresh_inf = _threshold(n, "inf")
     if start is None:
         v = np.zeros(n)
         v[0] = 1.0
@@ -221,23 +241,123 @@ class MixingReport:
         }
 
 
-def mixing_times(ctx: CayleyContext, curves: WalkCurves) -> MixingReport:
-    """First 1/10-threshold crossings of the walked curves for p = 1, 2, inf plus the relaxation time."""
+def _walk_eigenvalues(ctx: CayleyContext, split: AbelianSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Each character's walk eigenvalue w_chi = 1 - B_chi/k, on the grid of split.moduli, and a bound u on its rounding.
+
+    B_chi is the 1x1 Fourier block, the sum over S of 2 sin^2(pi theta_s)
+    plus an imaginary part that cancels, as S = S^-1.  Each term is within
+    6 eps of its value and the k nonnegative terms sum within k eps, so
+    |fl(w) - w| <= u = eps (|w| + (k + 8)(1 - w)), the division and the
+    subtraction included.  The trivial character's w = 1 is exact.
+    """
+    blocks = _fourier_blocks(ctx, split, _characters(split.moduli, 0, ctx.n))
+    w = (1.0 - blocks[:, 0, 0].real / ctx.k).reshape(split.moduli)
+    u = _EPS * (np.abs(w) + (ctx.k + 8) * (1.0 - w))
+    u.flat[0] = 0.0
+    return w, u
+
+
+def _probe_bound(w: np.ndarray, u: np.ndarray, t: int) -> float:
+    """rho(t), the relative rounding bound of the probe mu^(*t) = ifftn(w^t) in the 2-norm.
+
+    The spectrum's error is |fl(w^t) - w^t| <= e = t (|w| + u)^(t-1) u + eps |w|^t
+    per character, and the inverse FFT adds at most 10 ceil(log2 n) eps
+    relative to its output (pocketfft's passes, or the three FFTs of
+    Bluestein's method for a large prime); the 2 covers second-order terms:
+    rho(t) = 2 (||e||_2 / ||w^t||_2 + 10 ceil(log2 n) eps).
+    """
+    a = np.abs(w)
+    x = a**t
+    e = t * (a + u) ** (t - 1) * u + _EPS * x
+    return 2.0 * (float(np.linalg.norm(e) / np.linalg.norm(x)) + 10 * math.ceil(math.log2(w.size)) * _EPS)
+
+
+def _probe(w: np.ndarray, u: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d1, d2, dinf) at step t from one inverse FFT, and a bound on the rounding of each.
+
+    mu^(*t) has 2-norm ||w^t||_2 / sqrt(n) (Parseval), so its error is at most
+    delta = rho(t) ||w^t||_2 / sqrt(n) in the 2-norm, hence in the max norm and
+    sqrt(n) delta in the 1-norm; the distances' own rounding adds (n + 2) eps d.
+    """
+    n = w.size
+    x = w**t
+    mu = np.fft.ifftn(x).real.reshape(1, n)
+    d = np.concatenate(_distances(mu, 1.0 / n))
+    delta = _probe_bound(w, u, t) * float(np.linalg.norm(x)) / math.sqrt(n)
+    return d, delta * np.array([math.sqrt(n), 1.0, 1.0]) + (n + 2) * _EPS * d
+
+
+def _character_times(ctx: CayleyContext) -> Optional[tuple[Optional[int], Optional[int], Optional[int], int]]:
+    """T1, T2, Tinf and the horizon of the walk, read from the characters; None where they do not apply.
+
+    They apply when the group's abelian split has index 1, so that G = H is
+    abelian and the walk operator is diagonal in its characters: mu^(*t) is
+    the inverse FFT of w^t (Saloff-Coste, "Random walks on finite groups",
+    2004, section 3).  d1, d2 and dinf never increase in t (Young's
+    inequality) and all exceed their thresholds at t = 0, so each crossing
+    is found by bisection: Tinf on [0, default_n_max], then T1 and T2 on
+    [0, horizon], the horizon being Tinf when found and default_n_max
+    otherwise, where the walk that stops when mixed ends.  A probe whose
+    distance lies within its rounding bound (_probe) of the threshold
+    cannot be trusted to fall on the side it reads, and returns None too.
+    """
+    split = ctx.group.abelian_split()
+    if split is None or split.index != 1:
+        return None
+    w, u = _walk_eigenvalues(ctx, split)
+    thresholds = [_threshold(ctx.n, p) for p in (1, 2, "inf")]
+    probes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    undecided = []
+
+    def crossed(t: int, i: int) -> bool:
+        if t not in probes:
+            probes[t] = _probe(w, u, t)
+        d, bound = probes[t]
+        if abs(d[i] - thresholds[i]) <= bound[i]:
+            undecided.append(t)
+        return bool(d[i] <= thresholds[i])
+
+    def first_crossing(i: int, hi: int) -> Optional[int]:
+        if not crossed(hi, i):
+            return None
+        lo = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if crossed(mid, i) else (mid, hi)
+        return hi
+
+    n_max = default_n_max(ctx.k, ctx.diameter, ctx.n)
+    tinf = first_crossing(2, n_max)
+    horizon = n_max if tinf is None else tinf
+    t1, t2 = first_crossing(0, horizon), first_crossing(1, horizon)
+    return None if undecided else (t1, t2, tinf, horizon)
+
+
+def mixing_times(ctx: CayleyContext, curves: Optional[WalkCurves] = None) -> MixingReport:
+    """First 1/10-threshold crossings for p = 1, 2, inf, the horizon they were sought to, and the relaxation time.
+
+    From the given curves; without them, from the characters where
+    _character_times applies and decides every probe, and otherwise from
+    the walk convolution_curve(ctx), which stops once mixed.  Both give the
+    crossings the walk gives.
+    """
+    times = None if curves is not None else _character_times(ctx)
+    if times is None:
+        if curves is None:
+            curves = convolution_curve(ctx)
+        times = (curves.crossing(1), curves.crossing(2), curves.crossing("inf"), curves.steps)
+    *crossings, horizon = times
     spectral = ctx.spectrum
-    t1, t2, tinf = curves.crossing(1), curves.crossing(2), curves.crossing("inf")
-    t_rel = ctx.k / spectral.lambda1
     return MixingReport(
         ctx.group.name,
         ctx.n,
         ctx.k,
         ctx.diameter,
-        t1,
-        t2,
-        tinf,
-        t_rel,
+        *crossings,
+        ctx.k / spectral.lambda1,
         spectral.beta_S,
         spectral.beta_valid,
-        curves.steps,
+        horizon,
     )
 
 
@@ -409,7 +529,7 @@ def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: flo
         scan = doubling_scan(ctx.ball)
         scale = scan.first_scale(K)
         gamma = ctx.diameter
-        report = mixing_times(ctx, convolution_curve(ctx))
+        report = mixing_times(ctx)
         ratio = report.Tinf / gamma**2 if (report.Tinf is not None and gamma > 0) else None
         rows.append(
             ScanRow(

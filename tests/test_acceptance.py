@@ -146,7 +146,7 @@ def test_criterion_08_sharpness_trend():
         for n in (16, 32, 64):
             inst = construct_family(f"cyclic:{n}")
             ctx = build_context(inst.group, inst.gens)
-            rep = mixing_times(ctx, convolution_curve(ctx))
+            rep = mixing_times(ctx)
             ratios.append(rep.Tinf / rep.gamma**2)
         assert max(ratios) <= 2 * min(ratios), ratios
         lamp = []
@@ -283,7 +283,7 @@ import sys
 from cayleylab.cli import render_json
 from cayleylab.groups import SubgroupOracle, build_group
 from cayleylab.growth import approximate_group_witness, coset_saturation, enumerate_ball
-from cayleylab.mixing import convolution_curve, mixing_times
+from cayleylab.mixing import mixing_times
 from cayleylab.nilprog import commutator_depth, enumerate_progression, progression_spec, verify_nesting, verify_power_laws
 from cayleylab.spectral import build_context, verify_spectral_inequalities
 from cayleylab.zoo import construct_family
@@ -304,7 +304,7 @@ for spec in ("cyclic:20", "lamplighter:4"):
     reports.append(verify_spectral_inequalities(build_context(inst.group, inst.gens)).to_dict())
 inst16 = construct_family("cyclic:16")
 ctx16 = build_context(inst16.group, inst16.gens)
-reports.append(mixing_times(ctx16, convolution_curve(ctx16)).to_dict())
+reports.append(mixing_times(ctx16).to_dict())
 g12 = build_group("cyclic:12")
 oracle = SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")
 reports.append(coset_saturation(g12, g12.generating_set(), oracle).to_dict())

@@ -281,6 +281,19 @@ def test_env_overrides_order_cap(monkeypatch, capsys):
     assert run(["diam", "-g", "cyclic:12"]) == EXIT_REFUSAL
 
 
+def test_grow_notes_the_order_cap_on_stderr(monkeypatch, capsys):
+    argv = ["grow", "-g", "freenil:r=2,s=2", "-r", "1000", "--format", "json"]
+    monkeypatch.setenv("CAYLEY_LAB_CAP", "100000")
+    assert run(argv) == EXIT_OK
+    capped = capsys.readouterr()
+    assert capped.err == "note: stopped at the order cap CAYLEY_LAB_CAP=100000, before radius 1000\n"
+    assert json.loads(capped.out)["truncated"] is True
+    monkeypatch.setenv("CAYLEY_LAB_CAP", "1000000")
+    assert run(["grow", "-g", "freenil:r=2,s=2", "-r", "4", "--format", "json"]) == EXIT_OK
+    assert run(["grow", "-g", "cyclic:12", "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠"])
 def test_bad_order_cap_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("CAYLEY_LAB_CAP", value)

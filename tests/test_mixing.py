@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayleylab import cli, mixing
 from cayleylab.groups import build_group, symmetrize
 from cayleylab.mixing import (
     TIE_EPS,
@@ -17,7 +18,7 @@ from cayleylab.mixing import (
     verify_basic_mixing,
 )
 from cayleylab.spectral import build_context, lambda1
-from cayleylab.zoo import standard_zoo
+from cayleylab.zoo import construct_family, standard_zoo
 
 
 def step_loop_walk(ctx, n_max, stop_when_mixed, start=None):
@@ -104,7 +105,7 @@ def test_abelian_l2_matches_character_form():
 def test_mixing_times_cycle():
     g = build_group("cyclic:12")
     ctx = build_context(g, g.generating_set())
-    rep = mixing_times(ctx, convolution_curve(ctx))
+    rep = mixing_times(ctx)
     assert rep.T1 <= rep.T2 <= rep.Tinf
     assert rep.Tinf >= rep.gamma
     assert abs(rep.T_rel - 3 / (2 - 2 * math.cos(2 * math.pi / 12))) < 1e-9
@@ -113,7 +114,7 @@ def test_mixing_times_cycle():
 def test_mixing_times_whole_group_set():
     g = build_group("cyclic:3")
     ctx = build_context(g, symmetrize(g, [(1,), (2,)]))
-    rep = mixing_times(ctx, convolution_curve(ctx))
+    rep = mixing_times(ctx)
     assert (rep.T1, rep.T2, rep.Tinf) == (1, 1, 1)
 
 
@@ -290,3 +291,77 @@ def test_walk_off_the_simplex_names_the_step_of_the_loop():
     with pytest.raises(RuntimeError) as got:
         convolution_curve(broken)
     assert str(got.value) == str(want.value)
+
+
+def _abelian(inst) -> bool:
+    split = inst.group.abelian_split()
+    return split is not None and split.index == 1
+
+
+CHARACTER_SPECS = [inst.label for inst in standard_zoo() if _abelian(inst)] + [
+    "cyclic:300",
+    "cyclic:512",
+    "cyclic:768",
+    "abelian:300,7",
+    "abelian:2,2,2,2,2,2,2,2,2,2",
+    "product(cyclic:6)x(cyclic:5)",
+]
+
+
+@pytest.mark.parametrize("spec", CHARACTER_SPECS)
+def test_character_times_match_the_walk(spec):
+    inst = construct_family(spec)
+    ctx = build_context(inst.group, inst.gens)
+    assert mixing._character_times(ctx) is not None  # every probe decided: no fallback
+    # T1, T2, Tinf and horizon, hence crossings_found, and every other field
+    assert mixing_times(ctx) == mixing_times(ctx, convolution_curve(ctx))
+
+
+def test_probe_error_within_its_bound():
+    # exact rational distances of the walk on Z/12 against the FFT probes and their rounding bounds
+    g = build_group("cyclic:12")
+    ctx = build_context(g, g.generating_set())
+    w, u = mixing._walk_eigenvalues(ctx, g.abelian_split())
+    n, k = ctx.n, Fraction(ctx.k)
+    v = [Fraction(0)] * n
+    v[0] = Fraction(1)
+    for t in range(1, 41):
+        v = [sum((v[int(p[i])] for p in ctx.ball.successors), Fraction(0)) / k for i in range(n)]
+        diffs = [x - Fraction(1, n) for x in v]
+        exact = (sum(abs(d) for d in diffs), math.sqrt(sum(d * d for d in diffs)), max(abs(d) for d in diffs))
+        got, bound = mixing._probe(w, u, t)
+        for p in range(3):
+            assert abs(got[p] - float(exact[p])) <= bound[p], (t, p)
+
+
+def test_mix_json_on_abelian_groups_does_not_walk(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(mixing, "_run_walk", refuse)
+    for spec in ("cyclic:768", "abelian:4,4,9", "product(cyclic:6)x(cyclic:5)"):
+        for fmt in ("json", "table"):
+            assert cli.run(["mix", "-g", spec, "--format", fmt]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert '"Tinf":134278' in out
+
+
+def test_mix_on_a_nonabelian_group_walks(monkeypatch, capsys):
+    walks = []
+    run_walk = mixing._run_walk
+    monkeypatch.setattr(mixing, "_run_walk", lambda *args, **kwargs: walks.append(1) or run_walk(*args, **kwargs))
+    assert cli.run(["mix", "-g", "ut:dim=3,p=5", "--format", "json"]) == cli.EXIT_OK
+    assert walks == [1]
+
+
+def test_undecided_probe_falls_back_to_the_walk(monkeypatch):
+    g = build_group("cyclic:100")
+    ctx = build_context(g, g.generating_set())
+    want = mixing_times(ctx, convolution_curve(ctx))
+    walks = []
+    run_walk = mixing._run_walk
+    monkeypatch.setattr(mixing, "_run_walk", lambda *args, **kwargs: walks.append(1) or run_walk(*args, **kwargs))
+    monkeypatch.setattr(mixing, "_probe_bound", lambda w, u, t: 1e300)
+    assert mixing._character_times(ctx) is None
+    assert mixing_times(ctx) == want
+    assert walks == [1]
