@@ -232,8 +232,6 @@ def _validate_spec(spec: GroupSpec) -> GroupSpec:
         raise SpecSemanticError(f"{fam} needs parameters {sorted(required)}, got {sorted(have)}")
     if any(v <= 0 for _, v in spec.params):
         raise SpecSemanticError("parameters must be positive")
-    if fam == "cyclic" and spec.param("n") == 0:
-        raise SpecSemanticError("zero modulus")
     if fam in ("ut", "heis"):
         p = spec.param("p")
         if not _is_prime(p):
@@ -248,9 +246,6 @@ def _validate_spec(spec: GroupSpec) -> GroupSpec:
             raise SpecSemanticError(f"symfp requires p > n, got n={n}, p={p}")
         if n < 2:
             raise SpecSemanticError("symfp needs n >= 2")
-    if fam == "freenil":
-        if spec.param("r") < 1 or spec.param("s") < 1:
-            raise SpecSemanticError("freenil requires r >= 1 and s >= 1")
     # heis is an alias for ut:dim=3
     if fam == "heis":
         return GroupSpec("ut", (("dim", 3), ("p", spec.param("p"))))

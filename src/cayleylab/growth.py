@@ -14,7 +14,8 @@ A group with an array form (``group.codec``: every finite family) runs the
 array BFS: a sphere is an int64 array of coordinate rows, each generator acts
 on all of it at once, and ranks in canonical byte order stand in for the
 bytes, which it never writes; a row is an element's coordinate tuple, so
-reading the rows back gives the elements.  Other groups (the free nilpotent
+reading the rows back gives the elements, and the ball keeps the rows for
+the engines that read coordinates.  Other groups (the free nilpotent
 groups, and products with an infinite factor) run the tuple BFS, one mul per
 product and one encode per new element, to sort its sphere; it is also the
 reference the tests hold the array BFS to.  A ball keeps no bytes.
@@ -80,7 +81,9 @@ class Ball:
     the full boundary).  A complete ball carries ``successors``, an int64
     array of shape (k, size) whose entry [i, j] is the index of
     gens.elements[i] * elements[j]; a truncated ball carries None, since its
-    last sphere was never expanded.
+    last sphere was never expanded.  The array BFS also keeps the elements
+    as ``rows``, an int64 array of coordinate rows in ball order; the tuple
+    BFS has no rows and carries None.
     """
 
     group: Group
@@ -90,6 +93,7 @@ class Ball:
     truncated: bool
     capped: bool = False
     successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         balls = self.ball_sizes
@@ -264,10 +268,13 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
         starts.append(size)
         spheres.append(len(fresh))
         size += len(fresh)
+    # each list goes once it is joined, before the tuples are built: at 10^6
+    # elements a copy of the rows is over 100 MB, and of the successors k * 8 MB
     X = np.concatenate(blocks)
-    blocks.clear()  # at 10^6 elements each copy of the rows is over 100 MB
+    blocks.clear()
     successors = None if truncated else np.concatenate(rows, axis=1)
-    return Ball(group, gens, _row_tuples(X), tuple(spheres), truncated, capped, successors)
+    rows.clear()
+    return Ball(group, gens, _row_tuples(X), tuple(spheres), truncated, capped, successors, X)
 
 
 def diameter(group: Group, gens: GeneratingSet) -> int:

@@ -31,16 +31,16 @@ so float noise can only make reported times conservative (later), which never
 falsifies the lower-bound facts.  On a group whose abelian split has index 1
 (cyclic and abelian groups and their products) the walk operator is
 diagonal in the characters, so ``mixing_times`` reads T1, T2 and Tinf from
-them: mu^(*t) is one inverse FFT of w^t, where w_chi = 1 - B_chi/k comes from
-the 1x1 Fourier blocks of spectral, and each crossing is a bisection over t,
-since the distances never increase.  ``mix`` in json and table format and
+them: mu^(*t) is one inverse FFT of w^t, where w_chi = 1 - B_chi/k comes
+from the 1x1 Fourier blocks in the context's ``blocks``, the eigenvalues
+lambda1 reads too, and each crossing is a bisection over t, since the
+distances never increase.  ``mix`` in json and table format and
 ``quadratic_scan`` take this path; ``mix --format csv`` and ``verify mixing``
 need every step and walk, and so does every other group, whose blocks are
-not scalars.  Each probe carries a relative rounding bound in the 2-norm,
-rho(t) = 2 (||t |w|^(t-1) u||_2 / ||w^t||_2 + 10 ceil(log2 |G|) eps), with u
-bounding the error of w and the second term the FFT's (``_probe_bound``
-gives it in full); if any probe lies within its bound of the threshold, the
-report comes from the walk.
+not scalars.  Each probe carries a bound on its rounding in each norm
+(``_probe_bound``): through the 2-norm for d1 and d2, and through the
+1-norm of the spectrum's error for dinf; if any probe lies within its bound
+of the threshold, the report comes from the walk.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import AbelianSplit, GeneratingSet, Group
+from .groups import GeneratingSet, Group
 from .growth import doubling_scan
-from .spectral import CayleyContext, _characters, _fourier_blocks, build_context
+from .spectral import CayleyContext, build_context
 
 __all__ = [
     "WalkCurves",
@@ -241,50 +241,56 @@ class MixingReport:
         }
 
 
-def _walk_eigenvalues(ctx: CayleyContext, split: AbelianSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Each character's walk eigenvalue w_chi = 1 - B_chi/k, on the grid of split.moduli, and a bound u on its rounding.
+def _walk_eigenvalues(ctx: CayleyContext) -> tuple[np.ndarray, np.ndarray]:
+    """Each character's walk eigenvalue w_chi = 1 - B_chi/k, on the grid of ctx.split.moduli, and a bound u on its rounding.
 
-    B_chi is the 1x1 Fourier block, the sum over S of 2 sin^2(pi theta_s)
-    plus an imaginary part that cancels, as S = S^-1.  Each term is within
-    6 eps of its value and the k nonnegative terms sum within k eps, so
+    B_chi is the 1x1 Fourier block's eigenvalue in ctx.blocks, which is the
+    block's real part: the sum over S of 2 sin^2(pi theta_s), the imaginary
+    part cancelling as S = S^-1.  Each term is within 6 eps of its value and
+    the k nonnegative terms sum within k eps, so
     |fl(w) - w| <= u = eps (|w| + (k + 8)(1 - w)), the division and the
     subtraction included.  The trivial character's w = 1 is exact.
     """
-    blocks = _fourier_blocks(ctx, split, _characters(split.moduli, 0, ctx.n))
-    w = (1.0 - blocks[:, 0, 0].real / ctx.k).reshape(split.moduli)
+    w = (1.0 - ctx.blocks[:, 0] / ctx.k).reshape(ctx.split.moduli)
     u = _EPS * (np.abs(w) + (ctx.k + 8) * (1.0 - w))
     u.flat[0] = 0.0
     return w, u
 
 
-def _probe_bound(w: np.ndarray, u: np.ndarray, t: int) -> float:
-    """rho(t), the relative rounding bound of the probe mu^(*t) = ifftn(w^t) in the 2-norm.
+def _probe_bound(w: np.ndarray, u: np.ndarray, t: int) -> np.ndarray:
+    """Bounds on the rounding of the probe mu^(*t) = ifftn(w^t) in the 1-norm, the 2-norm and the max norm.
 
     The spectrum's error is |fl(w^t) - w^t| <= e = t (|w| + u)^(t-1) u + eps |w|^t
     per character, and the inverse FFT adds at most 10 ceil(log2 n) eps
-    relative to its output (pocketfft's passes, or the three FFTs of
-    Bluestein's method for a large prime); the 2 covers second-order terms:
-    rho(t) = 2 (||e||_2 / ||w^t||_2 + 10 ceil(log2 n) eps).
+    relative to its output in the 2-norm (pocketfft's passes, or the three
+    FFTs of Bluestein's method for a large prime); the 2 covers second-order
+    terms.  mu^(*t) has 2-norm ||w^t||_2 / sqrt(n) (Parseval), so its error
+    is at most delta = rho(t) ||w^t||_2 / sqrt(n) in the 2-norm, with
+    rho(t) = 2 (||e||_2 / ||w^t||_2 + 10 ceil(log2 n) eps), and sqrt(n) delta
+    in the 1-norm.  In the max norm the inverse DFT of e is at most
+    ||e||_1 / n, which is never above ||e||_2 / sqrt(n); the FFT's own term
+    is the same as in the 2-norm.
     """
+    n = w.size
     a = np.abs(w)
     x = a**t
     e = t * (a + u) ** (t - 1) * u + _EPS * x
-    return 2.0 * (float(np.linalg.norm(e) / np.linalg.norm(x)) + 10 * math.ceil(math.log2(w.size)) * _EPS)
+    fft = 10 * math.ceil(math.log2(n)) * _EPS
+    scale = float(np.linalg.norm(x)) / math.sqrt(n)
+    delta = 2.0 * (float(np.linalg.norm(e) / np.linalg.norm(x)) + fft) * scale
+    return np.array([math.sqrt(n) * delta, delta, 2.0 * (float(e.sum()) / n + fft * scale)])
 
 
 def _probe(w: np.ndarray, u: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """(d1, d2, dinf) at step t from one inverse FFT, and a bound on the rounding of each.
 
-    mu^(*t) has 2-norm ||w^t||_2 / sqrt(n) (Parseval), so its error is at most
-    delta = rho(t) ||w^t||_2 / sqrt(n) in the 2-norm, hence in the max norm and
-    sqrt(n) delta in the 1-norm; the distances' own rounding adds (n + 2) eps d.
+    The probe's own error (_probe_bound) bounds each distance's, and the
+    distances' own rounding adds (n + 2) eps d.
     """
     n = w.size
-    x = w**t
-    mu = np.fft.ifftn(x).real.reshape(1, n)
+    mu = np.fft.ifftn(w**t).real.reshape(1, n)
     d = np.concatenate(_distances(mu, 1.0 / n))
-    delta = _probe_bound(w, u, t) * float(np.linalg.norm(x)) / math.sqrt(n)
-    return d, delta * np.array([math.sqrt(n), 1.0, 1.0]) + (n + 2) * _EPS * d
+    return d, _probe_bound(w, u, t) + (n + 2) * _EPS * d
 
 
 def _character_times(ctx: CayleyContext) -> Optional[tuple[Optional[int], Optional[int], Optional[int], int]]:
@@ -301,10 +307,9 @@ def _character_times(ctx: CayleyContext) -> Optional[tuple[Optional[int], Option
     distance lies within its rounding bound (_probe) of the threshold
     cannot be trusted to fall on the side it reads, and returns None too.
     """
-    split = ctx.group.abelian_split()
-    if split is None or split.index != 1:
+    if ctx.split is None or ctx.split.index != 1:
         return None
-    w, u = _walk_eigenvalues(ctx, split)
+    w, u = _walk_eigenvalues(ctx)
     thresholds = [_threshold(ctx.n, p) for p in (1, 2, "inf")]
     probes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     undecided = []

@@ -142,8 +142,13 @@ def _shapes(r: int, s: int, basic: bool) -> list:
 
     [u, v] is a shape when u, v are shapes and v comes strictly before u; a
     basic commutator also needs the right component of a bracket u not to come
-    after v.
+    after v.  The count is held to HALL_SIZE_CAP before anything past it is
+    built: the r letters, then the r(r-1)/2 pairs of distinct letters (the
+    weight-2 shapes, basic or not), then each shape as it is found.
     """
+    too_many = f"commutator shapes for (r={r}, s={s}) exceed {HALL_SIZE_CAP}"
+    if r + (r * (r - 1) // 2 if s >= 2 else 0) > HALL_SIZE_CAP:
+        raise ResourceRefusal(too_many)
     shapes: list = list(range(r))
     by_weight: dict[int, list] = {1: list(range(r))}
     for w in range(2, s + 1):
@@ -156,11 +161,11 @@ def _shapes(r: int, s: int, basic: bool) -> list:
                     if kv >= ku or (basic and not isinstance(u, int) and tree_key(u[1], r) > kv):
                         continue
                     layer.append((u, v))
+                    if len(shapes) + len(layer) > HALL_SIZE_CAP:
+                        raise ResourceRefusal(too_many)
         layer.sort(key=lambda t: tree_key(t, r))
         by_weight[w] = layer
         shapes.extend(layer)
-        if len(shapes) > HALL_SIZE_CAP:
-            raise ResourceRefusal(f"commutator shapes for (r={r}, s={s}) exceed {HALL_SIZE_CAP}")
     return shapes
 
 

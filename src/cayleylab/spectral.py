@@ -9,7 +9,8 @@ sx outside A, so every crossing edge is counted once from its A-side endpoint.
 Every engine takes a CayleyContext, the one enumerated graph that
 build_context returns.  Its cached ``spectrum`` solves lambda1 once and
 serves cheeger, the inequality chain, the Rayleigh probe and the mixing
-engines.
+engines; its cached ``blocks`` holds every Laplacian eigenvalue, block by
+block, and serves lambda1 above the cap and the walk's characters in mixing.
 
 Solvers: lambda1 runs dense eigh on graphs of at most DENSE_CAP (256)
 vertices.  Above the cap it splits the Laplacian by the abelian subgroup H
@@ -17,12 +18,13 @@ of the group's ``abelian_split``: right translation by H commutes with the
 left Cayley walk, so L^2(G) is the sum of |H| spaces V_chi, one per character
 chi of H, and on each the Laplacian is a Hermitian block of size [G:H] (the
 spectrum of a regular abelian cover; Gross-Tucker, Topological Graph Theory,
-1987, ch. 2).  Batched eigvalsh solves every block, a bounded chunk at a
-time, so lambda1 is the least nonzero eigenvalue of the whole spectrum; the
-eigenvector of its block lifts to a real eigenvector of the graph for the
-sweep cut.  Above the cap, a group with no split, or with blocks larger than
-FOURIER_BLOCK_CAP, is refused; fourier_split decides this from the group
-alone, so commands refuse before they build the graph.  The dense solve is
+1987, ch. 2).  Batched eigvalsh solves every block once, a bounded chunk at
+a time, into ``ctx.blocks``, so lambda1 is the least nonzero eigenvalue of
+the whole spectrum; the eigenvector of its block lifts to a real
+eigenvector of the graph for the sweep cut.  Above the cap, a group with no
+split, or with blocks larger than FOURIER_BLOCK_CAP, is refused;
+fourier_split decides this from the group alone, so commands refuse before
+they build the graph.  The dense solve is
 the oracle the tests hold the blocks to.  coset_gap has only a dense path
 (numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
 refuses above COSET_GAP_CAP (4096).
@@ -92,7 +94,8 @@ class CayleyContext:
 
     ``ball.successors`` is the (k, n) table, one row per generator in the
     order of gens.elements; ``nonid`` is the same table without the identity
-    generator's row, the (k - 1, n) edge list of the Laplacian.
+    generator's row, the (k - 1, n) edge list of the Laplacian.  Each cached
+    property is computed once per graph, on first use.
     """
 
     ball: Ball
@@ -123,9 +126,22 @@ class CayleyContext:
         return np.delete(self.ball.successors, self.identity_gen, axis=0)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The vertices as int64 coordinate rows, in ball order."""
-        return np.array(self.ball.elements, dtype=np.int64)
+    def split(self) -> Optional[AbelianSplit]:
+        """The group's abelian split, which ``blocks`` is taken over."""
+        return self.group.abelian_split()
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Every Laplacian eigenvalue by Fourier block, shape (|H|, [G:H]): row c holds
+        the ascending eigenvalues of the block of character c in _characters order.
+
+        The blocks are solved in chunks of at most _CHUNK_BYTES.
+        """
+        moduli, d = self.split.moduli, self.split.index
+        count = math.prod(moduli)
+        chunk = max(1, _CHUNK_BYTES // (16 * d * d + 32 * self.k * d))
+        chunks = (_characters(moduli, a, min(a + chunk, count)) for a in range(0, count, chunk))
+        return np.concatenate([np.linalg.eigvalsh(_fourier_blocks(self, chars)) for chars in chunks])
 
     @cached_property
     def spectrum(self) -> SpectralReport:
@@ -246,57 +262,51 @@ def _half_angles(chars: np.ndarray, h: np.ndarray, moduli: tuple[int, ...]) -> n
     return (np.pi / period) * np.where(2 * phase > period, phase - period, phase)
 
 
-def _fourier_blocks(ctx: CayleyContext, split: AbelianSplit, chars: np.ndarray) -> np.ndarray:
-    """The Laplacian's blocks on V_chi for the characters chi of H in chars, shape (len(chars), d, d).
+def _fourier_blocks(ctx: CayleyContext, chars: np.ndarray) -> np.ndarray:
+    """The Laplacian's blocks on V_chi for the characters chi in chars of H, the subgroup of ctx.split; shape (len(chars), d, d).
 
     V_chi holds the f with f(x h) = chi(h) f(x), and f is fixed by its values
     phi_i at the representatives g_i.  s g_i = g_j h puts -chi(h) at (i, j) of
     the block kI - M_chi; where j = i, the generator's share of kI is kept with
     it, as 1 - chi(h) = 2 sin^2(pi theta) - i sin(2 pi theta).
     """
-    d, k = split.index, ctx.k
+    split, k = ctx.split, ctx.k
+    d = split.index
     coset, h = split.locate(np.concatenate([ctx.group.left_mul(s, split.reps) for s in ctx.gens.elements]))
-    coset = coset.reshape(k, d)
-    t = _half_angles(chars, h, split.moduli).reshape(len(chars), k, d)
+    coset, h = coset.reshape(k, d), h.reshape(k, d, -1)
     rows = np.arange(d)
     moved = coset != rows
     out = np.zeros((len(chars), d, d), dtype=complex)
     out[:, rows, rows] = moved.sum(axis=0)
-    # s permutes the cosets, so no (i, j) repeats within one generator
+    # s permutes the cosets, so no (i, j) repeats within one generator; the
+    # angles are taken per generator, so only one (len(chars), d) array of
+    # them sits beside the blocks
     for g in range(k):
+        t = _half_angles(chars, h[g], split.moduli)
         off, on = moved[g], ~moved[g]
-        out[:, rows[off], coset[g, off]] -= np.exp(2j * t[:, g, off])
-        out[:, rows[on], rows[on]] += 2 * np.sin(t[:, g, on]) ** 2 - 1j * np.sin(2 * t[:, g, on])
+        out[:, rows[off], coset[g, off]] -= np.exp(2j * t[:, off])
+        out[:, rows[on], rows[on]] += 2 * np.sin(t[:, on]) ** 2 - 1j * np.sin(2 * t[:, on])
     return out
 
 
-def _fourier_extremes(ctx: CayleyContext, split: AbelianSplit) -> tuple[float, float, np.ndarray]:
-    """Every eigenvalue, block by block: the least nonzero one, the largest, and a lambda1 eigenvector.
+def _fourier_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
+    """The least nonzero eigenvalue of ctx.blocks, the largest, and a lambda1 eigenvector.
 
-    The blocks stream in chunks of at most _CHUNK_BYTES.  The trivial
-    character's least eigenvalue is the constant function's 0 and is dropped.
-    The first block in character order that attains lambda1 lifts its
-    eigenvector phi to f(g_i h) = chi(h) phi_i; the real or the imaginary part
-    of f, whichever is longer, is a real eigenvector.
+    The trivial character's least eigenvalue is the constant function's 0 and
+    is dropped.  The first block in character order that attains lambda1
+    lifts its eigenvector phi to f(g_i h) = chi(h) phi_i; the real or the
+    imaginary part of f, whichever is longer, is a real eigenvector.
     """
-    d, count = split.index, math.prod(split.moduli)
-    chunk = max(1, _CHUNK_BYTES // (16 * d * d + 32 * ctx.k * d))
-    lam1, lam_max, best = math.inf, -math.inf, 0
-    for start in range(0, count, chunk):
-        vals = np.linalg.eigvalsh(_fourier_blocks(ctx, split, _characters(split.moduli, start, min(start + chunk, count))))
-        least = vals[:, 0].copy()
-        if start == 0:
-            least[0] = vals[0, 1] if d > 1 else math.inf
-        i = int(np.argmin(least))
-        if least[i] < lam1:
-            lam1, best = float(least[i]), start + i
-        lam_max = max(lam_max, float(vals[:, -1].max()))
+    split, vals = ctx.split, ctx.blocks
+    least = vals[:, 0].copy()
+    least[0] = vals[0, 1] if split.index > 1 else math.inf
+    best = int(np.argmin(least))  # the first minimum
     chi = _characters(split.moduli, best, best + 1)
-    phi = np.linalg.eigh(_fourier_blocks(ctx, split, chi)[0])[1][:, 1 if best == 0 else 0]
-    coset, h = split.locate(ctx.rows)
+    phi = np.linalg.eigh(_fourier_blocks(ctx, chi)[0])[1][:, 1 if best == 0 else 0]
+    coset, h = split.locate(ctx.ball.rows)
     lifted = np.exp(2j * _half_angles(chi, h, split.moduli)[0]) * phi[coset]
     vec = max(lifted.real, lifted.imag, key=np.linalg.norm)
-    return lam1, lam_max, vec / np.linalg.norm(vec)
+    return float(least[best]), float(vals[:, -1].max()), vec / np.linalg.norm(vec)
 
 
 def fourier_split(group: Group) -> Optional[AbelianSplit]:
@@ -321,12 +331,11 @@ def lambda1(ctx: CayleyContext) -> SpectralReport:
     """
     if ctx.n < 2:
         raise ValueError("spectral gap needs at least two vertices")
-    split = fourier_split(ctx.group)
-    if split is None:
+    if fourier_split(ctx.group) is None:
         lam1, lam_max, vec = _dense_extremes(ctx)
         solver = "dense"
     else:
-        lam1, lam_max, vec = _fourier_extremes(ctx, split)
+        lam1, lam_max, vec = _fourier_extremes(ctx)
         solver = "fourier"
     resid = float(np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec))
     norm = float(np.linalg.norm(vec))
@@ -406,7 +415,7 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
     order are tried, equal entries in code order.  Ties go to the shortest prefix.
     """
     n = ctx.n
-    order = np.lexsort((ctx.group.codec.rank(ctx.rows), fiedler))
+    order = np.lexsort((ctx.group.codec.rank(ctx.ball.rows), fiedler))
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     # appending x to the prefix before it changes the boundary by (k - 1) - 2 |{s != e : sx comes earlier}|

@@ -93,6 +93,12 @@ BAD_INPUTS = [
     # the basic-commutator box 3^14 is refused from the partial products
     # already built, before the one of 531,441 elements
     (["nilprog", "proper", "-r", "3", "-s", "3", "-L", "1,1,1"], EXIT_REFUSAL, "needs at least 1860081 group products"),
+    # the commutator shapes are counted against the cap before they are built:
+    # the r letters, then the r(r-1)/2 weight-2 shapes
+    (["nilprog", "basis", "-r", "10001", "-s", "1"], EXIT_REFUSAL, "exceed 10000"),
+    (["nilprog", "basis", "-r", "20000", "-s", "1"], EXIT_REFUSAL, "exceed 10000"),
+    (["nilprog", "basis", "-r", "1000", "-s", "2"], EXIT_REFUSAL, "exceed 10000"),
+    (["nilprog", "gencomms", "-r", "1000", "-s", "2"], EXIT_REFUSAL, "exceed 10000"),
     (["grow", "-g", "freenil:r=300,s=1", "-r", "1"], EXIT_USAGE, "r must be at most 256"),
     # a free nilpotent element holds one coefficient per word of length <= s
     (["grow", "-g", "freenil:r=20,s=4", "-r", "1"], EXIT_REFUSAL, "needs at least 8420 Magnus coefficients"),

@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
 import pytest
 
-from cayleylab.groups import FreeNilpotentGroup, OracleError, SubgroupOracle, build_group, symmetrize
+from cayleylab.groups import FreeNilpotentGroup, OracleError, SubgroupOracle, build_group, order_cap, symmetrize
 from cayleylab.growth import (
     Ball,
+    _tuple_bfs,
     CosetSaturation,
     NonGeneratingError,
     approximate_group_witness,
@@ -193,6 +195,16 @@ def test_only_complete_balls_carry_successors():
     assert capped.capped and capped.successors is None
     f = build_group("freenil:r=2,s=2")
     assert enumerate_ball(f, f.generating_set(), max_radius=3).successors is None
+
+
+def test_only_the_array_bfs_keeps_its_rows():
+    g = build_group("ut:dim=3,p=5")
+    s = g.generating_set()
+    for ball in (enumerate_ball(g, s), enumerate_ball(g, s, max_radius=2)):
+        assert ball.rows.dtype == np.int64 and ball.rows.tolist() == [list(x) for x in ball.elements]
+    assert _tuple_bfs(g, s, None, order_cap()).rows is None
+    f = build_group("freenil:r=2,s=2")
+    assert enumerate_ball(f, f.generating_set(), max_radius=3).rows is None
 
 
 def test_tuple_bfs_encodes_each_element_once(monkeypatch):

@@ -321,7 +321,7 @@ def test_probe_error_within_its_bound():
     # exact rational distances of the walk on Z/12 against the FFT probes and their rounding bounds
     g = build_group("cyclic:12")
     ctx = build_context(g, g.generating_set())
-    w, u = mixing._walk_eigenvalues(ctx, g.abelian_split())
+    w, u = mixing._walk_eigenvalues(ctx)
     n, k = ctx.n, Fraction(ctx.k)
     v = [Fraction(0)] * n
     v[0] = Fraction(1)
@@ -332,6 +332,14 @@ def test_probe_error_within_its_bound():
         got, bound = mixing._probe(w, u, t)
         for p in range(3):
             assert abs(got[p] - float(exact[p])) <= bound[p], (t, p)
+
+
+def test_max_norm_probes_are_decided_on_cyclic_8192():
+    # three dinf probes near Tinf lie within the 2-norm bound of the threshold, but outside the 1-norm one;
+    # the times are the ones the walk of 15.3 M steps reports
+    g = build_group("cyclic:8192")
+    ctx = build_context(g, g.generating_set())
+    assert mixing._character_times(ctx) == (12974304, 13509814, 15277860, 15277860)
 
 
 def test_mix_json_on_abelian_groups_does_not_walk(monkeypatch, capsys):

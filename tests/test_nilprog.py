@@ -66,6 +66,18 @@ def test_hall_basis_size_refusal():
         hall_basis(10, 5)
 
 
+def test_shapes_meet_the_cap_exactly():
+    # r letters alone, then r + r(r-1)/2 with the weight-2 pairs: 140 + 9730 fits, 141 + 9870 does not
+    # (the shapes alone: a basis of 10^4 letters also holds 10^4 weight vectors of length 10^4)
+    for basic in (True, False):
+        assert len(nilprog._shapes(10**4, 1, basic)) == 10**4
+        assert len(nilprog._shapes(140, 2, basic)) == 9870
+    for r, s in ((10**4 + 1, 1), (141, 2), (40, 3)):
+        for build in (hall_basis, generalised_commutators):
+            with pytest.raises(ResourceRefusal, match=f"commutator shapes for \\(r={r}, s={s}\\) exceed 10000"):
+                build(r, s)
+
+
 def reference_shapes(r, s, basic):
     """The two separate recursions the shared one replaced: hall_basis's (basic) and generalised_commutators'."""
     shapes = list(range(r))

@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cayleylab import spectral
+from cayleylab import cli, spectral
 from cayleylab.groups import GeneratingSet, OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
 from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
 from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
@@ -156,7 +157,7 @@ def test_solvers_agree_on_small_zoo():
         if inst.order < 8:
             continue
         ctx = build_context(inst.group, inst.gens)
-        dense, fourier = _dense_extremes(ctx)[0], _fourier_extremes(ctx, inst.group.abelian_split())[0]
+        dense, fourier = _dense_extremes(ctx)[0], _fourier_extremes(ctx)[0]
         assert abs(dense - fourier) < 1e-8, inst.label
 
 
@@ -174,22 +175,44 @@ def test_fourier_matches_dense_oracle_above_the_cap():
 
 
 def test_fourier_blocks_give_the_full_spectrum():
-    """The blocks of every character together hold the dense Laplacian's spectrum, and the lifted vector is a lambda1 eigenvector."""
+    """The blocks of every character together hold the dense Laplacian's spectrum, ctx.blocks holds
+    each block's eigenvalues in character order, and the lifted vector is a lambda1 eigenvector."""
     cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=2048)]
     cases += list(random_generating_sets())
     for label, g, gens in cases:
         ctx = build_context(g, gens)
-        split = g.abelian_split()
-        blocks = _fourier_blocks(ctx, split, _characters(split.moduli, 0, math.prod(split.moduli)))
+        split = ctx.split
+        blocks = _fourier_blocks(ctx, _characters(split.moduli, 0, math.prod(split.moduli)))
         assert blocks.shape == (g.order // split.index, split.index, split.index), label
         assert np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() < 1e-14, label
-        got = np.sort(np.linalg.eigvalsh(blocks).ravel())
+        assert np.array_equal(ctx.blocks, np.linalg.eigvalsh(blocks)), label
+        got = np.sort(ctx.blocks.ravel())
         want = np.linalg.eigvalsh(ctx.dense_laplacian())
         assert np.abs(got - want).max() < 1e-10, label
-        lam1, lam_max, vec = _fourier_extremes(ctx, split)
+        lam1, lam_max, vec = _fourier_extremes(ctx)
         assert abs(lam1 - want[1]) < 1e-10 and abs(lam_max - want[-1]) < 1e-10, label
         assert abs(np.linalg.norm(vec) - 1) < 1e-12, label
         assert np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec) < 1e-10, label
+
+
+@pytest.mark.parametrize("argv", [["mix", "-g", "cyclic:768"], ["spectrum", "-g", "ut:dim=3,p=31"]])
+def test_fourier_blocks_are_built_once_per_graph(argv, monkeypatch, capsys):
+    # every character's block once for ctx.blocks, and one more for the lifted eigenvector
+    seen = []
+    blocks = spectral._fourier_blocks
+
+    def counted(*args):
+        seen.append(len(args[-1]))
+        return blocks(*args)
+
+    # wherever a module of the package holds the function
+    for module in [m for name, m in sys.modules.items() if name.startswith("cayleylab.")]:
+        for name, value in list(vars(module).items()):
+            if value is blocks:
+                monkeypatch.setattr(module, name, counted)
+    assert cli.run(argv) == cli.EXIT_OK
+    split = build_group(argv[-1]).abelian_split()
+    assert sum(seen) == math.prod(split.moduli) + 1
 
 
 @pytest.mark.parametrize("n", [257, 768, 4096, 65536])
