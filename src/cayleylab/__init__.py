@@ -1,86 +1,7 @@
-"""cayley-lab: exact growth, spectral and mixing diagnostics for finite Cayley graphs."""
+"""cayley-lab: exact growth, spectral and mixing diagnostics for finite Cayley graphs.
 
-from .groups import (
-    GeneratingSet,
-    Group,
-    GroupSpec,
-    OracleError,
-    ResourceRefusal,
-    SpecSemanticError,
-    SpecSyntaxError,
-    SubgroupOracle,
-    build_group,
-    parse_group_spec,
-    reidemeister_schreier,
-    symmetrize,
-)
-from .growth import (
-    approximate_group_witness,
-    coset_saturation,
-    diameter,
-    doubling_at_scale,
-    doubling_scan,
-    enumerate_ball,
-    flatness_report,
-    moderate_fit,
-)
-from .mixing import convolution_curve, mixing_times, quadratic_scan, verify_basic_mixing
-from .nilprog import (
-    commutator_depth,
-    enumerate_progression,
-    generalised_commutators,
-    hall_basis,
-    progression_spec,
-    verify_nesting,
-    verify_power_laws,
-    verify_properness,
-)
-from .spectral import build_context, cheeger, coset_gap, lambda1, rayleigh_probe, verify_spectral_inequalities
-from .zoo import construct_family, standard_zoo, verify_lgg
+Import from the modules: ``cayleylab.groups``, ``growth``, ``spectral``,
+``mixing``, ``nilprog``, ``zoo`` and ``cli``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GeneratingSet",
-    "Group",
-    "GroupSpec",
-    "OracleError",
-    "ResourceRefusal",
-    "SpecSemanticError",
-    "SpecSyntaxError",
-    "SubgroupOracle",
-    "approximate_group_witness",
-    "build_context",
-    "build_group",
-    "cheeger",
-    "commutator_depth",
-    "construct_family",
-    "convolution_curve",
-    "coset_gap",
-    "coset_saturation",
-    "diameter",
-    "doubling_at_scale",
-    "doubling_scan",
-    "enumerate_ball",
-    "enumerate_progression",
-    "flatness_report",
-    "generalised_commutators",
-    "hall_basis",
-    "lambda1",
-    "mixing_times",
-    "moderate_fit",
-    "parse_group_spec",
-    "progression_spec",
-    "quadratic_scan",
-    "rayleigh_probe",
-    "reidemeister_schreier",
-    "standard_zoo",
-    "symmetrize",
-    "verify_basic_mixing",
-    "verify_lgg",
-    "verify_nesting",
-    "verify_power_laws",
-    "verify_properness",
-    "verify_spectral_inequalities",
-    "__version__",
-]

@@ -14,11 +14,12 @@ subgroups), free nilpotent groups of given rank and step (modelled exactly as
 units with constant term 1 in the degree-truncated free associative ring over
 Z), and binary direct products of any of these.
 
-Every finite family also has an array form, its ``codec`` (an ArrayCodec):
-the coordinate tuple of an element is a row of int64s, ranked in canonical
-byte order without writing any bytes, and the family multiplies a whole array
-of rows on the left by one element at a time.  The BFS in ``growth`` runs on
-those arrays, and a row read back with ``tolist`` is the element itself.
+Every finite family whose ranks fit below RANK_LIMIT also has an array
+form, its ``codec`` (an ArrayCodec): the coordinate tuple of an element is a
+row of int64s, ranked in canonical byte order without writing any bytes, and
+the family multiplies a whole array of rows on the left by one element at a
+time.  The BFS in ``growth`` runs on those arrays, and a row read back with
+``tolist`` is the element itself.
 
 Every finite family also names an abelian subgroup H, its ``abelian_split``:
 the coset representatives of G/H and the map from an element to its coset
@@ -305,8 +306,8 @@ class Group:
     A group whose ``codec`` is not None also has an array form, used by the
     BFS: an element's coordinates are one int64 row, and ``left_mul(s, X)``
     returns the rows of s*x for every row x of X, for any element s.  Every
-    finite family has one; the free nilpotent groups, and products with an
-    infinite factor, have none.
+    finite family has one unless its ranks pass RANK_LIMIT; the free
+    nilpotent groups, and products with an infinite factor, have none.
     """
 
     name: str = "group"
@@ -401,7 +402,7 @@ class AbelianSplit:
 
 
 def _codec(radices: tuple[int, ...]) -> Optional[ArrayCodec]:
-    """A family's codec, or None when its ranks would not fit (the BFS then runs on tuples)."""
+    """A family's codec, or None when its ranks would not fit (the BFS then refuses a closure)."""
     codec = ArrayCodec(radices)
     return codec if math.prod(codec.key_radices) <= RANK_LIMIT else None
 
@@ -443,9 +444,6 @@ class AbelianGroup(Group):
             gens.append(tuple(e))
         return gens
 
-    def describe(self, a) -> str:
-        return "(" + ",".join(map(str, a)) + ")"
-
 
 class CyclicGroup(AbelianGroup):
     """Z/n, the abelian group with the one modulus n.
@@ -459,9 +457,6 @@ class CyclicGroup(AbelianGroup):
         super().__init__((n,))
         self.n = n
         self.name = f"cyclic:{n}"
-
-    def describe(self, a) -> str:
-        return str(a[0])
 
 
 class UnitriangularGroup(Group):
@@ -545,9 +540,6 @@ class UnitriangularGroup(Group):
             gens.append(tuple(e))
         return gens
 
-    def describe(self, a) -> str:
-        return "ut(" + ",".join(f"{i}{j}:{v}" for (i, j), v in zip(self._pairs, a)) + ")"
-
 
 class LamplighterGroup(Group):
     """Z/M ltimes (Z/2)^M with cyclically permuted lamp coordinates.
@@ -596,9 +588,6 @@ class LamplighterGroup(Group):
         move = (1 % self.m,) + (0,) * self.m
         switch = (0, 1) + (0,) * (self.m - 1)
         return [move, switch]
-
-    def describe(self, a) -> str:
-        return f"(pos={a[0]}, lamps={''.join(map(str, a[1:]))})"
 
 
 class SymFpGroup(Group):
@@ -707,9 +696,6 @@ class SymFpGroup(Group):
         sprime = symmetrize(gp, prime)
         oracle = SubgroupOracle(self.contains, name=self.name)
         return list(reidemeister_schreier(gp, sprime, oracle).generators.elements)
-
-    def describe(self, a) -> str:
-        return f"(perm={list(a[: self.n])}, vec={list(a[self.n :])})"
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -960,10 +946,6 @@ class ProductGroup(Group):
         s1 = self.g1.generating_set()
         s2 = self.g2.generating_set()
         return [a + b for a in s1.elements for b in s2.elements]
-
-    def describe(self, a) -> str:
-        d = self._d1
-        return f"({self.g1.describe(a[:d])}, {self.g2.describe(a[d:])})"
 
 
 def build_group(spec: GroupSpec | str) -> Group:

@@ -5,20 +5,23 @@ package: spheres and balls are exact integer counts, deduplicated on the
 elements themselves, and the element order it produces (sphere by sphere,
 canonical-byte order within a sphere) indexes every vector quantity
 downstream.  The BFS runs on one thread, and its output is a pure function of
-the group and the generating set.  It computes s*x for every generator s and
-every element x it expands, and a complete ball keeps the index of each
-product in its successor table, so the Cayley graph is enumerated once per
-ball and never again.
+the group and the generating set.
 
-A group with an array form (``group.codec``: every finite family) runs the
-array BFS: a sphere is an int64 array of coordinate rows, each generator acts
-on all of it at once, and ranks in canonical byte order stand in for the
-bytes, which it never writes; a row is an element's coordinate tuple, so
-reading the rows back gives the elements, and the ball keeps the rows for
-the engines that read coordinates.  Other groups (the free nilpotent
-groups, and products with an infinite factor) run the tuple BFS, one mul per
-product and one encode per new element, to sort its sphere; it is also the
-reference the tests hold the array BFS to.  A ball keeps no bytes.
+There is one graph builder.  A group with an array form (``group.codec``:
+every finite family whose coordinate ranks fit below 2^62) runs the array
+BFS: a sphere is an int64 array of coordinate rows, each generator acts on
+all of it at once, and ranks in canonical byte order stand in for the bytes,
+which it never writes; a row is an element's coordinate tuple, so reading the
+rows back gives the elements, and the ball keeps the rows for the engines
+that read coordinates.  It computes s*x for every generator s and every
+element x it expands, and a complete ball keeps the index of each product in
+its successor table, so the Cayley graph is enumerated once per ball and
+never again.  Other groups (the free nilpotent groups, products with an
+infinite factor, and finite groups whose ranks pass 2^62) only count: the
+tuple BFS, one mul per product and one encode per new element to sort its
+sphere, enumerates their truncated balls, elements and sphere sizes, and
+never closes one; a closure on such a group is refused before either BFS
+starts.  A ball keeps no bytes.
 
 A ball is its own growth profile: it sums its sphere sizes once, into
 ``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics,
@@ -79,12 +82,12 @@ class Ball:
 
     ``truncated`` means expansion stopped at max_radius or the cap first;
     otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
-    the full boundary).  A complete ball carries ``successors``, an int64
-    array of shape (k, size) whose entry [i, j] is the index of
-    gens.elements[i] * elements[j]; a truncated ball carries None, since its
-    last sphere was never expanded.  The array BFS also keeps the elements
-    as ``rows``, an int64 array of coordinate rows in ball order; the tuple
-    BFS has no rows and carries None.
+    the full boundary).  Only the array BFS fills the last two fields; the
+    tuple BFS leaves None in both.  A complete ball carries ``successors``,
+    an int64 array of shape (k, size) whose entry [i, j] is the index of
+    gens.elements[i] * elements[j]; a truncated one carries None, since its
+    last sphere was never expanded.  ``rows`` holds the elements as an int64
+    array of coordinate rows in ball order.
     """
 
     group: Group
@@ -151,16 +154,19 @@ class Ball:
         }
 
     def csv_rows(self) -> list[dict]:
-        rows = []
-        balls = self.ball_sizes
-        # ratios only where both radii are certainly inside the closure
-        gamma = -1 if self.truncated else len(balls) - 1
-        for n in range(len(balls)):
-            row = {"n": n, "sphere": self.sphere_sizes[n], "ball": balls[n]}
-            row["ratio_2n1"] = float(Fraction(balls[2 * n + 1], balls[n])) if 1 <= n and 2 * n + 1 <= gamma else ""
-            row["ratio_5n"] = float(Fraction(balls[5 * n], balls[n])) if 1 <= n and 5 * n <= gamma else ""
-            rows.append(row)
-        return rows
+        # ratios only on a complete ball, where both radii are inside the closure
+        scan = doubling_scan(self) if self.complete else DoublingScan((), ())
+        r2, r5 = dict(scan.ratios_2n1), dict(scan.ratios_5n)
+        return [
+            {
+                "n": n,
+                "sphere": sphere,
+                "ball": ball,
+                "ratio_2n1": float(r2[n]) if n in r2 else "",
+                "ratio_5n": float(r5[n]) if n in r5 else "",
+            }
+            for n, (sphere, ball) in enumerate(zip(self.sphere_sizes, self.ball_sizes))
+        ]
 
 
 def enumerate_ball(
@@ -173,11 +179,12 @@ def enumerate_ball(
 
     ``cap`` bounds the number of elements (default: the order cap); a sphere
     that would cross it stops the BFS with a capped, truncated ball.  The
-    array BFS runs when the group has a codec, the tuple BFS otherwise; both
-    return the same Ball.
+    array BFS runs when the group has a codec, the tuple BFS otherwise; a
+    closure (no max_radius) needs a codec and is refused without one.
     """
-    if max_radius is None and group.order is None:
-        raise ResourceRefusal(f"{group.name} is infinite: closure enumeration needs max_radius")
+    if max_radius is None and group.codec is None:
+        why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no array form"
+        raise ResourceRefusal(f"{group.name} {why}: closure enumeration needs max_radius")
     limit = order_cap(cap)
     if group.codec is None:
         return _tuple_bfs(group, gens, max_radius, limit)
@@ -185,42 +192,32 @@ def enumerate_ball(
 
 
 def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on element tuples: one mul per product, one encode per element."""
+    """The BFS on element tuples: one mul per product, one encode per new
+    element.  It only counts, so its ball has no successors and no rows."""
     mul, enc = group.mul, group.encode
     e = group.identity()
     elements: list = [e]
-    index: dict = {e: 0}
+    seen = {e}
     spheres = [1]
     frontier: list = [e]
-    rows: list[np.ndarray] = []  # per expanded sphere: successor indices, one row per element
     truncated = False
     capped = False
-    while frontier:
+    while True:
         if max_radius is not None and len(spheres) - 1 >= max_radius:
             truncated = True
             break
-        products = [mul(s, x) for x in frontier for s in gens.elements]
-        candidates = set(products).difference(index)
-        if len(elements) + len(candidates) > limit:
+        fresh = {mul(s, x) for x in frontier for s in gens.elements}.difference(seen)
+        if len(elements) + len(fresh) > limit:
             truncated = True
             capped = True
             break
-        # the new sphere is sorted before its indices exist, so products
-        # that land in it are resolved only after the loop below
-        next_frontier = []
-        for y in sorted(candidates, key=enc):
-            index[y] = len(elements)
-            elements.append(y)
-            next_frontier.append(y)
-        succ = np.fromiter(map(index.__getitem__, products), dtype=np.int64, count=len(products))
-        rows.append(succ.reshape(len(frontier), gens.k))
-        if not candidates:
+        if not fresh:
             break
-        spheres.append(len(candidates))
-        frontier = next_frontier
-    # one contiguous row per generator, so each permutation is a fast gather index
-    successors = None if truncated else np.concatenate(rows).T.copy()
-    return Ball(group, gens, tuple(elements), tuple(spheres), truncated, capped, successors)
+        frontier = sorted(fresh, key=enc)
+        elements += frontier
+        seen |= fresh
+        spheres.append(len(fresh))
+    return Ball(group, gens, tuple(elements), tuple(spheres), truncated, capped)
 
 
 def _row_tuples(X: np.ndarray) -> tuple:
@@ -229,7 +226,7 @@ def _row_tuples(X: np.ndarray) -> tuple:
 
 
 def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on coordinate rows; returns the Ball the tuple BFS returns."""
+    """The BFS on coordinate rows, the one writer of a ball's successors and rows."""
     codec = group.codec
     frontier = np.array([group.identity()], dtype=np.int64)
     blocks = [frontier]  # coordinate rows, one block per sphere
@@ -279,8 +276,9 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
 
 
 def closed_ball(group: Group, gens: GeneratingSet) -> Ball:
-    """The whole group as one BFS ball: refuses when the BFS stops first, and
-    raises NonGeneratingError when S closes on a proper subgroup."""
+    """The whole group as one array-BFS ball, with its successor table:
+    refuses a group without a codec or when the BFS stops first, and raises
+    NonGeneratingError when S closes on a proper subgroup."""
     ball = enumerate_ball(group, gens)
     if ball.truncated:
         raise ResourceRefusal("ball enumeration truncated before closure")

@@ -72,6 +72,7 @@ TIE_EPS = 1e-12
 SLACK = 1e-9
 _EPS = float(np.finfo(float).eps)
 _BLOCK_BYTES = 1 << 20  # the walk's block of steps; a single step when one vector is larger
+SCAN_K = 4.0  # quadratic_scan's doubling constant: the first n with |S^{2n+1}| <= SCAN_K |S^n|
 
 
 def _norm_mu_g(order: int, p) -> float:
@@ -525,14 +526,14 @@ class ScanRow:
         }
 
 
-def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]], K: float = 4.0) -> list[ScanRow]:
-    """Per-instance: gamma, first K-doubling scale, whether it is <= gamma^(2/3),
+def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]]) -> list[ScanRow]:
+    """Per-instance: gamma, first SCAN_K-doubling scale, whether it is <= gamma^(2/3),
     and the mixing-time-to-diameter-squared ratios."""
     rows = []
     for label, group, gens in instances:
         ctx = build_context(group, gens)
         scan = doubling_scan(ctx.ball)
-        scale = scan.first_scale(K)
+        scale = scan.first_scale(SCAN_K)
         gamma = ctx.diameter
         report = mixing_times(ctx)
         ratio = report.Tinf / gamma**2 if (report.Tinf is not None and gamma > 0) else None

@@ -3,14 +3,16 @@
 import itertools
 import json
 import os
+import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import cayleylab
-from cayleylab import cli
+from cayleylab import cli, growth
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
@@ -315,6 +317,46 @@ def test_grow_notes_the_order_cap_on_stderr(monkeypatch, capsys):
     assert run(["grow", "-g", "freenil:r=2,s=2", "-r", "4", "--format", "json"]) == EXIT_OK
     assert run(["grow", "-g", "cyclic:12", "--format", "json"]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
+    tuple_bfs = growth._tuple_bfs
+
+    def truncated_only(group, gens, max_radius, limit):
+        # a closure here would run until memory ran out, so fail instead
+        assert max_radius is not None, "the tuple BFS was asked for a closure"
+        return tuple_bfs(group, gens, max_radius, limit)
+
+    monkeypatch.setattr(growth, "_tuple_bfs", truncated_only)
+    monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
+    spec = "abelian:257,257,257,257"
+    for verb in ("diam", "grow"):
+        assert run([verb, "-g", spec]) == EXIT_REFUSAL
+        err = capsys.readouterr().err
+        assert err == f"refused: {spec} has coordinate ranks past 2^62, so no array form: closure enumeration needs max_radius\n"
+    assert run(["grow", "-g", spec, "-r", "2", "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sphere_sizes"] == [1, 8, 32]
+
+
+def readme_examples() -> list[list[str]]:
+    """The commands of README's Examples block, each without the program name."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "cayley-lab" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_examples()
+    assert len(examples) > 10
+    for argv in examples:
+        assert run(argv) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        assert out, argv
+        if argv == ["diam", "-g", "cyclic:12"]:
+            assert out == "6\n"
+    assert ["diam", "-g", "cyclic:12"] in examples
 
 
 @pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠"])

@@ -7,7 +7,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from cayleylab.groups import FreeNilpotentGroup, OracleError, SubgroupOracle, build_group, order_cap, symmetrize
+from cayleylab import growth
+from cayleylab.groups import FreeNilpotentGroup, OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
 from cayleylab.growth import (
     Ball,
     _tuple_bfs,
@@ -45,8 +46,6 @@ def test_diameter_examples():
 def test_infinite_group_needs_explicit_radius():
     g = build_group("freenil:r=2,s=2")
     s = g.generating_set()
-    from cayleylab.groups import ResourceRefusal
-
     with pytest.raises(ResourceRefusal):
         diameter(g, s)
     profile = enumerate_ball(g, s, max_radius=6)
@@ -205,9 +204,33 @@ def test_only_the_array_bfs_keeps_its_rows():
     s = g.generating_set()
     for ball in (enumerate_ball(g, s), enumerate_ball(g, s, max_radius=2)):
         assert ball.rows.dtype == np.int64 and ball.rows.tolist() == [list(x) for x in ball.elements]
-    assert _tuple_bfs(g, s, None, order_cap()).rows is None
+    # called directly, the tuple BFS closes the ball but writes no table
+    closed = _tuple_bfs(g, s, None, order_cap())
+    assert closed.complete and closed.rows is None and closed.successors is None
     f = build_group("freenil:r=2,s=2")
     assert enumerate_ball(f, f.generating_set(), max_radius=3).rows is None
+
+
+def test_closure_without_an_array_form_is_refused_before_either_bfs(monkeypatch):
+    """A finite group whose ranks pass 2^62 has no codec, so its closure is
+    refused at once; its truncated balls still come from the tuple BFS."""
+    monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
+    g = build_group("abelian:257,257,257,257")
+    s = g.generating_set()
+    assert g.codec is None and g.order == 257**4
+    ball = enumerate_ball(g, s, max_radius=2)
+    assert ball.sphere_sizes == (1, 8, 32) and ball.truncated and ball.successors is None
+
+    def no_bfs(*args):
+        raise AssertionError("a BFS started")
+
+    monkeypatch.setattr(growth, "_tuple_bfs", no_bfs)
+    monkeypatch.setattr(growth, "_array_bfs", no_bfs)
+    with pytest.raises(ResourceRefusal, match=r"^abelian:257,257,257,257 has coordinate ranks past 2\^62"):
+        enumerate_ball(g, s)
+    f = build_group("freenil:r=2,s=2")
+    with pytest.raises(ResourceRefusal, match="^freenil:r=2,s=2 is infinite: closure enumeration needs max_radius$"):
+        enumerate_ball(f, f.generating_set())
 
 
 def test_tuple_bfs_encodes_each_element_once(monkeypatch):

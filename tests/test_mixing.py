@@ -226,14 +226,14 @@ def test_quadratic_scan_rows():
     for n in (16, 32):
         g = build_group(f"cyclic:{n}")
         instances.append((g.name, g, g.generating_set()))
-    rows = quadratic_scan(instances, K=4.0)
+    rows = quadratic_scan(instances)
     assert len(rows) == 2
     for row in rows:
         assert row.tinf_over_gamma_sq is not None
         assert row.doubling_scale is not None
         assert row.scale_below_gamma_23
     # single-instance family: one row, no trend to assert
-    single = quadratic_scan(instances[:1], K=4.0)
+    single = quadratic_scan(instances[:1])
     assert len(single) == 1
 
 
