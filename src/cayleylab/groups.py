@@ -14,12 +14,13 @@ subgroups), free nilpotent groups of given rank and step (modelled exactly as
 units with constant term 1 in the degree-truncated free associative ring over
 Z), and binary direct products of any of these.
 
-Every finite family whose ranks fit below RANK_LIMIT also has an array
-form, its ``codec`` (an ArrayCodec): the coordinate tuple of an element is a
-row of int64s, ranked in canonical byte order without writing any bytes, and
-the family multiplies a whole array of rows on the left by one element at a
-time.  The BFS in ``growth`` runs on those arrays, and a row read back with
-``tolist`` is the element itself.
+Every family also has an array form: the coordinate tuple of an element is
+a row of int64s, and ``left_mul`` multiplies a whole array of rows on the
+left by one element at a time; a row read back with ``tolist`` is the
+element itself.  The progression engine in ``nilprog`` runs on those arrays.
+A finite family whose ranks fit below RANK_LIMIT adds a ``codec`` (an
+ArrayCodec), which ranks rows in canonical byte order without writing any
+bytes; the BFS in ``growth`` needs those ranks to close a ball.
 
 Every finite family also names an abelian subgroup H, its ``abelian_split``:
 the coset representatives of G/H and the map from an element to its coset
@@ -41,8 +42,9 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 1 << 24
 FREENIL_DIM_CAP = 1 << 12  # Magnus coefficients per free nilpotent element
-# ranks of coordinate rows stay below this, so the sum of two coordinates,
-# or of a rank and a coordinate, cannot wrap in int64
+# ranks of coordinate rows, and the coordinates of freenil rows, stay below
+# this, so the sum of two coordinates, or of a rank and a coordinate, cannot
+# wrap in int64
 RANK_LIMIT = 1 << 62
 
 __all__ = [
@@ -303,11 +305,12 @@ class Group:
     only on the arguments.  An element is the flat tuple of its coordinates,
     one canonical tuple per element.
 
-    A group whose ``codec`` is not None also has an array form, used by the
-    BFS: an element's coordinates are one int64 row, and ``left_mul(s, X)``
-    returns the rows of s*x for every row x of X, for any element s.  Every
-    finite family has one unless its ranks pass RANK_LIMIT; the free
-    nilpotent groups, and products with an infinite factor, have none.
+    Every group also has an array form: an element's coordinates are one
+    int64 row, and ``left_mul(s, X)`` returns the rows of s*x for every row x
+    of X, for any element s.  A ``codec`` adds only the ranks the BFS needs
+    to close a ball: every finite family has one unless its ranks pass
+    RANK_LIMIT; the free nilpotent groups, and products with an infinite
+    factor, have none.
     """
 
     name: str = "group"
@@ -321,6 +324,10 @@ class Group:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def left_mul(self, s, X: np.ndarray) -> np.ndarray:
+        """The rows of s*x for every coordinate row x of X."""
         raise NotImplementedError
 
     def encode(self, a) -> bytes:
@@ -756,6 +763,8 @@ class _MagnusTables:
         upto = list(itertools.accumulate((r**n for n in range(1, s + 1)), initial=0))
         self.rows = tuple(tuple((j, index[u + v]) for j, v in enumerate(words[: upto[s - len(u)]])) for u in words if len(u) < s)
         self.by_target = tuple(sorted(((i, j, k) for i, row in enumerate(self.rows) for j, k in row), key=lambda t: t[2]))
+        # each row as a pair of index arrays (the j, then the k), for left_mul
+        self.row_columns = tuple(tuple(np.array(col, dtype=np.intp) for col in zip(*row)) for row in self.rows)
         self.pieces = tuple(_TermPieces(w) for w in words)
         constant = _TermPieces(())[1]
         self.heads = tuple((n + 1).to_bytes(4, "little") + constant for n in range(len(words) + 1))
@@ -782,7 +791,9 @@ class FreeNilpotentGroup(Group):
     nonzero terms as (word, coeff) pairs, constant term first.  ``encode``
     writes those terms: a u32 count, then per term the u16 word length, the
     letters and the coefficient bytes (see ``_coeff_bytes``).  Above
-    FREENIL_DIM_CAP coefficients per element, construction is refused.
+    FREENIL_DIM_CAP coefficients per element, construction is refused.  In
+    the array form the coefficients are int64s, and ``left_mul`` refuses a
+    product with a coefficient that could reach RANK_LIMIT (2^62).
     """
 
     def __init__(self, r: int, s: int):
@@ -805,6 +816,7 @@ class FreeNilpotentGroup(Group):
         self._words = tables.words
         self._rows = tables.rows
         self._by_target = tables.by_target
+        self._row_columns = tables.row_columns
         self._pieces = tables.pieces
         self._heads = tables.heads
 
@@ -820,6 +832,26 @@ class FreeNilpotentGroup(Group):
                     if bj:
                         out[k] += ai * bj
         return tuple(out)
+
+    def left_mul(self, s, X):
+        # mul on columns: X + s, then s[i] X[:, j] added into column k for each
+        # word i of s that is nonzero.  Every output coefficient is bounded
+        # first, from s and the column maxima of X, so no int64 ever wraps
+        s = list(map(int, s))
+        top = np.abs(X).max(axis=0).tolist() if len(X) else [0] * len(s)
+        bound = list(map(operator.add, map(abs, s), top))
+        for si, row in zip(s, self._rows):
+            if si:
+                si = abs(si)
+                for j, k in row:
+                    bound[k] += si * top[j]
+        if max(bound) >= RANK_LIMIT:
+            raise ResourceRefusal(f"a product in {self.name} could reach a coefficient of {max(bound)}, past the row limit 2^62")
+        out = X + np.array(s, dtype=np.int64)
+        for si, (js, ks) in zip(s, self._row_columns):
+            if si:
+                out[:, ks] += si * X[:, js]
+        return out
 
     def inv(self, a):
         # the coefficient of word w in a * b = 1 is a[w] + b[w] + sum over

@@ -20,12 +20,16 @@ each bracket.
 The ordered, nilpotent and nilcomplete progressions are one ordered product
 of power ranges over one such list (the r letters, the basic or the
 generalised commutators); a commutator's side length L^chi is the product of
-L over its leaves.  Enumeration of progressions is extensional: Python sets of
-group elements, built by iterated set products (for exponent-box kinds) or by
-budgeted word search (for nilprogressions), and never encoded.  Verification of
-containments and power laws is exhaustive set comparison, never symbolic
-collection; the power laws walk P, P^2, ... once, under one work meter, and
-only their greedy cover reads an order, the target's canonical-byte order.
+L over its leaves, and adjacent factors that are powers of one element merge
+into one power range.  Enumeration of progressions is extensional: a
+progression is the set of its elements' int64 coordinate rows, built by set
+products through the group's ``left_mul`` (for exponent-box kinds) or by
+budgeted word search on tuples (for nilprogressions), and never encoded.
+Rows are deduplicated and compared through one integer key per row.
+Verification of containments and power laws is exhaustive set comparison,
+never symbolic collection; the power laws walk P, P^2, ... once, under one
+work meter, and only their greedy cover reads an order, the target's
+canonical-byte order, on tuples.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
@@ -37,12 +41,15 @@ term, [G, G], and builds just that one normal closure.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, symmetrize
+import numpy as np
+
+from .groups import RANK_LIMIT, FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, symmetrize
 from .growth import enumerate_ball
 
 __all__ = [
@@ -286,18 +293,24 @@ def progression_spec(
     return spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgressionSet:
-    """Deduplicated element set of a progression, with its formal exponent box."""
+    """Deduplicated element set of a progression, as int64 coordinate rows,
+    with its formal exponent box."""
 
     spec: ProgressionSpec
-    members: frozenset
+    rows: np.ndarray
     formal_box: Optional[int]
     convention: str = ""
 
     @property
     def cardinality(self) -> int:
-        return len(self.members)
+        return len(self.rows)
+
+    @functools.cached_property
+    def members(self) -> frozenset:
+        """The elements as coordinate tuples, built on first read."""
+        return frozenset(map(tuple, self.rows.tolist()))
 
     @property
     def proper(self) -> Optional[bool]:
@@ -306,7 +319,7 @@ class ProgressionSet:
         return self.cardinality == self.formal_box
 
     def contains_set(self, other: "ProgressionSet") -> bool:
-        return other.members <= self.members
+        return bool(_within(other.rows, self.rows).all())
 
     def to_dict(self) -> dict:
         out = {
@@ -324,34 +337,110 @@ class ProgressionSet:
         return out
 
 
-def _set_product(group: Group, A: set, B: set, meter: _WorkMeter, ahead: int) -> set:
-    meter.charge(len(A) * len(B), ahead)
-    mul = group.mul
-    return {mul(a, b) for a in A for b in B}
+def _row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each array, equal exactly when the rows are equal,
+    across all the arrays.
 
-
-def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> set:
-    """{x^l : |l| <= bound}."""
-    meter.charge(2 * bound + 1)
-    out = {group.identity()}
-    for step in (x, group.inv(x)):
-        cur = group.identity()
-        for _ in range(bound):
-            cur = group.mul(cur, step)
-            out.add(cur)
-    return out
-
-
-def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _WorkMeter) -> set:
-    """Set of products y_1^{l_1} ... y_t^{l_t} with |l_i| <= bound_i, right-to-left.
-
-    The partial product only grows, so the products still to come charge at
-    least its size times the sizes of their power ranges: the meter refuses
-    on that prediction before the partial product outgrows it.
+    Columns pack in mixed radix over their spans; before a column would take
+    the keys to RANK_LIMIT, the keys are re-ranked to 0, 1, ... in order (and,
+    should the column's span alone still be too wide, so is the column).
     """
-    ranges = [_power_range(group, y, bound, meter) for y, bound in reversed(factors)]
+    rows = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    key = np.zeros(len(rows), dtype=np.int64)
+    top = 1  # every key lies in [0, top)
+    for col in rows.T:
+        if not len(col):
+            break
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span == 1:
+            continue
+        if top * span > RANK_LIMIT:
+            key, top = _dense_rank(key)
+            if top * span > RANK_LIMIT:
+                col, span = _dense_rank(col)
+                lo = 0
+        key = key * span + (col - lo)
+        top *= span
+    return np.split(key, np.cumsum([len(a) for a in arrays[:-1]]))
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's position among the distinct values, and their count."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(distinct)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows."""
+    (key,) = _row_keys(rows)
+    return rows[np.unique(key, return_index=True)[1]]
+
+
+def _within(small: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """For each row of small, whether it is a row of big."""
+    ks, kb = _row_keys(small, big)
+    return np.isin(ks, kb)
+
+
+def _as_rows(group: Group, elements) -> np.ndarray:
+    """Coordinate tuples as one int64 array, a row each."""
+    return np.array(list(elements), dtype=np.int64).reshape(-1, len(group.identity()))
+
+
+def _set_product(group: Group, A: np.ndarray, B: np.ndarray, meter: _WorkMeter, ahead: int) -> np.ndarray:
+    """The distinct products a*b, a a row of A and b a row of B; A is the short side.
+
+    Left multiplication by one a is injective, so each block a*B is distinct
+    already when B is, and only the whole product needs a dedupe.
+    """
+    meter.charge(len(A) * len(B), ahead)
+    out = np.empty((len(A), *B.shape), dtype=np.int64)
+    for block, a in zip(out, A.tolist()):
+        block[:] = group.left_mul(a, B)
+    return _distinct(out.reshape(-1, B.shape[1]))
+
+
+def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> np.ndarray:
+    """{x^l : |l| <= bound}, each direction by doubling: x^k times the rows of
+    x^0 .. x^(k-1) gives those of x^k .. x^(2k-1)."""
+    meter.charge(2 * bound + 1)
+    halves = []
+    for step in (x, group.inv(x)):
+        rows = _as_rows(group, [group.identity()])
+        top = step  # x^len(rows)
+        while len(rows) <= bound:
+            rows = np.concatenate([rows, group.left_mul(top, rows[: bound + 1 - len(rows)])])
+            if len(rows) <= bound:
+                top = group.mul(top, top)
+        halves.append(rows)
+    return _distinct(np.concatenate(halves))
+
+
+def _merge_powers(group: Group, factors: list[tuple[object, int]]) -> list[tuple[object, int]]:
+    """Each run of adjacent factors whose values are equal or inverse as one
+    factor whose bound is the sum of theirs: y^a y^b over |a| <= A, |b| <= B
+    is y^l over |l| <= A + B."""
+    merged: list[tuple[object, int]] = []
+    for y, bound in factors:
+        if merged and y in (merged[-1][0], group.inv(merged[-1][0])):
+            merged[-1] = (merged[-1][0], merged[-1][1] + bound)
+        else:
+            merged.append((y, bound))
+    return merged
+
+
+def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _WorkMeter) -> np.ndarray:
+    """Rows of the products y_1^{l_1} ... y_t^{l_t} with |l_i| <= bound_i, right-to-left.
+
+    Adjacent powers of one element merge first.  The partial product only
+    grows, so the products still to come charge at least its size times the
+    sizes of their power ranges: the meter refuses on that prediction before
+    the partial product outgrows it.
+    """
+    ranges = [_power_range(group, y, bound, meter) for y, bound in reversed(_merge_powers(group, factors))]
     if not ranges:
-        return {group.identity()}
+        return _as_rows(group, [group.identity()])
     acc = ranges[0]
     rest = sum(map(len, ranges[1:]))
     for powers in ranges[1:]:
@@ -380,12 +469,12 @@ def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
     group = spec.group
     meter = _WorkMeter()
     if spec.kind == "nilprogression":
-        out = _enumerate_words(spec, meter)
+        rows = _as_rows(group, _enumerate_words(spec, meter))
         box, convention = None, ""
     else:
         factors, box, convention = _factors_for(spec)
-        out = _ordered_product(group, factors, meter)
-    return ProgressionSet(spec, frozenset(out), box, convention)
+        rows = _ordered_product(group, factors, meter)
+    return ProgressionSet(spec, rows, box, convention)
 
 
 def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> set:
@@ -431,10 +520,10 @@ class Containment:
 
 
 def _check_containment(group: Group, small: ProgressionSet, big: ProgressionSet, lhs: str, rhs: str) -> Containment:
-    missing = small.members - big.members
-    if not missing:
+    missing = small.rows[~_within(small.rows, big.rows)]
+    if not len(missing):
         return Containment(lhs, rhs, True)
-    return Containment(lhs, rhs, False, group.describe(min(missing, key=group.encode)))
+    return Containment(lhs, rhs, False, group.describe(min(map(tuple, missing.tolist()), key=group.encode)))
 
 
 @dataclass(frozen=True)
@@ -555,45 +644,49 @@ def verify_power_laws(
     g = base_spec.group
     base = enumerate_progression(base_spec)
     nL = tuple(n * l for l in L)
-    dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL))
-    P = base.members
+    dilated = enumerate_progression(progression_spec("nilcomplete", r, s, nL)).rows
+    P = base.rows
 
-    # one pass over the powers P^m, each the last one times P: part (2),
+    # one pass over the powers P^m, each P times the last one: part (2),
     # asserted exactly, reads P^1..P^n against the dilate, and part (1),
-    # reported, the least m <= MAX_POWER with the dilate inside P^m
+    # reported, the least m <= MAX_POWER with the dilate inside P^m.  P holds
+    # the identity, so P^(m+1) is P^m together with P times the rows that P^m
+    # adds to P^(m-1)
     meter = _WorkMeter()
-    known = set(P)
+    known = P
     frontier = P
     m = 1
-    holds = P <= dilated.members
-    minimal_m = 1 if with_min_power and dilated.members <= P else None
-    while frontier and (m < n or (with_min_power and minimal_m is None and m < MAX_POWER)):
-        new = _set_product(g, frontier, P, meter, 0).difference(known)
-        known |= new
+    holds = bool(_within(P, dilated).all())
+    minimal_m = 1 if with_min_power and _within(dilated, P).all() else None
+    while len(frontier) and (m < n or (with_min_power and minimal_m is None and m < MAX_POWER)):
+        product = _set_product(g, P, frontier, meter, 0)
+        new = product[~_within(product, known)]
+        known = np.concatenate([known, new])
         frontier = new
         m += 1
         if m <= n:
-            holds = holds and new <= dilated.members
-        if with_min_power and minimal_m is None and m <= MAX_POWER and dilated.members <= known:
+            holds = holds and bool(_within(new, dilated).all())
+        if with_min_power and minimal_m is None and m <= MAX_POWER and _within(dilated, known).all():
             minimal_m = m
 
-    # part (3), reported with a verified greedy-cover certificate
+    # part (3), reported with a verified greedy-cover certificate, on tuples
     cover_size = None
     cover_verified = None
     if M is not None:
         meter = _WorkMeter()
         ML = tuple(M * l for l in L)
-        target = enumerate_progression(progression_spec("nilcomplete", r, s, ML))
+        target = set(map(tuple, enumerate_progression(progression_spec("nilcomplete", r, s, ML)).rows.tolist()))
+        base_elements = list(map(tuple, P.tolist()))
         covered = set()
         translates: list = []
-        for z in sorted(target.members, key=g.encode):
+        for z in sorted(target, key=g.encode):
             if z in covered:
                 continue
             translates.append(z)
-            meter.charge(len(P))
-            covered.update(g.mul(p, z) for p in P)
+            meter.charge(len(base_elements))
+            covered.update(g.mul(p, z) for p in base_elements)
         cover_size = len(translates)
-        cover_verified = target.members <= covered
+        cover_verified = target <= covered
     return PowerLawReport(r, s, tuple(L), n, M, holds, minimal_m, cover_size, cover_verified)
 
 

@@ -295,6 +295,35 @@ def test_freenil_matches_sparse_oracle(r, s):
         assert g.terms(g.inv(a)) == oracle.inv(a0)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_freenil_left_mul_matches_mul_row_by_row(r, s):
+    g = FreeNilpotentGroup(r, s)
+    rng = random.Random(10 * r + s)
+    coeffs = [0, 0, 0, 1, -1, 2, -7, 40, -(10**6)]
+
+    def element():
+        return tuple(rng.choice(coeffs) for _ in g.identity())
+
+    for _ in range(10):
+        a = element()
+        X = [g.identity(), *(element() for _ in range(15))]
+        got = g.left_mul(a, np.array(X, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert [tuple(row) for row in got.tolist()] == [g.mul(a, x) for x in X]
+
+
+def test_freenil_left_mul_refuses_at_two_to_the_62():
+    # the coefficient of X1X1 in s*x is s[X1X1] + x[X1X1] + s[X1] x[X1]
+    g = FreeNilpotentGroup(1, 2)
+    s, x = (2**61, 0), (1, 0)
+    assert g.left_mul(s, np.array([x], dtype=np.int64)).tolist() == [list(g.mul(s, x))]
+    with pytest.raises(ResourceRefusal, match=r"2\^62"):
+        g.left_mul(s, np.array([(2, 0)], dtype=np.int64))
+    with pytest.raises(ResourceRefusal, match=r"2\^62"):
+        g.left_mul((2**62, 0), np.zeros((1, 2), dtype=np.int64))
+
+
 @pytest.mark.parametrize("r,s", [(2, 2), (2, 3)])
 def test_freenil_normal_forms_distinct(r, s):
     """Hall-basis normal forms with small exponents are pairwise distinct."""

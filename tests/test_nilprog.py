@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from sympy import divisors, mobius
 
@@ -270,6 +271,130 @@ def test_nilpotency_class_bounds_the_step():
 
 
 # ---------------------------------------------------------------------------
+# The row engine against the set-comprehension oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_set_product(group, A, B, meter, ahead):
+    meter.charge(len(A) * len(B), ahead)
+    mul = group.mul
+    return {mul(a, b) for a in A for b in B}
+
+
+def oracle_power_range(group, x, bound, meter):
+    meter.charge(2 * bound + 1)
+    out = {group.identity()}
+    for step in (x, group.inv(x)):
+        cur = group.identity()
+        for _ in range(bound):
+            cur = group.mul(cur, step)
+            out.add(cur)
+    return out
+
+
+def oracle_ordered_product(group, factors, meter):
+    """The set-comprehension ordered product the row engine replaced: power
+    ranges and set products of element tuples, one mul call per product."""
+    ranges = [oracle_power_range(group, y, bound, meter) for y, bound in reversed(factors)]
+    if not ranges:
+        return {group.identity()}
+    acc = ranges[0]
+    rest = sum(map(len, ranges[1:]))
+    for powers in ranges[1:]:
+        rest -= len(powers)
+        acc = oracle_set_product(group, powers, acc, meter, len(acc) * rest)
+    return acc
+
+
+def oracle_enumerate(spec, merge=True):
+    """The element set and meter charge of the set-comprehension engine; the
+    nilprogression's word search is the same code on both sides."""
+    meter = nilprog._WorkMeter()
+    if spec.kind == "nilprogression":
+        return nilprog._enumerate_words(spec, meter), meter.used
+    factors = nilprog._factors_for(spec)[0]
+    if merge:
+        factors = nilprog._merge_powers(spec.group, factors)
+    return oracle_ordered_product(spec.group, factors, meter), meter.used
+
+
+def _oracle_specs():
+    specs = [progression_spec(kind, *case) for case in ((2, 2, (1, 1)), (2, 2, (2, 1)), (3, 2, (1, 1, 1))) for kind in nilprog.KINDS]
+    ut = build_group("ut:dim=3,p=3")
+    specs.append(progression_spec("nilpotent", 2, 2, (2, 2), ut, ut.raw_generators()))
+    product = build_group("product(freenil:r=2,s=2)x(cyclic:3)")
+    x1, x2 = FreeNilpotentGroup(2, 2).raw_generators()
+    specs.append(progression_spec("ordered", 2, 2, (2, 3), product, [x1 + (1,), x2 + (2,)]))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _oracle_specs(), ids=lambda spec: f"{spec.kind}-{spec.group.name}-{spec.L}")
+def test_row_engine_matches_set_oracle(spec, monkeypatch):
+    meters = []
+
+    class RecordingMeter(nilprog._WorkMeter):
+        def __init__(self):
+            super().__init__()
+            meters.append(self)
+
+    members, used = oracle_enumerate(spec)
+    monkeypatch.setattr(nilprog, "_WorkMeter", RecordingMeter)
+    pset = enumerate_progression(spec)
+    assert pset.members == members and pset.cardinality == len(members)
+    assert [m.used for m in meters] == [used]
+
+
+_NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1)))
+
+
+@pytest.mark.parametrize("r, s, L", _NESTING_GRID)
+def test_merged_powers_give_the_unmerged_products(r, s, L):
+    for kind in ("ordered", "nilpotent", "nilcomplete"):
+        spec = progression_spec(kind, r, s, L)
+        assert enumerate_progression(spec).members == oracle_enumerate(spec, merge=False)[0]
+
+
+def test_merging_shortens_the_nilcomplete_products():
+    counts = {}
+    for r, s in ((2, 2), (2, 3), (3, 2)):
+        spec = progression_spec("nilcomplete", r, s, (1,) * r)
+        factors = nilprog._factors_for(spec)[0]
+        counts[r, s] = (len(factors), len(nilprog._merge_powers(spec.group, factors)))
+    assert counts == {(2, 2): (6, 3), (2, 3): (22, 8), (3, 2): (15, 6)}
+
+
+def test_row_keys_are_equal_exactly_when_rows_are():
+    """Spans of 2^32 force the keys to be re-ranked before the third column,
+    and a span of 2^61 forces the fourth column to be re-ranked as well: int64
+    products that wrapped would make keys collide."""
+    grid = [(a, b * (2**32 - 1), c * (2**32 - 1), d * (2**61 - 1)) for a in range(12) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+    rows = np.array(grid, dtype=np.int64)
+    arrays = [rows[::2], rows[:0], rows[1::3], rows[::-5]]
+    keys = np.concatenate(nilprog._row_keys(*arrays)).tolist()
+    tuples = [tuple(row) for a in arrays for row in a.tolist()]
+    assert len(keys) == len(tuples)
+    assert len(set(zip(keys, tuples))) == len(set(keys)) == len(set(tuples))
+
+
+def test_power_range_refuses_coefficients_at_two_to_the_62():
+    # the coefficient of X1^4 in x1^l is C(l, 4): about 0.9 * 2^62 at
+    # l = 100000, whose keys need both re-rankings, and past 2^62 at 200000
+    assert enumerate_progression(progression_spec("ordered", 1, 4, (100000,))).cardinality == 200001
+    with pytest.raises(ResourceRefusal, match=r"2\^62"):
+        enumerate_progression(progression_spec("ordered", 1, 4, (200000,)))
+
+
+def test_nesting_and_power_laws_never_read_members(monkeypatch):
+    def unread(self):
+        raise AssertionError("members read")
+
+    monkeypatch.setattr(ProgressionSet, "members", property(unread))
+    assert verify_nesting(2, 2, (1, 1)).holds
+    rep = verify_power_laws(2, 2, (1, 1), 2, M=2)
+    assert (rep.minimal_power_m, rep.cover_size) == (4, 63)
+
+
+# ---------------------------------------------------------------------------
 # Power laws
 # ---------------------------------------------------------------------------
 
@@ -296,9 +421,9 @@ def test_power_law_cover_follows_code_order():
 
 
 def test_power_laws_encode_only_to_sort(monkeypatch):
-    """Every progression is a set keyed on its elements: enumeration and the
-    nesting chain never encode, and the power laws encode only to sort the
-    825-element cover target."""
+    """Every progression is a set of coordinate rows keyed on integers:
+    enumeration and the nesting chain never encode, and the power laws encode
+    only to sort the 825-element cover target."""
     calls = []
     encode = FreeNilpotentGroup.encode
     monkeypatch.setattr(FreeNilpotentGroup, "encode", lambda self, a: calls.append(a) or encode(self, a))
@@ -401,7 +526,7 @@ def test_power_pass_reads_each_power_at_its_step(k, monkeypatch):
     def swapped(spec):
         if spec.L != (2, 2):
             return real(spec)
-        return ProgressionSet(spec, frozenset(power.values()), None)
+        return ProgressionSet(spec, np.array(list(power.values()), dtype=np.int64), None)
 
     monkeypatch.setattr(nilprog, "enumerate_progression", swapped)
     rep = verify_power_laws(2, 2, (1, 1), 2)

@@ -128,7 +128,7 @@ def test_array_bfs_matches_tuple_bfs_reference():
         codes = [g.encode(x) for x in full.elements]
         by_code = sorted(range(full.size), key=codes.__getitem__)
         assert np.argsort(g.codec.rank(np.array(full.elements, dtype=np.int64))).tolist() == by_code, label
-    # infinite groups have no array form: only the tuple BFS counts their balls
+    # infinite groups have no codec: only the tuple BFS counts their balls
     assert build_group("freenil:r=2,s=2").codec is None
     assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").codec is None
 
