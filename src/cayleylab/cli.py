@@ -204,11 +204,11 @@ def _cmd_mix(args):
 
 def _cmd_nilprog(args):
     if args.action == "basis":
-        basis = nilprog.hall_basis(args.r, args.s)
-        return True, {"r": args.r, "s": args.s, "size": basis.size, "commutators": basis.texts()}, None
+        basis = [e.text() for e in nilprog.hall_basis(args.r, args.s)]
+        return True, {"r": args.r, "s": args.s, "size": len(basis), "commutators": basis}, None
     if args.action == "gencomms":
-        gc = nilprog.generalised_commutators(args.r, args.s)
-        return True, {"r": args.r, "s": args.s, "size": gc.size, "entries": gc.texts(), "convention": gc.convention}, None
+        gc = [e.text() for e in nilprog.generalised_commutators(args.r, args.s)]
+        return True, {"r": args.r, "s": args.s, "size": len(gc), "entries": gc, "convention": nilprog.GENCOMM_CONVENTION}, None
     L = args.L
     if len(L) != args.r:
         raise SpecSemanticError(f"-L needs one side length per generator, {args.r} for -r {args.r}; got {len(L)}")

@@ -183,7 +183,7 @@ def enumerate_ball(
     closure (no max_radius) needs a codec and is refused without one.
     """
     if max_radius is None and group.codec is None:
-        why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no array form"
+        why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no codec"
         raise ResourceRefusal(f"{group.name} {why}: closure enumeration needs max_radius")
     limit = order_cap(cap)
     if group.codec is None:

@@ -22,14 +22,15 @@ of power ranges over one such list (the r letters, the basic or the
 generalised commutators); a commutator's side length L^chi is the product of
 L over its leaves, and adjacent factors that are powers of one element merge
 into one power range.  Enumeration of progressions is extensional: a
-progression is the set of its elements' int64 coordinate rows, built by set
-products through the group's ``left_mul`` (for exponent-box kinds) or by
-budgeted word search on tuples (for nilprogressions), and never encoded.
-Rows are deduplicated and compared through one integer key per row.
-Verification of containments and power laws is exhaustive set comparison,
-never symbolic collection; the power laws walk P, P^2, ... once, under one
-work meter, and only their greedy cover reads an order, the target's
-canonical-byte order, on tuples.
+progression is the set of its elements' int64 coordinate rows, every product
+a ``left_mul`` of the group, and never encoded.  The exponent-box kinds are
+set products of power ranges; the nilprogression is built level by level in
+word length, the words with c_i letters x_i^{+-1} being x_i^{+-1} times the
+words with one such letter fewer.  Rows are deduplicated and compared through
+one integer key per row.  Verification of containments and power laws is
+exhaustive set comparison, never symbolic collection; the power laws walk P,
+P^2, ... once, under one work meter, and only their greedy cover reads an
+order, the target's canonical-byte order, on tuples.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
@@ -55,7 +56,7 @@ from .growth import enumerate_ball
 __all__ = [
     "hall_basis",
     "GenCommutator",
-    "GenCommutatorList",
+    "GENCOMM_CONVENTION",
     "generalised_commutators",
     "ProgressionSpec",
     "ProgressionSet",
@@ -80,6 +81,12 @@ PROGRESSION_WORK_CAP = 1_500_000
 HALL_SIZE_CAP = 10**4
 CLOSURE_SIZE_CAP = 10**6  # elements of a normal closure
 MAX_POWER = 64  # largest m tried for P(nL) inside P(L)^m
+# bytes of the block of products one set product allocates before it dedupes:
+# the largest the tests and the benchmark allocate is 55,269,864, in
+# `nilprog proper -r 3 -s 3 -L 1,1,1` before its work-cap refusal
+SET_PRODUCT_BYTE_CAP = 1 << 28
+
+GENCOMM_CONVENTION = "leaf-signed; canonical first-argument-major pairs; trivial brackets dropped"
 
 KINDS = ("ordered", "nilprogression", "nilpotent", "nilcomplete")
 
@@ -184,34 +191,14 @@ class GenCommutator:
         return self._fold(lambda i, eps: gens[i] if eps == 1 else group.inv(gens[i]), lambda a, b: commutator(group, a, b))
 
 
-@dataclass(frozen=True)
-class GenCommutatorList:
-    """Ordered commutators of total weight <= s on r letters, sign variants consecutive."""
-
-    r: int
-    s: int
-    entries: tuple[GenCommutator, ...]
-    convention: str = ""
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def evaluate(self, group: Group, gens: list) -> list:
-        return [e.evaluate(group, gens) for e in self.entries]
-
-    def texts(self) -> list[str]:
-        return [e.text() for e in self.entries]
-
-
-def hall_basis(r: int, s: int) -> GenCommutatorList:
+def hall_basis(r: int, s: int) -> tuple[GenCommutator, ...]:
     """Basic commutators of total weight <= s on r letters: the basic shapes, every sign +1."""
-    basics = _shapes(r, s, basic=True)
-    return GenCommutatorList(r, s, tuple(GenCommutator(c, (1,) * total_weight(c)) for c in basics))
+    return tuple(GenCommutator(c, (1,) * total_weight(c)) for c in _shapes(r, s, basic=True))
 
 
-def generalised_commutators(r: int, s: int) -> GenCommutatorList:
-    """Every shape with each of its sign patterns, +1 before -1 leaf by leaf from the left."""
+def generalised_commutators(r: int, s: int) -> tuple[GenCommutator, ...]:
+    """Every shape with each of its sign patterns, +1 before -1 leaf by leaf
+    from the left, sign variants consecutive (see GENCOMM_CONVENTION)."""
     entries: list[GenCommutator] = []
     for shape in _shapes(r, s, basic=False):
         nleaves = total_weight(shape)
@@ -219,7 +206,7 @@ def generalised_commutators(r: int, s: int) -> GenCommutatorList:
         if len(entries) + len(variants) > HALL_SIZE_CAP:
             raise ResourceRefusal(f"generalised commutators for (r={r}, s={s}) exceed {HALL_SIZE_CAP} entries")
         entries.extend(GenCommutator(shape, signs) for signs in variants)
-    return GenCommutatorList(r, s, tuple(entries), "leaf-signed; canonical first-argument-major pairs; trivial brackets dropped")
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +288,6 @@ class ProgressionSet:
     spec: ProgressionSpec
     rows: np.ndarray
     formal_box: Optional[int]
-    convention: str = ""
 
     @property
     def cardinality(self) -> int:
@@ -317,24 +303,6 @@ class ProgressionSet:
         if self.spec.kind != "nilpotent" or self.formal_box is None:
             return None
         return self.cardinality == self.formal_box
-
-    def contains_set(self, other: "ProgressionSet") -> bool:
-        return bool(_within(other.rows, self.rows).all())
-
-    def to_dict(self) -> dict:
-        out = {
-            "kind": self.spec.kind,
-            "r": self.spec.r,
-            "s": self.spec.s,
-            "L": list(self.spec.L),
-            "cardinality": self.cardinality,
-            "formal_box": self.formal_box,
-        }
-        if self.spec.kind == "nilpotent":
-            out["proper"] = self.proper
-        if self.convention:
-            out["convention"] = self.convention
-        return out
 
 
 def _row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
@@ -383,18 +351,20 @@ def _within(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     return np.isin(ks, kb)
 
 
-def _as_rows(group: Group, elements) -> np.ndarray:
-    """Coordinate tuples as one int64 array, a row each."""
-    return np.array(list(elements), dtype=np.int64).reshape(-1, len(group.identity()))
-
-
 def _set_product(group: Group, A: np.ndarray, B: np.ndarray, meter: _WorkMeter, ahead: int) -> np.ndarray:
     """The distinct products a*b, a a row of A and b a row of B; A is the short side.
 
     Left multiplication by one a is injective, so each block a*B is distinct
-    already when B is, and only the whole product needs a dedupe.
+    already when B is, and only the whole product needs a dedupe.  The block
+    of all products is refused before it is allocated when its bytes pass
+    SET_PRODUCT_BYTE_CAP.
     """
     meter.charge(len(A) * len(B), ahead)
+    nbytes = len(A) * B.size * 8
+    if nbytes > SET_PRODUCT_BYTE_CAP:
+        raise ResourceRefusal(
+            f"a set product of {len(A)} by {len(B)} rows needs {nbytes} bytes, over the cap of {SET_PRODUCT_BYTE_CAP} bytes"
+        )
     out = np.empty((len(A), *B.shape), dtype=np.int64)
     for block, a in zip(out, A.tolist()):
         block[:] = group.left_mul(a, B)
@@ -407,7 +377,7 @@ def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> np.ndarray:
     meter.charge(2 * bound + 1)
     halves = []
     for step in (x, group.inv(x)):
-        rows = _as_rows(group, [group.identity()])
+        rows = np.array([group.identity()], dtype=np.int64)
         top = step  # x^len(rows)
         while len(rows) <= bound:
             rows = np.concatenate([rows, group.left_mul(top, rows[: bound + 1 - len(rows)])])
@@ -440,7 +410,7 @@ def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _Wo
     """
     ranges = [_power_range(group, y, bound, meter) for y, bound in reversed(_merge_powers(group, factors))]
     if not ranges:
-        return _as_rows(group, [group.identity()])
+        return np.array([group.identity()], dtype=np.int64)
     acc = ranges[0]
     rest = sum(map(len, ranges[1:]))
     for powers in ranges[1:]:
@@ -449,55 +419,58 @@ def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _Wo
     return acc
 
 
-def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], Optional[int], str]:
+def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], int]:
     """Each commutator of an exponent-box kind, evaluated, with its side length L^chi:
     the r letters (ordered), the basic (nilpotent) or the generalised (nilcomplete)."""
     if spec.kind == "ordered":
-        comms = GenCommutatorList(spec.r, 1, tuple(GenCommutator(i, (1,)) for i in range(spec.r)))
+        comms = tuple(GenCommutator(i, (1,)) for i in range(spec.r))
     elif spec.kind == "nilpotent":
         comms = hall_basis(spec.r, spec.s)
     else:
         comms = generalised_commutators(spec.r, spec.s)
-    values = comms.evaluate(spec.group, list(spec.generators))
-    factors = [(v, _l_chi(spec.L, e.shape)) for v, e in zip(values, comms.entries)]
+    gens = list(spec.generators)
+    factors = [(e.evaluate(spec.group, gens), _l_chi(spec.L, e.shape)) for e in comms]
     box = math.prod(2 * b + 1 for _, b in factors)
-    return factors, box, comms.convention
+    return factors, box
+
+
+def _word_rows(spec: ProgressionSpec, meter: _WorkMeter) -> np.ndarray:
+    """Rows of the words over the x_i^{+-1} with at most L_i letters x_i^{+-1}.
+
+    E(c), the words with exactly c_i letters x_i^{+-1}, is the identity for
+    c = 0 and otherwise the union over i with c_i > 0 of y E(c - e_i), y in
+    {x_i, x_i^-1}: each word split at its first letter.  The E(c) are built in
+    order of |c|, and only the last level is kept.  Each product charges the
+    meter 1, so E(c) charges sum_i 2 |E(c - e_i)|: by Pascal's rule at most
+    the number of words it stands for.
+    """
+    group = spec.group
+    letters = [(x, group.inv(x)) for x in spec.generators]
+    level = {(0,) * spec.r: np.array([group.identity()], dtype=np.int64)}
+    found = list(level.values())
+    while level:
+        longer = sorted({c[:i] + (c[i] + 1,) + c[i + 1 :] for c in level for i in range(spec.r) if c[i] < spec.L[i]})
+        nxt = {}
+        for c in longer:
+            blocks = []
+            for i, ci in enumerate(c):
+                if ci:
+                    words = level[c[:i] + (ci - 1,) + c[i + 1 :]]
+                    meter.charge(2 * len(words))
+                    blocks += [group.left_mul(y, words) for y in letters[i]]
+            nxt[c] = _distinct(np.concatenate(blocks))
+        level = nxt
+        found += level.values()
+    return _distinct(np.concatenate(found))
 
 
 def enumerate_progression(spec: ProgressionSpec) -> ProgressionSet:
     """Exact element set of the progression."""
-    group = spec.group
     meter = _WorkMeter()
     if spec.kind == "nilprogression":
-        rows = _as_rows(group, _enumerate_words(spec, meter))
-        box, convention = None, ""
-    else:
-        factors, box, convention = _factors_for(spec)
-        rows = _ordered_product(group, factors, meter)
-    return ProgressionSet(spec, rows, box, convention)
-
-
-def _enumerate_words(spec: ProgressionSpec, meter: _WorkMeter) -> set:
-    """All words over the x_i and inverses with per-letter budgets, evaluated and deduped."""
-    group = spec.group
-    gens = list(spec.generators)
-    inv_gens = [group.inv(x) for x in gens]
-    out = {group.identity()}
-
-    def dfs(current, budgets: list[int]):
-        for i in range(spec.r):
-            if budgets[i] == 0:
-                continue
-            budgets[i] -= 1
-            for step in (gens[i], inv_gens[i]):
-                meter.charge(1)
-                nxt = group.mul(current, step)
-                out.add(nxt)
-                dfs(nxt, budgets)
-            budgets[i] += 1
-
-    dfs(group.identity(), list(spec.L))
-    return out
+        return ProgressionSet(spec, _word_rows(spec, meter), None)
+    factors, box = _factors_for(spec)
+    return ProgressionSet(spec, _ordered_product(spec.group, factors, meter), box)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +506,6 @@ class NestingReport:
     L: tuple[int, ...]
     cardinalities: dict[str, int]
     containments: tuple[Containment, ...]
-    convention: str
 
     @property
     def holds(self) -> bool:
@@ -546,7 +518,7 @@ class NestingReport:
             "L": list(self.L),
             "cardinalities": dict(self.cardinalities),
             "containments": [c.to_dict() for c in self.containments],
-            "convention": self.convention,
+            "convention": GENCOMM_CONVENTION,
             "holds": self.holds,
         }
 
@@ -570,7 +542,6 @@ def verify_nesting(r: int, s: int, L: tuple[int, ...]) -> NestingReport:
         tuple(L),
         {kind: sets[kind].cardinality for kind in KINDS},
         tuple(chain),
-        sets["nilcomplete"].convention,
     )
 
 

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import cayleylab
-from cayleylab import cli, growth
+from cayleylab import cli, growth, nilprog
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
@@ -319,6 +319,16 @@ def test_grow_notes_the_order_cap_on_stderr(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_set_product_over_the_byte_cap_exits_3(monkeypatch, capsys):
+    # the ordered progression's one set product: 3 rows of x1 powers times 3
+    # of x2 powers, 6 coordinates of 8 bytes each
+    monkeypatch.setattr(nilprog, "SET_PRODUCT_BYTE_CAP", 431)
+    assert run(["nilprog", "nest", "-r", "2", "-s", "2", "-L", "1,1"]) == EXIT_REFUSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: a set product of 3 by 3 rows needs 432 bytes, over the cap of 431 bytes\n"
+
+
 def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
     tuple_bfs = growth._tuple_bfs
 
@@ -333,7 +343,7 @@ def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
     for verb in ("diam", "grow"):
         assert run([verb, "-g", spec]) == EXIT_REFUSAL
         err = capsys.readouterr().err
-        assert err == f"refused: {spec} has coordinate ranks past 2^62, so no array form: closure enumeration needs max_radius\n"
+        assert err == f"refused: {spec} has coordinate ranks past 2^62, so no codec: closure enumeration needs max_radius\n"
     assert run(["grow", "-g", spec, "-r", "2", "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sphere_sizes"] == [1, 8, 32]
 

@@ -329,7 +329,7 @@ def test_freenil_normal_forms_distinct(r, s):
     """Hall-basis normal forms with small exponents are pairwise distinct."""
     g = FreeNilpotentGroup(r, s)
     gens = g.raw_generators()
-    basis = hall_basis(r, s).evaluate(g, gens)
+    basis = [e.evaluate(g, gens) for e in hall_basis(r, s)]
     seen = set()
     exponents = [-2, -1, 0, 1, 2]
 

@@ -27,6 +27,10 @@ from cayleylab.nilprog import (
 )
 
 
+def texts(comms) -> list[str]:
+    return [e.text() for e in comms]
+
+
 def necklace_count(r: int, w: int) -> int:
     """Dimension of the degree-w layer of the free Lie algebra on r letters."""
     return sum(mobius(d) * r ** (w // d) for d in divisors(w)) // w
@@ -38,17 +42,17 @@ def necklace_count(r: int, w: int) -> int:
 
 
 def test_hall_basis_small_cases():
-    assert hall_basis(2, 2).texts() == ["x1", "x2", "[x2,x1]"]
-    assert hall_basis(2, 3).texts() == ["x1", "x2", "[x2,x1]", "[[x2,x1],x1]", "[[x2,x1],x2]"]
-    assert hall_basis(3, 2).size == 6
-    assert hall_basis(1, 5).texts() == ["x1"]
+    assert texts(hall_basis(2, 2)) == ["x1", "x2", "[x2,x1]"]
+    assert texts(hall_basis(2, 3)) == ["x1", "x2", "[x2,x1]", "[[x2,x1],x1]", "[[x2,x1],x2]"]
+    assert len(hall_basis(3, 2)) == 6
+    assert texts(hall_basis(1, 5)) == ["x1"]
 
 
 def test_hall_basis_ordering_constraints():
     basis = hall_basis(3, 4)
-    weights = [total_weight(e.shape) for e in basis.entries]
+    weights = [total_weight(e.shape) for e in basis]
     assert weights == sorted(weights)
-    vectors = [e.weight_vector(3) for e in basis.entries]
+    vectors = [e.weight_vector(3) for e in basis]
     # equal weight vectors are consecutive
     seen = []
     for v in vectors:
@@ -60,7 +64,7 @@ def test_hall_basis_ordering_constraints():
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_hall_weight_counts_match_necklace_formula(r, s):
-    counts = Counter(total_weight(e.shape) for e in hall_basis(r, s).entries)
+    counts = Counter(total_weight(e.shape) for e in hall_basis(r, s))
     for w in range(1, s + 1):
         assert counts.get(w, 0) == necklace_count(r, w)
 
@@ -77,9 +81,10 @@ def test_basic_commutators_are_all_positive_generalised_commutators(r, s):
     g = FreeNilpotentGroup(r, s)
     gens = g.raw_generators()
     basis = hall_basis(r, s)
-    signed = set(generalised_commutators(r, s).entries)
+    signed = set(generalised_commutators(r, s))
     L = tuple(range(2, r + 2))
-    for entry, value in zip(basis.entries, basis.evaluate(g, gens)):
+    for entry in basis:
+        value = entry.evaluate(g, gens)
         assert set(entry.signs) == {1} and entry in signed
         assert entry.text() == tree_text(entry.shape)
         assert g.encode(value) == g.encode(reference_value(g, gens, entry.shape))
@@ -136,9 +141,9 @@ def reference_shapes(r, s, basic):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_shape_recursion_matches_both_reference_recursions(r, s):
-    assert [e.shape for e in hall_basis(r, s).entries] == reference_shapes(r, s, basic=True)
+    assert [e.shape for e in hall_basis(r, s)] == reference_shapes(r, s, basic=True)
     shapes = []
-    for e in generalised_commutators(r, s).entries:
+    for e in generalised_commutators(r, s):
         if not shapes or shapes[-1] != e.shape:
             shapes.append(e.shape)
     assert shapes == reference_shapes(r, s, basic=False)
@@ -150,27 +155,27 @@ def test_shape_recursion_matches_both_reference_recursions(r, s):
 
 
 def test_generalised_commutators_counts():
-    assert generalised_commutators(2, 2).size == 6
-    assert generalised_commutators(1, 4).size == 1
-    assert generalised_commutators(2, 3).size == 22  # 6 plus 16 weight-3 sign variants
+    assert len(generalised_commutators(2, 2)) == 6
+    assert len(generalised_commutators(1, 4)) == 1
+    assert len(generalised_commutators(2, 3)) == 22  # 6 plus 16 weight-3 sign variants
 
 
 def test_generalised_commutators_structure():
     gc = generalised_commutators(2, 2)
-    texts = [e.text() for e in gc.entries]
-    assert texts[:2] == ["x1", "x2"]
-    assert set(texts[2:]) == {"[x2,x1]", "[x2,x1^-1]", "[x2^-1,x1]", "[x2^-1,x1^-1]"}
+    names = texts(gc)
+    assert names[:2] == ["x1", "x2"]
+    assert set(names[2:]) == {"[x2,x1]", "[x2,x1^-1]", "[x2^-1,x1]", "[x2^-1,x1^-1]"}
     # sign variants of one shape are consecutive and share a weight vector
-    shapes = [tree_text(e.shape) for e in gc.entries]
+    shapes = [tree_text(e.shape) for e in gc]
     assert shapes == sorted(shapes, key=shapes.index)
-    weights = {e.weight_vector(2) for e in gc.entries[2:]}
+    weights = {e.weight_vector(2) for e in gc[2:]}
     assert weights == {(1, 1)}
 
 
 def test_generalised_commutators_evaluate():
     g = FreeNilpotentGroup(2, 2)
     x, y = g.raw_generators()
-    values = generalised_commutators(2, 2).evaluate(g, [x, y])
+    values = [e.evaluate(g, [x, y]) for e in generalised_commutators(2, 2)]
     # two-step bilinearity collapses the four sign variants onto {z, z^-1}
     z = commutator(g, y, x)
     codes = {g.encode(v) for v in values[2:]}
@@ -200,7 +205,7 @@ def test_nilprogression_symmetric_and_contains_ordered():
     inverses = {g.inv(x) for x in pset.members}
     assert inverses == pset.members
     ordered = enumerate_progression(progression_spec("ordered", 2, 2, (2, 1)))
-    assert pset.contains_set(ordered)
+    assert ordered.members <= pset.members
 
 
 def test_zero_side_lengths_give_identity():
@@ -213,7 +218,7 @@ def test_progression_monotone_in_l():
     for kind in ("ordered", "nilprogression", "nilpotent", "nilcomplete"):
         small = enumerate_progression(progression_spec(kind, 2, 2, (1, 1)))
         large = enumerate_progression(progression_spec(kind, 2, 2, (2, 1)))
-        assert large.contains_set(small)
+        assert small.members <= large.members
 
 
 def test_nesting_chain_small():
@@ -306,12 +311,37 @@ def oracle_ordered_product(group, factors, meter):
     return acc
 
 
+def oracle_words(spec, meter):
+    """The nilprogression by the word search the level-by-level row engine
+    replaced: a depth-first search over per-letter budgets, one mul and one
+    charge per word."""
+    group = spec.group
+    gens = list(spec.generators)
+    inv_gens = [group.inv(x) for x in gens]
+    out = {group.identity()}
+
+    def dfs(current, budgets):
+        for i in range(spec.r):
+            if budgets[i] == 0:
+                continue
+            budgets[i] -= 1
+            for step in (gens[i], inv_gens[i]):
+                meter.charge(1)
+                nxt = group.mul(current, step)
+                out.add(nxt)
+                dfs(nxt, budgets)
+            budgets[i] += 1
+
+    dfs(group.identity(), list(spec.L))
+    return out
+
+
 def oracle_enumerate(spec, merge=True):
-    """The element set and meter charge of the set-comprehension engine; the
-    nilprogression's word search is the same code on both sides."""
+    """The element set and meter charge of the tuple engines: the
+    set-comprehension ordered product, or the word search for a nilprogression."""
     meter = nilprog._WorkMeter()
     if spec.kind == "nilprogression":
-        return nilprog._enumerate_words(spec, meter), meter.used
+        return oracle_words(spec, meter), meter.used
     factors = nilprog._factors_for(spec)[0]
     if merge:
         factors = nilprog._merge_powers(spec.group, factors)
@@ -325,6 +355,9 @@ def _oracle_specs():
     product = build_group("product(freenil:r=2,s=2)x(cyclic:3)")
     x1, x2 = FreeNilpotentGroup(2, 2).raw_generators()
     specs.append(progression_spec("ordered", 2, 2, (2, 3), product, [x1 + (1,), x2 + (2,)]))
+    ut11 = build_group("ut:dim=3,p=11")  # the case verify commdepth runs
+    specs.append(progression_spec("nilprogression", 2, 2, (1, 1), ut11, ut11.raw_generators()))
+    specs.append(progression_spec("nilprogression", 2, 2, (4, 3)))
     return specs
 
 
@@ -341,7 +374,21 @@ def test_row_engine_matches_set_oracle(spec, monkeypatch):
     monkeypatch.setattr(nilprog, "_WorkMeter", RecordingMeter)
     pset = enumerate_progression(spec)
     assert pset.members == members and pset.cardinality == len(members)
-    assert [m.used for m in meters] == [used]
+    assert len(meters) == 1
+    if spec.kind == "nilprogression":
+        # one product per distinct element of the level before, not one per word
+        assert meters[0].used <= used
+    else:
+        assert meters[0].used == used
+
+
+def test_nilprogression_makes_no_mul_call(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("mul called")
+
+    monkeypatch.setattr(FreeNilpotentGroup, "mul", refuse)
+    spec = progression_spec("nilprogression", 2, 2, (2, 1))
+    assert enumerate_progression(spec).cardinality == 31
 
 
 _NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1)))
