@@ -394,13 +394,16 @@ class AbelianSplit:
     H is isomorphic to Z/m_1 x ... x Z/m_r for the ``moduli`` m_c, and an
     element of H is named by its row of residues, its H-coordinates.
     ``reps`` holds the coordinate rows of one representative per coset, the
-    identity first, so its length is the index [G:H].  ``locate(X)``
-    returns, for coordinate rows X of G, the coset index i and the
-    H-coordinates of h with x = reps[i] h.
+    identity first, so its length is the index [G:H].  ``basis`` holds the
+    coordinate rows of the elements h_c of H whose H-coordinates are the
+    unit vectors e_c, one per modulus.  ``locate(X)`` returns, for
+    coordinate rows X of G, the coset index i and the H-coordinates of h
+    with x = reps[i] h.
     """
 
     moduli: tuple[int, ...]
     reps: np.ndarray
+    basis: np.ndarray
     locate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -441,7 +444,9 @@ class AbelianGroup(Group):
     def abelian_split(self):
         # H = G: one coset, and the coordinates of x are its H-coordinates
         width = len(self.moduli)
-        return AbelianSplit(self.moduli, np.zeros((1, width), dtype=np.int64), lambda X: (np.zeros(len(X), dtype=np.int64), X))
+        reps = np.zeros((1, width), dtype=np.int64)
+        basis = np.eye(width, dtype=np.int64) % np.array(self.moduli, dtype=np.int64)
+        return AbelianSplit(self.moduli, reps, basis, lambda X: (np.zeros(len(X), dtype=np.int64), X))
 
     def raw_generators(self):
         gens = []
@@ -528,6 +533,8 @@ class UnitriangularGroup(Group):
         reps = np.zeros((p ** len(rest), len(pos)), dtype=np.int64)
         reps[:, rest] = np.indices((p,) * len(rest)).reshape(len(rest), len(reps)).T
         strides = p ** np.arange(len(rest) - 1, -1, -1, dtype=np.int64)
+        basis = np.zeros((d - 1, len(pos)), dtype=np.int64)
+        basis[np.arange(d - 1), column[::-1]] = 1
 
         def locate(X):
             u = X[:, column].copy()
@@ -537,7 +544,7 @@ class UnitriangularGroup(Group):
                 u[:, i] %= p
             return X[:, rest] @ strides, u[:, ::-1]
 
-        return AbelianSplit((p,) * (d - 1), reps, locate)
+        return AbelianSplit((p,) * (d - 1), reps, basis, locate)
 
     def raw_generators(self):
         gens = []
@@ -585,11 +592,13 @@ class LamplighterGroup(Group):
         m = self.m
         reps = np.zeros((m, m + 1), dtype=np.int64)
         reps[:, 0] = np.arange(m)
+        basis = np.zeros((m, m + 1), dtype=np.int64)
+        basis[:, 1:] = np.eye(m, dtype=np.int64)
 
         def locate(X):
             return X[:, 0], np.take_along_axis(X[:, 1:], (np.arange(m) + X[:, :1]) % m, axis=1)
 
-        return AbelianSplit((2,) * m, reps, locate)
+        return AbelianSplit((2,) * m, reps, basis, locate)
 
     def raw_generators(self):
         move = (1 % self.m,) + (0,) * self.m
@@ -665,12 +674,16 @@ class SymFpGroup(Group):
         radix = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         keys = reps[:, :n] @ radix
         width = n if self.variant == "L" else n - 1
+        vec = np.eye(n, dtype=np.int64)[:width]
+        if width < n:
+            vec[:, n - 1] = p - 1  # sum zero
+        basis = np.concatenate([np.tile(np.arange(n), (width, 1)), vec], axis=1)
 
         def locate(X):
             perm = X[:, :n]
             return np.searchsorted(keys, perm @ radix), np.take_along_axis(X[:, n:], perm, axis=1)[:, :width]
 
-        return AbelianSplit((p,) * width, reps, locate)
+        return AbelianSplit((p,) * width, reps, basis, locate)
 
     def project_sum_zero(self, a):
         """Quotient by the central constant-vector subgroup, landing in Gprime."""
@@ -966,12 +979,17 @@ class ProductGroup(Group):
             return None
         d, n1, n2 = self._d1, s1.index, s2.index
         reps = np.concatenate([np.repeat(s1.reps, n2, axis=0), np.tile(s2.reps, (n1, 1))], axis=1)
+        # H1's basis beside G2's identity, then G1's identity beside H2's basis
+        e1, e2 = (np.array(g.identity(), dtype=np.int64) for g in (self.g1, self.g2))
+        basis = np.concatenate(
+            [np.hstack([s1.basis, np.tile(e2, (len(s1.basis), 1))]), np.hstack([np.tile(e1, (len(s2.basis), 1)), s2.basis])]
+        )
 
         def locate(X):
             (c1, h1), (c2, h2) = s1.locate(X[:, :d]), s2.locate(X[:, d:])
             return c1 * n2 + c2, np.concatenate([h1, h2], axis=1)
 
-        return AbelianSplit(s1.moduli + s2.moduli, reps, locate)
+        return AbelianSplit(s1.moduli + s2.moduli, reps, basis, locate)
 
     def raw_generators(self):
         # the product generating set S1 x S2 over the symmetrized factors

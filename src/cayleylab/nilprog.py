@@ -81,9 +81,11 @@ PROGRESSION_WORK_CAP = 1_500_000
 HALL_SIZE_CAP = 10**4
 CLOSURE_SIZE_CAP = 10**6  # elements of a normal closure
 MAX_POWER = 64  # largest m tried for P(nL) inside P(L)^m
-# bytes of the block of products one set product allocates before it dedupes:
-# the largest the tests and the benchmark allocate is 55,269,864, in
-# `nilprog proper -r 3 -s 3 -L 1,1,1` before its work-cap refusal
+# bytes of the block of products one set product allocates before it dedupes,
+# and of the rows of one power range: the largest block the tests and the
+# benchmark allocate is 55,269,864, in `nilprog proper -r 3 -s 3 -L 1,1,1`
+# before its work-cap refusal, and the largest power range 12,800,032
+# (freenil:r=1,s=4, bound 200,000)
 SET_PRODUCT_BYTE_CAP = 1 << 28
 
 GENCOMM_CONVENTION = "leaf-signed; canonical first-argument-major pairs; trivial brackets dropped"
@@ -373,8 +375,12 @@ def _set_product(group: Group, A: np.ndarray, B: np.ndarray, meter: _WorkMeter, 
 
 def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> np.ndarray:
     """{x^l : |l| <= bound}, each direction by doubling: x^k times the rows of
-    x^0 .. x^(k-1) gives those of x^k .. x^(2k-1)."""
+    x^0 .. x^(k-1) gives those of x^k .. x^(2k-1).  Refused before any row
+    is built when the 2 bound + 1 rows pass SET_PRODUCT_BYTE_CAP."""
     meter.charge(2 * bound + 1)
+    nbytes = (2 * bound + 1) * len(group.identity()) * 8
+    if nbytes > SET_PRODUCT_BYTE_CAP:
+        raise ResourceRefusal(f"a power range of {2 * bound + 1} rows needs {nbytes} bytes, over the cap of {SET_PRODUCT_BYTE_CAP} bytes")
     halves = []
     for step in (x, group.inv(x)):
         rows = np.array([group.identity()], dtype=np.int64)

@@ -18,9 +18,11 @@ of the group's ``abelian_split``: right translation by H commutes with the
 left Cayley walk, so L^2(G) is the sum of |H| spaces V_chi, one per character
 chi of H, and on each the Laplacian is a Hermitian block of size [G:H] (the
 spectrum of a regular abelian cover; Gross-Tucker, Topological Graph Theory,
-1987, ch. 2).  Batched eigvalsh solves every block once, a bounded chunk at
-a time, into ``ctx.blocks``, so lambda1 is the least nonzero eigenvalue of
-the whole spectrum; the eigenvector of its block lifts to a real
+1987, ch. 2).  Characters in one orbit under conjugation by G and complex
+conjugation have blocks with one spectrum, so batched eigvalsh solves one
+block per orbit, a bounded chunk at a time, and ``ctx.blocks`` copies its
+eigenvalues to every member; lambda1 is the least nonzero eigenvalue of
+the whole spectrum, and the eigenvector of its block lifts to a real
 eigenvector of the graph for the sweep cut.  Above the cap, a group with no
 split, or with blocks larger than FOURIER_BLOCK_CAP, is refused;
 fourier_split decides this from the group alone, so commands refuse before
@@ -135,13 +137,14 @@ class CayleyContext:
         """Every Laplacian eigenvalue by Fourier block, shape (|H|, [G:H]): row c holds
         the ascending eigenvalues of the block of character c in _characters order.
 
-        The blocks are solved in chunks of at most _CHUNK_BYTES.
+        Only the least character of each orbit (_orbit_labels) is solved, in
+        chunks of at most _CHUNK_BYTES; its row is copied to the other members.
         """
-        moduli, d = self.split.moduli, self.split.index
-        count = math.prod(moduli)
+        orbits, members = np.unique(_orbit_labels(self), return_inverse=True)
+        d = self.split.index
         chunk = max(1, _CHUNK_BYTES // (16 * d * d + 32 * self.k * d))
-        chunks = (_characters(moduli, a, min(a + chunk, count)) for a in range(0, count, chunk))
-        return np.concatenate([np.linalg.eigvalsh(_fourier_blocks(self, chars)) for chars in chunks])
+        chunks = (_characters(self.split.moduli, orbits[a : a + chunk]) for a in range(0, len(orbits), chunk))
+        return np.concatenate([np.linalg.eigvalsh(_fourier_blocks(self, chars)) for chars in chunks])[members]
 
     @cached_property
     def spectrum(self) -> SpectralReport:
@@ -236,12 +239,12 @@ def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     return float(vals[1]), float(vals[-1]), vecs[:, 1]
 
 
-def _characters(moduli: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Characters start..stop-1 of Z/m_1 x ... x Z/m_r as rows a: chi_a(h) = exp(2 pi i sum_c a_c h_c / m_c).
+def _characters(moduli: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
+    """The characters of Z/m_1 x ... x Z/m_r at the given indices as rows a: chi_a(h) = exp(2 pi i sum_c a_c h_c / m_c).
 
     Character order is mixed-radix order, the first coordinate most significant.
     """
-    return np.stack(np.unravel_index(np.arange(start, stop), moduli), axis=1)
+    return np.stack(np.unravel_index(indices, moduli), axis=1)
 
 
 def _half_angles(chars: np.ndarray, h: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
@@ -256,6 +259,41 @@ def _half_angles(chars: np.ndarray, h: np.ndarray, moduli: tuple[int, ...]) -> n
     for a, hc, m in zip(chars.T, h.T, moduli):
         phase = (phase + np.outer(a, hc * (period // m))) % period
     return (np.pi / period) * np.where(2 * phase > period, phase - period, phase)
+
+
+def _orbit_labels(ctx: CayleyContext) -> np.ndarray:
+    """Each character's orbit under conjugation by G and under chi -> conj(chi), named by its least character index.
+
+    Conjugate characters induce equivalent representations (Clifford theory;
+    Serre, Linear Representations of Finite Groups, 1977, section 7), and the
+    block of conj(chi) is the complex conjugate of chi's, so every member of
+    an orbit has the same eigenvalues.  H is abelian and normal, so the orbit
+    of chi is {chi o c_i, conj(chi) o c_i} over the d coset representatives,
+    with c_i(h) = g_i^-1 h g_i; row c of c_i's matrix A_i holds the
+    H-coordinates of c_i(h_c) for the basis element h_c, which locate finds in
+    coset i.  The phases P of chi, chi(h) = exp(2 pi i <P, h> / lcm(moduli)),
+    map to A_i P in integers mod lcm(moduli), as in _half_angles; every sum
+    stays under lcm(moduli) (m_1 + ... + m_r) <= |H|^2.  The images of a chunk
+    of characters fill about _CHUNK_BYTES.
+    """
+    split, group = ctx.split, ctx.group
+    moduli, d = split.moduli, split.index
+    action = np.empty((d, len(moduli), len(moduli)), dtype=np.int64)
+    for c, h in enumerate(split.basis.tolist()):
+        coset, action[:, c] = split.locate(group.left_mul(h, split.reps))
+        if (coset != np.arange(d)).any():
+            raise RuntimeError(f"{group.name}: the subgroup of its abelian split is not normal")
+    period = math.lcm(*moduli)
+    scale = np.array([period // m for m in moduli], dtype=np.int64)
+    count = math.prod(moduli)
+    chunk = max(1, _CHUNK_BYTES // (32 * d * len(moduli)))
+    labels = []
+    for a in range(0, count, chunk):
+        phases = _characters(moduli, np.arange(a, min(a + chunk, count))) * scale
+        images = (phases @ action.transpose(0, 2, 1)) % period // scale  # (d, chunk, r): chi o c_i as rows a
+        index = [np.ravel_multi_index(tuple(np.moveaxis(x, -1, 0)), moduli) for x in (images, -images % moduli)]
+        labels.append(np.minimum(*index).min(axis=0))
+    return np.concatenate(labels)
 
 
 def _fourier_blocks(ctx: CayleyContext, chars: np.ndarray) -> np.ndarray:
@@ -289,15 +327,16 @@ def _fourier_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
     """The least nonzero eigenvalue of ctx.blocks, the largest, and a lambda1 eigenvector.
 
     The trivial character's least eigenvalue is the constant function's 0 and
-    is dropped.  The first block in character order that attains lambda1
-    lifts its eigenvector phi to f(g_i h) = chi(h) phi_i; the real or the
+    is dropped.  The first block in character order that attains lambda1,
+    the least member of its orbit and so a block ctx.blocks solved, lifts its
+    eigenvector phi to f(g_i h) = chi(h) phi_i; the real or the
     imaginary part of f, whichever is longer, is a real eigenvector.
     """
     split, vals = ctx.split, ctx.blocks
     least = vals[:, 0].copy()
     least[0] = vals[0, 1] if split.index > 1 else math.inf
     best = int(np.argmin(least))  # the first minimum
-    chi = _characters(split.moduli, best, best + 1)
+    chi = _characters(split.moduli, [best])
     phi = np.linalg.eigh(_fourier_blocks(ctx, chi)[0])[1][:, 1 if best == 0 else 0]
     coset, h = split.locate(ctx.ball.rows)
     lifted = np.exp(2j * _half_angles(chi, h, split.moduli)[0]) * phi[coset]

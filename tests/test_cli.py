@@ -329,6 +329,19 @@ def test_set_product_over_the_byte_cap_exits_3(monkeypatch, capsys):
     assert captured.err == "refused: a set product of 3 by 3 rows needs 432 bytes, over the cap of 431 bytes\n"
 
 
+def test_power_range_over_the_byte_cap_exits_3(monkeypatch, capsys):
+    # a power range of one generator: 3 rows of 6 coordinates of 8 bytes
+    # each, refused before the set product is reached
+    monkeypatch.setattr(nilprog, "SET_PRODUCT_BYTE_CAP", 143)
+    assert run(["nilprog", "nest", "-r", "2", "-s", "2", "-L", "1,1"]) == EXIT_REFUSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: a power range of 3 rows needs 144 bytes, over the cap of 143 bytes\n"
+    monkeypatch.setattr(nilprog, "SET_PRODUCT_BYTE_CAP", 144)
+    assert run(["nilprog", "nest", "-r", "2", "-s", "2", "-L", "1,1"]) == EXIT_REFUSAL
+    assert "a set product of 3 by 3 rows" in capsys.readouterr().err
+
+
 def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
     tuple_bfs = growth._tuple_bfs
 

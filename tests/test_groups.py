@@ -490,6 +490,15 @@ def test_abelian_split_factors_every_element(spec):
         assert g.mul(reps[c], members[y]) == x, (spec, x)
 
 
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_abelian_split_basis_has_the_unit_coordinates(spec):
+    # basis row c lies in H itself (coset 0) with H-coordinates e_c
+    split = build_group(spec).abelian_split()
+    coset, h = split.locate(split.basis)
+    assert not coset.any()
+    assert np.array_equal(h, np.eye(len(split.moduli), dtype=np.int64))
+
+
 def test_infinite_groups_have_no_abelian_split():
     assert build_group("freenil:r=2,s=2").abelian_split() is None
     assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").abelian_split() is None

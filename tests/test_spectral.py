@@ -1,6 +1,7 @@
 """Spectral gap, Cheeger constant, inequality chain, coset-subspace gap."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -25,6 +26,7 @@ from cayleylab.spectral import (
     _dense_extremes,
     _fourier_blocks,
     _fourier_extremes,
+    _orbit_labels,
     build_context,
     cheeger,
     coset_gap,
@@ -174,18 +176,35 @@ def test_fourier_matches_dense_oracle_above_the_cap():
         assert abs(auto.lambda_max - dense_lambda_max) <= 1e-9 * dense_lambda_max, inst.label
 
 
+def every_block(ctx):
+    """The block of every character of the split, in character order."""
+    moduli = ctx.split.moduli
+    return _fourier_blocks(ctx, _characters(moduli, np.arange(math.prod(moduli))))
+
+
 def test_fourier_blocks_give_the_full_spectrum():
     """The blocks of every character together hold the dense Laplacian's spectrum, ctx.blocks holds
-    each block's eigenvalues in character order, and the lifted vector is a lambda1 eigenvector."""
+    each block's eigenvalues in character order, and the lifted vector is a lambda1 eigenvector.
+
+    Only the least character of each orbit is solved: its row is its own block's
+    eigvalsh bit for bit, and every other member's row lies within rounding of
+    the member's own block."""
     cases = [(inst.label, inst.group, inst.gens) for inst in standard_zoo(max_order=2048)]
     cases += list(random_generating_sets())
     for label, g, gens in cases:
         ctx = build_context(g, gens)
         split = ctx.split
-        blocks = _fourier_blocks(ctx, _characters(split.moduli, 0, math.prod(split.moduli)))
+        blocks = every_block(ctx)
         assert blocks.shape == (g.order // split.index, split.index, split.index), label
         assert np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() < 1e-14, label
-        assert np.array_equal(ctx.blocks, np.linalg.eigvalsh(blocks)), label
+        own = np.linalg.eigvalsh(blocks)
+        labels = _orbit_labels(ctx)
+        # each label is the least character of its orbit, and its own label
+        assert (labels <= np.arange(len(labels))).all() and np.array_equal(labels[labels], labels), label
+        solved = np.unique(labels)
+        assert ctx.blocks.shape == own.shape, label
+        assert np.array_equal(ctx.blocks[solved], own[solved]), label
+        assert np.abs(ctx.blocks - own).max() < 1e-12, label
         got = np.sort(ctx.blocks.ravel())
         want = np.linalg.eigvalsh(ctx.dense_laplacian())
         assert np.abs(got - want).max() < 1e-10, label
@@ -195,9 +214,40 @@ def test_fourier_blocks_give_the_full_spectrum():
         assert np.linalg.norm(ctx.laplacian_matvec(vec) - lam1 * vec) < 1e-10, label
 
 
+@pytest.mark.parametrize("spec", ["cyclic:768", "abelian:16,16,16", "product(cyclic:6)x(cyclic:5)"])
+def test_orbit_blocks_are_bit_identical_on_abelian_groups(spec):
+    # index 1: each block is 1 x 1, and its eigenvalue is its real part, the same for chi and its conjugate
+    g = build_group(spec)
+    ctx = build_context(g, g.generating_set())
+    assert ctx.split.index == 1
+    assert np.array_equal(ctx.blocks, np.linalg.eigvalsh(every_block(ctx)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 31])
+def test_heisenberg_characters_fall_into_p_orbits(p):
+    # H is the last column (x12, x02): conjugation sends (alpha, beta) to
+    # (alpha + a beta, beta), so beta != 0 gives (p - 1)/2 orbits {(*, beta), (*, -beta)},
+    # and beta = 0 gives (p + 1)/2 orbits {(alpha, 0), (-alpha, 0)}
+    g = build_group(f"ut:dim=3,p={p}")
+    ctx = build_context(g, g.generating_set())
+    assert len(np.unique(_orbit_labels(ctx))) == p
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_heisenberg_gap_is_the_abelianization_gap(p, capsys):
+    # lambda1 is the least nontrivial character of Z/p x Z/p with generators e1, e2 and inverses
+    assert cli.run(["spectrum", "-g", f"ut:dim=3,p={p}", "--format", "json"]) == cli.EXIT_OK
+    got = json.loads(capsys.readouterr().out)["lambda1"]
+    want = 4 * math.sin(math.pi / p) ** 2
+    assert abs(got - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize("argv", [["mix", "-g", "cyclic:768"], ["spectrum", "-g", "ut:dim=3,p=31"]])
 def test_fourier_blocks_are_built_once_per_graph(argv, monkeypatch, capsys):
-    # every character's block once for ctx.blocks, and one more for the lifted eigenvector
+    # each orbit's least character's block once for ctx.blocks, and one more
+    # for the lifted eigenvector: cyclic:768 has 385 orbits {chi, conj(chi)},
+    # ut:dim=3,p=31 has 31
+    orbits = {"cyclic:768": 385, "ut:dim=3,p=31": 31}[argv[-1]]
     seen = []
     blocks = spectral._fourier_blocks
 
@@ -211,8 +261,7 @@ def test_fourier_blocks_are_built_once_per_graph(argv, monkeypatch, capsys):
             if value is blocks:
                 monkeypatch.setattr(module, name, counted)
     assert cli.run(argv) == cli.EXIT_OK
-    split = build_group(argv[-1]).abelian_split()
-    assert sum(seen) == math.prod(split.moduli) + 1
+    assert sum(seen) == orbits + 1
 
 
 @pytest.mark.parametrize("n", [257, 768, 4096, 65536])
