@@ -65,8 +65,6 @@ __all__ = [
     "reidemeister_schreier",
     "commutator",
     "conjugate",
-    "power",
-    "balanced_lift",
     "order_cap",
 ]
 
@@ -886,30 +884,6 @@ class FreeNilpotentGroup(Group):
         """The nonzero terms of a as (word, coeff) pairs, the constant ((), 1) first."""
         return (((), 1),) + tuple((w, c) for w, c in zip(self._words, a) if c)
 
-    def decode(self, data: bytes):
-        n = int.from_bytes(data[0:4], "little")
-        pos = 4
-        index = {w: i for i, w in enumerate(self._words)}
-        out = [0] * len(self._words)
-        for _ in range(n):
-            wl = int.from_bytes(data[pos : pos + 2], "little")
-            pos += 2
-            word = tuple(data[pos : pos + wl])
-            pos += wl
-            sign = data[pos]
-            pos += 1
-            bl = int.from_bytes(data[pos : pos + 4], "little")
-            pos += 4
-            mag = int.from_bytes(data[pos : pos + bl], "little")
-            pos += bl
-            if word:
-                out[index[word]] = mag if sign else -mag
-            elif (sign, mag) != (1, 1):
-                raise ValueError("constant term must be 1")
-        if pos != len(data):
-            raise ValueError("trailing bytes in encoded element")
-        return tuple(out)
-
     def raw_generators(self):
         e = self.identity()
         return [e[:i] + (1,) + e[i + 1 :] for i in range(self.r)]
@@ -1088,25 +1062,6 @@ def conjugate(group: Group, a, g):
     return group.mul(group.mul(group.inv(g), a), g)
 
 
-def power(group: Group, a, n: int):
-    if n < 0:
-        return power(group, group.inv(a), -n)
-    result = group.identity()
-    base = a
-    while n:
-        if n & 1:
-            result = group.mul(result, base)
-        base = group.mul(base, base)
-        n >>= 1
-    return result
-
-
-def balanced_lift(x: int, p: int) -> int:
-    """Representative of x mod p in (-p/2, p/2]."""
-    x %= p
-    return x - p if x > p // 2 else x
-
-
 # ---------------------------------------------------------------------------
 # Subgroups and the Reidemeister-Schreier generating set
 # ---------------------------------------------------------------------------
@@ -1140,11 +1095,6 @@ class RSResult:
     generators: GeneratingSet
     representatives: tuple
     index: int
-
-    @property
-    def subgroup_size(self) -> Optional[int]:
-        g = self.generators.group
-        return None if g.order is None else g.order // self.index
 
 
 def reidemeister_schreier(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> RSResult:

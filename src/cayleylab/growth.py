@@ -310,11 +310,6 @@ class DoublingScan:
                 return n
         return None
 
-    def theta_hat(self, min_scale: int = 1) -> Optional[Fraction]:
-        """max over in-range m >= min_scale of |S^{2m+1}|/|S^m|."""
-        vals = [ratio for n, ratio in self.ratios_2n1 if n >= min_scale]
-        return max(vals) if vals else None
-
     def to_dict(self) -> dict:
         return {
             "ratios_2n1": [[n, float(r)] for n, r in self.ratios_2n1],
@@ -409,10 +404,6 @@ class FlatnessReport:
     @property
     def freiman_bound(self) -> float:
         return 2.0 * (self.group_order / self.k) ** 1.75
-
-    def is_eps_flat(self, eps: float) -> bool:
-        # derived-exponent comparison, so allow 1e-12 relative slack
-        return self.gamma >= (self.group_order / self.k) ** eps * (1.0 - 1e-12) - 1e-12
 
     def to_dict(self) -> dict:
         return {

@@ -21,9 +21,9 @@ curves and the last vector are bit-identical to it; the tests keep that
 loop as the oracle.
 
 The walk and mixing engines take the CayleyContext that
-spectral.build_context returns (quadratic_scan builds one per instance) and
-read lambda1 from its cached ``spectrum``, so a command that walks and solves
-enumerates its graph once and solves once.
+spectral.build_context returns and read lambda1 from its cached
+``spectrum``, so a command that walks and solves enumerates its graph once
+and solves once.
 
 Mixing times use the 1/10 threshold with ties pushed later: a crossing is
 declared only when the distance is below the threshold by more than 1e-12,
@@ -34,10 +34,9 @@ diagonal in the characters, so ``mixing_times`` reads T1, T2 and Tinf from
 them: mu^(*t) is one inverse FFT of w^t, where w_chi = 1 - B_chi/k comes
 from the 1x1 Fourier blocks in the context's ``blocks``, the eigenvalues
 lambda1 reads too, and each crossing is a bisection over t, since the
-distances never increase.  ``mix`` in json and table format and
-``quadratic_scan`` take this path; ``mix --format csv`` and ``verify mixing``
-need every step and walk, and so does every other group, whose blocks are
-not scalars.  Each probe carries a bound on its rounding in each norm
+distances never increase.  ``mix`` in json and table format takes this
+path; ``mix --format csv`` and ``verify mixing`` need every step and walk,
+and so does every other group, whose blocks are not scalars.  Each probe carries a bound on its rounding in each norm
 (``_probe_bound``): through the 2-norm for d1 and d2, and through the
 1-norm of the spectrum's error for dinf; if any probe lies within its bound
 of the threshold, the report comes from the walk.
@@ -47,13 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group
-from .growth import doubling_scan
-from .spectral import CayleyContext, build_context
+from .spectral import CayleyContext
 
 __all__ = [
     "WalkCurves",
@@ -63,8 +60,6 @@ __all__ = [
     "BasicMixingItem",
     "BasicMixingReport",
     "verify_basic_mixing",
-    "ScanRow",
-    "quadratic_scan",
     "default_n_max",
 ]
 
@@ -72,7 +67,6 @@ TIE_EPS = 1e-12
 SLACK = 1e-9
 _EPS = float(np.finfo(float).eps)
 _BLOCK_BYTES = 1 << 20  # the walk's block of steps; a single step when one vector is larger
-SCAN_K = 4.0  # quadratic_scan's doubling constant: the first n with |S^{2n+1}| <= SCAN_K |S^n|
 
 
 def _norm_mu_g(order: int, p) -> float:
@@ -491,65 +485,3 @@ def verify_basic_mixing(ctx: CayleyContext) -> BasicMixingReport:
         add(9, "trel_upper", None, skipped="crossing not reached within horizon")
 
     return BasicMixingReport(ctx.group.name, ctx.n, tuple(items), hypothesis_ok)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-mixing scan across a family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    label: str
-    group_order: int
-    k: int
-    gamma: int
-    doubling_scale: Optional[int]
-    scale_below_gamma_23: Optional[bool]
-    T1: Optional[int]
-    T2: Optional[int]
-    Tinf: Optional[int]
-    tinf_over_gamma_sq: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "group_order": self.group_order,
-            "k": self.k,
-            "gamma": self.gamma,
-            "doubling_scale": self.doubling_scale,
-            "scale_below_gamma_23": self.scale_below_gamma_23,
-            "T1": self.T1,
-            "T2": self.T2,
-            "Tinf": self.Tinf,
-            "tinf_over_gamma_sq": self.tinf_over_gamma_sq,
-        }
-
-
-def quadratic_scan(instances: Sequence[tuple[str, Group, GeneratingSet]]) -> list[ScanRow]:
-    """Per-instance: gamma, first SCAN_K-doubling scale, whether it is <= gamma^(2/3),
-    and the mixing-time-to-diameter-squared ratios."""
-    rows = []
-    for label, group, gens in instances:
-        ctx = build_context(group, gens)
-        scan = doubling_scan(ctx.ball)
-        scale = scan.first_scale(SCAN_K)
-        gamma = ctx.diameter
-        report = mixing_times(ctx)
-        ratio = report.Tinf / gamma**2 if (report.Tinf is not None and gamma > 0) else None
-        rows.append(
-            ScanRow(
-                label,
-                ctx.n,
-                ctx.k,
-                gamma,
-                scale,
-                None if scale is None else scale <= gamma ** (2.0 / 3.0),
-                report.T1,
-                report.T2,
-                report.Tinf,
-                ratio,
-            )
-        )
-    return rows
-

@@ -373,14 +373,19 @@ def _set_product(group: Group, A: np.ndarray, B: np.ndarray, meter: _WorkMeter, 
     return _distinct(out.reshape(-1, B.shape[1]))
 
 
+def _check_power_range_bytes(bound: int, width: int) -> None:
+    """Refuse a power range whose 2 bound + 1 rows of width coordinates pass SET_PRODUCT_BYTE_CAP."""
+    nbytes = (2 * bound + 1) * width * 8
+    if nbytes > SET_PRODUCT_BYTE_CAP:
+        raise ResourceRefusal(f"a power range of {2 * bound + 1} rows needs {nbytes} bytes, over the cap of {SET_PRODUCT_BYTE_CAP} bytes")
+
+
 def _power_range(group: Group, x, bound: int, meter: _WorkMeter) -> np.ndarray:
     """{x^l : |l| <= bound}, each direction by doubling: x^k times the rows of
     x^0 .. x^(k-1) gives those of x^k .. x^(2k-1).  Refused before any row
     is built when the 2 bound + 1 rows pass SET_PRODUCT_BYTE_CAP."""
     meter.charge(2 * bound + 1)
-    nbytes = (2 * bound + 1) * len(group.identity()) * 8
-    if nbytes > SET_PRODUCT_BYTE_CAP:
-        raise ResourceRefusal(f"a power range of {2 * bound + 1} rows needs {nbytes} bytes, over the cap of {SET_PRODUCT_BYTE_CAP} bytes")
+    _check_power_range_bytes(bound, len(group.identity()))
     halves = []
     for step in (x, group.inv(x)):
         rows = np.array([group.identity()], dtype=np.int64)
@@ -427,15 +432,25 @@ def _ordered_product(group: Group, factors: list[tuple[object, int]], meter: _Wo
 
 def _factors_for(spec: ProgressionSpec) -> tuple[list[tuple[object, int]], int]:
     """Each commutator of an exponent-box kind, evaluated, with its side length L^chi:
-    the r letters (ordered), the basic (nilpotent) or the generalised (nilcomplete)."""
+    the r letters (ordered), the basic (nilpotent) or the generalised (nilcomplete).
+
+    A power range too large for SET_PRODUCT_BYTE_CAP is refused before any
+    commutator is evaluated.  Merging adjacent powers only raises a bound,
+    and _ordered_product builds every range before its first set product,
+    so it would refuse the same run, on these bytes or on the work cap.
+    """
     if spec.kind == "ordered":
         comms = tuple(GenCommutator(i, (1,)) for i in range(spec.r))
     elif spec.kind == "nilpotent":
         comms = hall_basis(spec.r, spec.s)
     else:
         comms = generalised_commutators(spec.r, spec.s)
+    bounds = [_l_chi(spec.L, e.shape) for e in comms]
+    width = len(spec.group.identity())
+    for bound in reversed(bounds):  # the order _ordered_product builds the ranges in
+        _check_power_range_bytes(bound, width)
     gens = list(spec.generators)
-    factors = [(e.evaluate(spec.group, gens), _l_chi(spec.L, e.shape)) for e in comms]
+    factors = [(e.evaluate(spec.group, gens), bound) for e, bound in zip(comms, bounds)]
     box = math.prod(2 * b + 1 for _, b in factors)
     return factors, box
 

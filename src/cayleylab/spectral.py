@@ -10,7 +10,8 @@ Every engine takes a CayleyContext, the one enumerated graph that
 build_context returns.  Its cached ``spectrum`` solves lambda1 once and
 serves cheeger, the inequality chain, the Rayleigh probe and the mixing
 engines; its cached ``blocks`` holds every Laplacian eigenvalue, block by
-block, and serves lambda1 above the cap and the walk's characters in mixing.
+block, and serves lambda1 above the cap, the walk's characters in mixing
+and the coset gap.
 
 Solvers: lambda1 runs dense eigh on graphs of at most DENSE_CAP (256)
 vertices.  Above the cap it splits the Laplacian by the abelian subgroup H
@@ -26,10 +27,10 @@ the whole spectrum, and the eigenvector of its block lifts to a real
 eigenvector of the graph for the sweep cut.  Above the cap, a group with no
 split, or with blocks larger than FOURIER_BLOCK_CAP, is refused;
 fourier_split decides this from the group alone, so commands refuse before
-they build the graph.  The dense solve is
-the oracle the tests hold the blocks to.  coset_gap has only a dense path
-(numpy eigvalsh of the Laplacian plus a shifted coset-averaging matrix) and
-refuses above COSET_GAP_CAP (4096).
+they build the graph.  The dense solve is the oracle the tests hold the
+blocks to.  coset_gap, the gap on the functions with zero mean on every
+coset of H, reads the blocks too: those functions are the sum of the V_chi
+with chi != 1, so no solve of its own is needed, at any size.
 
 Both Cheeger computations rest on one identity: S = S^-1 and su != u for
 s != e, so for u outside A, |d(A + u)| = |dA| + (k - 1) - 2 |{s != e : su in A}|.
@@ -56,8 +57,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import AbelianSplit, GeneratingSet, Group, OracleError, ResourceRefusal, SubgroupOracle, conjugate
-from .growth import Ball, closed_ball, left_coset_labels
+from .groups import AbelianSplit, GeneratingSet, Group, ResourceRefusal
+from .growth import Ball, closed_ball
 
 __all__ = [
     "CayleyContext",
@@ -76,7 +77,6 @@ __all__ = [
     "coset_gap",
     "DENSE_CAP",
     "FOURIER_BLOCK_CAP",
-    "COSET_GAP_CAP",
     "EXACT_CHEEGER_CAP",
     "EXACT_SCAN_MAX",
 ]
@@ -84,7 +84,6 @@ __all__ = [
 DENSE_CAP = 256  # largest graph lambda1 solves densely
 FOURIER_BLOCK_CAP = 4096  # largest index [G:H], the size of a Fourier block lambda1 solves
 _CHUNK_BYTES = 1 << 25  # working memory of one chunk of Fourier blocks
-COSET_GAP_CAP = 4096  # coset_gap solves densely
 EXACT_CHEEGER_CAP = 22
 EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: 2^23 subsets at a measured peak of 49 B each (tracemalloc)
 SLACK = 1e-9
@@ -528,10 +527,6 @@ class SpectralChainReport:
     def ok(self) -> bool:
         return all(c.status != "violated" for c in self.checks)
 
-    @property
-    def all_hold(self) -> bool:
-        return all(c.status == "holds" for c in self.checks)
-
     def to_dict(self) -> dict:
         return {
             "group": self.group_name,
@@ -648,49 +643,21 @@ class CosetGapReport:
     bound: float
     gamma_H: int
     index: int
-    degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "gap": self.gap if math.isfinite(self.gap) else "inf",
-            "bound": self.bound,
-            "gamma_H": self.gamma_H,
-            "index": self.index,
-            "degenerate": self.degenerate,
-        }
 
 
-def coset_gap(ctx: CayleyContext, sub: SubgroupOracle) -> CosetGapReport:
-    """Minimal Rayleigh quotient over functions with zero mean on every coset gH.
+def coset_gap(ctx: CayleyContext) -> CosetGapReport:
+    """Least Laplacian eigenvalue on the functions with zero mean on every coset
+    of H, the normal subgroup of ctx.split.
 
-    H must be normal.  Asserts gap >= 1/gamma_H^2 where gamma_H is the diameter
-    of H in the ambient graph distance.
+    Those functions are the sum of the V_chi with chi != 1, so the gap is the
+    least eigenvalue of the nontrivial rows of ctx.blocks.  Asserts
+    gap >= 1/gamma_H^2, where gamma_H is the diameter of H in the ambient graph
+    distance.
     """
-    group = ctx.group
-    n = ctx.n
-    if n > COSET_GAP_CAP:
-        raise ResourceRefusal(f"coset gap uses a dense solve, capped at {COSET_GAP_CAP} vertices")
-    labels = left_coset_labels(ctx.ball, sub)
-    members = np.flatnonzero(labels == 0)
-    # normality on generators; label 0 is H itself, the members of the oracle
-    for i in members:
-        h = ctx.ball.elements[i]
-        for s in ctx.gens.elements:
-            if not sub.contains(conjugate(group, h, s)):
-                raise OracleError(f"{sub.name}: not normal (conjugation escapes)")
-    hsize = len(members)
-    index = n // hsize
-    gamma_h = int(ctx.word_lengths[members].max())
-    if hsize == 1:
-        return CosetGapReport(math.inf, math.inf, gamma_h, index, True)
-
-    # A averages over each coset xH; since s(xH) = (sx)H the Laplacian commutes
-    # with A, so the shift lifts the coset-constant functions above the
-    # spectrum and leaves the Laplacian on their complement as it is
-    averaging = (labels[:, None] == labels[None, :]) / hsize
-    shift = 2.0 * ctx.k + 1.0
-    gap = float(np.linalg.eigvalsh(ctx.dense_laplacian() + shift * averaging)[0])
+    coset, _ = ctx.split.locate(ctx.ball.rows)
+    gamma_h = int(ctx.word_lengths[coset == 0].max())
+    gap = float(ctx.blocks[1:, 0].min())
     bound = 1.0 / gamma_h**2
     if gap < bound - SLACK:
         raise RuntimeError(f"coset gap {gap} fell below 1/gamma_H^2 = {bound}")
-    return CosetGapReport(gap, bound, gamma_h, index, False)
+    return CosetGapReport(gap, bound, gamma_h, ctx.split.index)

@@ -8,12 +8,11 @@ iterate over (filtered by order where a suite has a size cap).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .groups import GeneratingSet, Group, SymFpGroup, balanced_lift, build_group, parse_group_spec
-from .growth import closed_ball, diameter, enumerate_ball
+from .groups import GeneratingSet, Group, build_group, parse_group_spec
+from .growth import diameter
 
 __all__ = [
     "FamilyInstance",
@@ -22,9 +21,6 @@ __all__ = [
     "zoo_listing",
     "LggReport",
     "verify_lgg",
-    "central_factorization_check",
-    "coordinate_window_check",
-    "sharpness_instances",
 ]
 
 _PROVENANCE = {
@@ -185,43 +181,3 @@ def verify_lgg(n: int, p: int) -> LggReport:
     gamma_0 = diameter(inst_0.group, inst_0.gens)
     c_meas = (gamma_l - n * p) / n**2
     return LggReport(n, p, gamma_l, gamma_p, gamma_0, c_meas)
-
-
-def central_factorization_check(n: int, p: int) -> bool:
-    """The full tower group is the direct product of the sum-zero subgroup with
-    the central constant-vector copy of Z/p: all |Gprime| * p products are distinct."""
-    full = SymFpGroup(n, p, "L")
-    prime = SymFpGroup(n, p, "Gprime")
-    ball = closed_ball(prime, prime.generating_set())
-    ident = tuple(range(n))
-    seen = set()
-    for a in range(p):
-        z = ident + (a,) * n
-        for g in ball.elements:
-            seen.add(full.mul(g, z))
-    return len(seen) == full.order
-
-
-def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
-    """Every element of the radius-R ball in the full tower group has all its
-    vector coordinates in [-R, R] (as balanced residues), for R <= radius."""
-    full = SymFpGroup(n, p, "L")
-    gens = full.generating_set()
-    ball = enumerate_ball(full, gens, max_radius=radius)
-    start = 0
-    for r, end in enumerate(ball.ball_sizes):
-        for x in ball.elements[start:end]:
-            if any(abs(balanced_lift(v, p)) > r for v in x[n:]):
-                return False
-        start = end
-    return True
-
-
-def sharpness_instances(alpha: float, cycle_sizes: Sequence[int]) -> list[tuple[str, Group, GeneratingSet]]:
-    """Product instances lamplighter(ceil(N^alpha)) x cyclic(N) for the 2/3-exponent scan."""
-    out = []
-    for n in cycle_sizes:
-        m = max(2, math.ceil(n**alpha))
-        inst = construct_family(f"product(lamplighter:{m})x(cyclic:{n})")
-        out.append((inst.label, inst.group, inst.gens))
-    return out

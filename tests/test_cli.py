@@ -342,6 +342,19 @@ def test_power_range_over_the_byte_cap_exits_3(monkeypatch, capsys):
     assert "a set product of 3 by 3 rows" in capsys.readouterr().err
 
 
+def test_oversized_power_range_is_refused_before_any_commutator_is_evaluated(monkeypatch, capsys):
+    # the weight-11 basic commutators have L^chi = 3^11: 354,295 rows of the
+    # 4,094 Magnus coefficients of freenil:r=2,s=11
+    def evaluate(self, group, gens):
+        raise AssertionError("a commutator was evaluated")
+
+    monkeypatch.setattr(nilprog.GenCommutator, "evaluate", evaluate)
+    assert run(["nilprog", "proper", "-r", "2", "-s", "11", "-L", "3,3"]) == EXIT_REFUSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: a power range of 354295 rows needs 11603869840 bytes, over the cap of 268435456 bytes\n"
+
+
 def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
     tuple_bfs = growth._tuple_bfs
 

@@ -9,12 +9,12 @@ import pytest
 
 from cayleylab import cli, mixing
 from cayleylab.groups import build_group, symmetrize
+from cayleylab.growth import doubling_scan
 from cayleylab.mixing import (
     TIE_EPS,
     WalkCurves,
     convolution_curve,
     mixing_times,
-    quadratic_scan,
     verify_basic_mixing,
 )
 from cayleylab.spectral import build_context, lambda1
@@ -222,19 +222,17 @@ def test_exact_calibration_size_guard():
 
 
 def test_quadratic_scan_rows():
-    instances = []
+    # one row of the quadratic-mixing scan per cycle: the first scale with
+    # |S^{2n+1}| <= 4 |S^n| lies below gamma^(2/3), and Tinf / gamma^2 is defined
     for n in (16, 32):
         g = build_group(f"cyclic:{n}")
-        instances.append((g.name, g, g.generating_set()))
-    rows = quadratic_scan(instances)
-    assert len(rows) == 2
-    for row in rows:
-        assert row.tinf_over_gamma_sq is not None
-        assert row.doubling_scale is not None
-        assert row.scale_below_gamma_23
-    # single-instance family: one row, no trend to assert
-    single = quadratic_scan(instances[:1])
-    assert len(single) == 1
+        ctx = build_context(g, g.generating_set())
+        scale = doubling_scan(ctx.ball).first_scale(4)
+        gamma = ctx.diameter
+        report = mixing_times(ctx)
+        assert report.Tinf is not None and gamma > 0
+        assert scale is not None
+        assert scale <= gamma ** (2.0 / 3.0)
 
 
 def test_mixing_invariants_across_zoo_sample():

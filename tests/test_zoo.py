@@ -4,16 +4,9 @@ import math
 
 import pytest
 
-from cayleylab.groups import SpecSemanticError, build_group
-from cayleylab.zoo import (
-    central_factorization_check,
-    construct_family,
-    coordinate_window_check,
-    sharpness_instances,
-    standard_zoo,
-    verify_lgg,
-    zoo_listing,
-)
+from cayleylab.groups import SpecSemanticError, SymFpGroup, build_group
+from cayleylab.growth import closed_ball, enumerate_ball
+from cayleylab.zoo import construct_family, standard_zoo, verify_lgg, zoo_listing
 
 
 def test_order_formulas():
@@ -55,6 +48,41 @@ def test_verify_lgg_small_towers():
     assert smoke.ok
 
 
+def central_factorization_check(n: int, p: int) -> bool:
+    """The full tower group is the direct product of the sum-zero subgroup with
+    the central constant-vector copy of Z/p: all |Gprime| * p products are distinct."""
+    full = SymFpGroup(n, p, "L")
+    prime = SymFpGroup(n, p, "Gprime")
+    ball = closed_ball(prime, prime.generating_set())
+    ident = tuple(range(n))
+    seen = set()
+    for a in range(p):
+        z = ident + (a,) * n
+        for g in ball.elements:
+            seen.add(full.mul(g, z))
+    return len(seen) == full.order
+
+
+def balanced_lift(x: int, p: int) -> int:
+    """Representative of x mod p in (-p/2, p/2]."""
+    x %= p
+    return x - p if x > p // 2 else x
+
+
+def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
+    """Every element of the radius-R ball in the full tower group has all its
+    vector coordinates in [-R, R] (as balanced residues), for R <= radius."""
+    full = SymFpGroup(n, p, "L")
+    ball = enumerate_ball(full, full.generating_set(), max_radius=radius)
+    start = 0
+    for r, end in enumerate(ball.ball_sizes):
+        for x in ball.elements[start:end]:
+            if any(abs(balanced_lift(v, p)) > r for v in x[n:]):
+                return False
+        start = end
+    return True
+
+
 def test_central_factorization():
     assert central_factorization_check(3, 5)
 
@@ -78,6 +106,16 @@ def test_zoo_generating_sets_are_symmetric():
         assert g.identity() in members
         for x in inst.gens.elements:
             assert g.inv(x) in members
+
+
+def sharpness_instances(alpha: float, cycle_sizes: list[int]) -> list[tuple]:
+    """Product instances lamplighter(ceil(N^alpha)) x cyclic(N) for the 2/3-exponent scan."""
+    out = []
+    for n in cycle_sizes:
+        m = max(2, math.ceil(n**alpha))
+        inst = construct_family(f"product(lamplighter:{m})x(cyclic:{n})")
+        out.append((inst.label, inst.group, inst.gens))
+    return out
 
 
 def test_sharpness_instances_shape():
