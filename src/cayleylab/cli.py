@@ -3,7 +3,8 @@
 One verb per invocation; exit codes: 0 all assertions passed, 1 a verified
 inequality failed (the report names it), 2 usage or spec parse error, 3
 resource refusal.  Serialization is bit-stable: JSON keys sorted, floats at 17
-significant digits, CSV with a header row.
+significant digits, CSV with a header row.  A verb imports only the engine
+modules it runs, since start-up is most of a small command's time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import growth, mixing, nilprog, spectral, zoo
 from .groups import (
     OracleError,
     ResourceRefusal,
@@ -133,6 +133,8 @@ def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
 
 
 def _instance(args, min_order: int = 1):
+    from . import zoo
+
     inst = zoo.construct_family(args.group)
     if inst.order is not None and inst.order < min_order:
         raise SpecSemanticError(
@@ -147,6 +149,8 @@ def _context(args):
     Above DENSE_CAP elements every such command solves lambda1 or refuses,
     so lambda1's refusals come first, before the graph is built.
     """
+    from . import spectral
+
     group, gens = _instance(args, min_order=2)
     if group.order is not None:
         spectral.fourier_split(group)
@@ -154,6 +158,8 @@ def _context(args):
 
 
 def _cmd_grow(args):
+    from . import growth
+
     if (args.eps is None) != (args.delta is None):
         raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
     group, gens = _instance(args)
@@ -172,6 +178,8 @@ def _cmd_grow(args):
 
 
 def _cmd_diam(args):
+    from . import growth
+
     group, gens = _instance(args)
     gamma = growth.diameter(group, gens)
     return True, {"group": group.name, "diameter": gamma}, None
@@ -181,12 +189,23 @@ def _cmd_spectrum(args):
     return True, _context(args).spectrum.to_dict(), None
 
 
+def _exact_cap(args) -> int:
+    """--exact-cap, or spectral's own cap when it is not given."""
+    from . import spectral
+
+    return spectral.EXACT_CHEEGER_CAP if args.exact_cap is None else args.exact_cap
+
+
 def _cmd_cheeger(args):
-    rep = spectral.cheeger(_context(args), args.exact_cap)
+    from . import spectral
+
+    rep = spectral.cheeger(_context(args), _exact_cap(args))
     return True, rep.to_dict(), None
 
 
 def _cmd_mix(args):
+    from . import mixing
+
     if args.p is not None and args.format != "csv":
         raise SpecSemanticError("--p restricts the csv curves; it needs --format csv")
     ctx = _context(args)
@@ -203,6 +222,8 @@ def _cmd_mix(args):
 
 
 def _cmd_nilprog(args):
+    from . import nilprog
+
     if args.action == "basis":
         basis = [e.text() for e in nilprog.hall_basis(args.r, args.s)]
         return True, {"r": args.r, "s": args.s, "size": len(basis), "commutators": basis}, None
@@ -227,6 +248,8 @@ def _cmd_nilprog(args):
 
 
 def _cmd_zoo(args):
+    from . import zoo
+
     if args.action == "list":
         rows = zoo.zoo_listing()
         return True, rows, rows
@@ -261,6 +284,8 @@ def _submultiplicative(balls) -> bool:
 
 
 def _suite_growth(args):
+    from . import growth
+
     group, gens = _instance(args)
     ball = growth.enumerate_ball(group, gens)
     gamma = ball.diameter
@@ -275,6 +300,8 @@ _NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1
 
 
 def _suite_nesting(args):
+    from . import nilprog
+
     reports = []
     ok = True
     for r, s, L in _NESTING_GRID:
@@ -293,6 +320,8 @@ _POWER_GRID = (
 
 
 def _suite_powers(args):
+    from . import nilprog
+
     reports = []
     ok = True
     for r, s, L, n, M, with_min in _POWER_GRID:
@@ -303,12 +332,15 @@ def _suite_powers(args):
 
 
 def _suite_spectral(args):
-    exact_cap = spectral.EXACT_CHEEGER_CAP if args.exact_cap is None else args.exact_cap
-    rep = spectral.verify_spectral_inequalities(_context(args), exact_cap)
+    from . import spectral
+
+    rep = spectral.verify_spectral_inequalities(_context(args), _exact_cap(args))
     return rep.ok, rep.to_dict()
 
 
 def _suite_mixing(args):
+    from . import mixing
+
     rep = mixing.verify_basic_mixing(_context(args))
     return rep.ok, rep.to_dict()
 
@@ -321,6 +353,8 @@ def _lgg_pair(args) -> Optional[tuple[int, int]]:
 
 
 def _suite_lgg(args):
+    from . import zoo
+
     pair = _lgg_pair(args)
     pairs = (pair,) if pair else ((3, 7), (4, 5))
     reports = []
@@ -333,6 +367,8 @@ def _suite_lgg(args):
 
 
 def _suite_commdepth(args):
+    from . import nilprog
+
     reports = []
     ratios = []
     ok = True
@@ -448,7 +484,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cheeger", help="Cheeger constant (exact below the cap)")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("--exact-cap", type=_int_at_least(0), default=spectral.EXACT_CHEEGER_CAP)
+    p.add_argument("--exact-cap", type=_int_at_least(0), default=None)
     _add_common(p)
 
     p = sub.add_parser("mix", help="mixing times and distance curves")

@@ -51,7 +51,6 @@ from typing import Optional
 import numpy as np
 
 from .groups import RANK_LIMIT, FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, symmetrize
-from .growth import enumerate_ball
 
 __all__ = [
     "hall_basis",
@@ -715,6 +714,8 @@ def _normal_closure(group: Group, seed: list, conjugators: list) -> frozenset:
     of a generator that escapes the ball, until none escapes.  In a finite
     group, conjugates of the generators staying inside suffice.
     """
+    from .growth import enumerate_ball  # here, so that progressions alone never load growth
+
     generators = list(seed)
     while True:
         gens = symmetrize(group, generators)
@@ -758,6 +759,8 @@ def assert_nilpotent(group: Group, generators: list) -> int:
 
 def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthReport:
     """Minimal m with [G,G] inside P^m, where P generates the finite nilpotent G."""
+    from .growth import enumerate_ball
+
     if group.order is None:
         raise ValueError("needs a finite group")
     comm = derived_subgroup(group, list(pset.spec.generators))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .groups import GeneratingSet, Group, build_group, parse_group_spec
-from .growth import diameter
 
 __all__ = [
     "FamilyInstance",
@@ -173,6 +172,8 @@ class LggReport:
 
 def verify_lgg(n: int, p: int) -> LggReport:
     """Exact diameters of the three tower groups and the stated bounds."""
+    from .growth import diameter  # here, so that construct_family alone never loads growth
+
     inst_l = construct_family(f"symfp:n={n},p={p},variant=L")
     inst_p = construct_family(f"symfp:n={n},p={p},variant=Gprime")
     inst_0 = construct_family(f"symfp:n={n},p={p},variant=G")

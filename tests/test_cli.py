@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import cayleylab
-from cayleylab import cli, growth, nilprog
+from cayleylab import cli, growth, mixing, nilprog, spectral, zoo
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
@@ -137,7 +137,7 @@ def test_spectral_refusal_comes_before_the_graph_build(argv, monkeypatch, capsys
     def no_build(*args):
         raise AssertionError("the Cayley graph was built")
 
-    monkeypatch.setattr(cli.spectral, "build_context", no_build)
+    monkeypatch.setattr(spectral, "build_context", no_build)
     assert run([*argv, "-g", "ut:dim=5,p=5"]) == EXIT_REFUSAL
     assert "Fourier blocks of size 15625 exceed the cap of 4096" in capsys.readouterr().err
 
@@ -170,6 +170,51 @@ def test_growth_commands_do_not_import_scipy():
     assert _python(["-c", probe]).returncode == 0
 
 
+# each verb with the engine modules it must not load
+_UNLOADED = [
+    (["grow", "-g", "cyclic:12"], {"spectral", "mixing", "nilprog"}),
+    (["diam", "-g", "cyclic:12"], {"spectral", "mixing", "nilprog"}),
+    (["verify", "growth", "-g", "cyclic:12"], {"spectral", "mixing", "nilprog"}),
+    (["spectrum", "-g", "cyclic:12"], {"mixing", "nilprog"}),
+    (["cheeger", "-g", "cyclic:12"], {"mixing", "nilprog"}),
+    (["verify", "spectral", "-g", "cyclic:12"], {"mixing", "nilprog"}),
+    (["nilprog", "powers", "-r", "2", "-s", "2", "-L", "1,1"], {"growth", "spectral", "mixing"}),
+    (["verify", "nesting"], {"growth", "spectral", "mixing"}),
+    (["zoo", "list"], {"growth", "spectral", "mixing"}),
+]
+
+
+@pytest.mark.parametrize("argv, unloaded", _UNLOADED, ids=[" ".join(a) for a, _ in _UNLOADED])
+def test_a_verb_loads_only_the_engines_it_runs(argv, unloaded):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cayleylab.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('cayleylab.')))\n"
+    )
+    code, *loaded = _python(["-c", probe, *argv]).stdout.split()
+    assert code == "0" and "cayleylab.cli" in loaded
+    assert unloaded.isdisjoint(m.removeprefix("cayleylab.") for m in loaded)
+
+
+def test_constructing_a_family_does_not_load_growth():
+    probe = "import sys, cayleylab.zoo\ncayleylab.zoo.construct_family('cyclic:12')\nsys.exit('cayleylab.growth' in sys.modules)\n"
+    assert _python(["-c", probe]).returncode == 0
+
+
+@pytest.mark.parametrize("verb", [["cheeger"], ["verify", "spectral"]])
+def test_exact_cap_defaults_to_the_spectral_cap(verb, capsys):
+    def output(*extra):
+        assert run([*verb, "-g", "cyclic:16", "--format", "json", *extra]) == EXIT_OK
+        return capsys.readouterr().out
+
+    default = output()
+    assert default == output("--exact-cap", str(spectral.EXACT_CHEEGER_CAP))
+    # a cap below the 16 vertices gives bounds, not the exact value
+    assert default != output("--exact-cap", "15")
+
+
 def test_python_dash_m_runs_the_command_line():
     proc = _python(["-m", "cayleylab", "diam", "-g", "cyclic:12"])
     assert proc.returncode == 0 and proc.stdout == "6\n"
@@ -198,10 +243,8 @@ def test_basis_at_the_letter_cap_stays_small():
 
 
 def test_fault_injection_exits_one(monkeypatch, capsys):
-    from cayleylab.zoo import LggReport
-
-    falsified = LggReport(3, 7, gamma_L=0, gamma_prime=0, gamma_0=0, c_meas=99.0)
-    monkeypatch.setattr(cli.zoo, "verify_lgg", lambda n, p: falsified)
+    falsified = zoo.LggReport(3, 7, gamma_L=0, gamma_prime=0, gamma_0=0, c_meas=99.0)
+    monkeypatch.setattr(zoo, "verify_lgg", lambda n, p: falsified)
     assert run(["verify", "lgg", "--format", "json"]) == EXIT_ASSERTION
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
@@ -244,8 +287,8 @@ def test_mix_csv_curves(capsys):
 
 def test_mix_builds_curve_rows_only_for_csv(monkeypatch, capsys):
     built = []
-    rows = cli.mixing.WalkCurves.csv_rows
-    monkeypatch.setattr(cli.mixing.WalkCurves, "csv_rows", lambda self: built.append(1) or rows(self))
+    rows = mixing.WalkCurves.csv_rows
+    monkeypatch.setattr(mixing.WalkCurves, "csv_rows", lambda self: built.append(1) or rows(self))
     for fmt in ("json", "table"):
         assert run(["mix", "-g", "cyclic:8", "--format", fmt]) == EXIT_OK
     assert built == []
