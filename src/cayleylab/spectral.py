@@ -36,8 +36,12 @@ Both Cheeger computations rest on one identity: S = S^-1 and su != u for
 s != e, so for u outside A, |d(A + u)| = |dA| + (k - 1) - 2 |{s != e : su in A}|.
 Exact Cheeger constants come from an exhaustive scan that builds the boundary
 of each of the 2^(n-1) subsets holding vertex 0 from a smaller one by this
-increment (only feasible for tiny groups, and refused above EXACT_SCAN_MAX,
-24 vertices); otherwise the report carries the certified interval
+increment.  It runs in chunks of 2^16 subsets that share their high bits, so
+its memory is bounded: within a chunk the boundary is one table over the low
+vertices, built once, plus a linear form and a constant set by the high ones
+(the meet-in-the-middle split of Horowitz-Sahni, J. ACM 21, 1974).  Its work
+still doubles with each vertex, so it is refused above EXACT_SCAN_MAX, 24
+vertices or 2^23 subsets; otherwise the report carries the certified interval
 [lambda1/2, min(sweep cut, sqrt(2 (k-1) lambda1))].  The graph is
 (k-1)-regular and h is not normalized by the degree, so these are the two
 Cheeger inequalities in this convention; the sweep cut is a real cut, so it
@@ -85,7 +89,8 @@ DENSE_CAP = 256  # largest graph lambda1 solves densely
 FOURIER_BLOCK_CAP = 4096  # largest index [G:H], the size of a Fourier block lambda1 solves
 _CHUNK_BYTES = 1 << 25  # working memory of one chunk of Fourier blocks
 EXACT_CHEEGER_CAP = 22
-EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: 2^23 subsets at a measured peak of 49 B each (tracemalloc)
+EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: a bound on work, 2^23 subsets in about 50 ms on 2 cores
+_SCAN_CHUNK_BITS = 16  # the exact scan holds 2^16 subsets at a time, a 3 MB peak (tracemalloc)
 SLACK = 1e-9
 
 
@@ -404,6 +409,13 @@ class CheegerReport:
         return out
 
 
+def _doubling_sums(first, weights, out: np.ndarray) -> None:
+    """out[j] = first + the sum of weights[v] over the bits v of j, by doubling; out has 2^len(weights) entries."""
+    out[0] = first
+    for v, w in enumerate(weights):
+        np.add(out[: 1 << v], w, out=out[1 << v : 2 << v])
+
+
 def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
     n = ctx.n
     if n > EXACT_SCAN_MAX:
@@ -412,30 +424,39 @@ def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
         )
     lap = ctx.dense_laplacian().astype(np.int64)
     # subset i holds vertex 0 and vertex v + 1 for each bit v of i; by complement
-    # symmetry these cover all partitions.  Adding u outside A changes the boundary
-    # by lap[u, u] + 2 sum_{w in A} lap[u, w]: the identity in the module docstring
-    boundary = np.empty(1 << (n - 1), dtype=np.int64)
-    sizes = np.empty_like(boundary)
-    boundary[0], sizes[0] = lap[0, 0], 1
-    step = np.empty(max(1 << (n - 2), 1), dtype=np.int64)
-    for v in range(n - 1):
+    # symmetry these cover all partitions.  Its low b bits pick Lo from the low
+    # vertices 1..b, its high bits pick F, which also holds vertex 0, from the rest;
+    # the chunk of one high mask has |dA| = x^T L x = x_Lo^T L x_Lo + 2 x_F^T L x_Lo + x_F^T L x_F
+    b = min(_SCAN_CHUNK_BITS, n - 1)
+    low = np.arange(1, b + 1)
+    # x_Lo^T L x_Lo, built once from the empty set: adding u outside A changes the
+    # boundary by lap[u, u] + 2 sum_{w in A} lap[u, w], the identity in the module docstring
+    quad = np.zeros(1 << b, dtype=np.int64)
+    step = np.empty(max(1 << (b - 1), 1), dtype=np.int64)
+    for v in range(b):
         u, half = v + 1, 1 << v
-        # step[i]: the change from adding u to subset i < half, doubled over the bits below v
-        step[0] = lap[u, u] + 2 * lap[u, 0]
-        for w in range(v):
-            np.add(step[: 1 << w], 2 * lap[u, w + 1], out=step[1 << w : 2 << w])
-        np.add(boundary[:half], step[:half], out=boundary[half : 2 * half])
-        np.add(sizes[:half], 1, out=sizes[half : 2 * half])
+        _doubling_sums(lap[u, u], 2 * lap[u, 1:u], step[:half])
+        np.add(quad[:half], step[:half], out=quad[half : 2 * half])
     del step
+    low_sizes = np.bitwise_count(np.arange(1 << b, dtype=np.int64))
+    boundary = np.empty_like(quad)
     half = n // 2
+    best = [None, None]  # per side: (float ratio, boundary, side size) of the first least ratio in index order
+    for high in range(1 << (n - 1 - b)):
+        f = [0] + [b + 1 + v for v in range(n - 1 - b) if high >> v & 1]
+        _doubling_sums(lap[np.ix_(f, f)].sum(), 2 * lap[np.ix_(low, f)].sum(axis=1), boundary)
+        boundary += quad
+        sizes = low_sizes + len(f)
+        for side, side_sizes in enumerate((sizes, n - sizes)):
+            ok = (side_sizes >= 1) & (side_sizes <= half)
+            if not ok.any():
+                continue
+            ratios = np.where(ok, boundary / np.maximum(side_sizes, 1), np.inf)
+            idx = int(np.argmin(ratios))
+            if best[side] is None or ratios[idx] < best[side][0]:
+                best[side] = (ratios[idx], int(boundary[idx]), int(side_sizes[idx]))
     best_num, best_den = None, None
-    for side_sizes in (sizes, n - sizes):
-        ok = (side_sizes >= 1) & (side_sizes <= half)
-        if not ok.any():
-            continue
-        ratios = np.where(ok, boundary / np.maximum(side_sizes, 1), np.inf)
-        idx = int(np.argmin(ratios))
-        num, den = int(boundary[idx]), int(side_sizes[idx])
+    for _, num, den in filter(None, best):
         if best_num is None or Fraction(num, den) < Fraction(best_num, best_den):
             best_num, best_den = num, den
     return Fraction(best_num, best_den), best_den, best_num

@@ -225,21 +225,34 @@ def test_python_dash_m_runs_the_cli_module():
     assert proc.returncode == 0 and proc.stdout == "6\n"
 
 
-def test_basis_at_the_letter_cap_stays_small():
+def _child_peak(argv: list[str]) -> tuple[int, int, str]:
+    """Exit code, peak RSS in KiB and stdout of one `cayley-lab` child process."""
     # a fresh wrapper waits for this one child, so RUSAGE_CHILDREN reads its peak alone
     wrapper = (
         "import resource, subprocess, sys\n"
-        "argv = ['nilprog', 'basis', '-r', '10000', '-s', '1', '--format', 'json']\n"
-        "proc = subprocess.run([sys.executable, '-m', 'cayleylab', *argv], capture_output=True, text=True)\n"
+        "proc = subprocess.run([sys.executable, '-m', 'cayleylab', *sys.argv[1:]], capture_output=True, text=True)\n"
         "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "sys.stdout.write(proc.stdout)\n"
     )
-    head, out = _python(["-c", wrapper]).stdout.split("\n", 1)
+    head, out = _python(["-c", wrapper, *argv]).stdout.split("\n", 1)
     code, peak_kib = map(int, head.split())
+    return code, peak_kib, out
+
+
+def test_basis_at_the_letter_cap_stays_small():
+    code, peak_kib, out = _child_peak(["nilprog", "basis", "-r", "10000", "-s", "1", "--format", "json"])
     report = json.loads(out)
     assert code == EXIT_OK and report["size"] == len(report["commutators"]) == 10**4
     # a stored weight vector of length r per commutator would be 10^8 references, about 800 MB
     assert peak_kib < 150 * 1024
+
+
+def test_exact_cheeger_at_the_scan_limit_stays_small():
+    code, peak_kib, out = _child_peak(["cheeger", "-g", "cyclic:24", "--exact-cap", "24", "--format", "json"])
+    assert code == EXIT_OK
+    assert out == '{"boundary":2,"mode":"exact","value":0.16666666666666666,"witness_size":12}\n'
+    # all 2^23 subsets at once took 431 MB; one chunk of 2^16 takes a few
+    assert peak_kib < 80 * 1024
 
 
 def test_fault_injection_exits_one(monkeypatch, capsys):

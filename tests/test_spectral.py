@@ -367,13 +367,15 @@ def mask_scan_cheeger(ctx):
     selection is the one _exact_cheeger keeps.
     """
     n = ctx.n
-    masks = (np.arange(1 << (n - 1), dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-    inside = [((masks >> np.uint64(x)) & np.uint64(1)).astype(bool) for x in range(n)]
-    boundary = np.zeros(masks.shape, dtype=np.int64)
+    masks = (np.arange(1 << (n - 1), dtype=np.uint32) << 1) | 1  # n <= EXACT_SCAN_MAX bits
+    sizes = np.bitwise_count(masks).astype(np.int64)
+    inside = [((masks >> x) & 1).astype(bool) for x in range(n)]
+    del masks  # the oracle at 24 vertices peaks near 0.4 GB; the arrays it no longer reads go first
+    boundary = np.zeros(sizes.shape, dtype=np.int64)
     for x in range(n):
         for p in ctx.nonid:
             boundary += inside[x] & ~inside[int(p[x])]
-    sizes = np.bitwise_count(masks).astype(np.int64)
+    del inside
     half = n // 2
     best_num, best_den = None, None
     for side_sizes in (sizes, n - sizes):
@@ -395,6 +397,46 @@ def test_boundary_recurrence_matches_the_mask_scan():
         ctx = build_context(g, gens)
         assert _exact_cheeger(ctx) == mask_scan_cheeger(ctx), label
     assert graphs > 80
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_scan_in_small_chunks_matches_the_mask_scan(monkeypatch, bits):
+    monkeypatch.setattr(spectral, "_SCAN_CHUNK_BITS", bits)
+    covered = set()
+    for label, g, gens, complete in small_cayley_graphs():
+        high_bits = g.order - 1 - bits
+        if high_bits > 12:  # at most 2^12 chunks
+            continue
+        ctx = build_context(g, gens)
+        assert _exact_cheeger(ctx) == mask_scan_cheeger(ctx), label
+        covered.add((int(np.sign(high_bits)), complete))
+    # n - 1 below (n >= 2 leaves no room below one bit), equal to and above the chunk's bit count, on S = G and sparse S
+    signs = (0, 1) if bits == 1 else (-1, 0, 1)
+    assert covered == {(sign, complete) for sign in signs for complete in (False, True)}
+
+
+def test_scan_at_its_limit_matches_the_mask_scan():
+    # 2^6 and 2^7 chunks of the default size; S = G is held to its closed form by the certified-interval test
+    graphs = 0
+    for label, g, gens, complete in small_cayley_graphs(SCAN_LIMIT_SPECS):
+        if not complete:
+            graphs += 1
+            ctx = build_context(g, gens)
+            assert _exact_cheeger(ctx) == mask_scan_cheeger(ctx), label
+    assert graphs == len(SCAN_LIMIT_SPECS)
+
+
+def test_exact_scan_memory_is_one_chunk():
+    g = build_group(f"cyclic:{EXACT_SCAN_MAX}")
+    ctx = build_context(g, g.generating_set())
+    tracemalloc.start()
+    try:
+        assert _exact_cheeger(ctx) == (Fraction(1, 6), 12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 2^23 subsets at once peaked at 392 MB
+    assert peak < 16 << 20
 
 
 def test_refused_exact_scan_allocates_nothing():
