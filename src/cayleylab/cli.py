@@ -189,17 +189,10 @@ def _cmd_spectrum(args):
     return True, _context(args).spectrum.to_dict(), None
 
 
-def _exact_cap(args) -> int:
-    """--exact-cap, or spectral's own cap when it is not given."""
-    from . import spectral
-
-    return spectral.EXACT_CHEEGER_CAP if args.exact_cap is None else args.exact_cap
-
-
 def _cmd_cheeger(args):
     from . import spectral
 
-    rep = spectral.cheeger(_context(args), _exact_cap(args))
+    rep = spectral.cheeger(_context(args))
     return True, rep.to_dict(), None
 
 
@@ -334,7 +327,7 @@ def _suite_powers(args):
 def _suite_spectral(args):
     from . import spectral
 
-    rep = spectral.verify_spectral_inequalities(_context(args), _exact_cap(args))
+    rep = spectral.verify_spectral_inequalities(_context(args))
     return rep.ok, rep.to_dict()
 
 
@@ -395,12 +388,12 @@ _SUITES = {
     "growth": (_suite_growth, ("group",)),
     "nesting": (_suite_nesting, ()),
     "powers": (_suite_powers, ()),
-    "spectral": (_suite_spectral, ("group", "exact_cap")),
+    "spectral": (_suite_spectral, ("group",)),
     "mixing": (_suite_mixing, ("group",)),
     "lgg": (_suite_lgg, ("n", "p")),
     "commdepth": (_suite_commdepth, ()),
 }
-_VERIFY_FLAGS = {"group": "--group", "n": "-n", "p": "-p", "exact_cap": "--exact-cap"}
+_VERIFY_FLAGS = {"group": "--group", "n": "-n", "p": "-p"}
 
 
 def _cmd_verify(args):
@@ -482,9 +475,8 @@ def build_parser() -> _Parser:
     p.add_argument("-g", "--group", required=True)
     _add_common(p)
 
-    p = sub.add_parser("cheeger", help="Cheeger constant (exact below the cap)")
+    p = sub.add_parser("cheeger", help="Cheeger constant (exact up to 24 vertices)")
     p.add_argument("-g", "--group", required=True)
-    p.add_argument("--exact-cap", type=_int_at_least(0), default=None)
     _add_common(p)
 
     p = sub.add_parser("mix", help="mixing times and distance curves")
@@ -512,7 +504,6 @@ def build_parser() -> _Parser:
     p.add_argument("-g", "--group", default=None)
     p.add_argument("-n", type=_int_at_least(1), default=None)
     p.add_argument("-p", type=_int_at_least(1), default=None)
-    p.add_argument("--exact-cap", type=_int_at_least(0), default=None)
     _add_common(p)
 
     return parser

@@ -7,17 +7,17 @@ canonical-byte order within a sphere) indexes every vector quantity
 downstream.  The BFS runs on one thread, and its output is a pure function of
 the group and the generating set.
 
-There is one graph builder.  A group with a codec (``group.codec``, the
-ranks of its rows: every finite family whose coordinate ranks fit below
-2^62) runs the array BFS: a sphere is an int64 array of coordinate rows,
-each generator acts on all of it at once, and ranks in canonical byte order
-stand in for the bytes, which it never writes; a row is an element's coordinate tuple, so reading the
-rows back gives the elements, and the ball keeps the rows for the engines
-that read coordinates.  It computes s*x for every generator s and every
-element x it expands, and a complete ball keeps the index of each product in
-its successor table, so the Cayley graph is enumerated once per ball and
-never again.  Other groups (the free nilpotent groups, products with an
-infinite factor, and finite groups whose ranks pass 2^62) only count: the
+There is one graph builder.  A group with a codec (``group.codec``, the ranks
+of its rows: every finite family whose coordinate ranks fit below 2^62) runs
+the array BFS: a sphere is an int64 array of coordinate rows, each generator
+acts on all of it at once, and ranks in canonical byte order stand in for the
+bytes, which it never writes.  A row is an element's coordinate tuple, so
+reading the rows back gives the elements, and the ball keeps the rows for the
+engines that read coordinates.  It computes s*x for every generator s and
+every element x it expands, and a complete ball keeps the index of each
+product in its successor table, so the Cayley graph is enumerated once per
+ball and never again.  Other groups (the free nilpotent groups, products with
+an infinite factor, and finite groups whose ranks pass 2^62) only count: the
 tuple BFS, one mul per product and one encode per new element to sort its
 sphere, enumerates their truncated balls, elements and sphere sizes, and
 never closes one; a closure on such a group is refused before either BFS

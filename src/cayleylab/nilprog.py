@@ -34,9 +34,9 @@ order, the target's canonical-byte order, on tuples.
 
 On a finite group, nilpotency comes from one lower central series (each term
 the normal closure of the commutators of the last with the generators):
-progression_spec holds the generators to class at most s with it and
-assert_nilpotent returns its length.  commutator_depth needs only its first
-term, [G, G], and builds just that one normal closure.
+progression_spec holds the generators to class at most s with it, the
+class being its length.  commutator_depth needs only its first term, [G, G],
+and builds just that one normal closure.
 """
 
 from __future__ import annotations
@@ -170,9 +170,6 @@ class GenCommutator:
 
     shape: object
     signs: tuple[int, ...]
-
-    def weight_vector(self, r: int) -> tuple[int, ...]:
-        return weight_vector(self.shape, r)
 
     def _fold(self, leaf, bracket):
         """leaf(letter, sign) at each leaf, bracket(left, right) at each bracket."""
@@ -750,11 +747,6 @@ def _lower_central_series(group: Group, generators: list) -> list[frozenset]:
             raise ValueError("lower central series did not terminate: group is not nilpotent")
         series.append(nxt)
     return series
-
-
-def assert_nilpotent(group: Group, generators: list) -> int:
-    """Lower central series termination; returns the nilpotency class."""
-    return len(_lower_central_series(group, generators))
 
 
 def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthReport:

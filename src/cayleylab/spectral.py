@@ -40,15 +40,15 @@ increment.  It runs in chunks of 2^16 subsets that share their high bits, so
 its memory is bounded: within a chunk the boundary is one table over the low
 vertices, built once, plus a linear form and a constant set by the high ones
 (the meet-in-the-middle split of Horowitz-Sahni, J. ACM 21, 1974).  Its work
-still doubles with each vertex, so it is refused above EXACT_SCAN_MAX, 24
-vertices or 2^23 subsets; otherwise the report carries the certified interval
-[lambda1/2, min(sweep cut, sqrt(2 (k-1) lambda1))].  The graph is
-(k-1)-regular and h is not normalized by the degree, so these are the two
-Cheeger inequalities in this convention; the sweep cut is a real cut, so it
-bounds h from above whichever lambda1 eigenvector it sorts by.  It sums the
-same increment along the eigenvector order and scores every prefix by its
-smaller side, so it tries both ends of the order.  Chain checks against an
-interval may come out "indeterminate", never falsely pass.
+still doubles with each vertex, so cheeger scans only graphs of at most
+EXACT_SCAN_MAX, 24 vertices or 2^23 subsets; above that the report carries
+the certified interval [lambda1/2, min(sweep cut, sqrt(2 (k-1) lambda1))].
+The graph is (k-1)-regular and h is not normalized by the degree, so these
+are the two Cheeger inequalities in this convention; the sweep cut is a real
+cut, so it bounds h from above whichever lambda1 eigenvector it sorts by.  It
+sums the same increment along the eigenvector order and scores every prefix
+by its smaller side, so it tries both ends of the order.  Chain checks
+against an interval may come out "indeterminate", never falsely pass.
 """
 
 from __future__ import annotations
@@ -81,15 +81,13 @@ __all__ = [
     "coset_gap",
     "DENSE_CAP",
     "FOURIER_BLOCK_CAP",
-    "EXACT_CHEEGER_CAP",
     "EXACT_SCAN_MAX",
 ]
 
 DENSE_CAP = 256  # largest graph lambda1 solves densely
 FOURIER_BLOCK_CAP = 4096  # largest index [G:H], the size of a Fourier block lambda1 solves
 _CHUNK_BYTES = 1 << 25  # working memory of one chunk of Fourier blocks
-EXACT_CHEEGER_CAP = 22
-EXACT_SCAN_MAX = 24  # largest graph the exact Cheeger scan takes: a bound on work, 2^23 subsets in about 50 ms on 2 cores
+EXACT_SCAN_MAX = 24  # largest graph cheeger scans exactly: a bound on work, 2^23 subsets in about 50 ms on 2 cores
 _SCAN_CHUNK_BITS = 16  # the exact scan holds 2^16 subsets at a time, a 3 MB peak (tracemalloc)
 SLACK = 1e-9
 
@@ -418,10 +416,6 @@ def _doubling_sums(first, weights, out: np.ndarray) -> None:
 
 def _exact_cheeger(ctx: CayleyContext) -> tuple[Fraction, int, int]:
     n = ctx.n
-    if n > EXACT_SCAN_MAX:
-        raise ResourceRefusal(
-            f"exact Cheeger scan of {n} vertices would cover 2^{n - 1} subsets; it handles at most {EXACT_SCAN_MAX} vertices"
-        )
     lap = ctx.dense_laplacian().astype(np.int64)
     # subset i holds vertex 0 and vertex v + 1 for each bit v of i; by complement
     # symmetry these cover all partitions.  Its low b bits pick Lo from the low
@@ -484,11 +478,11 @@ def _sweep_cut(ctx: CayleyContext, fiedler: np.ndarray) -> tuple[Fraction, int, 
     return Fraction(int(boundary[best]), int(sizes[best])), int(sizes[best]), int(boundary[best])
 
 
-def cheeger(ctx: CayleyContext, exact_cap: int = EXACT_CHEEGER_CAP) -> CheegerReport:
-    """Exact h by exhaustive scan when |G| <= exact_cap, certified interval otherwise."""
+def cheeger(ctx: CayleyContext) -> CheegerReport:
+    """Exact h by exhaustive scan when |G| <= EXACT_SCAN_MAX, certified interval otherwise."""
     if ctx.n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
-    if ctx.n <= exact_cap:
+    if ctx.n <= EXACT_SCAN_MAX:
         h, wsize, wboundary = _exact_cheeger(ctx)
         if h <= 0:
             raise RuntimeError("zero Cheeger constant on a connected graph")
@@ -563,7 +557,7 @@ class SpectralChainReport:
         }
 
 
-def verify_spectral_inequalities(ctx: CayleyContext, exact_cap: int = EXACT_CHEEGER_CAP) -> SpectralChainReport:
+def verify_spectral_inequalities(ctx: CayleyContext) -> SpectralChainReport:
     """Mechanical check of the diameter/Cheeger/gap inequality chain.
 
     With an exact h every comparison is decisive; with a certified interval a
@@ -574,7 +568,7 @@ def verify_spectral_inequalities(ctx: CayleyContext, exact_cap: int = EXACT_CHEE
         raise ValueError("chain needs at least two vertices")
     gamma = ctx.diameter
     spec = ctx.spectrum
-    ch = cheeger(ctx, exact_cap)
+    ch = cheeger(ctx)
     k = ctx.k
     n = ctx.n
     lam = (spec.lambda1, spec.lambda1)

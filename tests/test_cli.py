@@ -77,6 +77,13 @@ BAD_INPUTS = [
     (["grow", "-g", "cyclic:12", "--seed", "3"], EXIT_USAGE, "unrecognized arguments"),
     (["spectrum", "-g", "cyclic:12", "--tol", "1e-3"], EXIT_USAGE, "unrecognized arguments"),
     (["grow", "-g", "cyclic:12", "--workers", "2"], EXIT_USAGE, "unrecognized arguments"),
+    # cheeger picks exact or bounded from the graph size alone, so neither verb
+    # takes --exact-cap, at any value or graph size
+    (["cheeger", "-g", "cyclic:12", "--exact-cap", "-5"], EXIT_USAGE, "unrecognized arguments"),
+    (["verify", "spectral", "-g", "cyclic:12", "--exact-cap", "-1"], EXIT_USAGE, "unrecognized arguments"),
+    (["verify", "lgg", "--exact-cap", "5"], EXIT_USAGE, "unrecognized arguments"),
+    (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_USAGE, "unrecognized arguments"),
+    (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_USAGE, "unrecognized arguments"),
     # an lgg tower needs both -n and -p; verify lgg alone runs the default towers
     (["verify", "lgg", "-n", "3"], EXIT_USAGE, "-n and -p"),
     (["verify", "lgg", "-p", "7"], EXIT_USAGE, "-n and -p"),
@@ -88,10 +95,7 @@ BAD_INPUTS = [
     # a suite refuses the verify flags it does not read, and --p needs csv curves
     (["verify", "spectral", "-g", "cyclic:12", "-n", "3"], EXIT_USAGE, "does not read -n"),
     (["verify", "nesting", "-g", "cyclic:12"], EXIT_USAGE, "does not read --group"),
-    (["verify", "lgg", "--exact-cap", "5"], EXIT_USAGE, "does not read --exact-cap"),
     (["mix", "-g", "cyclic:12", "--p", "2", "--format", "json"], EXIT_USAGE, "needs --format csv"),
-    (["cheeger", "-g", "cyclic:12", "--exact-cap", "-5"], EXIT_USAGE, "at least 0"),
-    (["verify", "spectral", "-g", "cyclic:12", "--exact-cap", "-1"], EXIT_USAGE, "at least 0"),
     # the basic-commutator box 3^14 is refused from the partial products
     # already built, before the one of 531,441 elements
     (["nilprog", "proper", "-r", "3", "-s", "3", "-L", "1,1,1"], EXIT_REFUSAL, "needs at least 1860081 group products"),
@@ -104,9 +108,6 @@ BAD_INPUTS = [
     (["grow", "-g", "freenil:r=300,s=1", "-r", "1"], EXIT_USAGE, "r must be at most 256"),
     # a free nilpotent element holds one coefficient per word of length <= s
     (["grow", "-g", "freenil:r=20,s=4", "-r", "1"], EXIT_REFUSAL, "needs at least 8420 Magnus coefficients"),
-    # the exact scan covers 2^(n-1) subsets: refused before allocating
-    (["cheeger", "-g", "cyclic:30", "--exact-cap", "64"], EXIT_REFUSAL, "at most 24 vertices"),
-    (["verify", "spectral", "-g", "cyclic:25", "--exact-cap", "25"], EXIT_REFUSAL, "at most 24 vertices"),
     # gamma^delta = 25^2000 is past the float range
     (["grow", "-g", "cyclic:50", "--eps", "0.5", "--delta", "2000"], EXIT_USAGE, "delta must be below about 220.5"),
     # a repeated parameter is an error (abelian's moduli key excepted), and
@@ -204,15 +205,11 @@ def test_constructing_a_family_does_not_load_growth():
 
 
 @pytest.mark.parametrize("verb", [["cheeger"], ["verify", "spectral"]])
-def test_exact_cap_defaults_to_the_spectral_cap(verb, capsys):
-    def output(*extra):
-        assert run([*verb, "-g", "cyclic:16", "--format", "json", *extra]) == EXIT_OK
-        return capsys.readouterr().out
-
-    default = output()
-    assert default == output("--exact-cap", str(spectral.EXACT_CHEEGER_CAP))
-    # a cap below the 16 vertices gives bounds, not the exact value
-    assert default != output("--exact-cap", "15")
+def test_cheeger_is_exact_up_to_the_scan_limit(verb, capsys):
+    for n, mode in ((24, "exact"), (25, "bounded")):
+        assert run([*verb, "-g", f"cyclic:{n}", "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("h", report)["mode"] == mode
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -248,7 +245,7 @@ def test_basis_at_the_letter_cap_stays_small():
 
 
 def test_exact_cheeger_at_the_scan_limit_stays_small():
-    code, peak_kib, out = _child_peak(["cheeger", "-g", "cyclic:24", "--exact-cap", "24", "--format", "json"])
+    code, peak_kib, out = _child_peak(["cheeger", "-g", "cyclic:24", "--format", "json"])
     assert code == EXIT_OK
     assert out == '{"boundary":2,"mode":"exact","value":0.16666666666666666,"witness_size":12}\n'
     # all 2^23 subsets at once took 431 MB; one chunk of 2^16 takes a few

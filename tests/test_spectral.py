@@ -17,7 +17,6 @@ from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
 from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
 from cayleylab.spectral import (
     DENSE_CAP,
-    EXACT_CHEEGER_CAP,
     EXACT_SCAN_MAX,
     SpectralReport,
     _bounded_cheeger,
@@ -319,8 +318,8 @@ def test_cheeger_exact_cycles():
 def test_cheeger_bounded_interval_brackets_truth():
     g = build_group("cyclic:20")
     ctx = build_context(g, g.generating_set())
-    exact = cheeger(ctx, exact_cap=22)
-    bounded = cheeger(ctx, exact_cap=4)
+    exact = cheeger(ctx)
+    bounded = _bounded_cheeger(ctx)
     assert bounded.mode == "bounded"
     assert bounded.h_lower - 1e-12 <= float(exact.exact_value) <= bounded.h_upper + 1e-12
 
@@ -439,32 +438,21 @@ def test_exact_scan_memory_is_one_chunk():
     assert peak < 16 << 20
 
 
-def test_refused_exact_scan_allocates_nothing():
-    g = build_group(f"cyclic:{EXACT_SCAN_MAX + 1}")
-    ctx = build_context(g, g.generating_set())
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceRefusal, match=f"at most {EXACT_SCAN_MAX} vertices"):
-            cheeger(ctx, exact_cap=EXACT_SCAN_MAX + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_certified_cheeger_interval_holds_on_small_cayley_graphs():
+def test_certified_cheeger_interval_holds_on_small_cayley_graphs(monkeypatch):
     rng = np.random.default_rng(1506)
     graphs = 0
     for label, g, gens, complete in itertools.chain(small_cayley_graphs(), small_cayley_graphs(SCAN_LIMIT_SPECS)):
         graphs += 1
         n = g.order
         ctx = build_context(g, gens)
-        exact = verify_spectral_inequalities(ctx, exact_cap=EXACT_SCAN_MAX)
+        exact = verify_spectral_inequalities(ctx)
         assert exact.h_mode == "exact" and all(c.status == "holds" for c in exact.checks), (label, exact.to_dict())
         h = exact.h_interval[0]
         if complete:
             assert h == math.ceil(n / 2), label  # a half of the vertices against the rest
-        bounded = verify_spectral_inequalities(ctx, exact_cap=0)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "EXACT_SCAN_MAX", 0)
+            bounded = verify_spectral_inequalities(ctx)
         assert bounded.ok, (label, bounded.to_dict())
         assert bounded.h_interval[0] - 1e-9 <= h <= bounded.h_interval[1] + 1e-9, (label, h, bounded.h_interval)
         # the sweep cut must bracket h whichever lambda1 eigenvector it sorts by
@@ -547,8 +535,6 @@ def test_two_sided_sweep_never_exceeds_the_one_sided_sweep():
     improved = []
     for inst in standard_zoo(max_order=5000):
         ctx = build_context(inst.group, inst.gens)
-        if ctx.n <= EXACT_CHEEGER_CAP:
-            continue
         fiedler = lambda1(ctx).fiedler
         new = _sweep_cut(ctx, fiedler)
         old = one_sided_sweep_cut(ctx, fiedler)
@@ -638,7 +624,7 @@ def test_one_context_solves_lambda1_once(monkeypatch):
     calls = []
     solve = spectral.lambda1
     monkeypatch.setattr(spectral, "lambda1", lambda c: calls.append(c) or solve(c))
-    chain = verify_spectral_inequalities(ctx, exact_cap=0)
+    chain = verify_spectral_inequalities(ctx)  # 64 vertices: the bounded Cheeger path, which reads lambda1
     probe = rayleigh_probe(ctx)
     mixing = verify_basic_mixing(ctx)
     times = mixing_times(ctx, convolution_curve(ctx))
