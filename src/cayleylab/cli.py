@@ -4,7 +4,10 @@ One verb per invocation; exit codes: 0 all assertions passed, 1 a verified
 inequality failed (the report names it), 2 usage or spec parse error, 3
 resource refusal.  Serialization is bit-stable: JSON keys sorted, floats at 17
 significant digits, CSV with a header row.  A verb imports only the engine
-modules it runs, since start-up is most of a small command's time.
+modules it runs, since start-up is most of a small command's time.  The CLI
+runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is already set,
+so its bytes do not depend on the core count; importing the engine modules
+alone leaves that choice to the caller.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 import argparse
 import bisect
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
+
+# One BLAS thread, set before numpy loads: no spinning workers, same bytes on any core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .groups import (
     OracleError,

@@ -36,10 +36,11 @@ from the 1x1 Fourier blocks in the context's ``blocks``, the eigenvalues
 lambda1 reads too, and each crossing is a bisection over t, since the
 distances never increase.  ``mix`` in json and table format takes this
 path; ``mix --format csv`` and ``verify mixing`` need every step and walk,
-and so does every other group, whose blocks are not scalars.  Each probe carries a bound on its rounding in each norm
-(``_probe_bound``): through the 2-norm for d1 and d2, and through the
-1-norm of the spectrum's error for dinf; if any probe lies within its bound
-of the threshold, the report comes from the walk.
+and so does every other group, whose blocks are not scalars.  Each probe
+carries a bound on its rounding in each norm (``_probe_bound``): through the
+2-norm for d1 and d2, and through the 1-norm of the spectrum's error for
+dinf; if any probe lies within its bound of the threshold, the report comes
+from the walk.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ class WalkCurves:
 def _distances(block: np.ndarray, uniform: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise d1, d2 and dinf of walk vectors against the uniform measure."""
     w = block - uniform
-    d2 = np.sqrt(np.vecdot(w, w))  # vecdot rounds as w @ w does, row by row
+    # vecdot is BLAS ddot row by row, rounding as w @ w does; OpenBLAS splits a
+    # long row across its threads, so the CLI runs it on one
+    d2 = np.sqrt(np.vecdot(w, w))
     np.abs(w, out=w)
     return w.sum(axis=1), d2, w.max(axis=1)
 

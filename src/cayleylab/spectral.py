@@ -87,7 +87,7 @@ __all__ = [
 DENSE_CAP = 256  # largest graph lambda1 solves densely
 FOURIER_BLOCK_CAP = 4096  # largest index [G:H], the size of a Fourier block lambda1 solves
 _CHUNK_BYTES = 1 << 25  # working memory of one chunk of Fourier blocks
-EXACT_SCAN_MAX = 24  # largest graph cheeger scans exactly: a bound on work, 2^23 subsets in about 50 ms on 2 cores
+EXACT_SCAN_MAX = 24  # largest graph cheeger scans exactly: a bound on work, 2^23 subsets in about 0.1 s on one thread
 _SCAN_CHUNK_BITS = 16  # the exact scan holds 2^16 subsets at a time, a 3 MB peak (tracemalloc)
 SLACK = 1e-9
 

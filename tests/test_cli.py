@@ -143,10 +143,11 @@ def test_spectral_refusal_comes_before_the_graph_build(argv, monkeypatch, capsys
     assert "Fourier blocks of size 15625 exceed the cap of 4096" in capsys.readouterr().err
 
 
-def _python(args: list[str]) -> subprocess.CompletedProcess:
+def _python(args: list[str], base_env=None, **kwargs) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(cayleylab.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    base_env = os.environ if base_env is None else base_env
+    env = dict(base_env, PYTHONPATH=src + os.pathsep + base_env.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 def test_grow_reports_an_infinite_K_once_eps_delta_underflows(capsys):
@@ -220,6 +221,55 @@ def test_python_dash_m_runs_the_command_line():
 def test_python_dash_m_runs_the_cli_module():
     proc = _python(["-m", "cayleylab.cli", "diam", "-g", "cyclic:12"])
     assert proc.returncode == 0 and proc.stdout == "6\n"
+
+
+# this process imported cayleylab.cli, so its own environment carries the CLI's default
+_ENV_UNSET = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs CPU affinity and 2 CPUs"
+)
+def test_the_bytes_do_not_depend_on_the_core_count():
+    # the residual's norm over 12,167 vertices is a ddot, which OpenBLAS splits across its threads
+    argv = ["-m", "cayleylab", "spectrum", "-g", "ut:dim=3,p=23", "--format", "json"]
+    cpu = min(os.sched_getaffinity(0))
+    pinned = _python(argv, _ENV_UNSET, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    free = _python(argv, _ENV_UNSET)
+    assert pinned.returncode == free.returncode == 0
+    assert pinned.stdout == free.stdout
+
+
+_BLAS_PROBE = """
+import ctypes, os, sys
+for module in sys.argv[1:]:
+    __import__(module)
+threads = None
+try:
+    libs = sorted({l.split()[-1] for l in open("/proc/self/maps") if "blas" in l.rsplit("/", 1)[-1]})
+except OSError:
+    libs = []
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, sym):
+            getattr(lib, sym).restype = ctypes.c_int
+            threads = getattr(lib, sym)()
+            break
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    env, threads = _python(["-c", _BLAS_PROBE, "cayleylab.cli"], _ENV_UNSET).stdout.split()
+    assert env == "1"
+    if threads != "None":
+        assert threads == "1"
+    env, threads = _python(["-c", _BLAS_PROBE, "cayleylab.cli"], dict(_ENV_UNSET, OPENBLAS_NUM_THREADS="2")).stdout.split()
+    assert env == "2"
+    # the engine modules alone leave the choice to the program that imports them
+    env, _ = _python(["-c", _BLAS_PROBE, "cayleylab.spectral", "cayleylab.mixing"], _ENV_UNSET).stdout.split()
+    assert env == "None"
 
 
 def _child_peak(argv: list[str]) -> tuple[int, int, str]:
