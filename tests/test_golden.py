@@ -63,6 +63,10 @@ STDOUT_DIGESTS = [
     ("verify nesting", 0, "042c47c31e8e3439c5d83d87d40ddcaab06baeff79bdc1576797862084648412"),
     ("zoo lgg -n 3 -p 7", 0, "b51205dc7e60d009aca6c45472e427f1304a73ce8e01cde95353377e39afdc50"),
     ("nilprog nest -r 2 -s 2 -L 2,1", 0, "cb96e80524ef4c83c13d2e0e6113667ab85d2f239dc637a38539fee4e0427449"),
+    ("nilprog nest -r 2 -s 2 -L 2,1 --format json", 0, "c6a3866ada69f5cb661179e0fbd7a7465e17ce56919334ff56480bff4a47a9ac"),
+    ("nilprog proper -r 2 -s 2 -L 1,1", 0, "ee98326946459b4eaf076d2f709bc9e89b6488f8a4e01ca07b941cdfab6223c5"),
+    ("grow -g cyclic:100 --eps 0.5 --delta 0.5", 0, "d236709ef1fbeb74ed35f8333e046bfb418736b59810db3d0f70e4e6199ea901"),
+    ("grow -g cyclic:100 --eps 0.5 --delta 0.5 --format json", 0, "96086e94145d3ae12b71625de11413a070bd65c91e0e36d2a4e3e9828fcf4a60"),
     ("nilprog powers -r 2 -s 2 -L 1,1 -n 2 -M 2 --format json", 0, "c1babd0e4821427521368abb8f9812e069cc0f648b20557b94f9fec93ef6b357"),
     ("verify growth -g product(lamplighter:3)x(cyclic:8)", 0, "b92db5633672353642d6eff460cd68bc7931866446b6f0d829948e672a07d2ac"),
     ("grow -g product(freenil:r=2,s=2)x(cyclic:3) -r 4", 0, "34951ba843ff4f3e4d4b88428526c9c67973c186a32ba4a23f6aa9487e6ad9c1"),
