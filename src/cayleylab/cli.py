@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import dataclasses
 import math
 import os
 import sys
@@ -53,6 +54,27 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _plain(obj):
+    """A report as the dicts, lists and scalars that the renderers print.
+
+    A dataclass gives its fields shown in its repr and the properties its
+    class lists in ``_shown``, each under its own name; a class whose shape
+    differs writes its own ``to_dict``.
+    """
+    if hasattr(obj, "to_dict"):
+        return _plain(obj.to_dict())
+    if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj) if f.repr] + list(getattr(obj, "_shown", ()))
+        return {name: _plain(getattr(obj, name)) for name in names}
+    if isinstance(obj, Fraction):
+        return float(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj
+
+
 def render_json(obj) -> str:
     if obj is None:
         return "null"
@@ -62,8 +84,6 @@ def render_json(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return _fmt_float(float(obj))
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'
@@ -71,7 +91,7 @@ def render_json(obj) -> str:
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         body = ",".join(f"{render_json(str(k))}:{render_json(v)}" for k, v in items)
         return "{" + body + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ",".join(render_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -115,6 +135,7 @@ def render_table(obj, indent: int = 0) -> str:
 
 
 def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
+    report = _plain(report)
     if fmt == "json":
         text = render_json(report) + "\n"
     elif fmt == "csv":
@@ -174,13 +195,13 @@ def _cmd_grow(args):
     if ball.capped:
         # only an infinite group reaches the cap, and it needs -r
         sys.stderr.write(f"note: stopped at the order cap CAYLEY_LAB_CAP={order_cap()}, before radius {args.radius}\n")
-    report = ball.to_dict()
+    report = _plain(ball)
     if ball.complete:
-        report["doubling"] = growth.doubling_scan(ball).to_dict()
+        report["doubling"] = growth.doubling_scan(ball)
         if ball.size == group.order:
-            report["flatness"] = growth.flatness_report(ball).to_dict()
+            report["flatness"] = growth.flatness_report(ball)
             if args.eps is not None:
-                report["doubling_window"] = growth.doubling_at_scale(ball, args.eps, args.delta).to_dict()
+                report["doubling_window"] = growth.doubling_at_scale(ball, args.eps, args.delta)
     return True, report, ball.csv_rows()
 
 
@@ -193,14 +214,13 @@ def _cmd_diam(args):
 
 
 def _cmd_spectrum(args):
-    return True, _context(args).spectrum.to_dict(), None
+    return True, _context(args).spectrum, None
 
 
 def _cmd_cheeger(args):
     from . import spectral
 
-    rep = spectral.cheeger(_context(args))
-    return True, rep.to_dict(), None
+    return True, spectral.cheeger(_context(args)), None
 
 
 def _cmd_mix(args):
@@ -210,7 +230,7 @@ def _cmd_mix(args):
         raise SpecSemanticError("--p restricts the csv curves; it needs --format csv")
     ctx = _context(args)
     if args.format != "csv":
-        return True, mixing.mixing_times(ctx).to_dict(), None
+        return True, mixing.mixing_times(ctx), None
     # the csv lists every step, so only the walk serves it
     curves = mixing.convolution_curve(ctx)
     rep = mixing.mixing_times(ctx, curves)
@@ -218,7 +238,7 @@ def _cmd_mix(args):
     if args.p is not None:
         keep = {"1": "d1", "2": "d2", "inf": "dinf"}[args.p]
         rows = [{"n": r["n"], keep: r[keep]} for r in rows]
-    return True, rep.to_dict(), rows
+    return True, rep, rows
 
 
 def _cmd_nilprog(args):
@@ -235,15 +255,14 @@ def _cmd_nilprog(args):
         raise SpecSemanticError(f"-L needs one side length per generator, {args.r} for -r {args.r}; got {len(L)}")
     if args.action == "nest":
         rep = nilprog.verify_nesting(args.r, args.s, L)
-        return rep.holds, rep.to_dict(), None
+        return rep.holds, rep, None
     if args.action == "proper":
         spec = nilprog.progression_spec("nilpotent", args.r, args.s, L)
-        rep = nilprog.verify_properness(spec)
-        return True, rep.to_dict(), None
+        return True, nilprog.verify_properness(spec), None
     if args.action == "powers":
         rep = nilprog.verify_power_laws(args.r, args.s, L, args.n, M=args.M)
         ok = rep.power_containment_holds and (rep.cover_verified is not False)
-        return ok, rep.to_dict(), None
+        return ok, rep, None
     raise ValueError(args.action)
 
 
@@ -258,7 +277,7 @@ def _cmd_zoo(args):
         if pair is None:
             raise SpecSemanticError("zoo lgg needs -n and -p")
         rep = zoo.verify_lgg(*pair)
-        return rep.ok, rep.to_dict(), None
+        return rep.ok, rep, None
     raise ValueError(args.action)
 
 
@@ -293,7 +312,7 @@ def _suite_growth(args):
     flat = growth.flatness_report(ball)
     checks.append({"name": "freiman_diameter_bound", "ok": gamma <= flat.freiman_bound, "gamma": gamma, "bound": flat.freiman_bound})
     ok = all(c["ok"] for c in checks)
-    return ok, {"group": group.name, "checks": checks, "profile": ball.to_dict(), "flatness": flat.to_dict()}
+    return ok, {"group": group.name, "checks": checks, "profile": ball, "flatness": flat}
 
 
 _NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1)))
@@ -306,7 +325,7 @@ def _suite_nesting(args):
     ok = True
     for r, s, L in _NESTING_GRID:
         rep = nilprog.verify_nesting(r, s, L)
-        reports.append(rep.to_dict())
+        reports.append(rep)
         ok = ok and rep.holds
     return ok, {"suite": "nesting", "grid": reports}
 
@@ -326,7 +345,7 @@ def _suite_powers(args):
     ok = True
     for r, s, L, n, M, with_min in _POWER_GRID:
         rep = nilprog.verify_power_laws(r, s, L, n, M=M, with_min_power=with_min)
-        reports.append(rep.to_dict())
+        reports.append(rep)
         ok = ok and rep.power_containment_holds and (rep.cover_verified is not False)
     return ok, {"suite": "powers", "grid": reports}
 
@@ -335,14 +354,14 @@ def _suite_spectral(args):
     from . import spectral
 
     rep = spectral.verify_spectral_inequalities(_context(args))
-    return rep.ok, rep.to_dict()
+    return rep.ok, rep
 
 
 def _suite_mixing(args):
     from . import mixing
 
     rep = mixing.verify_basic_mixing(_context(args))
-    return rep.ok, rep.to_dict()
+    return rep.ok, rep
 
 
 def _lgg_pair(args) -> Optional[tuple[int, int]]:
@@ -361,7 +380,7 @@ def _suite_lgg(args):
     ok = True
     for n, p in pairs:
         rep = zoo.verify_lgg(n, p)
-        reports.append(rep.to_dict())
+        reports.append(rep)
         ok = ok and rep.ok
     return ok, {"suite": "lgg", "towers": reports}
 
@@ -378,7 +397,7 @@ def _suite_commdepth(args):
         spec = nilprog.progression_spec("nilprogression", 2, 2, (1, 1), group, [x, y])
         pset = nilprog.enumerate_progression(spec)
         rep = nilprog.commutator_depth(group, pset)
-        d = rep.to_dict()
+        d = _plain(rep)
         d["ceiling"] = 10 * math.sqrt(rep.gamma)
         d["within_ceiling"] = rep.m <= 10 * math.sqrt(rep.gamma)
         ok = ok and d["within_ceiling"]
@@ -411,8 +430,7 @@ def _cmd_verify(args):
     if "group" in reads and not args.group:
         raise SpecSemanticError(f"verify {args.suite} needs --group")
     ok, report = fn(args)
-    report["ok"] = ok
-    return ok, report, None
+    return ok, {**_plain(report), "ok": ok}, None
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +565,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except ResourceRefusal as exc:
         sys.stderr.write(f"refused: {exc}\n")
+        return EXIT_REFUSAL
+    except MemoryError:
+        # the caps bound elements, not bytes, so a run they admit can still
+        # exhaust memory; refusing on predicted bytes (ROADMAP item 17) is the fix
+        sys.stderr.write("refused: out of memory; a smaller group, radius or CAYLEY_LAB_CAP needs less\n")
         return EXIT_REFUSAL
     except (OracleError, RuntimeError) as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")

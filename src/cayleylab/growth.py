@@ -145,8 +145,8 @@ class Ball:
 
     def to_dict(self) -> dict:
         return {
-            "sphere_sizes": list(self.sphere_sizes),
-            "ball_sizes": list(self.ball_sizes),
+            "sphere_sizes": self.sphere_sizes,
+            "ball_sizes": self.ball_sizes,
             "diameter": self.diameter,
             "group_order": self.group.order,
             "k": self.gens.k,
@@ -310,12 +310,6 @@ class DoublingScan:
                 return n
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "ratios_2n1": [[n, float(r)] for n, r in self.ratios_2n1],
-            "ratios_5n": [[n, float(r)] for n, r in self.ratios_5n],
-        }
-
 
 def doubling_scan(ball: Ball) -> DoublingScan:
     if ball.truncated:
@@ -338,20 +332,15 @@ class DoublingWindow:
     eps: float
     delta: float
     K: float
-    lo: int
-    hi: int
+    lo: int = field(repr=False)
+    hi: int = field(repr=False)
     scale: Optional[int]
     window_empty: bool
+    _shown = ("window",)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "K": self.K,
-            "window": [self.lo, self.hi],
-            "scale": self.scale,
-            "window_empty": self.window_empty,
-        }
+    @property
+    def window(self) -> tuple[int, int]:
+        return (self.lo, self.hi)
 
 
 def doubling_at_scale(ball: Ball, eps: float, delta: float) -> DoublingWindow:
@@ -387,6 +376,7 @@ class FlatnessReport:
     gamma: int
     group_order: int
     k: int
+    _shown = ("eps_star", "freiman_bound")
 
     def __post_init__(self):
         if self.gamma > self.freiman_bound:
@@ -404,15 +394,6 @@ class FlatnessReport:
     @property
     def freiman_bound(self) -> float:
         return 2.0 * (self.group_order / self.k) ** 1.75
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "group_order": self.group_order,
-            "k": self.k,
-            "eps_star": self.eps_star,
-            "freiman_bound": self.freiman_bound,
-        }
 
 
 def flatness_report(ball: Ball) -> FlatnessReport:
@@ -432,9 +413,6 @@ class ModerateGrowthFit:
     A: object  # Fraction for integer d, float otherwise
     argmax_n: int
     exact: bool
-
-    def to_dict(self) -> dict:
-        return {"d": self.d, "A": float(self.A), "argmax_n": self.argmax_n, "exact": self.exact}
 
 
 def moderate_fit(ball: Ball, d: float) -> ModerateGrowthFit:
@@ -469,32 +447,21 @@ class RuzsaWitness:
     """Greedy disjoint-translate witness X in S^{4n} with verified certificates."""
 
     n: int
-    witness: tuple
+    witness: tuple = field(repr=False)
     ball_n: int
     ball_4n: int
     ball_5n: int
     disjoint_verified: bool
     covering_verified: bool
+    _shown = ("witness_size", "ratio_bound")
 
     @property
-    def size(self) -> int:
+    def witness_size(self) -> int:
         return len(self.witness)
 
     @property
     def ratio_bound(self) -> Fraction:
         return Fraction(self.ball_5n, self.ball_n)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "witness_size": self.size,
-            "ball_n": self.ball_n,
-            "ball_4n": self.ball_4n,
-            "ball_5n": self.ball_5n,
-            "ratio_bound": float(self.ratio_bound),
-            "disjoint_verified": self.disjoint_verified,
-            "covering_verified": self.covering_verified,
-        }
 
 
 def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> RuzsaWitness:
@@ -531,7 +498,7 @@ def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> Ruzs
     witness = RuzsaWitness(
         n, tuple(chosen), ball.ball(n), ball.ball(4 * n), ball.ball(5 * n), disjoint_ok, covering_ok
     )
-    if witness.size * witness.ball_n > witness.ball_5n:
+    if witness.witness_size * witness.ball_n > witness.ball_5n:
         raise RuntimeError("disjointness bound |X||S^n| <= |S^{5n}| violated")
     return witness
 
@@ -548,9 +515,6 @@ class CosetSaturation:
     r: int
     trajectory: tuple[int, ...]
     index: int
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "trajectory": list(self.trajectory), "index": self.index}
 
 
 def left_coset_labels(ball: Ball, sub: SubgroupOracle) -> np.ndarray:

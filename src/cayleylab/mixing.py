@@ -206,7 +206,7 @@ def convolution_curve(
 
 @dataclass(frozen=True)
 class MixingReport:
-    group_name: str
+    group: str
     group_order: int
     k: int
     gamma: int
@@ -217,26 +217,11 @@ class MixingReport:
     beta_S: float
     beta_valid: bool
     horizon: int
+    _shown = ("crossings_found",)
 
     @property
     def crossings_found(self) -> bool:
         return None not in (self.T1, self.T2, self.Tinf)
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "group_order": self.group_order,
-            "k": self.k,
-            "gamma": self.gamma,
-            "T1": self.T1,
-            "T2": self.T2,
-            "Tinf": self.Tinf,
-            "T_rel": self.T_rel,
-            "beta_S": self.beta_S,
-            "beta_valid": self.beta_valid,
-            "crossings_found": self.crossings_found,
-            "horizon": self.horizon,
-        }
 
 
 def _walk_eigenvalues(ctx: CayleyContext) -> tuple[np.ndarray, np.ndarray]:
@@ -371,34 +356,23 @@ def mixing_times(ctx: CayleyContext, curves: Optional[WalkCurves] = None) -> Mix
 
 @dataclass(frozen=True)
 class BasicMixingItem:
-    number: int
+    item: int
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"item": self.number, "name": self.name, "status": self.status, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class BasicMixingReport:
-    group_name: str
+    group: str
     group_order: int
     items: tuple[BasicMixingItem, ...]
     hypothesis_ok: bool
+    _shown = ("ok",)
 
     @property
     def ok(self) -> bool:
         return all(i.status != "fail" for i in self.items)
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_name,
-            "group_order": self.group_order,
-            "hypothesis_ok": self.hypothesis_ok,
-            "items": [i.to_dict() for i in self.items],
-            "ok": self.ok,
-        }
 
 
 def verify_basic_mixing(ctx: CayleyContext) -> BasicMixingReport:

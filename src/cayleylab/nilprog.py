@@ -523,21 +523,15 @@ class NestingReport:
     L: tuple[int, ...]
     cardinalities: dict[str, int]
     containments: tuple[Containment, ...]
+    _shown = ("convention", "holds")
+
+    @property
+    def convention(self) -> str:
+        return GENCOMM_CONVENTION
 
     @property
     def holds(self) -> bool:
         return all(c.holds for c in self.containments)
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "L": list(self.L),
-            "cardinalities": dict(self.cardinalities),
-            "containments": [c.to_dict() for c in self.containments],
-            "convention": GENCOMM_CONVENTION,
-            "holds": self.holds,
-        }
 
 
 def verify_nesting(r: int, s: int, L: tuple[int, ...]) -> NestingReport:
@@ -571,16 +565,6 @@ class PropernessReport:
     formal_box: int
     proper: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "L": list(self.L),
-            "cardinality": self.cardinality,
-            "formal_box": self.formal_box,
-            "proper": self.proper,
-        }
-
 
 def verify_properness(spec: ProgressionSpec) -> PropernessReport:
     """Compare |P| with the product of (2 L^chi + 1) over the basic commutators."""
@@ -601,19 +585,6 @@ class PowerLawReport:
     minimal_power_m: Optional[int]
     cover_size: Optional[int]
     cover_verified: Optional[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "L": list(self.L),
-            "n": self.n,
-            "M": self.M,
-            "power_containment_holds": self.power_containment_holds,
-            "minimal_power_m": self.minimal_power_m,
-            "cover_size": self.cover_size,
-            "cover_verified": self.cover_verified,
-        }
 
 
 def verify_power_laws(
@@ -689,19 +660,11 @@ class CommutatorDepthReport:
     gamma: int
     commutator_order: int
     group_order: int
+    _shown = ("ratio",)
 
     @property
     def ratio(self) -> float:
         return self.m / math.sqrt(self.gamma) if self.gamma > 0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "gamma": self.gamma,
-            "ratio": self.ratio,
-            "commutator_order": self.commutator_order,
-            "group_order": self.group_order,
-        }
 
 
 def _normal_closure(group: Group, seed: list, conjugators: list) -> frozenset:

@@ -54,7 +54,7 @@ against an interval may come out "indeterminate", never falsely pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
@@ -210,7 +210,8 @@ class SpectralReport:
     k: int
     solver: str
     residual: float
-    fiedler: np.ndarray
+    fiedler: np.ndarray = field(repr=False)
+    _shown = ("beta_S", "beta_valid")
 
     @property
     def beta_S(self) -> float:
@@ -221,17 +222,6 @@ class SpectralReport:
         # beta_S is the walk-operator norm iff the bottom of the spectrum
         # does not dip below -(1 - lambda1/k)
         return 1.0 - self.lambda_max / self.k >= -(1.0 - self.lambda1 / self.k) - 1e-12
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda_max": self.lambda_max,
-            "k": self.k,
-            "beta_S": self.beta_S,
-            "beta_valid": self.beta_valid,
-            "solver": self.solver,
-            "residual": self.residual,
-        }
 
 
 def _dense_extremes(ctx: CayleyContext) -> tuple[float, float, np.ndarray]:
@@ -400,7 +390,7 @@ class CheegerReport:
     def to_dict(self) -> dict:
         out = {"mode": self.mode, "witness_size": self.witness_size}
         if self.mode == "exact":
-            out["value"] = float(self.exact_value)
+            out["value"] = self.exact_value
             out["boundary"] = self.witness_boundary
         else:
             out["interval"] = [self.h_lower, self.h_upper]
@@ -511,9 +501,6 @@ class InequalityCheck:
     rhs: tuple[float, float]
     status: str  # "holds" | "indeterminate" | "violated"
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": list(self.lhs), "rhs": list(self.rhs), "status": self.status}
-
 
 def _check(name: str, lhs: tuple[float, float], rhs: tuple[float, float]) -> InequalityCheck:
     if lhs[1] <= rhs[0] + SLACK:
@@ -527,7 +514,7 @@ def _check(name: str, lhs: tuple[float, float], rhs: tuple[float, float]) -> Ine
 
 @dataclass(frozen=True)
 class SpectralChainReport:
-    group_name: str
+    group: str
     group_order: int
     k: int
     gamma: int
@@ -544,14 +531,14 @@ class SpectralChainReport:
 
     def to_dict(self) -> dict:
         return {
-            "group": self.group_name,
+            "group": self.group,
             "group_order": self.group_order,
             "k": self.k,
             "gamma": self.gamma,
             "lambda1": self.lambda1,
             "lambda_max": self.lambda_max,
-            "h": {"mode": self.h_mode, "interval": list(self.h_interval)},
-            "inequalities": [c.to_dict() for c in self.checks],
+            "h": {"mode": self.h_mode, "interval": self.h_interval},
+            "inequalities": self.checks,
             "strong_buser_ratio": self.strong_buser_ratio,
             "ok": self.ok,
         }
@@ -600,18 +587,8 @@ class RayleighReport:
     gamma: int
     R: Optional[float] = None
     bound: Optional[float] = None
-    lambda1_value: Optional[float] = None
+    lambda1: Optional[float] = None
     mean_before: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "skipped": self.skipped,
-            "gamma": self.gamma,
-            "R": self.R,
-            "bound": self.bound,
-            "lambda1": self.lambda1_value,
-            "mean_before": self.mean_before,
-        }
 
 
 def rayleigh_probe(ctx: CayleyContext) -> RayleighReport:

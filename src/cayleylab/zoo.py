@@ -133,6 +133,7 @@ class LggReport:
     gamma_prime: int
     gamma_0: int
     c_meas: float
+    _shown = ("lower_L_ok", "lower_prime_ok", "lower_0_ok", "c_meas_ok", "ok")
 
     @property
     def lower_L_ok(self) -> bool:
@@ -153,21 +154,6 @@ class LggReport:
     @property
     def ok(self) -> bool:
         return self.lower_L_ok and self.lower_prime_ok and self.lower_0_ok and self.c_meas_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "gamma_L": self.gamma_L,
-            "gamma_prime": self.gamma_prime,
-            "gamma_0": self.gamma_0,
-            "c_meas": self.c_meas,
-            "lower_L_ok": self.lower_L_ok,
-            "lower_prime_ok": self.lower_prime_ok,
-            "lower_0_ok": self.lower_0_ok,
-            "c_meas_ok": self.c_meas_ok,
-            "ok": self.ok,
-        }
 
 
 def verify_lgg(n: int, p: int) -> LggReport:

@@ -66,7 +66,7 @@ def test_criterion_02_nesting_chain():
         start = time.monotonic()
         for r, s, L in ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1))):
             rep = verify_nesting(r, s, L)
-            assert rep.holds, rep.to_dict()
+            assert rep.holds, rep
         assert time.monotonic() - start < 60.0
 
 
@@ -85,7 +85,7 @@ def test_criterion_04_power_laws():
             for n in (2, 3):
                 reported = L == (1, 1)
                 rep = verify_power_laws(2, 2, L, n, M=2 if reported else None, with_min_power=reported)
-                assert rep.power_containment_holds, rep.to_dict()
+                assert rep.power_containment_holds, rep
                 if reported:
                     assert rep.minimal_power_m is not None
                     assert rep.cover_verified and rep.cover_size >= 1
@@ -113,9 +113,9 @@ def test_criterion_06_spectral_chain_zoo():
     with criterion(6, "spectral inequality chain across the zoo up to order 5000"):
         for inst in standard_zoo(max_order=5000):
             rep = verify_spectral_inequalities(build_context(inst.group, inst.gens))
-            assert rep.ok, (inst.label, rep.to_dict())
+            assert rep.ok, (inst.label, rep)
             if rep.h_mode == "exact":
-                assert all(c.status == "holds" for c in rep.checks), (inst.label, rep.to_dict())
+                assert all(c.status == "holds" for c in rep.checks), (inst.label, rep)
 
 
 def test_criterion_07_mixing_suite_zoo():
@@ -124,8 +124,8 @@ def test_criterion_07_mixing_suite_zoo():
             rep = verify_basic_mixing(build_context(inst.group, inst.gens))
             if not rep.hypothesis_ok:
                 continue  # the facts assume lambda1 <= 2
-            assert rep.ok, (inst.label, rep.to_dict())
-            assert all(i.status == "pass" for i in rep.items), (inst.label, rep.to_dict())
+            assert rep.ok, (inst.label, rep)
+            assert all(i.status == "pass" for i in rep.items), (inst.label, rep)
         # cyclic L2 curves against the character-sum closed form
         for n in (2, 8, 12, 16, 20, 100):
             inst = construct_family(f"cyclic:{n}")
@@ -185,8 +185,8 @@ def test_criterion_09_tower_diameters():
     with criterion(9, "semidirect tower diameter bounds at (3,7) and (4,5)"):
         for n, p in ((3, 7), (4, 5)):
             rep = verify_lgg(n, p)
-            assert rep.lower_L_ok and rep.lower_prime_ok and rep.lower_0_ok, rep.to_dict()
-            assert rep.c_meas <= 8.0, rep.to_dict()
+            assert rep.lower_L_ok and rep.lower_prime_ok and rep.lower_0_ok, rep
+            assert rep.c_meas <= 8.0, rep
 
 
 def test_criterion_10_schreier_contract():
@@ -234,7 +234,7 @@ def test_criterion_11_commutator_depth():
             x, y = g.raw_generators()
             pset = enumerate_progression(progression_spec("nilprogression", 2, 2, (1, 1), g, [x, y]))
             rep = commutator_depth(g, pset)
-            assert rep.m <= 10 * math.sqrt(rep.gamma), rep.to_dict()
+            assert rep.m <= 10 * math.sqrt(rep.gamma), rep
             ratios.append(rep.ratio)
         assert max(ratios) <= 2 * min(ratios), ratios
 
@@ -244,11 +244,11 @@ def test_criterion_12_ruzsa_witness():
         g = build_group("cyclic:100")
         w = approximate_group_witness(g, g.generating_set(), 5)
         assert w.disjoint_verified and w.covering_verified
-        assert w.size * w.ball_n <= w.ball_5n
+        assert w.witness_size * w.ball_n <= w.ball_5n
         u = build_group("ut:dim=3,p=11")
         w2 = approximate_group_witness(u, u.generating_set(), 3)
         assert w2.disjoint_verified and w2.covering_verified
-        assert w2.size * w2.ball_n <= w2.ball_5n
+        assert w2.witness_size * w2.ball_n <= w2.ball_5n
 
 
 def test_criterion_13_moderate_growth_cross_check():
@@ -281,7 +281,7 @@ def test_criterion_13_moderate_growth_cross_check():
 # shuffled ones
 _DETERMINISM_PROBE = """
 import sys
-from cayleylab.cli import render_json
+from cayleylab.cli import _plain, render_json
 from cayleylab.groups import SubgroupOracle, build_group
 from cayleylab.growth import approximate_group_witness, coset_saturation, enumerate_ball
 from cayleylab.mixing import mixing_times
@@ -292,24 +292,24 @@ from cayleylab.zoo import construct_family
 reports = []
 for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
     inst = construct_family(spec)
-    reports.append(enumerate_ball(inst.group, inst.gens).to_dict())
-reports.append(verify_nesting(2, 2, (2, 2)).to_dict())
-reports.append(verify_power_laws(2, 2, (1, 1), 2, M=2).to_dict())
+    reports.append(enumerate_ball(inst.group, inst.gens))
+reports.append(verify_nesting(2, 2, (2, 2)))
+reports.append(verify_power_laws(2, 2, (1, 1), 2, M=2))
 ut11 = build_group("ut:dim=3,p=11")
 pset = enumerate_progression(progression_spec("nilprogression", 2, 2, (1, 1), ut11, list(ut11.raw_generators())))
-reports.append(commutator_depth(ut11, pset).to_dict())
+reports.append(commutator_depth(ut11, pset))
 g100 = build_group("cyclic:100")
-reports.append(approximate_group_witness(g100, g100.generating_set(), 5).to_dict())
+reports.append(approximate_group_witness(g100, g100.generating_set(), 5))
 for spec in ("cyclic:20", "lamplighter:4"):
     inst = construct_family(spec)
-    reports.append(verify_spectral_inequalities(build_context(inst.group, inst.gens)).to_dict())
+    reports.append(verify_spectral_inequalities(build_context(inst.group, inst.gens)))
 inst16 = construct_family("cyclic:16")
 ctx16 = build_context(inst16.group, inst16.gens)
-reports.append(mixing_times(ctx16).to_dict())
+reports.append(mixing_times(ctx16))
 g12 = build_group("cyclic:12")
 oracle = SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")
-reports.append(coset_saturation(g12, g12.generating_set(), oracle).to_dict())
-sys.stdout.write(render_json(reports))
+reports.append(coset_saturation(g12, g12.generating_set(), oracle))
+sys.stdout.write(render_json(_plain(reports)))
 """
 
 

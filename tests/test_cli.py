@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, deterministic serialization."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 import cayleylab
 from cayleylab import cli, growth, mixing, nilprog, spectral, zoo
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
+from cayleylab.groups import SubgroupOracle, build_group
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
 
@@ -389,6 +391,72 @@ def test_emit_report_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _cli_reports():
+    """One report of each class the command line serializes, nested ones too, on small inputs."""
+    reports = []
+    for spec in ("cyclic:100", "ut:dim=3,p=5"):
+        inst = zoo.construct_family(spec)
+        ball = enumerate_ball(inst.group, inst.gens)
+        ctx = spectral.build_context(inst.group, inst.gens)
+        chain = spectral.verify_spectral_inequalities(ctx)
+        basic = mixing.verify_basic_mixing(ctx)
+        reports += [
+            ball,
+            growth.doubling_scan(ball),
+            growth.flatness_report(ball),
+            growth.doubling_at_scale(ball, 0.5, 0.5),
+            growth.moderate_fit(ball, 2),
+            growth.approximate_group_witness(inst.group, inst.gens, 1),
+            ctx.spectrum,
+            spectral.cheeger(ctx),
+            chain,
+            chain.checks[0],
+            spectral.rayleigh_probe(ctx),
+            mixing.mixing_times(ctx),
+            basic,
+            basic.items[0],
+        ]
+    g12 = build_group("cyclic:12")
+    reports.append(spectral.cheeger(spectral.build_context(g12, g12.generating_set())))  # the exact mode
+    reports.append(growth.coset_saturation(g12, g12.generating_set(), SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")))
+    ut = build_group("ut:dim=3,p=5")
+    pset = nilprog.enumerate_progression(nilprog.progression_spec("nilprogression", 2, 2, (1, 1), ut, list(ut.raw_generators())))
+    nest = nilprog.verify_nesting(2, 2, (1, 1))
+    reports += [
+        nest,
+        nest.containments[0],
+        nilprog.verify_properness(nilprog.progression_spec("nilpotent", 2, 2, (1, 1))),
+        nilprog.verify_power_laws(2, 2, (1, 1), 2, M=2),
+        nilprog.commutator_depth(ut, pset),
+        zoo.verify_lgg(3, 7),
+    ]
+    return reports
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        assert all(isinstance(k, str) for k in obj), obj
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+def test_reports_serialize_to_plain_leaves():
+    # no ndarray, Fraction or tuple reaches the renderers, and no field kept out of the repr
+    reports = _cli_reports()
+    assert len({type(rep) for rep in reports}) == 21
+    for rep in reports:
+        plain = cli._plain(rep)
+        bad = [x for x in _leaves(plain) if not isinstance(x, (str, int, float, bool, type(None)))]
+        assert not bad, (type(rep).__name__, bad)
+        hidden = {f.name for f in dataclasses.fields(rep) if not f.repr}
+        assert hidden.isdisjoint(plain), (type(rep).__name__, hidden & plain.keys())
+
+
 def test_render_csv_values():
     rows = [{"n": 1, "v": 0.5, "flag": True, "none": None}]
     text = render_csv(rows)
@@ -475,6 +543,17 @@ def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
         assert err == f"refused: {spec} has coordinate ranks past 2^62, so no codec: closure enumeration needs max_radius\n"
     assert run(["grow", "-g", spec, "-r", "2", "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sphere_sizes"] == [1, 8, 32]
+
+
+def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(growth, "enumerate_ball", exhausted)
+    assert run(["grow", "-g", "freenil:r=2,s=2", "-r", "1000"]) == EXIT_REFUSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: out of memory") and captured.err.count("\n") == 1
 
 
 def readme_examples() -> list[list[str]]:

@@ -271,8 +271,8 @@ def test_ruzsa_witness_cycle():
     g = build_group("cyclic:100")
     w = approximate_group_witness(g, g.generating_set(), 5)
     assert w.disjoint_verified and w.covering_verified
-    assert w.size <= 4
-    assert w.size * w.ball_n <= w.ball_5n
+    assert w.witness_size <= 4
+    assert w.witness_size * w.ball_n <= w.ball_5n
 
 
 def test_ruzsa_witness_whole_group_absorbs():
@@ -286,7 +286,7 @@ def test_ruzsa_witness_unitriangular():
     g = build_group("ut:dim=3,p=11")
     w = approximate_group_witness(g, g.generating_set(), 3)
     assert w.disjoint_verified and w.covering_verified
-    assert w.size * w.ball_n <= w.ball_5n
+    assert w.witness_size * w.ball_n <= w.ball_5n
 
 
 # ---------------------------------------------------------------------------

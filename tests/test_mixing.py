@@ -163,7 +163,7 @@ def test_basic_mixing_pass_small_groups():
         g = build_group(spec)
         rep = verify_basic_mixing(build_context(g, g.generating_set()))
         assert rep.hypothesis_ok
-        assert rep.ok, (spec, [i.to_dict() for i in rep.items if i.status == "fail"])
+        assert rep.ok, (spec, [i for i in rep.items if i.status == "fail"])
         assert all(i.status == "pass" for i in rep.items)
 
 
@@ -173,7 +173,7 @@ def test_basic_mixing_hypothesis_skip():
     assert lambda1(ctx).lambda1 > 2
     rep = verify_basic_mixing(ctx)
     assert not rep.hypothesis_ok
-    statuses = {i.number: i.status for i in rep.items}
+    statuses = {i.item: i.status for i in rep.items}
     assert statuses[3] == statuses[5] == statuses[9] == "skipped"
     assert rep.ok
 

@@ -446,14 +446,14 @@ def test_certified_cheeger_interval_holds_on_small_cayley_graphs(monkeypatch):
         n = g.order
         ctx = build_context(g, gens)
         exact = verify_spectral_inequalities(ctx)
-        assert exact.h_mode == "exact" and all(c.status == "holds" for c in exact.checks), (label, exact.to_dict())
+        assert exact.h_mode == "exact" and all(c.status == "holds" for c in exact.checks), (label, exact)
         h = exact.h_interval[0]
         if complete:
             assert h == math.ceil(n / 2), label  # a half of the vertices against the rest
         with monkeypatch.context() as m:
             m.setattr(spectral, "EXACT_SCAN_MAX", 0)
             bounded = verify_spectral_inequalities(ctx)
-        assert bounded.ok, (label, bounded.to_dict())
+        assert bounded.ok, (label, bounded)
         assert bounded.h_interval[0] - 1e-9 <= h <= bounded.h_interval[1] + 1e-9, (label, h, bounded.h_interval)
         # the sweep cut must bracket h whichever lambda1 eigenvector it sorts by
         vals, vecs = np.linalg.eigh(ctx.dense_laplacian())
@@ -592,7 +592,7 @@ def test_chain_exact_groups_all_hold():
     for inst in standard_zoo(max_order=22):
         rep = verify_spectral_inequalities(build_context(inst.group, inst.gens))
         assert rep.h_mode == "exact"
-        assert all(c.status == "holds" for c in rep.checks), (inst.label, [c.to_dict() for c in rep.checks])
+        assert all(c.status == "holds" for c in rep.checks), (inst.label, rep.checks)
 
 
 def test_chain_z2_degenerate():
@@ -606,7 +606,7 @@ def test_rayleigh_probe_cycle_values():
     rep = rayleigh_probe(build_context(g, g.generating_set()))
     assert not rep.skipped
     assert abs(rep.R - 48 / 152) < 1e-12  # hand-expanded quotient of the distance function
-    assert rep.lambda1_value <= rep.R <= rep.bound
+    assert rep.lambda1 <= rep.R <= rep.bound
     assert rep.R <= 0.75 * (12 / 9)  # ball of radius 4 has 9 points
     assert abs(rep.mean_before) < 1e-9
 
@@ -629,7 +629,7 @@ def test_one_context_solves_lambda1_once(monkeypatch):
     mixing = verify_basic_mixing(ctx)
     times = mixing_times(ctx, convolution_curve(ctx))
     assert len(calls) == 1 and calls[0] is ctx
-    assert chain.lambda1 == probe.lambda1_value == ctx.spectrum.lambda1
+    assert chain.lambda1 == probe.lambda1 == ctx.spectrum.lambda1
     assert mixing.ok and times.T_rel == ctx.k / ctx.spectrum.lambda1
 
 
@@ -643,7 +643,7 @@ def test_rayleigh_probe_unitriangular():
     g = build_group("ut:dim=3,p=11")
     rep = rayleigh_probe(build_context(g, g.generating_set()))
     assert not rep.skipped
-    assert rep.lambda1_value <= rep.R + 1e-9
+    assert rep.lambda1 <= rep.R + 1e-9
     assert rep.R <= rep.bound + 1e-9
 
 
