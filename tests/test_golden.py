@@ -53,6 +53,9 @@ BALL_DIGESTS = [
     ),
     ("freenil:r=2,s=3", 4, "eb9bd11f2e79720d5d715a4392ba6e76292830790740371b103491a863ae694b"),
     ("product(freenil:r=2,s=2)x(cyclic:n=3)", 3, "cf85664e35f6387aa868e5bbf546771be36a0874ca53b4cea8bca68480c61888"),
+    ("freenil:r=3,s=2", 3, "ce50759a1588ee1d2224140c51b778d12c014a5e87a90081dbeb12c90fede194"),
+    ("freenil:r=1,s=4", 30, "6e2e8f5ab3c505ee9f2a38410e88d894652bba51ed9abc5973c054f4ea0f5508"),
+    ("product(cyclic:n=5)x(freenil:r=2,s=2)", 3, "43019703556f0938f1954f7843ea2f21f3559d94139b6b70ba62527e5facafb1"),
 ]
 
 # (argv, exit code, sha256 of the in-process stdout)
@@ -73,6 +76,7 @@ STDOUT_DIGESTS = [
     ("grow -g symfp:n=3,p=7,variant=Gprime --format csv", 0, "4f43225451894a51bc6ae8c85dcbf075073bd0ac56e288211cdc8317840db683"),
     ("cheeger -g lamplighter:3", 0, "0a51b27dbc0d46c53933fb65d5fb0b8fa7dda72af97a3701961e5c72a2480fcc"),
     ("diam -g product(cyclic:6)x(product(cyclic:5)x(lamplighter:3))", 0, "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
+    ("grow -g freenil:r=2,s=3 -r 6 --format csv", 0, "58e607d654e97d0b9f077299854cd2ffac683a3d1203b69e8b1444dfcfafc62d"),
 ]
 
 
