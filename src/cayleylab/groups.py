@@ -17,10 +17,11 @@ Z), and binary direct products of any of these.
 Every family also has an array form: the coordinate tuple of an element is
 a row of int64s, and ``left_mul`` multiplies a whole array of rows on the
 left by one element at a time; a row read back with ``tolist`` is the
-element itself.  The progression engine in ``nilprog`` runs on those arrays.
-A finite family whose ranks fit below RANK_LIMIT adds a ``codec`` (an
+element itself.  The BFS in ``growth`` and the progression engine in
+``nilprog`` run on those arrays, and ``row_keys`` compares their rows.  A
+finite family whose ranks fit below RANK_LIMIT adds a ``codec`` (an
 ArrayCodec), which ranks rows in canonical byte order without writing any
-bytes; the BFS in ``growth`` needs those ranks to close a ball.
+bytes; the BFS needs those ranks to close a ball.
 
 Every finite family also names an abelian subgroup H, its ``abelian_split``:
 the coset representatives of G/H and the map from an element to its coset
@@ -66,6 +67,7 @@ __all__ = [
     "commutator",
     "conjugate",
     "order_cap",
+    "row_keys",
 ]
 
 
@@ -413,6 +415,40 @@ def _codec(radices: tuple[int, ...]) -> Optional[ArrayCodec]:
     """A family's codec, or None when its ranks would not fit (the BFS then refuses a closure)."""
     codec = ArrayCodec(radices)
     return codec if math.prod(codec.key_radices) <= RANK_LIMIT else None
+
+
+def row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each array, equal exactly when the rows are equal,
+    across all the arrays, and ordered as the rows are lexicographically.
+
+    Columns pack in mixed radix over their spans; before a column would take
+    the keys to RANK_LIMIT, the keys are re-ranked to 0, 1, ... in order (and,
+    should the column's span alone still be too wide, so is the column).
+    """
+    rows = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    key = np.zeros(len(rows), dtype=np.int64)
+    top = 1  # every key lies in [0, top)
+    for col in rows.T:
+        if not len(col):
+            break
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span == 1:
+            continue
+        if top * span > RANK_LIMIT:
+            key, top = _dense_rank(key)
+            if top * span > RANK_LIMIT:
+                col, span = _dense_rank(col)
+                lo = 0
+        key = key * span + (col - lo)
+        top *= span
+    return np.split(key, np.cumsum([len(a) for a in arrays[:-1]]))
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's position among the distinct values, and their count."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(distinct)
 
 
 class AbelianGroup(Group):

@@ -7,21 +7,19 @@ canonical-byte order within a sphere) indexes every vector quantity
 downstream.  The BFS runs on one thread, and its output is a pure function of
 the group and the generating set.
 
-There is one graph builder.  A group with a codec (``group.codec``, the ranks
-of its rows: every finite family whose coordinate ranks fit below 2^62) runs
-the array BFS: a sphere is an int64 array of coordinate rows, each generator
-acts on all of it at once, and ranks in canonical byte order stand in for the
-bytes, which it never writes.  A row is an element's coordinate tuple, so
-reading the rows back gives the elements, and the ball keeps the rows for the
-engines that read coordinates.  It computes s*x for every generator s and
-every element x it expands, and a complete ball keeps the index of each
-product in its successor table, so the Cayley graph is enumerated once per
-ball and never again.  Other groups (the free nilpotent groups, products with
-an infinite factor, and finite groups whose ranks pass 2^62) only count: the
-tuple BFS, one mul per product and one encode per new element to sort its
-sphere, enumerates their truncated balls, elements and sphere sizes, and
-never closes one; a closure on such a group is refused before either BFS
-starts.  A ball keeps no bytes.
+There is one graph builder, the BFS on coordinate rows: a sphere is an int64
+array of rows, each generator acts on all of it at once, and an integer key
+per row stands in for the element.  The key is the codec's rank in canonical
+byte order when the group has a codec (``group.codec``: every finite family
+whose ranks fit below 2^62), and ``row_keys`` otherwise (the free nilpotent
+groups, products with an infinite factor, and finite groups whose ranks pass
+2^62); those spheres are put in canonical byte order once the BFS stops, by
+one encode per element.  It computes s*x for every generator s and every
+element x it expands, and a complete ball keeps the index of each product in
+its successor table, so the Cayley graph is enumerated once per ball and never
+again.  A closure on a group without a codec is refused before the BFS
+starts.  A ball keeps its rows and no bytes; its elements, the rows as
+tuples, are built on first read.
 
 A ball is its own growth profile: it sums its sphere sizes once, into
 ``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics,
@@ -40,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SpecSemanticError, SubgroupOracle, order_cap
+from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SpecSemanticError, SubgroupOracle, order_cap, row_keys
 
 __all__ = [
     "Ball",
@@ -80,24 +78,23 @@ class Ball:
     its own growth profile: ``ball_sizes`` sums the spheres once, and every
     growth diagnostic reads it.
 
+    ``rows`` holds the elements as an int64 array of coordinate rows in ball
+    order, and ``elements`` reads them back as tuples on first use.
     ``truncated`` means expansion stopped at max_radius or the cap first;
     otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
-    the full boundary).  Only the array BFS fills the last two fields; the
-    tuple BFS leaves None in both.  A complete ball carries ``successors``,
-    an int64 array of shape (k, size) whose entry [i, j] is the index of
+    the full boundary).  A complete ball carries ``successors``, an int64
+    array of shape (k, size) whose entry [i, j] is the index of
     gens.elements[i] * elements[j]; a truncated one carries None, since its
-    last sphere was never expanded.  ``rows`` holds the elements as an int64
-    array of coordinate rows in ball order.
+    last sphere was never expanded.
     """
 
     group: Group
     gens: GeneratingSet
-    elements: tuple
+    rows: np.ndarray = field(repr=False, compare=False)
     sphere_sizes: tuple[int, ...]
     truncated: bool
     capped: bool = False
     successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         balls = self.ball_sizes
@@ -112,13 +109,18 @@ class Ball:
         """|S^0|, |S^1|, ...: the running totals of the sphere sizes."""
         return tuple(itertools.accumulate(self.sphere_sizes))
 
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements in ball order, as coordinate tuples."""
+        return _row_tuples(self.rows)
+
     @property
     def complete(self) -> bool:
         return not self.truncated
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.ball_sizes[-1]
 
     @property
     def radius(self) -> int:
@@ -178,46 +180,13 @@ def enumerate_ball(
     """BFS the ball around the identity out to max_radius (or closure).
 
     ``cap`` bounds the number of elements (default: the order cap); a sphere
-    that would cross it stops the BFS with a capped, truncated ball.  The
-    array BFS runs when the group has a codec, the tuple BFS otherwise; a
+    that would cross it stops the BFS with a capped, truncated ball.  A
     closure (no max_radius) needs a codec and is refused without one.
     """
     if max_radius is None and group.codec is None:
         why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no codec"
         raise ResourceRefusal(f"{group.name} {why}: closure enumeration needs max_radius")
-    limit = order_cap(cap)
-    if group.codec is None:
-        return _tuple_bfs(group, gens, max_radius, limit)
-    return _array_bfs(group, gens, max_radius, limit)
-
-
-def _tuple_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on element tuples: one mul per product, one encode per new
-    element.  It only counts, so its ball has no successors and no rows."""
-    mul, enc = group.mul, group.encode
-    e = group.identity()
-    elements: list = [e]
-    seen = {e}
-    spheres = [1]
-    frontier: list = [e]
-    truncated = False
-    capped = False
-    while True:
-        if max_radius is not None and len(spheres) - 1 >= max_radius:
-            truncated = True
-            break
-        fresh = {mul(s, x) for x in frontier for s in gens.elements}.difference(seen)
-        if len(elements) + len(fresh) > limit:
-            truncated = True
-            capped = True
-            break
-        if not fresh:
-            break
-        frontier = sorted(fresh, key=enc)
-        elements += frontier
-        seen |= fresh
-        spheres.append(len(fresh))
-    return Ball(group, gens, tuple(elements), tuple(spheres), truncated, capped)
+    return _bfs(group, gens, max_radius, order_cap(cap))
 
 
 def _row_tuples(X: np.ndarray) -> tuple:
@@ -225,12 +194,12 @@ def _row_tuples(X: np.ndarray) -> tuple:
     return tuple(zip(*X.T.tolist()))
 
 
-def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on coordinate rows, the one writer of a ball's successors and rows."""
+def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
+    """The BFS on coordinate rows, the one writer of a ball."""
     codec = group.codec
     frontier = np.array([group.identity()], dtype=np.int64)
-    blocks = [frontier]  # coordinate rows, one block per sphere
-    ranks = [codec.rank(frontier)]  # per sphere, sorted: position = order within the sphere
+    blocks = [frontier]  # coordinate rows, one block per sphere, each sorted by key
+    ranks = None if codec is None else [codec.rank(frontier)]  # the codec's keys, per sphere
     starts = [0]
     spheres = [1]
     size = 1
@@ -242,37 +211,56 @@ def _array_bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], lim
             truncated = True
             break
         products = np.stack([group.left_mul(s, frontier) for s in gens.elements])
-        prod_ranks = codec.rank(products)
-        succ = np.full(prod_ranks.shape, -1, dtype=np.int64)
+        if codec is not None:
+            known, keys = ranks[-2:], codec.rank(products)
+        else:
+            # keys of the last two spheres and the products together; they
+            # order rows lexicographically, so each sphere stays sorted
+            *known, keys = row_keys(*blocks[-2:], products.reshape(-1, products.shape[-1]))
+            keys = keys.reshape(products.shape[:-1])
+        succ = np.full(keys.shape, -1, dtype=np.int64)
         # S is symmetric and holds the identity, so the products of sphere r
         # lie in spheres r-1, r and r+1; only the last is new
-        for known, start in zip(ranks[-2:], starts[-2:]):
-            at = np.minimum(np.searchsorted(known, prod_ranks), len(known) - 1)
-            hit = known[at] == prod_ranks
+        for known_keys, start in zip(known, starts[-2:]):
+            at = np.minimum(np.searchsorted(known_keys, keys), len(known_keys) - 1)
+            hit = known_keys[at] == keys
             succ[hit] = start + at[hit]
         new = succ < 0
-        fresh, first = np.unique(prod_ranks[new], return_index=True)
+        fresh, first = np.unique(keys[new], return_index=True)
         if size + len(fresh) > limit:
             truncated = True
             capped = True
             break
-        succ[new] = size + np.searchsorted(fresh, prod_ranks[new])
+        succ[new] = size + np.searchsorted(fresh, keys[new])
         rows.append(succ)
         if not len(fresh):
             break
         frontier = products[new][first]
         blocks.append(frontier)
-        ranks.append(fresh)
+        if codec is not None:
+            ranks.append(fresh)
         starts.append(size)
         spheres.append(len(fresh))
         size += len(fresh)
-    # each list goes once it is joined, before the tuples are built: at 10^6
-    # elements a copy of the rows is over 100 MB, and of the successors k * 8 MB
+    # each list goes once it is joined: at 10^6 elements a copy of the rows is
+    # over 100 MB, and of the successors k * 8 MB
     X = np.concatenate(blocks)
     blocks.clear()
     successors = None if truncated else np.concatenate(rows, axis=1)
     rows.clear()
-    return Ball(group, gens, _row_tuples(X), tuple(spheres), truncated, capped, successors, X)
+    if codec is None:
+        # from row order to canonical byte order, sphere by sphere in place,
+        # one encode per element of each sphere that has more than one
+        order = np.arange(size)
+        for start, n in zip(starts, spheres):
+            if n > 1:
+                sphere = X[start : start + n]
+                codes = list(map(group.encode, _row_tuples(sphere)))
+                order[start : start + n] = np.add(sorted(range(n), key=codes.__getitem__), start)
+                sphere[:] = X[order[start : start + n]]
+        if successors is not None:
+            successors = np.argsort(order)[successors[:, order]]
+    return Ball(group, gens, X, tuple(spheres), truncated, capped, successors)
 
 
 def closed_ball(group: Group, gens: GeneratingSet) -> Ball:

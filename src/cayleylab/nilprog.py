@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import RANK_LIMIT, FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, symmetrize
+from .groups import FreeNilpotentGroup, GeneratingSet, Group, ResourceRefusal, commutator, conjugate, row_keys, symmetrize
 
 __all__ = [
     "hall_basis",
@@ -303,49 +303,15 @@ class ProgressionSet:
         return self.cardinality == self.formal_box
 
 
-def _row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
-    """One int64 key per row of each array, equal exactly when the rows are equal,
-    across all the arrays.
-
-    Columns pack in mixed radix over their spans; before a column would take
-    the keys to RANK_LIMIT, the keys are re-ranked to 0, 1, ... in order (and,
-    should the column's span alone still be too wide, so is the column).
-    """
-    rows = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-    key = np.zeros(len(rows), dtype=np.int64)
-    top = 1  # every key lies in [0, top)
-    for col in rows.T:
-        if not len(col):
-            break
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if span == 1:
-            continue
-        if top * span > RANK_LIMIT:
-            key, top = _dense_rank(key)
-            if top * span > RANK_LIMIT:
-                col, span = _dense_rank(col)
-                lo = 0
-        key = key * span + (col - lo)
-        top *= span
-    return np.split(key, np.cumsum([len(a) for a in arrays[:-1]]))
-
-
-def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's position among the distinct values, and their count."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return inverse.reshape(-1).astype(np.int64), len(distinct)
-
-
 def _distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows."""
-    (key,) = _row_keys(rows)
+    (key,) = row_keys(rows)
     return rows[np.unique(key, return_index=True)[1]]
 
 
 def _within(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     """For each row of small, whether it is a row of big."""
-    ks, kb = _row_keys(small, big)
+    ks, kb = row_keys(small, big)
     return np.isin(ks, kb)
 
 

@@ -527,14 +527,14 @@ def test_oversized_power_range_is_refused_before_any_commutator_is_evaluated(mon
 
 
 def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
-    tuple_bfs = growth._tuple_bfs
+    bfs = growth._bfs
 
     def truncated_only(group, gens, max_radius, limit):
         # a closure here would run until memory ran out, so fail instead
-        assert max_radius is not None, "the tuple BFS was asked for a closure"
-        return tuple_bfs(group, gens, max_radius, limit)
+        assert max_radius is not None or group.codec is not None, "the BFS was asked for a closure without a codec"
+        return bfs(group, gens, max_radius, limit)
 
-    monkeypatch.setattr(growth, "_tuple_bfs", truncated_only)
+    monkeypatch.setattr(growth, "_bfs", truncated_only)
     monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
     spec = "abelian:257,257,257,257"
     for verb in ("diam", "grow"):
@@ -543,6 +543,36 @@ def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
         assert err == f"refused: {spec} has coordinate ranks past 2^62, so no codec: closure enumeration needs max_radius\n"
     assert run(["grow", "-g", spec, "-r", "2", "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sphere_sizes"] == [1, 8, 32]
+
+
+def test_verbs_that_read_sphere_sizes_never_build_elements(monkeypatch, capsys):
+    # a ball keeps rows; its element tuples are built on first read only
+    commands = [["diam", "-g", "cyclic:100"], ["grow", "-g", "ut:dim=3,p=5", "--format", "csv"], ["verify", "spectral", "-g", "cyclic:20"]]
+    outputs = []
+    for argv in commands:
+        assert run(argv) == EXIT_OK, argv
+        outputs.append(capsys.readouterr().out)
+
+    def no_tuples(X):
+        raise AssertionError("a ball built its elements")
+
+    monkeypatch.setattr(growth, "_row_tuples", no_tuples)
+    for argv, out in zip(commands, outputs):
+        assert run(argv) == EXIT_OK, argv
+        assert capsys.readouterr().out == out, argv
+
+
+def test_freenil_coefficient_past_the_row_limit_exits_3(capsys):
+    # the BFS multiplies int64 rows, so it refuses a product whose bound on
+    # some coefficient reaches 2^62; here the first refused radius is 93
+    assert run(["grow", "-g", "freenil:r=1,s=16", "-r", "92"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["grow", "-g", "freenil:r=1,s=16", "-r", "100"]) == EXIT_REFUSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: a product in freenil:r=1,s=16 could reach a coefficient of 4984243646389009590, past the row limit 2^62\n"
+    )
 
 
 def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from cayleylab import growth
-from cayleylab.groups import FreeNilpotentGroup, OracleError, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
+from cayleylab.groups import FreeNilpotentGroup, OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
     Ball,
-    _tuple_bfs,
     CosetSaturation,
     NonGeneratingError,
     approximate_group_witness,
@@ -204,21 +203,25 @@ def test_only_complete_balls_carry_successors():
     assert enumerate_ball(f, f.generating_set(), max_radius=3).successors is None
 
 
-def test_only_the_array_bfs_keeps_its_rows():
+def test_every_ball_keeps_its_rows():
     g = build_group("ut:dim=3,p=5")
     s = g.generating_set()
-    for ball in (enumerate_ball(g, s), enumerate_ball(g, s, max_radius=2)):
-        assert ball.rows.dtype == np.int64 and ball.rows.tolist() == [list(x) for x in ball.elements]
-    # called directly, the tuple BFS closes the ball but writes no table
-    closed = _tuple_bfs(g, s, None, order_cap())
-    assert closed.complete and closed.rows is None and closed.successors is None
     f = build_group("freenil:r=2,s=2")
-    assert enumerate_ball(f, f.generating_set(), max_radius=3).rows is None
+    product = build_group("product(freenil:r=2,s=2)x(cyclic:3)")
+    balls = (
+        enumerate_ball(g, s),
+        enumerate_ball(g, s, max_radius=2),
+        enumerate_ball(f, f.generating_set(), max_radius=3),
+        enumerate_ball(product, product.generating_set(), max_radius=3),
+    )
+    for ball in balls:
+        assert ball.rows.dtype == np.int64 and ball.rows.tolist() == [list(x) for x in ball.elements]
+        assert ball.size == len(ball.rows) == len(ball.elements)
 
 
 def test_closure_without_an_array_form_is_refused_before_either_bfs(monkeypatch):
     """A finite group whose ranks pass 2^62 has no codec, so its closure is
-    refused at once; its truncated balls still come from the tuple BFS."""
+    refused before the BFS starts; its truncated balls are still counted."""
     monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
     g = build_group("abelian:257,257,257,257")
     s = g.generating_set()
@@ -229,8 +232,7 @@ def test_closure_without_an_array_form_is_refused_before_either_bfs(monkeypatch)
     def no_bfs(*args):
         raise AssertionError("a BFS started")
 
-    monkeypatch.setattr(growth, "_tuple_bfs", no_bfs)
-    monkeypatch.setattr(growth, "_array_bfs", no_bfs)
+    monkeypatch.setattr(growth, "_bfs", no_bfs)
     with pytest.raises(ResourceRefusal, match=r"^abelian:257,257,257,257 has coordinate ranks past 2\^62"):
         enumerate_ball(g, s)
     f = build_group("freenil:r=2,s=2")
@@ -238,9 +240,9 @@ def test_closure_without_an_array_form_is_refused_before_either_bfs(monkeypatch)
         enumerate_ball(f, f.generating_set())
 
 
-def test_tuple_bfs_encodes_each_element_once(monkeypatch):
-    """The tuple BFS deduplicates on the elements and encodes only the new
-    ones, to sort their sphere; the identity's sphere needs no sort."""
+def test_bfs_without_a_codec_encodes_each_element_once(monkeypatch):
+    """Without a codec the BFS deduplicates on row keys, and encodes each
+    element once, to sort its sphere; the identity's sphere needs no sort."""
     g = build_group("freenil:r=2,s=3")
     gens = g.generating_set()
     calls = []

@@ -8,7 +8,7 @@ import pytest
 from sympy import divisors, mobius
 
 from cayleylab import nilprog
-from cayleylab.groups import FreeNilpotentGroup, ResourceRefusal, build_group, commutator
+from cayleylab.groups import FreeNilpotentGroup, ResourceRefusal, build_group, commutator, row_keys
 from cayleylab.nilprog import (
     MAX_POWER,
     PowerLawReport,
@@ -414,14 +414,16 @@ def test_merging_shortens_the_nilcomplete_products():
 def test_row_keys_are_equal_exactly_when_rows_are():
     """Spans of 2^32 force the keys to be re-ranked before the third column,
     and a span of 2^61 forces the fourth column to be re-ranked as well: int64
-    products that wrapped would make keys collide."""
+    products that wrapped would make keys collide.  The keys order the rows
+    lexicographically, which the BFS of a group without a codec relies on."""
     grid = [(a, b * (2**32 - 1), c * (2**32 - 1), d * (2**61 - 1)) for a in range(12) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
     rows = np.array(grid, dtype=np.int64)
     arrays = [rows[::2], rows[:0], rows[1::3], rows[::-5]]
-    keys = np.concatenate(nilprog._row_keys(*arrays)).tolist()
+    keys = np.concatenate(row_keys(*arrays)).tolist()
     tuples = [tuple(row) for a in arrays for row in a.tolist()]
     assert len(keys) == len(tuples)
     assert len(set(zip(keys, tuples))) == len(set(keys)) == len(set(tuples))
+    assert [row for _, row in sorted(set(zip(keys, tuples)))] == sorted(set(tuples))
 
 
 def test_power_range_refuses_coefficients_at_two_to_the_62():

@@ -1,5 +1,6 @@
 """Spectral gap, Cheeger constant, inequality chain, coset-subspace gap."""
 
+import copy
 import itertools
 import json
 import math
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from cayleylab import cli, spectral
-from cayleylab.groups import GeneratingSet, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
-from cayleylab.growth import _tuple_bfs, enumerate_ball, left_coset_labels
+from cayleylab.groups import GeneratingSet, ResourceRefusal, SubgroupOracle, build_group, symmetrize
+from cayleylab.growth import enumerate_ball, left_coset_labels
 from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
 from cayleylab.spectral import (
     DENSE_CAP,
@@ -34,6 +35,7 @@ from cayleylab.spectral import (
 )
 from cayleylab.spectral import _exact_cheeger, _sweep_cut
 from cayleylab.zoo import construct_family, standard_zoo
+from reference_bfs import tuple_bfs
 
 
 def cycle_gap(n: int) -> float:
@@ -41,15 +43,15 @@ def cycle_gap(n: int) -> float:
 
 
 def reference_ball(group, gens, max_radius=None, cap=None):
-    """The tuple BFS, one mul and encode per product: the reference for the array BFS."""
-    return _tuple_bfs(group, gens, max_radius, order_cap(cap))
+    """The tuple BFS, one mul per product and one encode per element, as
+    (elements, sphere_sizes, truncated, capped): the reference for the BFS on rows."""
+    return tuple_bfs(group, gens, max_radius, cap)
 
 
-def mul_successors(ball):
+def mul_successors(group, gens, elements):
     """The successor table of a complete ball, one mul and encode per entry."""
-    group = ball.group
-    index = {group.encode(x): i for i, x in enumerate(ball.elements)}
-    return np.array([[index[group.encode(group.mul(s, x))] for x in ball.elements] for s in ball.gens.elements], dtype=np.int64)
+    index = {group.encode(x): i for i, x in enumerate(elements)}
+    return np.array([[index[group.encode(group.mul(s, x))] for x in elements] for s in gens.elements], dtype=np.int64)
 
 
 def mul_encode_context(group, gens):
@@ -57,7 +59,7 @@ def mul_encode_context(group, gens):
     ball = reference_ball(group, gens)
     id_code = group.encode(group.identity())
     identity_gen = next((gi for gi, s in enumerate(gens.elements) if group.encode(s) == id_code), -1)
-    return group, gens, ball, tuple(mul_successors(ball)), identity_gen
+    return group, gens, ball, tuple(mul_successors(group, gens, ball[0])), identity_gen
 
 
 def random_generating_sets():
@@ -65,10 +67,10 @@ def random_generating_sets():
     rng = random.Random(2015)
     for spec in ("cyclic:18", "abelian:4,6", "ut:dim=3,p=5", "lamplighter:4", "symfp:n=2,p=3,variant=L"):
         g = build_group(spec)
-        pool = reference_ball(g, g.generating_set()).elements
+        pool = reference_ball(g, g.generating_set())[0]
         while True:
             gens = symmetrize(g, rng.sample(pool, 3))
-            if reference_ball(g, gens).size == g.order:
+            if len(reference_ball(g, gens)[0]) == g.order:
                 yield spec, g, gens
                 break
 
@@ -80,20 +82,27 @@ def test_bfs_permutations_match_mul_encode_reference():
     for label, g, gens in cases:
         ctx = build_context(g, gens)
         group, ref_gens, ball, perms, identity_gen = mul_encode_context(g, gens)
-        assert (ctx.group, ctx.gens, ctx.ball, ctx.identity_gen) == (group, ref_gens, ball, identity_gen), label
+        assert (ctx.group, ctx.gens, ctx.ball.group, ctx.ball.gens, ctx.identity_gen) == (group, ref_gens, group, ref_gens, identity_gen), label
+        assert ball_fields(ctx.ball) == ball, label
         assert ctx.ball.successors.shape == (gens.k, ctx.n), label
         for got, want in zip(ctx.ball.successors, perms):
             assert got.dtype == want.dtype and np.array_equal(got, want), label
         assert np.array_equal(ctx.nonid, np.delete(np.stack(perms), identity_gen, axis=0)), label
 
 
+def ball_fields(ball):
+    """What the reference returns: the elements in ball order, the sphere sizes and the flags."""
+    return ball.elements, ball.sphere_sizes, ball.truncated, ball.capped
+
+
 def assert_same_ball(got, want, label):
-    assert got == want, label  # every field but the successor table and rows
-    assert want.successors is None, label  # only the array BFS writes one
+    """got, a Ball, against want, the reference's (elements, sphere_sizes, truncated, capped)."""
+    assert ball_fields(got) == want, label
+    assert got.rows.dtype == np.int64 and got.rows.shape == (got.size, len(got.group.identity())), label
     if got.truncated:
         assert got.successors is None, label
     else:
-        table = mul_successors(want)
+        table = mul_successors(got.group, got.gens, want[0])
         assert got.successors.dtype == table.dtype and np.array_equal(got.successors, table), label
 
 
@@ -123,14 +132,39 @@ def test_array_bfs_matches_tuple_bfs_reference():
         assert_same_ball(capped, reference_ball(g, gens, cap=10), label)
         full = enumerate_ball(g, gens)
         assert full.complete, label
-        assert_same_ball(full, reference_ball(g, gens), label)
+        want = reference_ball(g, gens)
+        assert_same_ball(full, want, label)
+        # without its codec the BFS keys rows by row_keys and sorts each
+        # sphere by encode once it stops: the same ball and successor table
+        bare = copy.copy(g)
+        bare.codec = None
+        assert_same_ball(enumerate_ball(bare, gens, max_radius=g.order), want, label)
         # rank order is code order
         codes = [g.encode(x) for x in full.elements]
         by_code = sorted(range(full.size), key=codes.__getitem__)
         assert np.argsort(g.codec.rank(np.array(full.elements, dtype=np.int64))).tolist() == by_code, label
-    # infinite groups have no codec: only the tuple BFS counts their balls
-    assert build_group("freenil:r=2,s=2").codec is None
-    assert build_group("product(freenil:r=2,s=2)x(cyclic:3)").codec is None
+
+
+def test_bfs_without_a_codec_matches_tuple_bfs_reference(monkeypatch):
+    """Infinite groups, and finite ones whose ranks pass 2^62, have no codec:
+    the BFS keys their rows by row_keys, and their balls are truncated."""
+    monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
+    cases = [
+        ("freenil:r=2,s=2", 8, None),
+        ("freenil:r=3,s=2", 5, None),
+        ("freenil:r=1,s=2", 50, None),
+        ("product(freenil:r=2,s=2)x(cyclic:3)", 4, None),
+        ("product(cyclic:5)x(freenil:r=2,s=2)", 3, None),
+        ("abelian:257,257,257,257", 3, None),
+        ("freenil:r=2,s=3", 10, 50),
+    ]
+    for spec, radius, cap in cases:
+        g = build_group(spec)
+        gens = g.generating_set()
+        assert g.codec is None, spec
+        ball = enumerate_ball(g, gens, max_radius=radius, cap=cap)
+        assert ball.truncated and ball.capped == (cap is not None), spec
+        assert_same_ball(ball, reference_ball(g, gens, radius, cap), spec)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20])

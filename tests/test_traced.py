@@ -58,6 +58,7 @@ def test_traced_spectrum_reads_the_one_cached_solve(group):
 
 
 def test_traced_freenil_counts_mul_and_encode():
-    # a backend whose methods the tracer cannot wrap would report 0 here
-    counts = run_traced(["grow", "-g", "freenil:r=2,s=2", "-r", "3", "--format", "json"])["counts"]
+    # a backend whose methods the tracer cannot wrap would report 0 here; the
+    # power laws' cover multiplies and encodes freenil:r=2,s=2 elements
+    counts = run_traced(["nilprog", "powers", "-r", "2", "-s", "2", "-L", "1,1", "-n", "2", "-M", "2", "--format", "json"])["counts"]
     assert counts["groups.mul_calls"] > 0 and counts["groups.encode_calls"] > 0
