@@ -264,7 +264,7 @@ def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: in
 
 
 def closed_ball(group: Group, gens: GeneratingSet) -> Ball:
-    """The whole group as one array-BFS ball, with its successor table:
+    """The whole group as one BFS ball, with its successor table:
     refuses a group without a codec or when the BFS stops first, and raises
     NonGeneratingError when S closes on a proper subgroup."""
     ball = enumerate_ball(group, gens)
