@@ -25,7 +25,6 @@ from typing import Optional
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .groups import (
-    OracleError,
     ResourceRefusal,
     SpecSemanticError,
     SpecSyntaxError,
@@ -571,7 +570,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         # exhaust memory; refusing on predicted bytes (ROADMAP item 17) is the fix
         sys.stderr.write("refused: out of memory; a smaller group, radius or CAYLEY_LAB_CAP needs less\n")
         return EXIT_REFUSAL
-    except (OracleError, RuntimeError) as exc:
+    except RuntimeError as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")
         return EXIT_ASSERTION
     return EXIT_OK if ok else EXIT_ASSERTION

@@ -15,15 +15,16 @@ whose ranks fit below 2^62), and ``row_keys`` otherwise (the free nilpotent
 groups, products with an infinite factor, and finite groups whose ranks pass
 2^62); those spheres are put in canonical byte order once the BFS stops, by
 one encode per element.  It computes s*x for every generator s and every
-element x it expands, and a complete ball keeps the index of each product in
-its successor table, so the Cayley graph is enumerated once per ball and never
-again.  A closure on a group without a codec is refused before the BFS
-starts.  A ball keeps its rows and no bytes; its elements, the rows as
-tuples, are built on first read.
+element x it expands.  A closure (a BFS with no max_radius) keeps the index
+of each product in its successor table, so the Cayley graph is enumerated once
+and never again; a ball enumerated to a radius keeps no table, even when it
+completes, since only a closure becomes a Cayley graph.  A closure on a group
+without a codec is refused before the BFS starts.  A ball keeps its rows and
+no bytes; its elements, the rows as tuples, are built on first read.
 
 A ball is its own growth profile: it sums its sphere sizes once, into
-``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics,
-the Ruzsa witness and the coset trajectory all read those totals.
+``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics
+read those totals.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import GeneratingSet, Group, OracleError, ResourceRefusal, SpecSemanticError, SubgroupOracle, order_cap, row_keys
+from .groups import GeneratingSet, Group, ResourceRefusal, SpecSemanticError, order_cap, row_keys
 
 __all__ = [
     "Ball",
@@ -54,11 +55,6 @@ __all__ = [
     "flatness_report",
     "ModerateGrowthFit",
     "moderate_fit",
-    "RuzsaWitness",
-    "approximate_group_witness",
-    "CosetSaturation",
-    "coset_saturation",
-    "left_coset_labels",
 ]
 
 
@@ -82,10 +78,11 @@ class Ball:
     order, and ``elements`` reads them back as tuples on first use.
     ``truncated`` means expansion stopped at max_radius or the cap first;
     otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
-    the full boundary).  A complete ball carries ``successors``, an int64
+    the full boundary).  A complete closure carries ``successors``, an int64
     array of shape (k, size) whose entry [i, j] is the index of
-    gens.elements[i] * elements[j]; a truncated one carries None, since its
-    last sphere was never expanded.
+    gens.elements[i] * elements[j]; every other ball carries None: a
+    truncated one never expanded its last sphere, and one enumerated to a
+    radius is read for its sphere sizes alone.
     """
 
     group: Group
@@ -129,10 +126,6 @@ class Ball:
     @property
     def diameter(self) -> Optional[int]:
         return None if self.truncated else self.radius
-
-    def index(self) -> dict:
-        """Each element's position in the ball."""
-        return {x: i for i, x in enumerate(self.elements)}
 
     def ball(self, n: int) -> int:
         """|S^n|, clamped at the closure for n past the diameter."""
@@ -181,7 +174,8 @@ def enumerate_ball(
 
     ``cap`` bounds the number of elements (default: the order cap); a sphere
     that would cross it stops the BFS with a capped, truncated ball.  A
-    closure (no max_radius) needs a codec and is refused without one.
+    closure (no max_radius) needs a codec and is refused without one; it is
+    the only ball that keeps its successor table.
     """
     if max_radius is None and group.codec is None:
         why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no codec"
@@ -197,17 +191,18 @@ def _row_tuples(X: np.ndarray) -> tuple:
 def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
     """The BFS on coordinate rows, the one writer of a ball."""
     codec = group.codec
+    closure = max_radius is None
     frontier = np.array([group.identity()], dtype=np.int64)
     blocks = [frontier]  # coordinate rows, one block per sphere, each sorted by key
     ranks = None if codec is None else [codec.rank(frontier)]  # the codec's keys, per sphere
     starts = [0]
     spheres = [1]
     size = 1
-    rows: list[np.ndarray] = []  # per expanded sphere: successor indices, shape (k, sphere size)
+    rows: list[np.ndarray] = []  # a closure's successor indices per expanded sphere, shape (k, sphere size)
     truncated = False
     capped = False
     while True:
-        if max_radius is not None and len(spheres) - 1 >= max_radius:
+        if not closure and len(spheres) - 1 >= max_radius:
             truncated = True
             break
         products = np.stack([group.left_mul(s, frontier) for s in gens.elements])
@@ -231,8 +226,9 @@ def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: in
             truncated = True
             capped = True
             break
-        succ[new] = size + np.searchsorted(fresh, keys[new])
-        rows.append(succ)
+        if closure:
+            succ[new] = size + np.searchsorted(fresh, keys[new])
+            rows.append(succ)
         if not len(fresh):
             break
         frontier = products[new][first]
@@ -246,20 +242,17 @@ def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: in
     # over 100 MB, and of the successors k * 8 MB
     X = np.concatenate(blocks)
     blocks.clear()
-    successors = None if truncated else np.concatenate(rows, axis=1)
+    successors = np.concatenate(rows, axis=1) if closure and not truncated else None
     rows.clear()
     if codec is None:
-        # from row order to canonical byte order, sphere by sphere in place,
-        # one encode per element of each sphere that has more than one
-        order = np.arange(size)
+        # a ball without a codec is never a closure: from row order to
+        # canonical byte order, sphere by sphere in place, one encode per
+        # element of each sphere that has more than one
         for start, n in zip(starts, spheres):
             if n > 1:
                 sphere = X[start : start + n]
                 codes = list(map(group.encode, _row_tuples(sphere)))
-                order[start : start + n] = np.add(sorted(range(n), key=codes.__getitem__), start)
-                sphere[:] = X[order[start : start + n]]
-        if successors is not None:
-            successors = np.argsort(order)[successors[:, order]]
+                sphere[:] = sphere[sorted(range(n), key=codes.__getitem__)]
     return Ball(group, gens, X, tuple(spheres), truncated, capped, successors)
 
 
@@ -291,12 +284,6 @@ class DoublingScan:
 
     ratios_2n1: tuple[tuple[int, Fraction], ...]
     ratios_5n: tuple[tuple[int, Fraction], ...]
-
-    def first_scale(self, K) -> Optional[int]:
-        for n, ratio in self.ratios_2n1:
-            if ratio <= K:
-                return n
-        return None
 
 
 def doubling_scan(ball: Ball) -> DoublingScan:
@@ -423,125 +410,3 @@ def moderate_fit(ball: Ball, d: float) -> ModerateGrowthFit:
         if best is None or val > best:
             best, best_n = val, n
     return ModerateGrowthFit(d, best, best_n, exact)
-
-
-# ---------------------------------------------------------------------------
-# Ruzsa covering witness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RuzsaWitness:
-    """Greedy disjoint-translate witness X in S^{4n} with verified certificates."""
-
-    n: int
-    witness: tuple = field(repr=False)
-    ball_n: int
-    ball_4n: int
-    ball_5n: int
-    disjoint_verified: bool
-    covering_verified: bool
-    _shown = ("witness_size", "ratio_bound")
-
-    @property
-    def witness_size(self) -> int:
-        return len(self.witness)
-
-    @property
-    def ratio_bound(self) -> Fraction:
-        return Fraction(self.ball_5n, self.ball_n)
-
-
-def approximate_group_witness(group: Group, gens: GeneratingSet, n: int) -> RuzsaWitness:
-    """Greedy maximal X in S^{4n} with the translates xS^n pairwise disjoint.
-
-    Verifies exhaustively that S^{4n} is covered by X S^{2n} and that the
-    translates are disjoint, which forces |X| <= |S^{5n}|/|S^n|.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ball = enumerate_ball(group, gens, max_radius=5 * n)
-    if ball.capped or (not ball.complete and ball.radius < 5 * n):
-        raise ResourceRefusal(f"ball truncated before radius {5 * n}")
-    # the ball is sphere-major: radius <= r is position < |S^r|
-    small = ball.elements[: ball.ball(n)]
-    chosen: list = []
-    occupied = set()
-    for x in ball.elements[: ball.ball(4 * n)]:
-        translate = {group.mul(x, b) for b in small}
-        if occupied.isdisjoint(translate):
-            chosen.append(x)
-            occupied |= translate
-    disjoint_ok = len(occupied) == len(chosen) * len(small)
-
-    covering_ok = True
-    index = ball.index()
-    within_2n = ball.ball(2 * n)
-    inv_chosen = [group.inv(x) for x in chosen]
-    for z in ball.elements[: ball.ball(4 * n)]:
-        if not any(index.get(group.mul(xi, z), math.inf) < within_2n for xi in inv_chosen):
-            covering_ok = False
-            break
-
-    witness = RuzsaWitness(
-        n, tuple(chosen), ball.ball(n), ball.ball(4 * n), ball.ball(5 * n), disjoint_ok, covering_ok
-    )
-    if witness.witness_size * witness.ball_n > witness.ball_5n:
-        raise RuntimeError("disjointness bound |X||S^n| <= |S^{5n}| violated")
-    return witness
-
-
-# ---------------------------------------------------------------------------
-# Coset saturation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetSaturation:
-    """Trajectory of left cosets met by S^j and its stabilization radius."""
-
-    r: int
-    trajectory: tuple[int, ...]
-    index: int
-
-
-def left_coset_labels(ball: Ball, sub: SubgroupOracle) -> np.ndarray:
-    """Label of the left coset xH of each element of a closed ball of G, in order of first appearance.
-
-    H is the set of members, so the identity's coset H gets label 0.  Raises
-    OracleError when the identity is not a member, when |H| does not divide
-    |G|, or when two cosets overlap (H is then no subgroup).
-    """
-    group = ball.group
-    if not sub.contains(ball.elements[0]):
-        raise OracleError(f"{sub.name}: identity not a member")
-    members = [h for h in ball.elements if sub.contains(h)]
-    if ball.size % len(members) != 0:
-        raise OracleError(f"{sub.name}: membership count {len(members)} does not divide {ball.size}")
-    index = ball.index()
-    labels = np.full(ball.size, -1, dtype=np.int64)
-    label = 0
-    for i, x in enumerate(ball.elements):
-        if labels[i] >= 0:
-            continue
-        coset = [index[group.mul(x, h)] for h in members]
-        if (labels[coset] >= 0).any():
-            raise OracleError(f"{sub.name}: left cosets overlap, so it is not a subgroup")
-        labels[coset] = label
-        label += 1
-    return labels
-
-
-def coset_saturation(group: Group, gens: GeneratingSet, sub: SubgroupOracle) -> CosetSaturation:
-    """Smallest r with S^{r+1} Gamma = S^r Gamma, asserting G = S^r Gamma."""
-    ball = closed_ball(group, gens)
-    # labels appear in ball order, so S^j meets 1 + (the largest label in S^j) cosets
-    largest = np.maximum.accumulate(left_coset_labels(ball, sub))
-    trajectory = tuple(int(c) + 1 for c in largest[np.subtract(ball.ball_sizes, 1)])
-    index = trajectory[-1]
-    r = 0
-    while r + 1 < len(trajectory) and trajectory[r + 1] != trajectory[r]:
-        r += 1
-    if trajectory[r] != index:
-        raise OracleError(f"{sub.name}: trajectory stabilized at {trajectory[r]} of {index} cosets")
-    return CosetSaturation(r, trajectory, index)

@@ -692,8 +692,11 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     ball = enumerate_ball(group, pgens)
     if ball.size != group.order:
         raise ValueError(f"progression generates a proper subgroup of order {ball.size}")
-    index = ball.index()
     gamma = ball.radius
+    # the last position in the ball that holds an element of [G, G]; the
+    # ball closed, so the group has a codec and its ranks stand in for the elements
+    rank = group.codec.rank
+    last = np.flatnonzero(np.isin(rank(ball.rows), rank(np.array(list(comm), dtype=np.int64))))[-1]
     # the ball is sphere-major: the radius of position i is the number of balls S^r of size <= i
-    m = bisect.bisect_right(ball.ball_sizes, max(index[x] for x in comm))
+    m = bisect.bisect_right(ball.ball_sizes, int(last))
     return CommutatorDepthReport(m, gamma, len(comm), group.order)

@@ -15,7 +15,6 @@ from fractions import Fraction
 import cayleylab
 from cayleylab.groups import SubgroupOracle, build_group, reidemeister_schreier
 from cayleylab.growth import (
-    approximate_group_witness,
     diameter,
     doubling_scan,
     enumerate_ball,
@@ -33,6 +32,7 @@ from cayleylab.nilprog import (
 )
 from cayleylab.spectral import _dense_extremes, _fourier_extremes, build_context, cheeger, verify_spectral_inequalities
 from cayleylab.zoo import construct_family, standard_zoo, verify_lgg
+from growth_engines import approximate_group_witness
 
 
 @contextmanager
@@ -283,11 +283,12 @@ _DETERMINISM_PROBE = """
 import sys
 from cayleylab.cli import _plain, render_json
 from cayleylab.groups import SubgroupOracle, build_group
-from cayleylab.growth import approximate_group_witness, coset_saturation, enumerate_ball
+from cayleylab.growth import enumerate_ball
 from cayleylab.mixing import mixing_times
 from cayleylab.nilprog import commutator_depth, enumerate_progression, progression_spec, verify_nesting, verify_power_laws
 from cayleylab.spectral import build_context, verify_spectral_inequalities
 from cayleylab.zoo import construct_family
+from growth_engines import approximate_group_witness, coset_saturation
 
 reports = []
 for spec in ("cyclic:100", "ut:dim=3,p=11", "lamplighter:5"):
@@ -315,10 +316,11 @@ sys.stdout.write(render_json(_plain(reports)))
 
 def test_criterion_14_hash_seed_determinism():
     with criterion(14, "engine outputs byte-identical under PYTHONHASHSEED 1, 2 and 3"):
-        src = os.path.dirname(os.path.dirname(cayleylab.__file__))
+        # the package, and this directory for the growth engines the probe runs
+        path = [os.path.dirname(os.path.dirname(cayleylab.__file__)), os.path.dirname(os.path.abspath(__file__))]
         outputs = set()
         for seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([*path, os.environ.get("PYTHONPATH", "")]))
             proc = subprocess.run([sys.executable, "-c", _DETERMINISM_PROBE], capture_output=True, env=env, timeout=600)
             assert proc.returncode == 0 and proc.stdout, proc.stderr.decode()
             outputs.add(proc.stdout)

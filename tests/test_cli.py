@@ -18,6 +18,7 @@ from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, ren
 from cayleylab.groups import SubgroupOracle, build_group
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
+from growth_engines import approximate_group_witness, coset_saturation
 
 
 def test_diam_prints_plain_number(capsys):
@@ -406,7 +407,7 @@ def _cli_reports():
             growth.flatness_report(ball),
             growth.doubling_at_scale(ball, 0.5, 0.5),
             growth.moderate_fit(ball, 2),
-            growth.approximate_group_witness(inst.group, inst.gens, 1),
+            approximate_group_witness(inst.group, inst.gens, 1),
             ctx.spectrum,
             spectral.cheeger(ctx),
             chain,
@@ -418,7 +419,7 @@ def _cli_reports():
         ]
     g12 = build_group("cyclic:12")
     reports.append(spectral.cheeger(spectral.build_context(g12, g12.generating_set())))  # the exact mode
-    reports.append(growth.coset_saturation(g12, g12.generating_set(), SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")))
+    reports.append(coset_saturation(g12, g12.generating_set(), SubgroupOracle(lambda x: x[0] % 3 == 0, name="3Z")))
     ut = build_group("ut:dim=3,p=5")
     pset = nilprog.enumerate_progression(nilprog.progression_spec("nilprogression", 2, 2, (1, 1), ut, list(ut.raw_generators())))
     nest = nilprog.verify_nesting(2, 2, (1, 1))
@@ -586,25 +587,30 @@ def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
     assert captured.err.startswith("refused: out of memory") and captured.err.count("\n") == 1
 
 
-def readme_examples() -> list[list[str]]:
-    """The commands of README's Examples block, each without the program name."""
+def readme_examples() -> list[tuple[list[str], str | None]]:
+    """The commands of README's Examples block, each without the program name,
+    with the stdout its ``# prints ...`` comment names, or None."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     block = readme.read_text().split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-    assert all(argv[0] == "cayley-lab" for argv in commands)
-    return [argv[1:] for argv in commands]
+    examples = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cayley-lab", line
+        comment = line.partition("#")[2].strip()
+        examples.append((argv[1:], comment.removeprefix("prints ") + "\n" if comment.startswith("prints ") else None))
+    return examples
 
 
 def test_readme_examples_run(capsys):
     examples = readme_examples()
     assert len(examples) > 10
-    for argv in examples:
+    for argv, printed in examples:
         assert run(argv) == EXIT_OK, argv
         out = capsys.readouterr().out
         assert out, argv
-        if argv == ["diam", "-g", "cyclic:12"]:
-            assert out == "6\n"
-    assert ["diam", "-g", "cyclic:12"] in examples
+        if printed is not None:
+            assert out == printed, argv
+    assert (["diam", "-g", "cyclic:12"], "6\n") in examples
 
 
 @pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠"])

@@ -11,10 +11,7 @@ from cayleylab import growth
 from cayleylab.groups import FreeNilpotentGroup, OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
     Ball,
-    CosetSaturation,
     NonGeneratingError,
-    approximate_group_witness,
-    coset_saturation,
     diameter,
     doubling_at_scale,
     doubling_scan,
@@ -24,6 +21,7 @@ from cayleylab.growth import (
 )
 from cayleylab.spectral import build_context
 from cayleylab.zoo import standard_zoo
+from growth_engines import CosetSaturation, approximate_group_witness, coset_saturation, first_scale
 
 
 def test_cycle_profile_values():
@@ -78,7 +76,7 @@ def test_doubling_scan_values():
     ratios = dict(scan.ratios_2n1)
     assert ratios[5] == Fraction(23, 11)
     assert all(r >= 1 for _, r in scan.ratios_2n1)
-    assert scan.first_scale(3) is not None
+    assert first_scale(scan, 3) is not None
 
 
 def test_doubling_window_linear_growth():
@@ -191,12 +189,15 @@ def test_doubling_window_matches_a_scan_of_the_spheres():
     assert window.scale == scale
 
 
-def test_only_complete_balls_carry_successors():
+def test_only_closures_carry_successors():
     g = build_group("cyclic:100")
     s = g.generating_set()
     full = enumerate_ball(g, s)
     assert full.complete and full.successors.shape == (s.k, 100)
     assert enumerate_ball(g, s, max_radius=5).successors is None
+    # a ball enumerated to a radius keeps no table, even when it completes
+    whole = enumerate_ball(g, s, max_radius=100)
+    assert whole.complete and whole.sphere_sizes == full.sphere_sizes and whole.successors is None
     capped = enumerate_ball(g, s, cap=10)
     assert capped.capped and capped.successors is None
     f = build_group("freenil:r=2,s=2")

@@ -18,6 +18,7 @@ from cayleylab.mixing import (
     verify_basic_mixing,
 )
 from cayleylab.spectral import build_context, lambda1
+from growth_engines import first_scale
 from cayleylab.zoo import construct_family, standard_zoo
 
 
@@ -122,7 +123,7 @@ def test_walk_symmetry_under_inversion():
     g = build_group("lamplighter:4")
     s = g.generating_set()
     ctx = build_context(g, s)
-    index = ctx.ball.index()
+    index = {x: i for i, x in enumerate(ctx.ball.elements)}
     inv_map = np.array([index[g.inv(x)] for x in ctx.ball.elements])
     for steps in (1, 5, 20):
         v = convolution_curve(ctx, n_max=steps).last
@@ -227,7 +228,7 @@ def test_quadratic_scan_rows():
     for n in (16, 32):
         g = build_group(f"cyclic:{n}")
         ctx = build_context(g, g.generating_set())
-        scale = doubling_scan(ctx.ball).first_scale(4)
+        scale = first_scale(doubling_scan(ctx.ball), 4)
         gamma = ctx.diameter
         report = mixing_times(ctx)
         assert report.Tinf is not None and gamma > 0

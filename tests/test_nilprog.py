@@ -1,5 +1,6 @@
 """Commutator bases and the four progression models."""
 
+import bisect
 import math
 from collections import Counter
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from sympy import divisors, mobius
 
-from cayleylab import nilprog
-from cayleylab.groups import FreeNilpotentGroup, ResourceRefusal, build_group, commutator, row_keys
+from cayleylab import growth, nilprog
+from cayleylab.groups import FreeNilpotentGroup, GeneratingSet, ResourceRefusal, build_group, commutator, row_keys
 from cayleylab.nilprog import (
     MAX_POWER,
     PowerLawReport,
@@ -636,6 +637,33 @@ def test_commutator_depth_builds_only_the_derived_subgroup(p, monkeypatch):
     rep = commutator_depth(g, pset)
     # [G, G] is one normal closure; the rest of the lower central series is not needed
     assert len(calls) == 1 and rep.commutator_order == p
+
+
+def test_commutator_depth_builds_no_tuples_for_its_ball(monkeypatch):
+    # the P-ball has 1,331 elements; only the normal closure's own small balls build tuples
+    g = build_group("ut:dim=3,p=11")
+    pset = enumerate_progression(progression_spec("nilprogression", 2, 2, (1, 1), g, list(g.raw_generators())))
+    sizes = []
+    row_tuples = growth._row_tuples
+    monkeypatch.setattr(growth, "_row_tuples", lambda X: sizes.append(len(X)) or row_tuples(X))
+    rep = commutator_depth(g, pset)
+    assert rep.commutator_order == 11
+    assert sizes and max(sizes) < g.order == 1331
+
+
+@pytest.mark.parametrize(
+    "spec, s, L",
+    [("ut:dim=3,p=5", 2, (1, 1)), ("ut:dim=3,p=7", 2, (2, 1)), ("ut:dim=3,p=11", 2, (1, 1)), ("abelian:4,9", 1, (1, 1))],
+)
+def test_commutator_depth_matches_the_element_index(spec, s, L):
+    """m from the last position of [G, G] in the P-ball's element index: the reference for the rank lookup."""
+    g = build_group(spec)
+    pset = enumerate_progression(progression_spec("nilprogression", 2, s, L, g, list(g.raw_generators())))
+    rep = commutator_depth(g, pset)
+    ball = growth.enumerate_ball(g, GeneratingSet(g, tuple(pset.members)))
+    index = {x: i for i, x in enumerate(ball.elements)}
+    comm = nilprog.derived_subgroup(g, list(pset.spec.generators))
+    assert rep.m == bisect.bisect_right(ball.ball_sizes, max(index[x] for x in comm))
 
 
 def reference_normal_closure(group, seed, conjugators):
