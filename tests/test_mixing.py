@@ -18,8 +18,8 @@ from cayleylab.mixing import (
     verify_basic_mixing,
 )
 from cayleylab.spectral import build_context, lambda1
-from growth_engines import first_scale
 from cayleylab.zoo import construct_family, standard_zoo
+from growth_engines import first_scale
 
 
 def step_loop_walk(ctx, n_max, stop_when_mixed, start=None):
