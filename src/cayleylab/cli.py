@@ -134,20 +134,19 @@ def render_table(obj, indent: int = 0) -> str:
 
 
 def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
-    report = _plain(report)
-    if fmt == "json":
-        text = render_json(report) + "\n"
-    elif fmt == "csv":
+    """Write a report to path, or to stdout; csv takes rows that are plain dicts already."""
+    if fmt == "csv":
         if not isinstance(report, list):
             raise ValueError("csv format needs row data")
         text = render_csv(report)
+    elif fmt == "json":
+        text = render_json(_plain(report)) + "\n"
     else:
-        text = render_table(report) + "\n"
-    data = text.encode("utf-8")
+        text = render_table(_plain(report)) + "\n"
     if path:
         try:
             with open(path, "wb") as fh:
-                fh.write(data)
+                fh.write(text.encode("utf-8"))
         except OSError as exc:  # a missing directory, a directory, no permission
             raise SpecSemanticError(f"cannot write -o {path}: {exc.strerror}") from None
     else:

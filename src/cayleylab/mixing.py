@@ -16,6 +16,10 @@ The check that every step stays on the simplex, the three distances and the
 stop at the first mixed step then run once per pass over the block as row
 reductions.  The passes fill 1, 2, 4, ... rows until they fill the block, so
 a walk that stops when mixed computes fewer extra steps than it kept.
+The curves are three doubles per step, and joining the passes into them
+holds them twice, six doubles per step: the peak of ``verify_basic_mixing``,
+whose checks of items 1-5 hold at most two step-length temporaries besides
+the curves.
 This is the same per-step arithmetic as a loop of acc += v[perm_s], so the
 curves and the last vector are bit-identical to it; the tests keep that
 loop as the oracle.
@@ -113,8 +117,9 @@ class WalkCurves:
         return self.dinf
 
     def crossing(self, p) -> Optional[int]:
-        hits = np.nonzero(self.curve(p) <= _threshold(self.group_order, p))[0]
-        return int(hits[0]) if hits.size else None
+        below = self.curve(p) <= _threshold(self.group_order, p)
+        first = int(np.argmax(below))  # the first True, without an index per step below
+        return first if below[first] else None
 
     def csv_rows(self) -> list[dict]:
         return [
@@ -399,8 +404,8 @@ def verify_basic_mixing(ctx: CayleyContext) -> BasicMixingReport:
     report = mixing_times(ctx, curves)
 
     n_steps = curves.steps
-    norms = {p: curves.norm_mu_g(p) for p in (1, 2, "inf")}
-    normalized = {p: curves.curve(p) / norms[p] for p in (1, 2, "inf")}
+    ps = (1, 2, "inf")
+    norms = {p: curves.norm_mu_g(p) for p in ps}
     beta = spec.beta_S
     items: list[BasicMixingItem] = []
 
@@ -410,36 +415,50 @@ def verify_basic_mixing(ctx: CayleyContext) -> BasicMixingReport:
         else:
             items.append(BasicMixingItem(number, name, "pass" if ok else "fail", detail))
 
+    # Items 1-5 hold at most two step-length temporaries at once: a curve is
+    # divided by its norm where it is read, and each difference is written
+    # over a quotient that nothing else holds.
+    def normalized(p) -> np.ndarray:
+        return curves.curve(p) / norms[p]
+
+    def excess(a: np.ndarray, p) -> float:
+        """max(a - d_p / ||mu_G||_p) over the steps."""
+        q = normalized(p)
+        return float(np.max(np.subtract(a, q, out=q)))
+
     # (1) each curve non-increasing in n
-    worst = max(float(np.max(np.diff(curves.curve(p)))) for p in (1, 2, "inf"))
+    worst = max(float(np.max(np.diff(curves.curve(p)))) for p in ps)
     add(1, "monotone_in_n", worst <= SLACK, f"max increase {worst:.2e}")
 
     # (2) normalized distance non-decreasing in p at every step
-    gap21 = float(np.max(normalized[1] - normalized[2]))
-    gap_inf2 = float(np.max(normalized[2] - normalized["inf"]))
+    gap21 = excess(normalized(1), 2)
+    gap_inf2 = excess(normalized(2), "inf")
     add(2, "monotone_in_p", max(gap21, gap_inf2) <= SLACK, f"max defect {max(gap21, gap_inf2):.2e}")
 
-    steps = np.arange(n_steps + 1)
     if beta_skip:
         add(3, "beta_power_lower", None, skipped=beta_skip)
     else:
-        powers = beta**steps
-        worst3 = max(float(np.max(powers - normalized[p])) for p in (1, 2, "inf"))
+        # beta**n over float exponents rounds as over int ones
+        powers = np.arange(n_steps + 1, dtype=float)
+        np.power(beta, powers, out=powers)
+        worst3 = max(excess(powers, p) for p in ps)
         add(3, "beta_power_lower", worst3 <= SLACK, f"max defect {worst3:.2e}")
+        worst5 = float(np.max(np.subtract(curves.d2, powers, out=powers)))  # item 5, from the same powers
+        del powers
 
     # (4) squaring bound d_p(2n)/||mu||_p <= (d_2(n)/||mu||_2)^2
     worst4 = 0.0
     half = n_steps // 2
-    for p in (1, 2, "inf"):
-        lhs = normalized[p][2 * np.arange(half + 1)]
-        rhs = normalized[2][: half + 1] ** 2
-        worst4 = max(worst4, float(np.max(lhs - rhs)))
+    squares = curves.d2[: half + 1] / norms[2]
+    np.square(squares, out=squares)
+    for p in ps:
+        lhs = curves.curve(p)[: 2 * half + 1 : 2] / norms[p]
+        worst4 = max(worst4, float(np.max(np.subtract(lhs, squares, out=lhs))))
     add(4, "squaring_bound", worst4 <= SLACK, f"max defect {worst4:.2e}")
 
     if beta_skip:
         add(5, "l2_beta_upper", None, skipped=beta_skip)
     else:
-        worst5 = float(np.max(curves.d2 - beta**steps))
         add(5, "l2_beta_upper", worst5 <= SLACK, f"max defect {worst5:.2e}")
 
     if report.crossings_found:

@@ -309,10 +309,21 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return rows[np.unique(key, return_index=True)[1]]
 
 
+def _isin(keys: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """For each key, whether it is among known: np.isin by a binary search.
+
+    np.isin sorts through np.unique, whose check for a masked array imports
+    numpy.ma, a tenth of a small command's start-up.
+    """
+    if not len(known):
+        return np.zeros(keys.shape, dtype=bool)
+    known = np.sort(known)
+    return known[np.minimum(np.searchsorted(known, keys), len(known) - 1)] == keys
+
+
 def _within(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     """For each row of small, whether it is a row of big."""
-    ks, kb = row_keys(small, big)
-    return np.isin(ks, kb)
+    return _isin(*row_keys(small, big))
 
 
 def _set_product(group: Group, A: np.ndarray, B: np.ndarray, meter: _WorkMeter, ahead: int) -> np.ndarray:
@@ -696,7 +707,7 @@ def commutator_depth(group: Group, pset: ProgressionSet) -> CommutatorDepthRepor
     # the last position in the ball that holds an element of [G, G]; the
     # ball closed, so the group has a codec and its ranks stand in for the elements
     rank = group.codec.rank
-    last = np.flatnonzero(np.isin(rank(ball.rows), rank(np.array(list(comm), dtype=np.int64))))[-1]
+    last = np.flatnonzero(_isin(rank(ball.rows), rank(np.array(list(comm), dtype=np.int64))))[-1]
     # the ball is sphere-major: the radius of position i is the number of balls S^r of size <= i
     m = bisect.bisect_right(ball.ball_sizes, int(last))
     return CommutatorDepthReport(m, gamma, len(comm), group.order)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +178,84 @@ def test_basic_mixing_hypothesis_skip():
     statuses = {i.item: i.status for i in rep.items}
     assert statuses[3] == statuses[5] == statuses[9] == "skipped"
     assert rep.ok
+
+
+def reference_items_1_to_5(ctx, curves) -> dict:
+    """Items 1-5 as (ok, detail) by the formulas that normalize all three curves at once: the oracle.
+
+    Items 3 and 5 are left out when beta_S is not the walk norm, as
+    verify_basic_mixing skips them.
+    """
+    spec = ctx.spectrum
+    n_steps = curves.steps
+    norms = {p: curves.norm_mu_g(p) for p in (1, 2, "inf")}
+    normalized = {p: curves.curve(p) / norms[p] for p in (1, 2, "inf")}
+    beta = spec.beta_S
+    with_beta = spec.lambda1 <= 2.0 + 1e-12 and spec.beta_valid
+    items = {}
+    worst = max(float(np.max(np.diff(curves.curve(p)))) for p in (1, 2, "inf"))
+    items[1] = (worst <= mixing.SLACK, f"max increase {worst:.2e}")
+    gap = max(float(np.max(normalized[1] - normalized[2])), float(np.max(normalized[2] - normalized["inf"])))
+    items[2] = (gap <= mixing.SLACK, f"max defect {gap:.2e}")
+    steps = np.arange(n_steps + 1)
+    if with_beta:
+        powers = beta**steps
+        worst3 = max(float(np.max(powers - normalized[p])) for p in (1, 2, "inf"))
+        items[3] = (worst3 <= mixing.SLACK, f"max defect {worst3:.2e}")
+    worst4 = 0.0
+    half = n_steps // 2
+    for p in (1, 2, "inf"):
+        lhs = normalized[p][2 * np.arange(half + 1)]
+        rhs = normalized[2][: half + 1] ** 2
+        worst4 = max(worst4, float(np.max(lhs - rhs)))
+    items[4] = (worst4 <= mixing.SLACK, f"max defect {worst4:.2e}")
+    if with_beta:
+        worst5 = float(np.max(curves.d2 - beta**steps))
+        items[5] = (worst5 <= mixing.SLACK, f"max defect {worst5:.2e}")
+    return items
+
+
+def verify_and_curves(ctx, monkeypatch):
+    """verify_basic_mixing(ctx) and the curves it walked."""
+    walked = []
+    walk = mixing.convolution_curve
+    monkeypatch.setattr(mixing, "convolution_curve", lambda *args, **kwargs: walked.append(walk(*args, **kwargs)) or walked[-1])
+    report = verify_basic_mixing(ctx)
+    monkeypatch.setattr(mixing, "convolution_curve", walk)
+    (curves,) = walked
+    return report, curves
+
+
+def test_basic_mixing_items_1_to_5_match_the_reference(monkeypatch):
+    contexts = [build_context(inst.group, inst.gens) for inst in standard_zoo(max_order=200)]
+    g = build_group("cyclic:300")
+    contexts.append(build_context(g, g.generating_set()))
+    g = build_group("cyclic:3")
+    contexts.append(build_context(g, symmetrize(g, [(1,), (2,)])))  # beta_S is not the walk norm
+    for ctx in contexts:
+        report, curves = verify_and_curves(ctx, monkeypatch)
+        want = reference_items_1_to_5(ctx, curves)
+        for item in report.items[:5]:
+            if item.item in want:
+                ok, detail = want[item.item]
+                assert (item.status, item.detail) == ("pass" if ok else "fail", detail), (ctx.group.name, item)
+            else:
+                assert item.status == "skipped", (ctx.group.name, item)
+
+
+def test_basic_mixing_checks_hold_at_most_four_step_length_arrays(monkeypatch):
+    g = build_group("cyclic:512")
+    ctx = build_context(g, g.generating_set())
+    want, curves = verify_and_curves(ctx, monkeypatch)
+    monkeypatch.setattr(mixing, "convolution_curve", lambda *args, **kwargs: curves)
+    tracemalloc.start()
+    try:
+        got = verify_basic_mixing(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 4 * 8 * (curves.steps + 1), peak / (8 * (curves.steps + 1))
 
 
 def exact_calibration(ctx, steps=32):

@@ -29,6 +29,17 @@ from cayleylab.nilprog import (
 )
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_isin_matches_numpy(seed):
+    rng = np.random.default_rng(seed)
+    span = [4, 50, 1 << 62][seed % 3]
+    keys = rng.integers(-span, span, size=rng.integers(0, 300))
+    known = rng.integers(-span, span, size=rng.integers(0, 300))
+    known = np.concatenate([known, keys[: len(keys) // 3]])  # some hits even over a wide span
+    for a, b in ((keys, known), (keys, known[:0]), (keys[:0], known), (known, known)):
+        assert np.array_equal(nilprog._isin(a, b), np.isin(a, b))
+
+
 def texts(comms) -> list[str]:
     return [e.text() for e in comms]
 
