@@ -313,7 +313,7 @@ def _isin(keys: np.ndarray, known: np.ndarray) -> np.ndarray:
     """For each key, whether it is among known: np.isin by a binary search.
 
     np.isin sorts through np.unique, whose check for a masked array imports
-    numpy.ma, a tenth of a small command's start-up.
+    numpy.ma: about 12 ms of a small command's start-up.
     """
     if not len(known):
         return np.zeros(keys.shape, dtype=bool)
