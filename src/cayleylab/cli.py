@@ -189,18 +189,25 @@ def _cmd_grow(args):
     if (args.eps is None) != (args.delta is None):
         raise SpecSemanticError(f"grow needs --eps and --delta together; got only {'--eps' if args.delta is None else '--delta'}")
     group, gens = _instance(args)
-    ball = growth.enumerate_ball(group, gens, max_radius=args.radius)
-    if ball.capped:
+    # the doubling window reads the diameter of the whole group
+    if args.eps is not None and group.order is None:
+        raise SpecSemanticError(f"--eps and --delta need a finite group; {group.name} is infinite")
+    profile = growth.count_spheres(group, gens, args.radius)
+    whole = profile.complete and profile.size == group.order
+    if args.eps is not None and not whole:
+        why = f"stopped at radius {profile.radius}" if profile.truncated else f"closes on a subgroup of order {profile.size}"
+        raise SpecSemanticError(f"--eps and --delta need the whole group; the BFS of {group.name} {why}")
+    if profile.capped:
         # only an infinite group reaches the cap, and it needs -r
         sys.stderr.write(f"note: stopped at the order cap CAYLEY_LAB_CAP={order_cap()}, before radius {args.radius}\n")
-    report = _plain(ball)
-    if ball.complete:
-        report["doubling"] = growth.doubling_scan(ball)
-        if ball.size == group.order:
-            report["flatness"] = growth.flatness_report(ball)
+    report = _plain(profile)
+    if profile.complete:
+        report["doubling"] = growth.doubling_scan(profile)
+        if whole:
+            report["flatness"] = growth.flatness_report(profile)
             if args.eps is not None:
-                report["doubling_window"] = growth.doubling_at_scale(ball, args.eps, args.delta)
-    return True, report, ball.csv_rows()
+                report["doubling_window"] = growth.doubling_at_scale(profile, args.eps, args.delta)
+    return True, report, profile.csv_rows()
 
 
 def _cmd_diam(args):
@@ -304,13 +311,13 @@ def _suite_growth(args):
     from . import growth
 
     group, gens = _instance(args)
-    ball = growth.enumerate_ball(group, gens)
-    gamma = ball.diameter
-    checks = [{"name": "submultiplicativity", "ok": _submultiplicative(ball.ball_sizes)}]
-    flat = growth.flatness_report(ball)
+    profile = growth.count_spheres(group, gens)
+    gamma = profile.diameter
+    checks = [{"name": "submultiplicativity", "ok": _submultiplicative(profile.ball_sizes)}]
+    flat = growth.flatness_report(profile)
     checks.append({"name": "freiman_diameter_bound", "ok": gamma <= flat.freiman_bound, "gamma": gamma, "bound": flat.freiman_bound})
     ok = all(c["ok"] for c in checks)
-    return ok, {"group": group.name, "checks": checks, "profile": ball, "flatness": flat}
+    return ok, {"group": group.name, "checks": checks, "profile": profile, "flatness": flat}
 
 
 _NESTING_GRID = ((2, 2, (1, 1)), (2, 2, (2, 2)), (2, 3, (1, 1)), (3, 2, (1, 1, 1)))

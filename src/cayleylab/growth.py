@@ -1,30 +1,28 @@
-"""Ball enumeration and growth diagnostics for Cayley graphs.
+"""Sphere counts, ball enumeration and growth diagnostics for Cayley graphs.
 
 The BFS here is the single source of truth for every cardinality in the
 package: spheres and balls are exact integer counts, deduplicated on the
-elements themselves, and the element order it produces (sphere by sphere,
-canonical-byte order within a sphere) indexes every vector quantity
-downstream.  The BFS runs on one thread, and its output is a pure function of
-the group and the generating set.
+elements themselves.  It runs on one thread, and its output is a pure
+function of the group and the generating set.
 
-There is one graph builder, the BFS on coordinate rows: a sphere is an int64
+There is one sphere loop, the BFS on coordinate rows: a sphere is an int64
 array of rows, each generator acts on all of it at once, and an integer key
 per row stands in for the element.  The key is the codec's rank in canonical
 byte order when the group has a codec (``group.codec``: every finite family
 whose ranks fit below 2^62), and ``row_keys`` otherwise (the free nilpotent
 groups, products with an infinite factor, and finite groups whose ranks pass
-2^62); those spheres are put in canonical byte order once the BFS stops, by
-one encode per element.  It computes s*x for every generator s and every
-element x it expands.  A closure (a BFS with no max_radius) keeps the index
-of each product in its successor table, so the Cayley graph is enumerated once
-and never again; a ball enumerated to a radius keeps no table, even when it
-completes, since only a closure becomes a Cayley graph.  A closure on a group
-without a codec is refused before the BFS starts.  A ball keeps its rows and
-no bytes; its elements, the rows as tuples, are built on first read.
+2^62).  S is symmetric and holds the identity, so the loop keeps only the
+last two spheres.  It has two readers.  ``count_spheres`` keeps the sphere
+sizes alone, a ``Growth`` profile, to a radius or to closure; ``grow``,
+``diam`` and ``verify growth`` read it.  ``enumerate_ball`` runs to closure
+and joins the spheres' rows, sphere by sphere in canonical byte order, and
+the index of every product s*x into a successor table, so the Cayley graph is
+enumerated once and never again; its ``Ball`` is a profile too, and builds
+its elements, the rows as tuples, on first read.  A closure on a group
+without a codec is refused before the BFS starts.
 
-A ball is its own growth profile: it sums its sphere sizes once, into
-``ball_sizes``, and the doubling, flatness and moderate-growth diagnostics
-read those totals.
+The doubling, flatness and moderate-growth diagnostics read a profile's
+``ball_sizes``, summed once.
 """
 
 from __future__ import annotations
@@ -42,6 +40,8 @@ import numpy as np
 from .groups import GeneratingSet, Group, ResourceRefusal, SpecSemanticError, order_cap, row_keys
 
 __all__ = [
+    "Growth",
+    "count_spheres",
     "Ball",
     "enumerate_ball",
     "closed_ball",
@@ -68,30 +68,22 @@ class NonGeneratingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Ball:
-    """BFS enumeration of S^0, S^1, ... : the elements, sphere by sphere and
-    in canonical byte order within a sphere, and the sphere sizes.  A ball is
-    its own growth profile: ``ball_sizes`` sums the spheres once, and every
-    growth diagnostic reads it.
+class Growth:
+    """The growth profile of S: the sizes of the spheres S^0, S^1, ...
+    around the identity, and ``ball_sizes``, their running totals, summed
+    once; every growth diagnostic reads them.
 
-    ``rows`` holds the elements as an int64 array of coordinate rows in ball
-    order, and ``elements`` reads them back as tuples on first use.
-    ``truncated`` means expansion stopped at max_radius or the cap first;
-    otherwise the ball is ``complete`` (the BFS closed, and the last sphere is
-    the full boundary).  A complete closure carries ``successors``, an int64
-    array of shape (k, size) whose entry [i, j] is the index of
-    gens.elements[i] * elements[j]; every other ball carries None: a
-    truncated one never expanded its last sphere, and one enumerated to a
-    radius is read for its sphere sizes alone.
+    ``truncated`` means the BFS stopped at its radius or at the cap
+    (``capped``) first; otherwise the profile is ``complete``: the BFS
+    closed, and the last sphere is the full boundary.
     """
 
-    group: Group
-    gens: GeneratingSet
-    rows: np.ndarray = field(repr=False, compare=False)
+    group: Group = field(repr=False)
+    gens: GeneratingSet = field(repr=False)
     sphere_sizes: tuple[int, ...]
-    truncated: bool
-    capped: bool = False
-    successors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    truncated: bool = field(repr=False)
+    capped: bool = field(repr=False)
+    _shown = ("ball_sizes", "diameter", "group_order", "k", "truncated")
 
     def __post_init__(self):
         balls = self.ball_sizes
@@ -105,11 +97,6 @@ class Ball:
     def ball_sizes(self) -> tuple[int, ...]:
         """|S^0|, |S^1|, ...: the running totals of the sphere sizes."""
         return tuple(itertools.accumulate(self.sphere_sizes))
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The elements in ball order, as coordinate tuples."""
-        return _row_tuples(self.rows)
 
     @property
     def complete(self) -> bool:
@@ -127,6 +114,14 @@ class Ball:
     def diameter(self) -> Optional[int]:
         return None if self.truncated else self.radius
 
+    @property
+    def group_order(self) -> Optional[int]:
+        return self.group.order
+
+    @property
+    def k(self) -> int:
+        return self.gens.k
+
     def ball(self, n: int) -> int:
         """|S^n|, clamped at the closure for n past the diameter."""
         if n < 0:
@@ -138,18 +133,8 @@ class Ball:
             return balls[-1]
         return balls[n]
 
-    def to_dict(self) -> dict:
-        return {
-            "sphere_sizes": self.sphere_sizes,
-            "ball_sizes": self.ball_sizes,
-            "diameter": self.diameter,
-            "group_order": self.group.order,
-            "k": self.gens.k,
-            "truncated": self.truncated,
-        }
-
     def csv_rows(self) -> list[dict]:
-        # ratios only on a complete ball, where both radii are inside the closure
+        # ratios only on a complete profile, where both radii are inside the closure
         scan = doubling_scan(self) if self.complete else DoublingScan((), ())
         r2, r5 = dict(scan.ratios_2n1), dict(scan.ratios_5n)
         return [
@@ -164,23 +149,71 @@ class Ball:
         ]
 
 
-def enumerate_ball(
-    group: Group,
-    gens: GeneratingSet,
-    max_radius: Optional[int] = None,
-    cap: Optional[int] = None,
-) -> Ball:
-    """BFS the ball around the identity out to max_radius (or closure).
+@dataclass(frozen=True)
+class Ball(Growth):
+    """The closure of S, or its capped prefix: the elements, sphere by sphere
+    and in canonical byte order within a sphere, with its growth profile.
 
-    ``cap`` bounds the number of elements (default: the order cap); a sphere
-    that would cross it stops the BFS with a capped, truncated ball.  A
-    closure (no max_radius) needs a codec and is refused without one; it is
-    the only ball that keeps its successor table.
+    ``rows`` holds the elements as an int64 array of coordinate rows in ball
+    order, and ``elements`` reads them back as tuples on first use.  A
+    complete ball carries ``successors``, an int64 array of shape (k, size)
+    whose entry [i, j] is the index of gens.elements[i] * elements[j]; a
+    capped one, which never expanded its last sphere, carries None.
     """
-    if max_radius is None and group.codec is None:
+
+    rows: np.ndarray = field(repr=False, compare=False)
+    successors: Optional[np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements in ball order, as coordinate tuples."""
+        return _row_tuples(self.rows)
+
+
+def _closure_needs_codec(group: Group) -> None:
+    if group.codec is None:
         why = "is infinite" if group.order is None else "has coordinate ranks past 2^62, so no codec"
         raise ResourceRefusal(f"{group.name} {why}: closure enumeration needs max_radius")
-    return _bfs(group, gens, max_radius, order_cap(cap))
+
+
+def count_spheres(group: Group, gens: GeneratingSet, max_radius: Optional[int] = None, cap: Optional[int] = None) -> Growth:
+    """The sphere sizes out to max_radius (or closure), and nothing else.
+
+    ``cap`` bounds the number of elements (default: the order cap); a sphere
+    that would cross it stops the count, capped.  A closure (no max_radius)
+    needs a codec and is refused without one.
+    """
+    if max_radius is None:
+        _closure_needs_codec(group)
+    steps = itertools.islice(_spheres(group, gens, order_cap(cap)), max_radius)
+    spheres = [1, *(len(sphere) for _, sphere in steps)]
+    if not spheres[-1]:  # the ball closed
+        return Growth(group, gens, tuple(spheres[:-1]), False, False)
+    return Growth(group, gens, tuple(spheres), True, len(spheres) - 1 != max_radius)
+
+
+def enumerate_ball(group: Group, gens: GeneratingSet, cap: Optional[int] = None) -> Ball:
+    """The BFS ball of S out to closure, with its rows and successor table.
+
+    ``cap`` bounds the number of elements (default: the order cap); a sphere
+    that would cross it stops the BFS with a capped ball, which keeps no
+    table.  A group without a codec is refused.
+    """
+    _closure_needs_codec(group)
+    blocks = [np.array([group.identity()], dtype=np.int64)]  # coordinate rows, one block per sphere
+    tables = []  # successor indices, one (k, sphere size) block per expanded sphere
+    for succ, sphere in _spheres(group, gens, order_cap(cap)):
+        tables.append(succ)
+        blocks.append(sphere)
+    closed = not len(blocks[-1])
+    spheres = tuple(len(block) for block in blocks if len(block))
+    # each list goes once it is joined: at 10^6 elements a copy of the rows is
+    # over 100 MB, and of the successors k * 8 MB
+    X = np.concatenate(blocks)
+    blocks.clear()
+    successors = np.concatenate(tables, axis=1) if closed else None
+    tables.clear()
+    return Ball(group, gens, spheres, not closed, not closed, X, successors)
 
 
 def _row_tuples(X: np.ndarray) -> tuple:
@@ -188,89 +221,73 @@ def _row_tuples(X: np.ndarray) -> tuple:
     return tuple(zip(*X.T.tolist()))
 
 
-def _bfs(group: Group, gens: GeneratingSet, max_radius: Optional[int], limit: int) -> Ball:
-    """The BFS on coordinate rows, the one writer of a ball."""
+def _spheres(group: Group, gens: GeneratingSet, limit: int):
+    """The sphere loop: the BFS on coordinate rows, keeping the last two spheres.
+
+    Each expansion of the last sphere yields (succ, sphere): succ, of shape
+    (k, last sphere's size), holds the ball index of gens.elements[i] times
+    its j-th element, and sphere the new sphere's rows, sorted by key.  The
+    loop ends after an empty sphere (the ball closed), or without a yield
+    where the new sphere would take the ball past limit elements.
+    """
     codec = group.codec
-    closure = max_radius is None
     frontier = np.array([group.identity()], dtype=np.int64)
-    blocks = [frontier]  # coordinate rows, one block per sphere, each sorted by key
-    ranks = None if codec is None else [codec.rank(frontier)]  # the codec's keys, per sphere
+    # the last two spheres, as their codec ranks or, without a codec, their
+    # rows, and the ball index of their first elements
+    last = [frontier if codec is None else codec.rank(frontier)]
     starts = [0]
-    spheres = [1]
     size = 1
-    rows: list[np.ndarray] = []  # a closure's successor indices per expanded sphere, shape (k, sphere size)
-    truncated = False
-    capped = False
     while True:
-        if not closure and len(spheres) - 1 >= max_radius:
-            truncated = True
-            break
         products = np.stack([group.left_mul(s, frontier) for s in gens.elements])
         if codec is not None:
-            known, keys = ranks[-2:], codec.rank(products)
+            known, keys = last, codec.rank(products)
         else:
             # keys of the last two spheres and the products together; they
             # order rows lexicographically, so each sphere stays sorted
-            *known, keys = row_keys(*blocks[-2:], products.reshape(-1, products.shape[-1]))
+            *known, keys = row_keys(*last, products.reshape(-1, products.shape[-1]))
             keys = keys.reshape(products.shape[:-1])
         succ = np.full(keys.shape, -1, dtype=np.int64)
         # S is symmetric and holds the identity, so the products of sphere r
         # lie in spheres r-1, r and r+1; only the last is new
-        for known_keys, start in zip(known, starts[-2:]):
+        for known_keys, start in zip(known, starts):
             at = np.minimum(np.searchsorted(known_keys, keys), len(known_keys) - 1)
             hit = known_keys[at] == keys
             succ[hit] = start + at[hit]
         new = succ < 0
-        fresh, first = np.unique(keys[new], return_index=True)
+        fresh, first, inverse = np.unique(keys[new], return_index=True, return_inverse=True)
         if size + len(fresh) > limit:
-            truncated = True
-            capped = True
-            break
-        if closure:
-            succ[new] = size + np.searchsorted(fresh, keys[new])
-            rows.append(succ)
-        if not len(fresh):
-            break
+            return
+        succ[new] = size + inverse
         frontier = products[new][first]
-        blocks.append(frontier)
-        if codec is not None:
-            ranks.append(fresh)
-        starts.append(size)
-        spheres.append(len(fresh))
+        del products, keys  # so that the next sphere's do not sit beside them
+        yield succ, frontier
+        if not len(fresh):
+            return
+        last = [last[-1], frontier if codec is None else fresh]
+        starts = [starts[-1], size]
         size += len(fresh)
-    # each list goes once it is joined: at 10^6 elements a copy of the rows is
-    # over 100 MB, and of the successors k * 8 MB
-    X = np.concatenate(blocks)
-    blocks.clear()
-    successors = np.concatenate(rows, axis=1) if closure and not truncated else None
-    rows.clear()
-    if codec is None:
-        # a ball without a codec is never a closure: from row order to
-        # canonical byte order, sphere by sphere in place, one encode per
-        # element of each sphere that has more than one
-        for start, n in zip(starts, spheres):
-            if n > 1:
-                sphere = X[start : start + n]
-                codes = list(map(group.encode, _row_tuples(sphere)))
-                sphere[:] = sphere[sorted(range(n), key=codes.__getitem__)]
-    return Ball(group, gens, X, tuple(spheres), truncated, capped, successors)
+
+
+def _whole_group(profile: Growth) -> Growth:
+    """profile, once it is known to cover the group: refuses when the BFS
+    stopped first, and raises NonGeneratingError when S closes on a proper subgroup."""
+    if profile.truncated:
+        raise ResourceRefusal("ball enumeration truncated before closure")
+    if profile.size < profile.group.order:
+        raise NonGeneratingError(profile.size, profile.group.order)
+    return profile
 
 
 def closed_ball(group: Group, gens: GeneratingSet) -> Ball:
     """The whole group as one BFS ball, with its successor table:
     refuses a group without a codec or when the BFS stops first, and raises
     NonGeneratingError when S closes on a proper subgroup."""
-    ball = enumerate_ball(group, gens)
-    if ball.truncated:
-        raise ResourceRefusal("ball enumeration truncated before closure")
-    if ball.size < group.order:
-        raise NonGeneratingError(ball.size, group.order)
-    return ball
+    return _whole_group(enumerate_ball(group, gens))
 
 
 def diameter(group: Group, gens: GeneratingSet) -> int:
-    """Exact diameter; raises NonGeneratingError if S closes on a proper subgroup."""
-    return closed_ball(group, gens).diameter
+    """Exact diameter, from the sphere sizes alone; refuses as closed_ball does."""
+    return _whole_group(count_spheres(group, gens)).diameter
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ class DoublingScan:
     ratios_5n: tuple[tuple[int, Fraction], ...]
 
 
-def doubling_scan(ball: Ball) -> DoublingScan:
+def doubling_scan(ball: Growth) -> DoublingScan:
     if ball.truncated:
         raise ValueError("doubling scan needs a complete ball")
     gamma = ball.diameter
@@ -318,7 +335,7 @@ class DoublingWindow:
         return (self.lo, self.hi)
 
 
-def doubling_at_scale(ball: Ball, eps: float, delta: float) -> DoublingWindow:
+def doubling_at_scale(ball: Growth, eps: float, delta: float) -> DoublingWindow:
     """Smallest n in [gamma^{delta/2}, gamma^delta] with |S^{5n}| <= K |S^n|, K = 5^{2/(eps delta)}."""
     if ball.truncated:
         raise ValueError("needs a complete ball")
@@ -371,7 +388,7 @@ class FlatnessReport:
         return 2.0 * (self.group_order / self.k) ** 1.75
 
 
-def flatness_report(ball: Ball) -> FlatnessReport:
+def flatness_report(ball: Growth) -> FlatnessReport:
     order = ball.group.order
     if ball.truncated or order is None:
         raise ValueError("needs a complete ball of a finite group")
@@ -390,7 +407,7 @@ class ModerateGrowthFit:
     exact: bool
 
 
-def moderate_fit(ball: Ball, d: float) -> ModerateGrowthFit:
+def moderate_fit(ball: Growth, d: float) -> ModerateGrowthFit:
     """A = max over 1 <= n <= gamma of (n/gamma)^d |G| / |S^n|, exact for integer d."""
     order = ball.group.order
     if ball.truncated or order is None:

@@ -60,10 +60,11 @@ def approximate_group_witness(group, gens, n: int) -> RuzsaWitness:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ball = enumerate_ball(group, gens, max_radius=5 * n)
-    if ball.capped or (not ball.complete and ball.radius < 5 * n):
+    # the closed ball, read to radius 5n: it is sphere-major, so radius <= r
+    # is position < |S^r|, clamped at the closure
+    ball = enumerate_ball(group, gens)
+    if ball.capped:
         raise ResourceRefusal(f"ball truncated before radius {5 * n}")
-    # the ball is sphere-major: radius <= r is position < |S^r|
     small = ball.elements[: ball.ball(n)]
     chosen: list = []
     occupied = set()

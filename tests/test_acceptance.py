@@ -213,8 +213,8 @@ def test_criterion_10_schreier_contract():
         res = reidemeister_schreier(gp, sp, SubgroupOracle(gg.contains, name="G_4"))
         d = res.index
         assert d == 2
-        ball3 = enumerate_ball(gp, sp, max_radius=2 * d - 1)
-        codes3 = {gp.encode(x) for x in ball3.elements}
+        ball = enumerate_ball(gp, sp)  # sphere-major, so S^(2d-1) is a prefix
+        codes3 = {gp.encode(x) for x in ball.elements[: ball.ball(2 * d - 1)]}
         for x in res.generators.elements:
             assert gp.encode(x) in codes3
             assert gg.contains(x)

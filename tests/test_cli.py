@@ -15,7 +15,7 @@ import pytest
 import cayleylab
 from cayleylab import cli, growth, mixing, nilprog, spectral, zoo
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
-from cayleylab.groups import SubgroupOracle, build_group
+from cayleylab.groups import FreeNilpotentGroup, SubgroupOracle, build_group
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
 from growth_engines import approximate_group_witness, coset_saturation
@@ -113,6 +113,11 @@ BAD_INPUTS = [
     (["grow", "-g", "freenil:r=20,s=4", "-r", "1"], EXIT_REFUSAL, "needs at least 8420 Magnus coefficients"),
     # gamma^delta = 25^2000 is past the float range
     (["grow", "-g", "cyclic:50", "--eps", "0.5", "--delta", "2000"], EXIT_USAGE, "delta must be below about 220.5"),
+    # the doubling window reads the diameter: refused before the BFS on an
+    # infinite group, and after it when the BFS stops before closing
+    (["grow", "-g", "freenil:r=2,s=2", "-r", "3", "--eps", "0.5", "--delta", "0.5"], EXIT_USAGE, "--eps and --delta need a finite group; freenil:r=2,s=2 is infinite\n"),
+    (["grow", "-g", "freenil:r=2,s=2", "--eps", "0.5", "--delta", "0.5"], EXIT_USAGE, "--eps and --delta need a finite group; freenil:r=2,s=2 is infinite\n"),
+    (["grow", "-g", "cyclic:100", "-r", "10", "--eps", "0.5", "--delta", "0.5"], EXIT_USAGE, "--eps and --delta need the whole group; the BFS of cyclic:100 stopped at radius 10\n"),
     # a repeated parameter is an error (abelian's moduli key excepted), and
     # only ASCII digits are integers
     (["diam", "-g", "cyclic:n=3,n=4"], EXIT_USAGE, "repeated parameter 'n' (at byte 11)"),
@@ -398,7 +403,7 @@ def _cli_reports():
     reports = []
     for spec in ("cyclic:100", "ut:dim=3,p=5"):
         inst = zoo.construct_family(spec)
-        ball = enumerate_ball(inst.group, inst.gens)
+        ball = growth.count_spheres(inst.group, inst.gens)
         ctx = spectral.build_context(inst.group, inst.gens)
         chain = spectral.verify_spectral_inequalities(ctx)
         basic = mixing.verify_basic_mixing(ctx)
@@ -448,14 +453,15 @@ def _leaves(obj):
 
 
 def test_reports_serialize_to_plain_leaves():
-    # no ndarray, Fraction or tuple reaches the renderers, and no field kept out of the repr
+    # no ndarray, Fraction or tuple reaches the renderers, and no field kept
+    # out of the repr unless its class lists it in _shown
     reports = _cli_reports()
     assert len({type(rep) for rep in reports}) == 21
     for rep in reports:
         plain = cli._plain(rep)
         bad = [x for x in _leaves(plain) if not isinstance(x, (str, int, float, bool, type(None)))]
         assert not bad, (type(rep).__name__, bad)
-        hidden = {f.name for f in dataclasses.fields(rep) if not f.repr}
+        hidden = {f.name for f in dataclasses.fields(rep) if not f.repr}.difference(getattr(rep, "_shown", ()))
         assert hidden.isdisjoint(plain), (type(rep).__name__, hidden & plain.keys())
 
 
@@ -529,14 +535,15 @@ def test_oversized_power_range_is_refused_before_any_commutator_is_evaluated(mon
 
 
 def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
-    bfs = growth._bfs
+    spheres = growth._spheres
 
-    def truncated_only(group, gens, max_radius, limit):
-        # a closure here would run until memory ran out, so fail instead
-        assert max_radius is not None or group.codec is not None, "the BFS was asked for a closure without a codec"
-        return bfs(group, gens, max_radius, limit)
+    def truncated_only(group, gens, limit):
+        for radius, step in enumerate(spheres(group, gens, limit)):
+            # a closure here would run until memory ran out, so fail instead
+            assert radius < 10 or group.codec is not None, "the BFS was asked for a closure without a codec"
+            yield step
 
-    monkeypatch.setattr(growth, "_bfs", truncated_only)
+    monkeypatch.setattr(growth, "_spheres", truncated_only)
     monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
     spec = "abelian:257,257,257,257"
     for verb in ("diam", "grow"):
@@ -548,18 +555,41 @@ def test_closure_without_an_array_form_exits_3(monkeypatch, capsys):
 
 
 def test_verbs_that_read_sphere_sizes_never_build_elements(monkeypatch, capsys):
-    # a ball keeps rows; its element tuples are built on first read only
-    commands = [["diam", "-g", "cyclic:100"], ["grow", "-g", "ut:dim=3,p=5", "--format", "csv"], ["verify", "spectral", "-g", "cyclic:20"]]
+    # a ball keeps rows, and builds its element tuples on first read only;
+    # grow, diam and verify growth count spheres and build no ball at all
+    counters = [
+        ["diam", "-g", "cyclic:100"],
+        ["grow", "-g", "ut:dim=3,p=5", "--format", "csv"],
+        ["grow", "-g", "freenil:r=2,s=3", "-r", "6"],
+        ["verify", "growth", "-g", "ut:dim=3,p=5"],
+    ]
+    commands = [*counters, ["verify", "spectral", "-g", "cyclic:20"]]
     outputs = []
     for argv in commands:
         assert run(argv) == EXIT_OK, argv
         outputs.append(capsys.readouterr().out)
 
-    def no_tuples(X):
-        raise AssertionError("a ball built its elements")
+    def fail(what):
+        def raiser(*args, **kwargs):
+            raise AssertionError(what)
 
-    monkeypatch.setattr(growth, "_row_tuples", no_tuples)
+        return raiser
+
+    monkeypatch.setattr(growth, "_row_tuples", fail("a ball built its elements"))
     for argv, out in zip(commands, outputs):
+        assert run(argv) == EXIT_OK, argv
+        assert capsys.readouterr().out == out, argv
+    # symmetrize sorts the generators by encode; the count itself encodes nothing
+    count = growth.count_spheres
+
+    def count_without_encoding(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FreeNilpotentGroup, "encode", fail("an element was encoded"))
+            return count(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "enumerate_ball", fail("a ball was enumerated"))
+    monkeypatch.setattr(growth, "count_spheres", count_without_encoding)
+    for argv, out in zip(counters, outputs):
         assert run(argv) == EXIT_OK, argv
         assert capsys.readouterr().out == out, argv
 
@@ -581,7 +611,7 @@ def test_out_of_memory_exits_3_without_a_traceback(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(growth, "enumerate_ball", exhausted)
+    monkeypatch.setattr(growth, "count_spheres", exhausted)
     assert run(["grow", "-g", "freenil:r=2,s=2", "-r", "1000"]) == EXIT_REFUSAL
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -469,9 +469,9 @@ def test_rs_symfp_index_two():
     assert res.index == 2
     assert all(gg.contains(x) for x in res.generators.elements)
     assert sp.k / 2 <= res.generators.k <= 2 * sp.k
-    # S0 lands inside S^(2d-1) = S^3
-    ball3 = enumerate_ball(gp, sp, max_radius=3)
-    codes3 = {gp.encode(x) for x in ball3.elements}
+    # S0 lands inside S^(2d-1) = S^3, a prefix of the sphere-major closed ball
+    ball = enumerate_ball(gp, sp)
+    codes3 = {gp.encode(x) for x in ball.elements[: ball.ball(3)]}
     assert all(gp.encode(x) in codes3 for x in res.generators.elements)
 
 

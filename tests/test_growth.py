@@ -1,17 +1,20 @@
 """Ball growth, doubling, flatness, moderate growth, covering witnesses."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from cayleylab import growth
-from cayleylab.groups import FreeNilpotentGroup, OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
+from cayleylab import cli, growth
+from cayleylab.groups import OracleError, ResourceRefusal, SubgroupOracle, build_group, symmetrize
 from cayleylab.growth import (
     Ball,
+    Growth,
     NonGeneratingError,
+    count_spheres,
     diameter,
     doubling_at_scale,
     doubling_scan,
@@ -45,7 +48,7 @@ def test_infinite_group_needs_explicit_radius():
     s = g.generating_set()
     with pytest.raises(ResourceRefusal):
         diameter(g, s)
-    profile = enumerate_ball(g, s, max_radius=6)
+    profile = count_spheres(g, s, max_radius=6)
     assert profile.truncated and profile.ball(6) > profile.ball(5)
 
 
@@ -64,7 +67,7 @@ def test_profile_ball_clamps_and_truncation():
     g = build_group("cyclic:100")
     p = enumerate_ball(g, g.generating_set())
     assert p.ball(200) == 100
-    truncated = enumerate_ball(g, g.generating_set(), max_radius=5)
+    truncated = count_spheres(g, g.generating_set(), max_radius=5)
     assert truncated.diameter is None
     with pytest.raises(ValueError):
         truncated.ball(10)
@@ -154,7 +157,7 @@ def test_submultiplicativity_on_zoo():
 
 
 def test_ball_sizes_are_summed_once(monkeypatch):
-    original = Ball.__dict__["ball_sizes"]
+    original = Growth.__dict__["ball_sizes"]
     sums = []
 
     def counted(self):
@@ -162,11 +165,11 @@ def test_ball_sizes_are_summed_once(monkeypatch):
         return original.func(self)
 
     wrapper = cached_property(counted)
-    wrapper.__set_name__(Ball, "ball_sizes")
-    monkeypatch.setattr(Ball, "ball_sizes", wrapper)
+    wrapper.__set_name__(Growth, "ball_sizes")
+    monkeypatch.setattr(Growth, "ball_sizes", wrapper)
     g = build_group("cyclic:100")
-    ball = enumerate_ball(g, g.generating_set())
-    ball.to_dict()
+    ball = count_spheres(g, g.generating_set())
+    cli._plain(ball)
     ball.csv_rows()
     doubling_scan(ball)
     doubling_at_scale(ball, 0.5, 0.5)
@@ -194,26 +197,25 @@ def test_only_closures_carry_successors():
     s = g.generating_set()
     full = enumerate_ball(g, s)
     assert full.complete and full.successors.shape == (s.k, 100)
-    assert enumerate_ball(g, s, max_radius=5).successors is None
-    # a ball enumerated to a radius keeps no table, even when it completes
-    whole = enumerate_ball(g, s, max_radius=100)
-    assert whole.complete and whole.sphere_sizes == full.sphere_sizes and whole.successors is None
     capped = enumerate_ball(g, s, cap=10)
     assert capped.capped and capped.successors is None
+    # a profile counted to a radius is no ball: it keeps neither rows nor a table
+    for radius in (5, 100):
+        profile = count_spheres(g, s, max_radius=radius)
+        assert profile.sphere_sizes == full.sphere_sizes[: radius + 1] and not isinstance(profile, Ball)
     f = build_group("freenil:r=2,s=2")
-    assert enumerate_ball(f, f.generating_set(), max_radius=3).successors is None
+    assert not isinstance(count_spheres(f, f.generating_set(), max_radius=3), Ball)
 
 
 def test_every_ball_keeps_its_rows():
     g = build_group("ut:dim=3,p=5")
     s = g.generating_set()
-    f = build_group("freenil:r=2,s=2")
-    product = build_group("product(freenil:r=2,s=2)x(cyclic:3)")
+    product = build_group("product(lamplighter:3)x(cyclic:8)")
     balls = (
         enumerate_ball(g, s),
-        enumerate_ball(g, s, max_radius=2),
-        enumerate_ball(f, f.generating_set(), max_radius=3),
-        enumerate_ball(product, product.generating_set(), max_radius=3),
+        enumerate_ball(g, s, cap=30),
+        enumerate_ball(product, product.generating_set()),
+        enumerate_ball(product, product.generating_set(), cap=50),
     )
     for ball in balls:
         assert ball.rows.dtype == np.int64 and ball.rows.tolist() == [list(x) for x in ball.elements]
@@ -222,35 +224,40 @@ def test_every_ball_keeps_its_rows():
 
 def test_closure_without_an_array_form_is_refused_before_either_bfs(monkeypatch):
     """A finite group whose ranks pass 2^62 has no codec, so its closure is
-    refused before the BFS starts; its truncated balls are still counted."""
+    refused before the BFS starts; its spheres are still counted to a radius."""
     monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
     g = build_group("abelian:257,257,257,257")
     s = g.generating_set()
     assert g.codec is None and g.order == 257**4
-    ball = enumerate_ball(g, s, max_radius=2)
-    assert ball.sphere_sizes == (1, 8, 32) and ball.truncated and ball.successors is None
+    profile = count_spheres(g, s, max_radius=2)
+    assert profile.sphere_sizes == (1, 8, 32) and profile.truncated and not isinstance(profile, Ball)
 
     def no_bfs(*args):
         raise AssertionError("a BFS started")
 
-    monkeypatch.setattr(growth, "_bfs", no_bfs)
-    with pytest.raises(ResourceRefusal, match=r"^abelian:257,257,257,257 has coordinate ranks past 2\^62"):
-        enumerate_ball(g, s)
+    monkeypatch.setattr(growth, "_spheres", no_bfs)
     f = build_group("freenil:r=2,s=2")
-    with pytest.raises(ResourceRefusal, match="^freenil:r=2,s=2 is infinite: closure enumeration needs max_radius$"):
-        enumerate_ball(f, f.generating_set())
+    for engine in (enumerate_ball, count_spheres):
+        with pytest.raises(ResourceRefusal, match=r"^abelian:257,257,257,257 has coordinate ranks past 2\^62"):
+            engine(g, s)
+        with pytest.raises(ResourceRefusal, match="^freenil:r=2,s=2 is infinite: closure enumeration needs max_radius$"):
+            engine(f, f.generating_set())
 
 
-def test_bfs_without_a_codec_encodes_each_element_once(monkeypatch):
-    """Without a codec the BFS deduplicates on row keys, and encodes each
-    element once, to sort its sphere; the identity's sphere needs no sort."""
-    g = build_group("freenil:r=2,s=3")
-    gens = g.generating_set()
-    calls = []
-    encode = FreeNilpotentGroup.encode
-    monkeypatch.setattr(FreeNilpotentGroup, "encode", lambda self, a: calls.append(a) or encode(self, a))
-    ball = enumerate_ball(g, gens, max_radius=4)
-    assert ball.size == 161 and len(calls) == ball.size - 1
+def test_diameter_holds_two_spheres_not_the_ball():
+    # tracemalloc's peak for diameter on cyclic:20000 was 5.3 MiB when it
+    # enumerated the closed ball with its successor table, and is 0.56 MiB
+    # counting spheres, most of it the profile's 10,001 sphere sizes and totals
+    g = build_group("cyclic:20000")
+    s = g.generating_set()
+    tracemalloc.start()
+    try:
+        gamma = diameter(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma == 10000
+    assert peak < 3 << 19, peak
 
 
 def test_ball_order_is_sphere_major_canonical():

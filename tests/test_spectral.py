@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayleylab import cli, spectral
-from cayleylab.groups import GeneratingSet, ResourceRefusal, SubgroupOracle, build_group, symmetrize
-from cayleylab.growth import enumerate_ball
+from cayleylab import cli, growth, spectral
+from cayleylab.groups import GeneratingSet, ResourceRefusal, SubgroupOracle, build_group, order_cap, symmetrize
+from cayleylab.growth import count_spheres, enumerate_ball
 from cayleylab.mixing import convolution_curve, mixing_times, verify_basic_mixing
 from cayleylab.spectral import (
     DENSE_CAP,
@@ -96,16 +96,21 @@ def ball_fields(ball):
     return ball.elements, ball.sphere_sizes, ball.truncated, ball.capped
 
 
-def assert_same_ball(got, want, label, closure=False):
+def assert_same_ball(got, want, label):
     """got, a Ball, against want, the reference's (elements, sphere_sizes, truncated, capped);
-    only a complete closure carries a successor table."""
+    only a complete ball carries a successor table."""
     assert ball_fields(got) == want, label
     assert got.rows.dtype == np.int64 and got.rows.shape == (got.size, len(got.group.identity())), label
-    if closure and got.complete:
+    if got.complete:
         table = mul_successors(got.group, got.gens, want[0])
         assert got.successors.dtype == table.dtype and np.array_equal(got.successors, table), label
     else:
         assert got.successors is None, label
+
+
+def assert_same_profile(got, want, label):
+    """got, a Growth, against the reference's sphere sizes and flags."""
+    assert (got.sphere_sizes, got.truncated, got.capped) == want[1:], label
 
 
 def test_array_bfs_matches_tuple_bfs_reference():
@@ -125,37 +130,63 @@ def test_array_bfs_matches_tuple_bfs_reference():
         cases.append((spec, g, g.generating_set()))
     for label, g, gens in cases:
         assert g.codec is not None, label
-        # bounded balls first: a BFS that re-finds old elements fails here
+        # bounded counts first: a BFS that re-finds old elements fails here
         # rather than growing to the order cap
-        for radius in (1, 2, 3):
-            assert_same_ball(enumerate_ball(g, gens, max_radius=radius), reference_ball(g, gens, max_radius=radius), (label, radius))
+        bounded = [reference_ball(g, gens, max_radius=radius) for radius in (1, 2, 3)]
+        for radius, want in enumerate(bounded, 1):
+            assert_same_profile(count_spheres(g, gens, max_radius=radius), want, (label, radius))
         capped = enumerate_ball(g, gens, cap=10)
         assert capped.capped == (g.order > 10), label
-        assert_same_ball(capped, reference_ball(g, gens, cap=10), label, closure=True)
+        want = reference_ball(g, gens, cap=10)
+        assert_same_ball(capped, want, label)
+        assert_same_profile(count_spheres(g, gens, cap=10), want, label)
         full = enumerate_ball(g, gens)
         assert full.complete, label
         want = reference_ball(g, gens)
-        assert_same_ball(full, want, label, closure=True)
-        # without its codec the BFS keys rows by row_keys and sorts each
-        # sphere by encode once it stops: the same ball, enumerated to a
-        # radius, so without a table
+        assert_same_ball(full, want, label)
+        assert_same_profile(count_spheres(g, gens), want, label)
+        # the ball is sphere-major, so the ball to a radius is its prefix
+        for radius, (elements, *_) in enumerate(bounded, 1):
+            assert full.elements[: full.ball(radius)] == elements, (label, radius)
+        # without its codec the BFS keys rows by row_keys: the same spheres,
+        # counted to a radius past the closure
         bare = copy.copy(g)
         bare.codec = None
-        assert_same_ball(enumerate_ball(bare, gens, max_radius=g.order), want, label)
+        assert_same_profile(count_spheres(bare, gens, max_radius=g.order), want, label)
+        assert loop_spheres(bare, gens, g.order) == reference_spheres(want), label
         # rank order is code order
         codes = [g.encode(x) for x in full.elements]
         by_code = sorted(range(full.size), key=codes.__getitem__)
         assert np.argsort(g.codec.rank(np.array(full.elements, dtype=np.int64))).tolist() == by_code, label
 
 
+def loop_spheres(group, gens, radius, cap=None):
+    """The sphere loop's spheres out to radius, each as a set of elements."""
+    steps = itertools.islice(growth._spheres(group, gens, order_cap(cap)), radius)
+    spheres = [{group.identity()}] + [set(map(tuple, sphere.tolist())) for _, sphere in steps]
+    return spheres[:-1] if not spheres[-1] else spheres
+
+
+def reference_spheres(want):
+    """The reference's spheres, each as a set of elements."""
+    elements, sizes = want[:2]
+    ends = list(itertools.accumulate(sizes))
+    return [set(elements[end - size : end]) for size, end in zip(sizes, ends)]
+
+
 def test_bfs_without_a_codec_matches_tuple_bfs_reference(monkeypatch):
     """Infinite groups, and finite ones whose ranks pass 2^62, have no codec:
-    the BFS keys their rows by row_keys, and their balls are truncated."""
+    the BFS keys their rows by row_keys, and only counts their spheres."""
     monkeypatch.setenv("CAYLEY_LAB_CAP", "5000000000")
     cases = [
         ("freenil:r=2,s=2", 8, None),
         ("freenil:r=3,s=2", 5, None),
         ("freenil:r=1,s=2", 50, None),
+        ("freenil:r=1,s=1", 20, None),
+        ("freenil:r=1,s=3", 20, None),
+        ("freenil:r=2,s=1", 8, None),
+        ("freenil:r=3,s=1", 5, None),
+        ("freenil:r=3,s=3", 3, None),
         ("product(freenil:r=2,s=2)x(cyclic:3)", 4, None),
         ("product(cyclic:5)x(freenil:r=2,s=2)", 3, None),
         ("abelian:257,257,257,257", 3, None),
@@ -165,9 +196,11 @@ def test_bfs_without_a_codec_matches_tuple_bfs_reference(monkeypatch):
         g = build_group(spec)
         gens = g.generating_set()
         assert g.codec is None, spec
-        ball = enumerate_ball(g, gens, max_radius=radius, cap=cap)
-        assert ball.truncated and ball.capped == (cap is not None), spec
-        assert_same_ball(ball, reference_ball(g, gens, radius, cap), spec)
+        want = reference_ball(g, gens, radius, cap)
+        profile = count_spheres(g, gens, max_radius=radius, cap=cap)
+        assert profile.truncated and profile.capped == (cap is not None), spec
+        assert_same_profile(profile, want, spec)
+        assert loop_spheres(g, gens, profile.radius, cap) == reference_spheres(want), spec
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 20])

@@ -73,9 +73,9 @@ def coordinate_window_check(n: int, p: int, radius: int = 10) -> bool:
     """Every element of the radius-R ball in the full tower group has all its
     vector coordinates in [-R, R] (as balanced residues), for R <= radius."""
     full = SymFpGroup(n, p, "L")
-    ball = enumerate_ball(full, full.generating_set(), max_radius=radius)
+    ball = enumerate_ball(full, full.generating_set())
     start = 0
-    for r, end in enumerate(ball.ball_sizes):
+    for r, end in enumerate(ball.ball_sizes[: radius + 1]):
         for x in ball.elements[start:end]:
             if any(abs(balanced_lift(v, p)) > r for v in x[n:]):
                 return False
