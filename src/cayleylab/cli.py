@@ -95,25 +95,19 @@ def render_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def render_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row.get(key, "")
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(format(v, ".17g"))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return "" if v is None else str(v)
+
+
+def render_csv(columns: dict):
+    """The lines of a table given as columns, header name to sequence: the header, then one line per row."""
+    yield ",".join(columns) + "\n"
+    for row in zip(*columns.values()):
+        yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def render_table(obj, indent: int = 0) -> str:
@@ -134,27 +128,26 @@ def render_table(obj, indent: int = 0) -> str:
 
 
 def emit_report(report, fmt: str, path: Optional[str] = None) -> None:
-    """Write a report to path, or to stdout; csv takes rows that are plain dicts already."""
+    """Write a report to path, or to stdout: csv line by line from a table of columns (see render_csv), json and table as one text."""
     if fmt == "csv":
-        if not isinstance(report, list):
-            raise ValueError("csv format needs row data")
-        text = render_csv(report)
+        lines = render_csv(report)
     elif fmt == "json":
-        text = render_json(_plain(report)) + "\n"
+        lines = [render_json(_plain(report)) + "\n"]
     else:
-        text = render_table(_plain(report)) + "\n"
+        lines = [render_table(_plain(report)) + "\n"]
     if path:
         try:
-            with open(path, "wb") as fh:
-                fh.write(text.encode("utf-8"))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(lines)
         except OSError as exc:  # a missing directory, a directory, no permission
             raise SpecSemanticError(f"cannot write -o {path}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe fails here, inside run, not at exit
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (ok, report, csv_rows or None)
+# Command implementations: each returns (ok, report, csv columns or None)
 # ---------------------------------------------------------------------------
 
 
@@ -207,7 +200,7 @@ def _cmd_grow(args):
             report["flatness"] = growth.flatness_report(profile)
             if args.eps is not None:
                 report["doubling_window"] = growth.doubling_at_scale(profile, args.eps, args.delta)
-    return True, report, profile.csv_rows()
+    return True, report, profile.columns()
 
 
 def _cmd_diam(args):
@@ -237,13 +230,10 @@ def _cmd_mix(args):
     if args.format != "csv":
         return True, mixing.mixing_times(ctx), None
     # the csv lists every step, so only the walk serves it
-    curves = mixing.convolution_curve(ctx)
-    rep = mixing.mixing_times(ctx, curves)
-    rows = curves.csv_rows()
-    if args.p is not None:
-        keep = {"1": "d1", "2": "d2", "inf": "dinf"}[args.p]
-        rows = [{"n": r["n"], keep: r[keep]} for r in rows]
-    return True, rep, rows
+    columns = mixing.convolution_curve(ctx).columns()
+    if args.p is not None:  # the column d1, d2 or dinf
+        columns = {"n": columns["n"], "d" + args.p: columns["d" + args.p]}
+    return True, None, columns
 
 
 def _cmd_nilprog(args):
@@ -276,7 +266,7 @@ def _cmd_zoo(args):
 
     if args.action == "list":
         rows = zoo.zoo_listing()
-        return True, rows, rows
+        return True, rows, {key: [row[key] for row in rows] for key in rows[0]}
     if args.action == "lgg":
         pair = _lgg_pair(args)
         if pair is None:
@@ -558,11 +548,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        ok, report, csv_rows = _COMMANDS[args.verb](args)
+        ok, report, columns = _COMMANDS[args.verb](args)
         if args.verb == "diam" and args.format == "table" and not args.output:
             sys.stdout.write(f"{report['diameter']}\n")
-        elif args.format == "csv" and csv_rows is not None:
-            emit_report(csv_rows, "csv", args.output)
+        elif args.format == "csv" and columns is not None:
+            emit_report(columns, "csv", args.output)
         else:
             emit_report(report, args.format if args.format != "csv" else "json", args.output)
     except (SpecSyntaxError, SpecSemanticError) as exc:
@@ -579,6 +569,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except RuntimeError as exc:
         sys.stderr.write(f"assertion failed: {exc}\n")
         return EXIT_ASSERTION
+    except BrokenPipeError:  # the reader closed the pipe, as `| head` does: what is buffered goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if ok else EXIT_ASSERTION
 
 

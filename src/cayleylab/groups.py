@@ -36,6 +36,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -47,6 +48,10 @@ FREENIL_DIM_CAP = 1 << 12  # Magnus coefficients per free nilpotent element
 # this, so the sum of two coordinates, or of a rank and a coordinate, cannot
 # wrap in int64
 RANK_LIMIT = 1 << 62
+# the first 13 primes as Miller-Rabin bases decide primality exactly below
+# PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
 
 __all__ = [
     "SpecSyntaxError",
@@ -100,22 +105,56 @@ def order_cap(override: Optional[int] = None) -> int:
         return DEFAULT_ORDER_CAP
     if not (env.isascii() and env.isdigit()):
         raise SpecSemanticError(f"CAYLEY_LAB_CAP must be a nonnegative integer; got {env!r}")
-    return int(env)
+    return _read_digits(env, "CAYLEY_LAB_CAP")
+
+
+def _read_digits(text: str, what: str) -> int:
+    """The value of a string of ASCII digits, refused when it is too long for int() to read."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecSemanticError(f"{what} has {len(text)} digits; at most {sys.get_int_max_str_digits()} can be read") from None
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin on the bases _PRIME_BASES, exact for n below PRIME_LIMIT."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        # n prime: x^(2^s) = 1, so n - 1 is among x, x^2, ..., x^(2^(s-1))
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
+
+
+def _capped_order(name: str, factors: Iterable[tuple[int, int]]) -> int:
+    """The product of b**e over the factors (b, e), refused above the order cap.
+    Once a lower bound on its bit length passes both the cap's and that of the
+    largest int str() prints, it is refused before it is multiplied out (so a
+    factor slow to list goes last)."""
+    # the most digits str() prints; 4300, its default, where it has no limit (0, or before 3.10.7)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit, printable = order_cap(), 10**digits
+    order, low = 1, 0
+    for b, e in factors:
+        low += e * (b.bit_length() - 1)  # the order is at least 2**low
+        if low >= max(limit.bit_length(), printable.bit_length()):
+            break
+        order *= b**e
+    else:
+        if order <= limit:
+            return order
+        if order < printable:
+            raise ResourceRefusal(f"|{name}| = {order} exceeds cap {limit}")
+    raise ResourceRefusal(f"|{name}| has more than {digits} digits and exceeds cap {limit}")
 
 
 def _enc_u64(values: Iterable[int]) -> bytes:
@@ -198,7 +237,7 @@ def _parse_params(text: str, base: int, family: str) -> tuple[tuple[tuple[str, i
             else:
                 if not (val.isascii() and val.isdigit()):
                     raise SpecSyntaxError(f"expected integer value for {key!r}", pos + len(key) + 1)
-                params.append((key, int(val)))
+                params.append((key, _read_digits(val, f"{family} parameter {key!r}")))
             pos += len(it) + 1
     else:
         pos = base
@@ -206,7 +245,7 @@ def _parse_params(text: str, base: int, family: str) -> tuple[tuple[tuple[str, i
         for it in items:
             if not (it.isascii() and it.isdigit()):
                 raise SpecSyntaxError("expected integer", pos)
-            values.append(int(it))
+            values.append(_read_digits(it, f"{family} parameter"))
             pos += len(it) + 1
         if family == "abelian":
             params = [("moduli", v) for v in values]
@@ -223,28 +262,21 @@ def _validate_spec(spec: GroupSpec) -> GroupSpec:
     if fam == "product":
         return spec
     have = {k for k, _ in spec.params}
-    if fam == "abelian":
-        moduli = spec.param_list("moduli")
-        if not moduli:
-            raise SpecSemanticError("abelian needs at least one modulus")
-        if any(m <= 0 for m in moduli):
-            raise SpecSemanticError("zero or negative modulus")
-        return spec
-    required = set(_POSITIONAL[fam]) if fam != "heis" else {"p"}
+    required = {"moduli"} if fam == "abelian" else set(_POSITIONAL[fam])
     if have != required:
         raise SpecSemanticError(f"{fam} needs parameters {sorted(required)}, got {sorted(have)}")
     if any(v <= 0 for _, v in spec.params):
-        raise SpecSemanticError("parameters must be positive")
-    if fam in ("ut", "heis"):
+        raise SpecSemanticError("zero or negative modulus" if fam == "abelian" else "parameters must be positive")
+    if "p" in required:
         p = spec.param("p")
+        if p >= PRIME_LIMIT:
+            raise SpecSemanticError(f"p={p} is too large: primality is decided exactly only below {PRIME_LIMIT}")
         if not _is_prime(p):
             raise SpecSemanticError(f"p={p} must be prime")
-        if fam == "ut" and spec.param("dim") < 2:
-            raise SpecSemanticError("ut needs dim >= 2")
+    if fam == "ut" and spec.param("dim") < 2:
+        raise SpecSemanticError("ut needs dim >= 2")
     if fam == "symfp":
-        n, p = spec.param("n"), spec.param("p")
-        if not _is_prime(p):
-            raise SpecSemanticError(f"p={p} must be prime")
+        n = spec.param("n")
         if p <= n:
             raise SpecSemanticError(f"symfp requires p > n, got n={n}, p={p}")
         if n < 2:
@@ -362,7 +394,8 @@ class ArrayCodec:
     adds constant length fields), so byte order is coordinate by coordinate.
     ``rank`` numbers the rows in that order, mixed radix with the first
     coordinate most significant, so sorting ranks sorts codes.  Build it with
-    ``_codec``, which checks that the ranks stay below RANK_LIMIT.
+    ``_codec``, which checks that the ranks stay below RANK_LIMIT before the
+    strides are multiplied out.
     """
 
     def __init__(self, radices: tuple[int, ...]):
@@ -371,10 +404,11 @@ class ArrayCodec:
         # coordinate is keyed by its low `width` bytes read in reverse
         self._widths = tuple(0 if r <= 256 else ((r - 1).bit_length() + 7) // 8 for r in radices)
         self.key_radices = tuple(r if w == 0 else 256**w for r, w in zip(radices, self._widths))
-        strides = [1] * len(radices)
-        for c in range(len(radices) - 2, -1, -1):
-            strides[c] = strides[c + 1] * self.key_radices[c + 1]
-        self.strides = tuple(strides)
+
+    @functools.cached_property
+    def strides(self) -> tuple[int, ...]:
+        """The place value of each coordinate: the product of the key radices after it."""
+        return tuple(itertools.accumulate(self.key_radices[:0:-1], operator.mul, initial=1))[::-1]
 
     def rank(self, X: np.ndarray) -> np.ndarray:
         """Rank of each row (last axis) in canonical byte order."""
@@ -457,10 +491,12 @@ class AbelianGroup(Group):
     Coordinates: one residue per modulus.
     """
 
+    family = "abelian"
+
     def __init__(self, moduli: tuple[int, ...]):
         self.moduli = tuple(moduli)
-        self.order = math.prod(self.moduli)
-        self.name = "abelian:" + ",".join(map(str, self.moduli))
+        self.name = f"{self.family}:" + ",".join(map(str, self.moduli))
+        self.order = _capped_order(self.name, ((m, 1) for m in self.moduli))
         self.codec = _codec(self.moduli)
 
     def identity(self):
@@ -497,12 +533,13 @@ class CyclicGroup(AbelianGroup):
     Coordinates: (a,) for the residue a.
     """
 
+    family = "cyclic"
+
     def __init__(self, n: int):
         if n <= 0:
             raise SpecSemanticError("zero modulus")
         super().__init__((n,))
         self.n = n
-        self.name = f"cyclic:{n}"
 
 
 class UnitriangularGroup(Group):
@@ -514,8 +551,8 @@ class UnitriangularGroup(Group):
     def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
-        self.order = p ** (dim * (dim - 1) // 2)
         self.name = f"ut:dim={dim},p={p}"
+        self.order = _capped_order(self.name, [(p, dim * (dim - 1) // 2)])
         self._pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
         self._pos = {pair: idx for idx, pair in enumerate(self._pairs)}
         self.codec = _codec((p,) * len(self._pairs))
@@ -534,10 +571,10 @@ class UnitriangularGroup(Group):
         return tuple(out)
 
     def inv(self, a):
-        # Neumann series: (I + N)^-1 = I - N + N^2 - ... with N nilpotent
+        # back substitution: column j of a * out = I gives out[i, j] from the
+        # entries out[k, j] below it, for i from j - 1 up to 0
         p, pos = self.p, self._pos
         out = list(self.identity())
-        # solve column by column: out = inverse entries; use that (A * out) = I
         for j in range(1, self.dim):
             for i in range(j - 1, -1, -1):
                 v = -a[pos[(i, j)]]
@@ -597,8 +634,8 @@ class LamplighterGroup(Group):
 
     def __init__(self, m: int):
         self.m = m
-        self.order = m * (1 << m)
         self.name = f"lamplighter:{m}"
+        self.order = _capped_order(self.name, [(2, m), (m, 1)])
         self.codec = _codec((m,) + (2,) * m)
 
     def identity(self):
@@ -659,14 +696,11 @@ class SymFpGroup(Group):
         self.n = n
         self.p = p
         self.variant = variant
-        full = math.factorial(n) * p**n
-        if variant == "L":
-            self.order = full
-        elif variant == "Gprime":
-            self.order = full // p
-        else:
-            self.order = full // (2 * p)
         self.name = f"symfp:n={n},p={p},variant={variant}"
+        # n! p^n for L, over p for Gprime and over 2p for G (n!/2 = 3 * 4 * ... * n);
+        # the power of p comes first, so a large n is refused before n! is listed
+        factorial = ((k, 1) for k in range(2 + (variant == "G"), n + 1))
+        self.order = _capped_order(self.name, itertools.chain([(p, n - (variant != "L"))], factorial))
         self.codec = _codec((n,) * n + (p,) * n)
 
     def identity(self):
@@ -746,10 +780,11 @@ class SymFpGroup(Group):
         prime = [self.project_sum_zero(g) for g in tilde]
         if self.variant == "Gprime":
             return prime
-        gp = SymFpGroup(self.n, self.p, "Gprime")
-        sprime = symmetrize(gp, prime)
+        # G's handle serves for Gprime, whose arithmetic it shares: a Gprime
+        # handle would be refused where |Gprime| = 2|G| passes the order cap
+        sprime = symmetrize(self, prime)
         oracle = SubgroupOracle(self.contains, name=self.name)
-        return list(reidemeister_schreier(gp, sprime, oracle).generators.elements)
+        return list(reidemeister_schreier(self, sprime, oracle).generators.elements)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -776,30 +811,14 @@ def _coeff_bytes(c: int) -> bytes:
     return bytes([c >= 0]) + len(body).to_bytes(4, "little") + body
 
 
-class _TermPieces(dict):
-    """Coefficient -> encoded term (word piece then coefficient bytes) for one
-    word; coefficients up to 4096 in size are kept once computed."""
-
-    def __init__(self, word: tuple[int, ...]):
-        super().__init__()
-        self.word_piece = len(word).to_bytes(2, "little") + bytes(word)
-
-    def __missing__(self, c: int) -> bytes:
-        out = self.word_piece + _coeff_bytes(c)
-        if -4096 <= c <= 4096:
-            self[c] = out
-        return out
-
-
 class _MagnusTables:
     """What the arithmetic and the encoding of freenil:r,s share.
 
     ``words`` lists the words of length 1..s in (length, word) order; word i
     concatenated with word j is word k for each (j, k) in ``rows[i]``, where
     only the words shorter than s have rows.  ``by_target`` holds the same
-    triples (i, j, k) sorted by k.  ``pieces[i]`` encodes a term on word i,
-    and ``heads[n]`` is the count prefix and constant-term piece of an element
-    with n nonzero coefficients.
+    triples (i, j, k) sorted by k.  ``pieces[i]`` encodes word i, its u16
+    length then its letters, the start of each term on it.
     """
 
     def __init__(self, r: int, s: int):
@@ -812,9 +831,7 @@ class _MagnusTables:
         self.by_target = tuple(sorted(((i, j, k) for i, row in enumerate(self.rows) for j, k in row), key=lambda t: t[2]))
         # each row as a pair of index arrays (the j, then the k), for left_mul
         self.row_columns = tuple(tuple(np.array(col, dtype=np.intp) for col in zip(*row)) for row in self.rows)
-        self.pieces = tuple(_TermPieces(w) for w in words)
-        constant = _TermPieces(())[1]
-        self.heads = tuple((n + 1).to_bytes(4, "little") + constant for n in range(len(words) + 1))
+        self.pieces = tuple(len(w).to_bytes(2, "little") + bytes(w) for w in words)
 
 
 @functools.cache
@@ -865,7 +882,6 @@ class FreeNilpotentGroup(Group):
         self._by_target = tables.by_target
         self._row_columns = tables.row_columns
         self._pieces = tables.pieces
-        self._heads = tables.heads
 
     def identity(self):
         return (0,) * len(self._words)
@@ -913,8 +929,9 @@ class FreeNilpotentGroup(Group):
         return tuple(out)
 
     def encode(self, a) -> bytes:
-        body = [piece[c] for piece, c in zip(self._pieces, a) if c]
-        return self._heads[len(body)] + b"".join(body)
+        body = [piece + _coeff_bytes(c) for piece, c in zip(self._pieces, a) if c]
+        # the count includes the constant term, 1 on the empty word
+        return (len(body) + 1).to_bytes(4, "little") + b"\0\0" + _coeff_bytes(1) + b"".join(body)
 
     def terms(self, a) -> tuple:
         """The nonzero terms of a as (word, coeff) pairs, the constant ((), 1) first."""
@@ -952,11 +969,9 @@ class ProductGroup(Group):
         self.g1 = g1
         self.g2 = g2
         self._d1 = len(g1.identity())
-        if g1.order is None or g2.order is None:
-            self.order = None
-        else:
-            self.order = g1.order * g2.order
         self.name = f"product({g1.name})x({g2.name})"
+        if g1.order is not None and g2.order is not None:
+            self.order = _capped_order(self.name, [(g1.order, 1), (g2.order, 1)])
         c1, c2 = g1.codec, g2.codec
         if c1 is not None and c2 is not None:
             # encode is len(e1) + e1 + e2 with e1 of fixed width, so byte order is factor by factor
@@ -1009,7 +1024,7 @@ class ProductGroup(Group):
 
 
 def build_group(spec: GroupSpec | str) -> Group:
-    """Construct the group handle for a spec; refuses finite orders above the order cap."""
+    """Construct the group handle for a spec; a finite family refuses an order above the order cap."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     fam = spec.family
@@ -1030,9 +1045,6 @@ def build_group(spec: GroupSpec | str) -> Group:
         g = FreeNilpotentGroup(spec.param("r"), spec.param("s"))
     else:
         raise SpecSemanticError(f"unsupported family {fam!r}")
-    limit = order_cap()
-    if g.order is not None and g.order > limit:
-        raise ResourceRefusal(f"|{g.name}| = {g.order} exceeds cap {limit}")
     return g
 
 

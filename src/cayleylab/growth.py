@@ -133,20 +133,18 @@ class Growth:
             return balls[-1]
         return balls[n]
 
-    def csv_rows(self) -> list[dict]:
+    def columns(self) -> dict:
         # ratios only on a complete profile, where both radii are inside the closure
         scan = doubling_scan(self) if self.complete else DoublingScan((), ())
         r2, r5 = dict(scan.ratios_2n1), dict(scan.ratios_5n)
-        return [
-            {
-                "n": n,
-                "sphere": sphere,
-                "ball": ball,
-                "ratio_2n1": float(r2[n]) if n in r2 else "",
-                "ratio_5n": float(r5[n]) if n in r5 else "",
-            }
-            for n, (sphere, ball) in enumerate(zip(self.sphere_sizes, self.ball_sizes))
-        ]
+        n = range(len(self.sphere_sizes))
+        return {
+            "n": n,
+            "sphere": self.sphere_sizes,
+            "ball": self.ball_sizes,
+            "ratio_2n1": [float(r2[i]) if i in r2 else "" for i in n],
+            "ratio_5n": [float(r5[i]) if i in r5 else "" for i in n],
+        }
 
 
 @dataclass(frozen=True)

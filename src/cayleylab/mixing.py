@@ -121,11 +121,8 @@ class WalkCurves:
         first = int(np.argmax(below))  # the first True, without an index per step below
         return first if below[first] else None
 
-    def csv_rows(self) -> list[dict]:
-        return [
-            {"n": i, "d1": float(self.d1[i]), "d2": float(self.d2[i]), "dinf": float(self.dinf[i])}
-            for i in range(len(self.d1))
-        ]
+    def columns(self) -> dict:
+        return {"n": range(len(self.d1)), "d1": self.d1, "d2": self.d2, "dinf": self.dinf}
 
 
 def _distances(block: np.ndarray, uniform: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,16 +6,18 @@ import json
 import os
 import pathlib
 import random
+import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import cayleylab
 from cayleylab import cli, growth, mixing, nilprog, spectral, zoo
 from cayleylab.cli import EXIT_ASSERTION, EXIT_OK, EXIT_REFUSAL, EXIT_USAGE, render_csv, render_json, run
-from cayleylab.groups import FreeNilpotentGroup, SubgroupOracle, build_group
+from cayleylab.groups import PRIME_LIMIT, FreeNilpotentGroup, SubgroupOracle, build_group
 from cayleylab.growth import enumerate_ball
 from cayleylab.zoo import standard_zoo
 from growth_engines import approximate_group_witness, coset_saturation
@@ -126,6 +128,8 @@ BAD_INPUTS = [
     (["diam", "-g", "product(cyclic:2)x(cyclic:n=3,n=3)"], EXIT_USAGE, "repeated parameter 'n' (at byte 30)"),
     (["diam", "-g", "cyclic:\u0663"], EXIT_USAGE, "expected integer (at byte 7)"),
     (["diam", "-g", "cyclic:n=\u0663"], EXIT_USAGE, "expected integer value for 'n' (at byte 9)"),
+    # abelian, like every family, names a key it does not take
+    (["diam", "-g", "abelian:moduli=2,n=3"], EXIT_USAGE, "abelian needs parameters ['moduli'], got ['moduli', 'n']"),
     # -o into a missing directory, and onto a directory
     (["diam", "-g", "cyclic:12", "-o", "no-such-directory/report.json"], EXIT_USAGE, "-o no-such-directory/report.json: "),
     (["cheeger", "-g", "cyclic:12", "--format", "json", "-o", "."], EXIT_USAGE, "-o .: "),
@@ -151,11 +155,61 @@ def test_spectral_refusal_comes_before_the_graph_build(argv, monkeypatch, capsys
     assert "Fourier blocks of size 15625 exceed the cap of 4096" in capsys.readouterr().err
 
 
-def _python(args: list[str], base_env=None, **kwargs) -> subprocess.CompletedProcess:
+def _python(args: list[str], base_env=None, timeout=120, **kwargs) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(cayleylab.__file__))
     base_env = os.environ if base_env is None else base_env
     env = dict(base_env, PYTHONPATH=src + os.pathsep + base_env.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+
+
+def assert_child_exits(argv: list[str], code: int, env: dict | None = None) -> str:
+    """Run one `cayley-lab` child under a 2 GB address-space limit and a 20 s
+    timeout; assert its exit code, one line of stderr and no traceback, and return that line."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = _python(["-m", "cayleylab", *argv], None if env is None else {**os.environ, **env}, timeout=20, preexec_fn=limit)
+    assert proc.returncode == code, (proc.returncode, proc.stderr[-400:])
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr[-400:]
+    return proc.stderr
+
+
+_DIGITS = "9" * 5000  # past the 4300 digits that int() and str() convert
+# integers too long to read or print, orders refused before anything of
+# their size is built, and a key abelian does not take: each once ended in a
+# traceback, an out-of-memory kill, a trial division that did not finish or a
+# dropped key.  Orders short enough to print keep their messages.
+LIMITED_CASES = [
+    (["diam", "-g", f"cyclic:{_DIGITS}"], None, EXIT_USAGE, "error: cyclic parameter has 5000 digits; at most 4300 can be read\n"),
+    (["diam", "-g", "cyclic:4"], {"CAYLEY_LAB_CAP": _DIGITS}, EXIT_USAGE, "error: CAYLEY_LAB_CAP has 5000 digits; at most 4300 can be read\n"),
+    (["diam", "-g", "ut:dim=300,p=2"], None, EXIT_REFUSAL, "refused: |ut:dim=300,p=2| has more than 4300 digits and exceeds cap 16777216\n"),
+    (["diam", "-g", "lamplighter:20000"], None, EXIT_REFUSAL, "refused: |lamplighter:20000| has more than 4300 digits and exceeds cap 16777216\n"),
+    (["diam", "-g", "ut:dim=3000,p=2"], None, EXIT_REFUSAL, "refused: |ut:dim=3000,p=2| has more than 4300 digits and exceeds cap 16777216\n"),
+    (["diam", "-g", "ut:dim=9999,p=2"], None, EXIT_REFUSAL, "refused: |ut:dim=9999,p=2| has more than 4300 digits and exceeds cap 16777216\n"),
+    (["diam", "-g", "symfp:n=100000,p=100003"], None, EXIT_REFUSAL, "refused: |symfp:n=100000,p=100003,variant=L| has more than 4300 digits and exceeds cap 16777216\n"),
+    (
+        ["diam", "-g", "ut:dim=3,p=1000000000000000003"],
+        None,
+        EXIT_REFUSAL,
+        "refused: |ut:dim=3,p=1000000000000000003| = 1000000000000000009000000000000000027000000000000000027 exceeds cap 16777216\n",
+    ),
+    (["diam", "-g", f"ut:dim=3,p={PRIME_LIMIT}"], None, EXIT_USAGE, "primality is decided exactly only below 3317044064679887385961981\n"),
+    (["diam", "-g", "abelian:moduli=2,n=3"], None, EXIT_USAGE, "error: abelian needs parameters ['moduli'], got ['moduli', 'n']\n"),
+    (
+        ["diam", "-g", f"abelian:{_DIGITS[:400]},{_DIGITS[:400]}"],
+        {"PYTHONINTMAXSTRDIGITS": "640"},
+        EXIT_REFUSAL,
+        "refused: |abelian:" + _DIGITS[:400] + "," + _DIGITS[:400] + "| has more than 640 digits and exceeds cap 16777216\n",
+    ),
+    (["diam", "-g", "cyclic:20000000"], None, EXIT_REFUSAL, "refused: |cyclic:20000000| = 20000000 exceeds cap 16777216\n"),
+    (["diam", "-g", "abelian:257,257,257,257"], None, EXIT_REFUSAL, "refused: |abelian:257,257,257,257| = 4362470401 exceeds cap 16777216\n"),
+]
+
+
+@pytest.mark.parametrize("argv, env, code, message", LIMITED_CASES, ids=[" ".join(a)[:48] for a, _, _, _ in LIMITED_CASES])
+def test_long_integers_and_large_orders_exit_with_one_line(argv, env, code, message):
+    assert assert_child_exits(argv, code, env).endswith(message)
 
 
 def test_grow_reports_an_infinite_K_once_eps_delta_underflows(capsys):
@@ -356,8 +410,8 @@ def test_mix_csv_curves(capsys):
 
 def test_mix_builds_curve_rows_only_for_csv(monkeypatch, capsys):
     built = []
-    rows = mixing.WalkCurves.csv_rows
-    monkeypatch.setattr(mixing.WalkCurves, "csv_rows", lambda self: built.append(1) or rows(self))
+    columns = mixing.WalkCurves.columns
+    monkeypatch.setattr(mixing.WalkCurves, "columns", lambda self: built.append(1) or columns(self))
     for fmt in ("json", "table"):
         assert run(["mix", "-g", "cyclic:8", "--format", fmt]) == EXIT_OK
     assert built == []
@@ -466,9 +520,62 @@ def test_reports_serialize_to_plain_leaves():
 
 
 def test_render_csv_values():
-    rows = [{"n": 1, "v": 0.5, "flag": True, "none": None}]
-    text = render_csv(rows)
+    text = "".join(render_csv({"n": [1], "v": [0.5], "flag": [True], "none": [None]}))
     assert text == "n,v,flag,none\n1,0.5,true,\n"
+    assert "".join(render_csv({})) == "\n"
+
+
+def test_mix_csv_streams_its_curves(monkeypatch):
+    # the curves are written as they are formatted, with stdout discarded: the
+    # peak was 32.0 MiB when each step became a dict, a line in a list and a
+    # slice of one joined string, and is 4.0 MiB with columns
+    argv = ["mix", "-g", "cyclic:512", "--format", "csv"]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert run(["mix", "-g", "cyclic:8", "--format", "csv"]) == EXIT_OK  # imports outside the trace
+        tracemalloc.start()
+        try:
+            assert run(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+# every csv table, a json report and a table report: -o writes the bytes stdout gets
+O_FILE_CASES = [
+    ["mix", "-g", "cyclic:12", "--format", "csv"],
+    ["mix", "-g", "cyclic:12", "--format", "csv", "--p", "inf"],
+    ["grow", "-g", "cyclic:100", "--format", "csv"],
+    ["grow", "-g", "freenil:r=2,s=2", "-r", "3", "--format", "csv"],
+    ["zoo", "list", "--format", "csv"],
+    ["spectrum", "-g", "cyclic:12", "--format", "json"],
+    ["spectrum", "-g", "cyclic:12"],
+]
+
+
+@pytest.mark.parametrize("argv", O_FILE_CASES, ids=" ".join)
+def test_output_file_holds_the_stdout_bytes(argv, tmp_path, capsysbinary):
+    assert run(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    path = tmp_path / "report"
+    assert run([*argv, "-o", str(path)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == out and out.endswith(b"\n")
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # `mix --format csv | head -1`: the lines still to come meet a closed pipe,
+    # and the run exits 0 with nothing on stderr
+    probe = (
+        "import subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'cayleylab', 'mix', '-g', 'cyclic:512', '--format', 'csv']\n"
+        "p = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "p.stdout.readline()\n"
+        "p.stdout.close()\n"
+        "print(repr(p.stderr.read()), p.wait())\n"
+    )
+    assert _python(["-c", probe]).stdout == "b'' 0\n"
 
 
 def test_verify_requires_group_when_needed(capsys):
@@ -644,7 +751,7 @@ def test_readme_examples_run(capsys):
     assert (["diam", "-g", "cyclic:12"], "6\n") in examples
 
 
-@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠"])
+@pytest.mark.parametrize("value", ["abc", "1e6", "-5", "4.5", "١٠", _DIGITS])
 def test_bad_order_cap_is_a_usage_error(monkeypatch, capsys, value):
     monkeypatch.setenv("CAYLEY_LAB_CAP", value)
     assert run(["diam", "-g", "cyclic:12"]) == EXIT_USAGE

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import sympy
 
+from cayleylab import groups
 from cayleylab.groups import (
+    PRIME_LIMIT,
     FreeNilpotentGroup,
     OracleError,
     ResourceRefusal,
@@ -68,6 +70,19 @@ def test_parse_semantic_errors():
         parse_group_spec("cyclic:0")
     with pytest.raises(SpecSemanticError):
         parse_group_spec("cyclic:n=3,variant=G")
+
+
+def test_primality_matches_sympy_below_the_limit():
+    # Miller-Rabin on the first 13 primes is exact below PRIME_LIMIT, itself a
+    # strong pseudoprime to all 13 bases; the others are to the first 4 to 12
+    rng = random.Random(5)
+    cases = list(range(-3, 5000)) + [rng.randrange(PRIME_LIMIT) for _ in range(2000)]
+    cases += [sympy.nextprime(rng.randrange(2**40, PRIME_LIMIT // 2)) for _ in range(100)]
+    cases += [sympy.nextprime(rng.randrange(2**40)) * sympy.nextprime(rng.randrange(2**40)) for _ in range(100)]
+    cases += [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051, 318665857834031151167461]
+    for n in cases:
+        assert groups._is_prime(n) == sympy.isprime(n), n
+    assert groups._is_prime(PRIME_LIMIT) and not sympy.isprime(PRIME_LIMIT)
 
 
 def test_order_cap_refusal(monkeypatch):

@@ -170,7 +170,7 @@ def test_ball_sizes_are_summed_once(monkeypatch):
     g = build_group("cyclic:100")
     ball = count_spheres(g, g.generating_set())
     cli._plain(ball)
-    ball.csv_rows()
+    ball.columns()
     doubling_scan(ball)
     doubling_at_scale(ball, 0.5, 0.5)
     flatness_report(ball)
